@@ -1,16 +1,23 @@
-"""Exact rational helpers for the numerically hostile corners.
+"""Exact arithmetic for the numerically hostile corners.
 
-Double-precision coefficients are exact binary rationals, so polynomial
-values, Taylor shifts and finite-difference stencils can be computed with no
-rounding at all via ``fractions.Fraction``.  That sidesteps two noise floors
-that plain float arithmetic cannot beat:
+Every double is m * 2**e, so a polynomial with double coefficients and a
+double point are exactly Gaussian integers over one common power of two.
+The root finder's kernel works in that form: repeated synthetic division
+(homogeneous Horner) over plain Python ``int`` gives the Taylor
+coefficients t_j at x, p(x) and p'(x) among them, with no rounding and no
+gcd.  Each result converts back through one ``int / int`` true division,
+which CPython rounds correctly, so a value or a ratio of two values is the
+nearest double to the exact rational, as ``float(Fraction)`` gives it.
 
-* evaluating a polynomial near a root of multiplicity m loses all digits
-  once |z - root| < eps**(1/m), which defeats both Newton polishing of
-  multiple roots and high-order difference quotients;
-* central differences of order d amplify evaluation noise by h**(-d).
+Exactness sidesteps the noise floor that plain float arithmetic cannot
+beat: evaluating a polynomial near a root of multiplicity m loses all
+digits once |z - root| < eps**(1/m), which defeats Newton polishing of
+multiple roots and the multiplicity test.
 
-Only the final conversion back to float rounds.
+Finite-difference stencils are not dyadic, so the derivative-formula
+residue route keeps ``fractions.Fraction`` (``ExactEven``, ``fd_weights``):
+central differences of order d amplify evaluation noise by h**(-d), and
+exact weights and values remove it.  Only the final conversion rounds.
 """
 
 from __future__ import annotations
@@ -30,13 +37,6 @@ class ExactEven:
     @staticmethod
     def from_floats(u: float, v: float = 0.0) -> "ExactEven":
         return ExactEven(Fraction(u), Fraction(v))
-
-    @staticmethod
-    def from_complex(z: complex) -> "ExactEven":
-        return ExactEven(Fraction(z.real), Fraction(z.imag))
-
-    def to_complex(self) -> complex:
-        return complex(float(self.u), float(self.v))
 
     def __add__(self, other: "ExactEven") -> "ExactEven":
         return ExactEven(self.u + other.u, self.v + other.v)
@@ -65,9 +65,6 @@ class ExactEven:
                              (self.v * other.u - self.u * other.v) / n)
         return ExactEven(self.u / other, self.v / other)
 
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
     def norm_sq(self) -> Fraction:
         return self.u * self.u + self.v * self.v
 
@@ -87,16 +84,6 @@ def exact_eval(coeffs: Sequence[ExactEven], x: ExactEven) -> ExactEven:
     return acc
 
 
-def exact_eval_with_derivative(coeffs: Sequence[ExactEven],
-                               x: ExactEven) -> tuple[ExactEven, ExactEven]:
-    p = EXACT_ZERO
-    dp = EXACT_ZERO
-    for c in reversed(coeffs):
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
-
-
 def exact_deflate(coeffs: Sequence[ExactEven],
                   root: ExactEven) -> list[ExactEven]:
     """Quotient of synthetic division by (z - root); the remainder is dropped.
@@ -110,22 +97,6 @@ def exact_deflate(coeffs: Sequence[ExactEven],
     for k in range(len(coeffs) - 1, 0, -1):
         acc = acc * root + coeffs[k]
         out[k - 1] = acc
-    return out
-
-
-def exact_taylor_shift(coeffs: Sequence[ExactEven],
-                       center: ExactEven) -> list[ExactEven]:
-    """Exact t_k with p(center + h) = sum t_k h^k, via repeated division."""
-    work = list(coeffs)
-    out: list[ExactEven] = []
-    n = len(work)
-    for _ in range(n):
-        acc = EXACT_ZERO
-        for k in range(len(work) - 1, -1, -1):
-            acc = acc * center + work[k]
-            work[k] = acc
-        out.append(work[0])
-        work = work[1:]
     return out
 
 
@@ -171,3 +142,91 @@ def central_stencil(order: int) -> list[int]:
     """
     half = max(2, (order + 2) // 2 + 1)
     return [k for k in range(-half, half + 1) if k != 0]
+
+
+# ---------------------------------------------------------------------------
+# dyadic Gaussian integers: the root finder's kernels
+
+@dataclass(frozen=True)
+class Dyadic:
+    """The exact value (re + i*im) / 2**exp, with integer re, im and exp."""
+
+    re: int
+    im: int
+    exp: int
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def to_complex(self) -> complex:
+        """Each component rounded once to the nearest double."""
+        scale = 1 << self.exp
+        return complex(self.re / scale, self.im / scale)
+
+
+@dataclass(frozen=True)
+class DyadicPoly:
+    """Ascending coefficients (re[k] + i*im[k]) / 2**exp, one common exp."""
+
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+    exp: int
+
+
+def _dyadic_parts(z: complex) -> tuple[int, int, int]:
+    """(re, im, e) with z = (re + i*im) / 2**e exactly and e >= 0."""
+    rn, rd = z.real.as_integer_ratio()
+    im_n, im_d = z.imag.as_integer_ratio()
+    e = max(rd.bit_length(), im_d.bit_length()) - 1
+    return (rn << (e + 1 - rd.bit_length()),
+            im_n << (e + 1 - im_d.bit_length()), e)
+
+
+def dyadic_poly(coeffs: Sequence[complex]) -> DyadicPoly:
+    """The exact dyadic form of a complex coefficient list (ascending)."""
+    parts = [_dyadic_parts(complex(c)) for c in coeffs]
+    exp = max((e for _, _, e in parts), default=0)
+    return DyadicPoly(tuple(r << (exp - e) for r, _, e in parts),
+                      tuple(i << (exp - e) for _, i, e in parts), exp)
+
+
+def dyadic_taylor_shift(poly: DyadicPoly, center: complex,
+                        terms: int) -> list[Dyadic]:
+    """Exact t_0 .. t_{terms-1} with p(center + h) = sum t_j h^j.
+
+    t_0 and t_1 are p(center) and p'(center); needs terms <= degree + 1.
+    Repeated synthetic division by (h - center), homogeneous in the
+    integer X = center * 2**s: with coefficient k held as
+    c_k * 2**(exp + s*(n-k)), each Horner step acc*X + c_k stays exact
+    without a division, and pass j ends on t_j * 2**(exp + s*(n-j)).
+    Pass j leaves its quotient in place, in cr[j+1:] and ci[j+1:].
+    """
+    n = len(poly.re) - 1
+    xr, xi, s = _dyadic_parts(center)
+    xsum, xdiff = xr + xi, xi - xr
+    cr = [r << s * (n - k) for k, r in enumerate(poly.re)]
+    ci = [i << s * (n - k) for k, i in enumerate(poly.im)]
+    out = []
+    for j in range(terms):
+        ar = ai = 0
+        for k in range(n, j - 1, -1):
+            # (ar + i*ai) * (xr + i*xi) in three products, plus c_k
+            k1 = xr * (ar + ai)
+            ar, ai = k1 - ai * xsum + cr[k], k1 + ar * xdiff + ci[k]
+            cr[k] = ar
+            ci[k] = ai
+        out.append(Dyadic(ar, ai, poly.exp + s * (n - j)))
+    return out
+
+
+def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:
+    """a / (scale * b), each component rounded once; b != 0, scale > 0."""
+    num_re = a.re * b.re + a.im * b.im
+    num_im = a.im * b.re - a.re * b.im
+    den = scale * (b.re * b.re + b.im * b.im)
+    if b.exp >= a.exp:
+        num_re <<= b.exp - a.exp
+        num_im <<= b.exp - a.exp
+    else:
+        den <<= a.exp - b.exp
+    return complex(num_re / den, num_im / den)

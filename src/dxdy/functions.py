@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import expressions as ex
@@ -58,11 +58,20 @@ class Pole:
     order: int
 
 
+#: (location, multiplicity) pairs of a polynomial's roots
+_Roots = tuple[tuple[EvenElement, int], ...]
+
+
 @dataclass(frozen=True)
 class MeromorphicFunction:
     num: Polynomial
     den: Polynomial
     factor: EntireFactor | None = None
+    #: (location, multiplicity) roots of ``den`` when they are already known
+    #: (``to_meromorphic`` keeps those found while normalizing); ``None``
+    #: makes ``find_poles`` root ``den`` itself
+    den_roots: _Roots | None = field(
+        default=None, compare=False, repr=False)
 
     def __call__(self, z: EvenElement) -> EvenElement:
         value = even_mul(self.num(z), even_inv(self.den(z)))
@@ -181,16 +190,23 @@ def _linear_scale(arg: _Rational) -> EvenElement:
 
 
 def normalize_rational(num: Polynomial, den: Polynomial
-                       ) -> tuple[Polynomial, Polynomial]:
-    """Monic denominator, shared roots cancelled."""
+                       ) -> tuple[Polynomial, Polynomial, _Roots | None]:
+    """Monic denominator, shared roots cancelled.
+
+    The third item holds the roots of the returned denominator when they
+    were found on exactly its coefficients, i.e. nothing was cancelled and
+    retightening the lead changed no bit; otherwise it is None.
+    """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator polynomial")
     den, lead = den.monic()
     num = num.scale(even_inv(lead))
     if num.is_zero():
-        return ZERO_POLY, ONE_POLY
+        return ZERO_POLY, ONE_POLY, None
+    rooted, roots = den, None
     if den.degree >= 1:
-        for loc, mult in _roots_of(den):
+        roots = _roots_of(den)
+        for loc, mult in roots:
             cancelled = 0
             while cancelled < mult:
                 scale = num.max_coeff()
@@ -200,19 +216,21 @@ def normalize_rational(num: Polynomial, den: Polynomial
                 den, _ = den.deflate(loc)
                 cancelled += 1
             if num.is_zero():
-                return ZERO_POLY, ONE_POLY
+                return ZERO_POLY, ONE_POLY, None
     # deflation keeps den monic up to rounding; retighten the lead
     if not den.is_zero() and den.degree >= 0:
         den, lead = den.monic()
         num = num.scale(even_inv(lead))
-    return num, den
+    if roots is not None and _bits(den) != _bits(rooted):
+        roots = None
+    return num, den, roots
 
 
 def to_meromorphic(e: ex.Expr) -> MeromorphicFunction:
     """Normalize a parsed expression into the meromorphic model."""
     r = _fold(e)
-    num, den = normalize_rational(r.num, r.den)
-    return MeromorphicFunction(num, den, r.factor)
+    num, den, roots = normalize_rational(r.num, r.den)
+    return MeromorphicFunction(num, den, r.factor, roots)
 
 
 def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
@@ -228,9 +246,14 @@ def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
 # ---------------------------------------------------------------------------
 # poles
 
-def _roots_of(p: Polynomial) -> list[tuple[EvenElement, int]]:
+def _roots_of(p: Polynomial) -> _Roots:
     pairs = find_roots([complex(c.u, c.v) for c in p.coeffs])
-    return [(even(loc.real, loc.imag), mult) for loc, mult in pairs]
+    return tuple((even(loc.real, loc.imag), mult) for loc, mult in pairs)
+
+
+def _bits(p: Polynomial) -> list[tuple[str, str]]:
+    """The coefficients bit for bit (0.0 and -0.0 differ)."""
+    return [(c.u.hex(), c.v.hex()) for c in p.coeffs]
 
 
 def _factor_zero_multiplicity(factor: EntireFactor | None,
@@ -250,8 +273,9 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     if f.den.degree < 1:
         return ()
     scale = f.den.max_coeff()
+    roots = f.den_roots if f.den_roots is not None else _roots_of(f.den)
     poles = []
-    for loc, mult in _roots_of(f.den):
+    for loc, mult in roots:
         if abs(f.den(loc)) > RESIDUAL_TOL * scale:
             raise RootFindingError(
                 f"root residual too large at {loc}; denominator is "

@@ -331,8 +331,9 @@ def differential_check(f: MeromorphicFunction, contour: CircleContour,
                        tol: float = 1e-8) -> DifferentialReport:
     """Compare the residue-route contour value against direct quadrature.
 
-    The primary comparison is the real value; the imaginary defect is also
-    quadratured through the dual form and reported alongside.
+    The real value is quadratured through the form, the imaginary defect
+    through the dual form; the check passes only if both agree within tol
+    relative to the symbolic side.
     """
     result = integrate_closed(f, contour)
     spec = QuadratureSpec(tol=min(tol * 1e-2, 1e-10))
@@ -340,7 +341,9 @@ def differential_check(f: MeromorphicFunction, contour: CircleContour,
     dual = quad_circle(*dual_form_components(f), contour, spec)
     difference = abs(result.real_value - quad)
     defect_difference = abs(result.imaginary_defect - dual)
-    passed = difference <= tol * (1.0 + abs(result.real_value))
+    passed = (difference <= tol * (1.0 + abs(result.real_value))
+              and defect_difference
+              <= tol * (1.0 + abs(result.imaginary_defect)))
     return DifferentialReport(
         passed=passed,
         symbolic=result.real_value,

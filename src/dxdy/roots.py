@@ -9,16 +9,19 @@ multiplicities.  The pipeline is therefore:
 1. raw Durand-Kerner roots;
 2. single-linkage grouping with a multiplicity-aware radius that follows the
    eps**(1/k) scatter law;
-3. per group, a structural hypothesis test in exact rational arithmetic:
-   the group of k approximations is accepted as one multiplicity-k root iff
-   the polynomial is, coefficient-relatively, close to one with an exact
-   multiplicity-k root at the refined center.  Failed groups are split and
-   retried with tighter radii.
+3. per group, a structural hypothesis test on the exact Taylor
+   coefficients t_j at the refined center: the group of k approximations is
+   accepted as one multiplicity-k root iff the polynomial is,
+   coefficient-relatively, close to one with an exact multiplicity-k root
+   there.  Failed groups are split and retried with tighter radii.
 
 Centers of accepted groups start from the group mean (first-order scatter
-cancels around a multiple root) and are refined with an exact-arithmetic
-Newton step on the Taylor coefficient t_{k-1}, so reported locations do not
-inherit the scatter.
+cancels around a multiple root) and are refined with a Newton step on
+t_{k-1}, so reported locations do not inherit the scatter; simple roots get
+plain Newton steps.  The monic coefficients and every iterate are doubles,
+hence dyadic: p, p' and the t_j come exact from ``exactmath``'s Gaussian
+integer Taylor shift, and each step or test value is rounded once from the
+exact rational.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .exactmath import (ExactEven, exact_eval_with_derivative,
-                        exact_taylor_shift)
+from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
+                        dyadic_taylor_shift)
 
 #: two polished roots closer than this (times 1 + |root|) are the same root
 CLUSTER_TOL = 1e-7
@@ -124,20 +127,16 @@ def _mean(points: list[complex]) -> complex:
     return sum(points) / len(points)
 
 
-def _exact_coeffs(coeffs: list[complex]) -> list[ExactEven]:
-    return [ExactEven.from_complex(c) for c in coeffs]
-
-
-def _newton_polish(exact: list[ExactEven], x0: complex) -> complex:
+def _newton_polish(exact: DyadicPoly, x0: complex) -> complex:
     """Plain Newton with exact evaluation; quadratic for simple roots."""
     x = x0
     for _ in range(_NEWTON_MAX_ITER):
-        p, dp = exact_eval_with_derivative(exact, ExactEven.from_complex(x))
+        p, dp = dyadic_taylor_shift(exact, x, 2)
         if p.is_zero():
             return x
         if dp.is_zero():
             return x
-        step = (p / dp).to_complex()
+        step = dyadic_ratio(p, dp)
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
@@ -164,7 +163,7 @@ def _coefficient_scales(coeffs: list[complex], c: complex) -> list[float]:
     return [s if s > 0.0 else top for s in scales]
 
 
-def _refine_and_verify(coeffs: list[complex], exact: list[ExactEven],
+def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
                        seed: complex, k: int) -> complex | None:
     """Refine a multiplicity-k root near seed; None if the hypothesis fails.
 
@@ -175,17 +174,16 @@ def _refine_and_verify(coeffs: list[complex], exact: list[ExactEven],
     """
     c = seed
     for _ in range(8):
-        t = exact_taylor_shift(exact, ExactEven.from_complex(c))
-        tk = t[k]
-        if tk.is_zero():
+        t = dyadic_taylor_shift(exact, c, k + 1)
+        if t[k].is_zero():
             return None
-        correction = (t[k - 1] / (tk * k)).to_complex()
+        correction = dyadic_ratio(t[k - 1], t[k], k)
         if not (math.isfinite(correction.real) and math.isfinite(correction.imag)):
             return None
         c = c - correction
         if abs(correction) <= 1e-16 * (1.0 + abs(c)):
             break
-    t = exact_taylor_shift(exact, ExactEven.from_complex(c))
+    t = dyadic_taylor_shift(exact, c, k + 1)
     scales = _coefficient_scales(coeffs, c)
     for j in range(k):
         if abs(t[j].to_complex()) > VERIFY_TOL * scales[j]:
@@ -196,7 +194,7 @@ def _refine_and_verify(coeffs: list[complex], exact: list[ExactEven],
     return c
 
 
-def _resolve_group(coeffs: list[complex], exact: list[ExactEven],
+def _resolve_group(coeffs: list[complex], exact: DyadicPoly,
                    group: list[complex]) -> list[tuple[complex, int]]:
     """Descend multiplicity hypotheses k = |group| .. 2, else singletons."""
     if len(group) == 1:
@@ -231,7 +229,7 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     monic = [c / lead for c in cs]
     degree = len(monic) - 1
     raw = _durand_kerner(monic)
-    exact = _exact_coeffs(monic)
+    exact = dyadic_poly(monic)
     found: list[tuple[complex, int]] = []
     for group in _single_linkage(raw, degree):
         found.extend(_resolve_group(monic, exact, group))

@@ -6,12 +6,15 @@ import random
 
 import pytest
 
+import dxdy.functions
 from dxdy.algebra import even, even_mul
 from dxdy.expressions import parse
-from dxdy.functions import (FormClass, OneForm, UnsupportedExpressionError,
-                            classify_one_form, find_poles, local_expansion,
-                            meromorphic_from_text, to_meromorphic)
+from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
+                            UnsupportedExpressionError, classify_one_form,
+                            find_poles, local_expansion, meromorphic_from_text,
+                            to_meromorphic)
 from dxdy.residues import laurent_expand
+from dxdy.roots import find_roots
 
 from helpers import even_close, random_planted_rational
 
@@ -90,6 +93,40 @@ def test_factor_zero_cancels_pole():
     f = meromorphic_from_text("sin(z)/(z-1)")
     poles = find_poles(f)
     assert len(poles) == 1 and poles[0].order == 1
+
+
+def _count_find_roots(monkeypatch) -> list:
+    calls = []
+
+    def counting(coeffs):
+        calls.append(list(coeffs))
+        return find_roots(coeffs)
+
+    monkeypatch.setattr(dxdy.functions, "find_roots", counting)
+    return calls
+
+
+def test_find_poles_reuses_the_normalizing_roots(monkeypatch):
+    calls = _count_find_roots(monkeypatch)
+    f = meromorphic_from_text("1/(z^5+1)")
+    poles = find_poles(f)
+    assert len(calls) == 1
+    assert [p.order for p in poles] == [1] * 5
+    # rooting the denominator afresh gives the same poles, bit for bit
+    fresh = find_poles(MeromorphicFunction(f.num, f.den, f.factor))
+    assert len(calls) == 2
+    assert repr(fresh) == repr(poles)
+
+
+def test_cancelled_denominator_is_rooted_again(monkeypatch):
+    calls = _count_find_roots(monkeypatch)
+    f = meromorphic_from_text("(z-1)/((z-1)*(z+2))")
+    assert f.den.degree == 1
+    poles = find_poles(f)
+    assert len(calls) == 2
+    assert len(calls[1]) == 2       # the cancelled, degree-1 denominator
+    assert len(poles) == 1 and poles[0].order == 1
+    assert abs(poles[0].location - even(-2.0)) <= 1e-12
 
 
 def test_local_expansion_reference_values():

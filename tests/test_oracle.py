@@ -1,10 +1,12 @@
 """Quadrature oracle: circle rule, real-line rule, differential checks."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+import dxdy.oracle
 from dxdy.algebra import even
 from dxdy.contours import CircleContour, integrate_closed
 from dxdy.functions import meromorphic_from_text
@@ -157,6 +159,21 @@ def test_differential_check_canonical_pole():
     assert abs(report.symbolic) <= 1e-12
     assert abs(report.defect_symbolic - 2 * math.pi) <= 1e-12
     assert abs(report.defect_quadrature - 2 * math.pi) <= 1e-8
+
+
+def test_differential_check_fails_on_a_defect_mismatch(monkeypatch):
+    # the real values agree, the defects differ by 2 pi: not a pass
+    f = meromorphic_from_text("1/z")
+    true_result = integrate_closed(f, UNIT)
+    monkeypatch.setattr(
+        dxdy.oracle, "integrate_closed",
+        lambda *args: dataclasses.replace(
+            true_result,
+            imaginary_defect=true_result.imaginary_defect - 2 * math.pi))
+    report = differential_check(f, UNIT)
+    assert report.difference <= 1e-8
+    assert abs(report.defect_difference - 2 * math.pi) <= 1e-8
+    assert not report.passed
 
 
 def test_differential_check_reference_case():
