@@ -15,7 +15,7 @@ from .functions import (EntireFactor, FormClass, MeromorphicFunction, OneForm,
                         Pole, classify_one_form, find_poles, local_expansion,
                         meromorphic_from_text, to_meromorphic)
 from .oracle import (QuadratureSpec, differential_check, quad_circle,
-                     quad_real_line, real_line_quadrature)
+                     real_line_quadrature)
 from .residues import (ResidueReport, cauchy_derivative, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue,
                        residue_by_derivative_formula,
@@ -36,7 +36,7 @@ __all__ = [
     "even_int_pow", "even_inv", "even_mul", "find_poles", "from_polar",
     "integrate_closed", "integrate_real_line", "laurent_expand",
     "local_expansion", "meromorphic_from_text", "mv_product", "quad_circle",
-    "quad_real_line", "real_line_quadrature", "residue",
+    "real_line_quadrature", "residue",
     "residue_by_derivative_formula", "residue_by_order_reduction",
     "series_inv", "series_mul", "to_meromorphic", "to_polar",
 ]

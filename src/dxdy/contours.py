@@ -94,20 +94,24 @@ def _defect_warning(defect: float, residue_scale: float) -> tuple[str, ...]:
     return ()
 
 
+def _residue_sum(f: MeromorphicFunction, poles: tuple[Pole, ...],
+                 sign: float) -> IntegralResult:
+    """Value and defect of a contour around these poles; sign is +1 for
+    counterclockwise, -1 for clockwise."""
+    residues = tuple(residue(f, p) for p in poles)
+    real_value = sign * (-2.0 * math.pi) * sum(r.v for r in residues)
+    defect = sign * 2.0 * math.pi * sum(r.u for r in residues)
+    scale = 2.0 * math.pi * sum(abs(r) for r in residues)
+    return IntegralResult(real_value, defect, poles, residues,
+                          _defect_warning(defect, scale))
+
+
 def integrate_closed(f: MeromorphicFunction,
                      contour: CircleContour) -> IntegralResult:
     """Contour integral of f dx via the enclosed residues."""
-    poles = find_poles(f)
-    inside = enclosed_poles(contour, poles)
-    residues = tuple(residue(f, p) for p in inside)
+    inside = enclosed_poles(contour, find_poles(f))
     sign = 1.0 if contour.orientation == COUNTERCLOCKWISE else -1.0
-    total_u = sum(r.u for r in residues)
-    total_v = sum(r.v for r in residues)
-    real_value = sign * (-2.0 * math.pi) * total_v
-    defect = sign * 2.0 * math.pi * total_u
-    scale = 2.0 * math.pi * sum(abs(r) for r in residues)
-    return IntegralResult(real_value, defect, inside, residues,
-                          _defect_warning(defect, scale))
+    return _residue_sum(f, inside, sign)
 
 
 UPPER = "upper"
@@ -176,11 +180,4 @@ def integrate_real_line(f: MeromorphicFunction,
     else:
         picked = tuple(p for p in poles if p.location.v < 0)
         sign = -1.0
-    residues = tuple(residue(f, p) for p in picked)
-    total_u = sum(r.u for r in residues)
-    total_v = sum(r.v for r in residues)
-    real_value = sign * (-2.0 * math.pi) * total_v
-    defect = sign * 2.0 * math.pi * total_u
-    scale = 2.0 * math.pi * sum(abs(r) for r in residues)
-    return IntegralResult(real_value, defect, picked, residues,
-                          _defect_warning(defect, scale))
+    return _residue_sum(f, picked, sign)

@@ -87,10 +87,6 @@ class MeromorphicFunction:
         return self.den.degree - self.num.degree
 
 
-def constant_function(c: EvenElement) -> MeromorphicFunction:
-    return MeromorphicFunction(Polynomial.constant(c), ONE_POLY)
-
-
 # ---------------------------------------------------------------------------
 # expression -> meromorphic function
 

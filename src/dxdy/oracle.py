@@ -1,11 +1,15 @@
 """Independent numeric verification by direct quadrature.
 
-Everything the residue machinery produces can be checked against direct
-integration: 1-form integrals on circles by the periodic trapezoid rule
-(spectrally accurate for analytic integrands, refined by doubling), and
-real-line integrals by adaptive Simpson with an analytic tail bound.  The
-quadrature paths share only even-element evaluation with the rest of the
-package; they never touch series or residue code.
+One rule does most of the work: the periodic trapezoid rule, refined by
+doubling, which converges geometrically on analytic periodic integrands.
+A circle is one period of its angle; x = tan(theta) makes the axis one
+period, on which H(tan(theta))/cos(theta)^2 is analytic when H is rational
+with degree gap >= 2 and no axis pole, so nothing is truncated.
+Oscillatory axis integrands are folded onto [0, inf), integrated one
+half-period at a time by adaptive Simpson, and the partial sums are
+extrapolated with Wynn's epsilon algorithm.  The oracle shares only
+even-element evaluation and pole location with the rest of the package,
+never series or residue code.
 """
 
 from __future__ import annotations
@@ -13,13 +17,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .algebra import even
-from .contours import CircleContour, COUNTERCLOCKWISE, integrate_closed
-from .functions import MeromorphicFunction
+from .contours import (AXIS_TOL, CircleContour, COUNTERCLOCKWISE,
+                       integrate_closed)
+from .functions import MeromorphicFunction, find_poles
 
-MAX_CIRCLE_POINTS = 2 ** 20
+#: points of the first trapezoid estimate
+MIN_POINTS = 32
+#: the trapezoid rule gives up beyond this many points, and the oscillatory
+#: axis rule beyond this many samples
+MAX_POINTS = 2 ** 20
+#: half-periods an oscillatory axis integral may sum before it gives up
+MAX_CYCLES = 1000
 
 
 class QuadratureError(RuntimeError):
@@ -28,150 +39,157 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    n_points: int = 32
-    tail_cutoff: float = 1e6
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_points < 16 or self.n_points % 2:
-            raise ValueError("n_points must be even and >= 16")
-        if not self.tail_cutoff > 0:
-            raise ValueError("tail_cutoff must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+
+
+def _checked(sample: Callable[[float], float], t: float) -> float:
+    """sample(t), with singular and non-finite values as QuadratureError."""
+    try:
+        value = sample(t)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise QuadratureError(
+            f"singular integrand sample at t={t:.6g}") from err
+    if not math.isfinite(value):
+        raise QuadratureError(f"non-finite integrand sample at t={t:.6g}")
+    return value
+
+
+def _limit(estimates: Iterable[float], tol: float, what: str) -> float:
+    """The first estimate that agrees with the two before it within tol
+    (scaled by its magnitude); QuadratureError if there is none."""
+    previous, agreements = math.nan, 0
+    for current in estimates:
+        if abs(current - previous) < tol * (1.0 + abs(current)):
+            agreements += 1
+            if agreements >= 2:
+                return current
+        else:
+            agreements = 0
+        previous = current
+    raise QuadratureError(f"{what} did not converge below {tol:g}")
+
+
+def _periodic_trapezoid(sample: Callable[[float], float], period: float,
+                        start: float, shift: float, tol: float) -> float:
+    """Trapezoid rule over one period, nodes at start + (i + shift) *
+    period / n, with n doubling from MIN_POINTS up to MAX_POINTS."""
+    def estimate(n: int) -> float:
+        total = 0.0
+        step = period / n
+        for i in range(n):
+            total += _checked(sample, start + (i + shift) * step)
+        return total * step
+
+    doublings = (MAX_POINTS // MIN_POINTS).bit_length()
+    return _limit((estimate(MIN_POINTS << j) for j in range(doublings + 1)),
+                  tol, f"trapezoid rule within {MAX_POINTS} points")
 
 
 def quad_circle(k: Callable[[float, float], float],
                 g: Callable[[float, float], float],
                 contour: CircleContour,
                 spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of k dx + g dy over the circle by the periodic trapezoid rule.
-
-    Doubles the point count until two successive refinements agree within
-    spec.tol (scaled by the estimate magnitude).
-    """
+    """Integral of k dx + g dy over the circle by the periodic trapezoid rule."""
     cx, cy = contour.center.u, contour.center.v
     r = contour.radius
 
-    def estimate(n: int) -> float:
-        total = 0.0
-        step = 2.0 * math.pi / n
-        for i in range(n):
-            t = i * step
-            ct, st = math.cos(t), math.sin(t)
-            x = cx + r * ct
-            y = cy + r * st
-            try:
-                sample = -k(x, y) * r * st + g(x, y) * r * ct
-            except (ZeroDivisionError, OverflowError) as err:
-                raise QuadratureError(
-                    f"singular integrand sample on the contour at "
-                    f"t={t:.6g}") from err
-            if not math.isfinite(sample):
-                raise QuadratureError(
-                    f"non-finite integrand sample on the contour at t={t:.6g}")
-            total += sample
-        return total * step
+    def sample(t: float) -> float:
+        ct, st = math.cos(t), math.sin(t)
+        x = cx + r * ct
+        y = cy + r * st
+        return -k(x, y) * r * st + g(x, y) * r * ct
 
-    n = spec.n_points
-    previous = estimate(n)
-    agreements = 0
-    while n <= MAX_CIRCLE_POINTS:
-        n *= 2
-        current = estimate(n)
-        if abs(current - previous) < spec.tol * (1.0 + abs(current)):
-            agreements += 1
-            if agreements >= 2:
-                value = current
-                if contour.orientation != COUNTERCLOCKWISE:
-                    value = -value
-                return value
-        else:
-            agreements = 0
-        previous = current
-    raise QuadratureError(
-        f"circle quadrature did not converge below {spec.tol:g} within "
-        f"{MAX_CIRCLE_POINTS} points")
+    value = _periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0, spec.tol)
+    return value if contour.orientation == COUNTERCLOCKWISE else -value
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                       fa: float, fm: float, fb: float, whole: float,
-                      tol: float, depth: int) -> float:
+                      rtol: float, depth: int) -> float:
+    """Simpson on [a, b], split until the halves agree with the whole
+    within rtol times the integral of |f| there.
+
+    The test scales with the panel, as rounding noise does; an absolute
+    tolerance halved at each split can stay below the noise of a sharp
+    peak at every depth and so keep splitting.
+    """
     m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm)):
-        raise QuadratureError(f"non-finite sample in [{a:g}, {b:g}]")
+    flm = _checked(f, 0.5 * (a + m))
+    frm = _checked(f, 0.5 * (m + b))
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        return left + right
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0,
-                                depth - 1))
+    delta = left + right - whole
+    size = (b - a) / 12.0 * (abs(fa) + 4.0 * abs(flm) + 2.0 * abs(fm)
+                             + 4.0 * abs(frm) + abs(fb))
+    if depth <= 0 or abs(delta) <= 15.0 * rtol * size:
+        return left + right + delta / 15.0
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, rtol, depth - 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, right, rtol, depth - 1))
 
 
-def _simpson_panel(f, a, b, tol, depth=48):
-    try:
-        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    except (ZeroDivisionError, OverflowError) as err:
-        raise QuadratureError(f"singular sample in [{a:g}, {b:g}]") from err
-    if not all(map(math.isfinite, (fa, fm, fb))):
-        raise QuadratureError(f"non-finite sample in [{a:g}, {b:g}]")
+def _simpson_panel(f, a, b, rtol, depth=48):
+    fa, fm, fb = (_checked(f, x) for x in (a, 0.5 * (a + b), b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, rtol, depth)
 
 
-def _oscillatory_panels(inner: float, T: float, half_period: float) -> list[tuple[float, float]]:
-    """Uniform half-period panels from inner to the cutoff.
+def _wynn(diagonal: list[float], s: float) -> tuple[list[float], float]:
+    """Add the partial sum s to Wynn's epsilon table, given and returned
+    as its last ascending diagonal (column k first), with the deepest
+    even-column entry, the extrapolated limit.  The diagonal stops before
+    an infinite entry: the sequence has settled there."""
+    new = [s]
+    for k, old in enumerate(diagonal):
+        delta = new[k] - old
+        entry = (diagonal[k - 1] if k else 0.0) + (
+            1.0 / delta if delta else math.inf)
+        if not math.isfinite(entry):
+            break
+        new.append(entry)
+    return new, new[(len(new) - 1) & ~1]
 
-    Panels wider than the oscillation alias the adaptive error estimate
-    (subdivided estimates agree while both are wrong), so the walk stays at
-    half-period resolution all the way out."""
-    panels = []
-    a = inner
-    while a < T:
-        b = min(a + half_period, T)
-        panels.append((a, b))
-        a = b
-    return panels
 
+def _oscillatory_axis(H: Callable[[float], float], frequency: float,
+                      peaks: list[float], tol: float) -> float:
+    """Integral of H over the axis when H oscillates at this frequency.
 
-def quad_real_line(H: Callable[[float], float], spec: QuadratureSpec,
-                   tail_bound: float,
-                   oscillation: float = 0.0) -> float:
-    """Integral of H over the axis, truncated at spec.tail_cutoff.
-
-    tail_bound is the caller's analytic bound on the discarded |x| >
-    tail_cutoff contribution; it must fit inside the tolerance.  A nonzero
-    ``oscillation`` (the dxdy-scale of an exp factor) pre-splits the body
-    into oscillation-sized panels so the adaptive rule tracks the waves
-    instead of recursing from the whole interval.
+    H(x) + H(-x) is integrated over successive half-periods of [0, inf),
+    split at the ``peaks`` (the |u| of the poles).  Past the last peak the
+    partial sums alternate about the limit, and Wynn's epsilon algorithm
+    extrapolates them; its estimates can settle briefly before they
+    converge, so they must agree within a tenth of tol.
     """
-    if tail_bound > 0.5 * spec.tol:
-        raise QuadratureError(
-            f"analytic tail bound {tail_bound:g} exceeds half the tolerance "
-            f"{spec.tol:g}; increase tail_cutoff")
-    T = spec.tail_cutoff
-    inner = min(T, 32.0)
-    budget = 0.5 * spec.tol
-    total = _simpson_panel(H, -inner, inner, 0.5 * budget)
-    if T > inner:
-        if oscillation:
-            half_period = max(math.pi / abs(oscillation), 1e-3)
-            panels = _oscillatory_panels(inner, T, half_period)
-            per = 0.25 * budget / max(1, 2 * len(panels))
-            for a, b in panels:
-                total += _simpson_panel(H, a, b, per)
-                total += _simpson_panel(H, -b, -a, per)
-        else:
-            total += _simpson_panel(H, inner, T, 0.25 * budget)
-            total += _simpson_panel(H, -T, -inner, 0.25 * budget)
-    return total
+    samples = 0
+
+    def folded(x: float) -> float:
+        nonlocal samples
+        samples += 1
+        if samples > MAX_POINTS:
+            raise QuadratureError(
+                f"half-period sum did not converge below {tol:g} within "
+                f"{MAX_POINTS} samples")
+        return H(x) + H(-x)
+
+    def extrapolations():
+        half_period = math.pi / frequency
+        last_peak = max(peaks, default=0.0)
+        diagonal: list[float] = []
+        partial = 0.0
+        for cycle in range(MAX_CYCLES):
+            a, b = cycle * half_period, (cycle + 1) * half_period
+            cuts = [a, *(x for x in peaks if a < x < b), b]
+            for lo, hi in zip(cuts, cuts[1:]):
+                partial += _simpson_panel(folded, lo, hi, 0.1 * tol)
+            if a >= last_peak:
+                diagonal, limit = _wynn(diagonal, partial)
+                yield limit
+
+    return _limit(extrapolations(), 0.1 * tol,
+                  f"half-period sum within {MAX_CYCLES} half-periods")
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +224,6 @@ def circle_quadrature(f: MeromorphicFunction, contour: CircleContour,
     return quad_circle(k, g, contour, spec)
 
 
-def _tail_parameters(f: MeromorphicFunction) -> tuple[float, float, int]:
-    """(C, safe_radius, gap) with |rational(x)| <= C/|x|^gap for |x| >= radius."""
-    gap = f.degree_gap()
-    num_lead = abs(f.num.leading()) if not f.num.is_zero() else 0.0
-    den_lead = abs(f.den.leading())
-    C = 2.0 * num_lead / den_lead
-    mass = sum(abs(c) for c in f.den.coeffs) / den_lead
-    radius = 2.0 * (1.0 + mass)
-    return C, radius, gap
-
-
 def _axis_oscillation(f: MeromorphicFunction) -> float:
     """Oscillation frequency of the entire factor along the real axis.
 
@@ -229,46 +236,11 @@ def _axis_oscillation(f: MeromorphicFunction) -> float:
     magnitude = abs(scale) + 1e-300
     if f.factor.kind == "exp":
         if abs(scale.u) > 1e-12 * magnitude:
-            raise QuadratureError(
-                "exp factor grows along the axis; no finite tail bound")
+            raise QuadratureError("exp factor grows along the axis")
         return abs(scale.v)
     if abs(scale.v) > 1e-12 * magnitude:
-        raise QuadratureError(
-            f"{f.factor.kind} factor grows along the axis; no finite "
-            f"tail bound")
+        raise QuadratureError(f"{f.factor.kind} factor grows along the axis")
     return abs(scale.u)
-
-
-def real_line_tail_bound(f: MeromorphicFunction, cutoff: float) -> float:
-    """Analytic bound on the |x| > cutoff contribution of f's u-part.
-
-    Pure rational decay gives 2*C*cutoff^(1-gap)/(gap-1); an oscillatory exp
-    factor improves this by one integration by parts to 6*C/(|t|*cutoff^gap).
-    """
-    C, radius, gap = _tail_parameters(f)
-    if cutoff < radius:
-        return math.inf
-    if C == 0.0:
-        return 0.0
-    t = _axis_oscillation(f)
-    if t:
-        return 6.0 * C / (abs(t) * cutoff ** gap)
-    if gap < 2:
-        return math.inf
-    return 2.0 * C * cutoff ** (1 - gap) / (gap - 1)
-
-
-def real_line_spec(f: MeromorphicFunction, tol: float) -> QuadratureSpec:
-    """Choose a cutoff that drives the analytic tail bound under tol/2."""
-    C, radius, gap = _tail_parameters(f)
-    t = _axis_oscillation(f)
-    if C == 0.0:
-        return QuadratureSpec(tail_cutoff=radius, tol=tol)
-    if t:
-        cutoff = (6.0 * C / (abs(t) * 0.25 * tol)) ** (1.0 / gap)
-    else:
-        cutoff = (2.0 * C / (0.25 * tol * (gap - 1))) ** (1.0 / (gap - 1))
-    return QuadratureSpec(tail_cutoff=max(cutoff, radius), tol=tol)
 
 
 def axis_evaluator(f: MeromorphicFunction) -> Callable[[float], float]:
@@ -304,15 +276,33 @@ def axis_evaluator(f: MeromorphicFunction) -> Callable[[float], float]:
     return H
 
 
-def real_line_quadrature(f: MeromorphicFunction,
-                         spec: QuadratureSpec | None = None,
-                         tol: float = 1e-9) -> float:
-    """Direct quadrature of the u-part of f along the axis."""
-    if spec is None:
-        spec = real_line_spec(f, tol)
-    t = _axis_oscillation(f)
-    bound = real_line_tail_bound(f, spec.tail_cutoff)
-    return quad_real_line(axis_evaluator(f), spec, bound, oscillation=t)
+def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
+    """Direct quadrature of the u-part of f along the axis.
+
+    Needs deg(den) >= deg(num) + 2, or + 1 with an oscillating factor, and
+    no pole on the axis; anything else raises QuadratureError.
+    """
+    if f.is_zero():
+        return 0.0
+    frequency = _axis_oscillation(f)
+    gap = f.degree_gap()
+    if gap < (1 if frequency else 2):
+        raise QuadratureError(
+            f"integrand does not decay fast enough along the axis (degree "
+            f"gap {gap})")
+    poles = find_poles(f)
+    for p in poles:
+        if abs(p.location.v) <= AXIS_TOL:
+            raise QuadratureError(f"pole at {p.location} lies on the axis")
+    H = axis_evaluator(f)
+    if frequency:
+        peaks = sorted({abs(p.location.u) for p in poles})
+        return _oscillatory_axis(H, frequency, peaks, tol)
+
+    def mapped(theta: float) -> float:
+        return H(math.tan(theta)) / math.cos(theta) ** 2
+
+    return _periodic_trapezoid(mapped, math.pi, -0.5 * math.pi, 0.5, tol)
 
 
 @dataclass(frozen=True)

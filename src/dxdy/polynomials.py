@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import E_ONE, E_ZERO, EvenElement, even, even_inv, even_mul
+from .algebra import E_ONE, E_ZERO, EvenElement, even_inv, even_mul
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,6 @@ class Polynomial:
         while cs and cs[-1].is_zero():
             cs.pop()
         return Polynomial(tuple(cs))
-
-    @staticmethod
-    def from_real(*values: float) -> "Polynomial":
-        return Polynomial.from_coeffs([even(v) for v in values])
 
     @staticmethod
     def constant(c: EvenElement) -> "Polynomial":

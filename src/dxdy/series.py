@@ -156,7 +156,9 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             if i + j >= length:
                 break
             out[i + j] = out[i + j] + even_mul(ca, cb)
-    return make_series(a.center, lo, out)
+    # the lead is a product of two nonzero leads: no dust scan, which
+    # would measure a_lo against the far larger tail of a wide window
+    return LaurentSeries(a.center, lo, tuple(out))
 
 
 def series_inv(a: LaurentSeries) -> LaurentSeries:
@@ -173,22 +175,8 @@ def series_inv(a: LaurentSeries) -> LaurentSeries:
         for i in range(1, k + 1):
             acc = acc + even_mul(a.coeffs[i], out[k - i])
         out[k] = -even_mul(acc, inv_lead)
-    return make_series(a.center, -a.valuation, out)
-
-
-def series_int_pow(a: LaurentSeries, m: int) -> LaurentSeries:
-    if m < 0:
-        return series_int_pow(series_inv(a), -m)
-    # identity with the same reliable width as `a`
-    width = max(len(a.coeffs), 1)
-    result = make_series(a.center, 0, [E_ONE] + [E_ZERO] * (width - 1))
-    base = a
-    while m > 0:
-        if m & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        m >>= 1
-    return result
+    # the lead is 1/lead: no dust scan, as in series_mul
+    return LaurentSeries(a.center, -a.valuation, tuple(out))
 
 
 def monomial(center: EvenElement, coeff: EvenElement, exponent: int,

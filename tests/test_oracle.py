@@ -8,26 +8,20 @@ import pytest
 
 import dxdy.oracle
 from dxdy.algebra import even
-from dxdy.contours import CircleContour, integrate_closed
-from dxdy.functions import meromorphic_from_text
+from dxdy.contours import CircleContour, integrate_closed, integrate_real_line
+from dxdy.functions import EntireFactor, MeromorphicFunction, meromorphic_from_text
 from dxdy.oracle import (QuadratureError, QuadratureSpec, circle_quadrature,
                          differential_check, dual_form_components,
-                         quad_circle, quad_real_line, real_line_quadrature,
-                         real_line_spec, real_line_tail_bound)
+                         quad_circle, real_line_quadrature)
+from dxdy.polynomials import Polynomial
 
-from helpers import random_planted_rational
+from helpers import poly_from_roots, random_even, random_planted_rational
 
 UNIT = CircleContour(even(0, 0), 1.0)
 TIGHT = QuadratureSpec(tol=1e-11)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(n_points=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(n_points=33)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_cutoff=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
 
@@ -132,24 +126,123 @@ def test_real_line_reference_values():
     assert abs(got - math.pi / math.e) <= 1e-8
 
 
+REAL_LINE_TOL = 1e-9
+
+
+@pytest.mark.parametrize("text, a, t, want", [
+    ("1/(x^2+a^2)", 0.6, 0.0, lambda a, t: math.pi / a),
+    ("1/(x^2+a^2)", 1.7, 0.0, lambda a, t: math.pi / a),
+    ("1/(x^2+a^2)^2", 0.8, 0.0, lambda a, t: math.pi / (2 * a ** 3)),
+    ("1/(x^2+a^2)^2", 1.9, 0.0, lambda a, t: math.pi / (2 * a ** 3)),
+    ("1/(x^4+a^4)", 0.7, 0.0, lambda a, t: math.pi / (math.sqrt(2) * a ** 3)),
+    ("1/(x^4+a^4)", 1.6, 0.0, lambda a, t: math.pi / (math.sqrt(2) * a ** 3)),
+    ("exp(I*t*x)/(x^2+a^2)", 0.5, 1.25,
+     lambda a, t: math.pi * math.exp(-abs(t) * a) / a),
+    ("exp(I*t*x)/(x^2+a^2)", 1.8, -0.3,
+     lambda a, t: math.pi * math.exp(-abs(t) * a) / a),
+    ("exp(I*t*x)/(x^2+a^2)", 1.0, 7.0,
+     lambda a, t: math.pi * math.exp(-abs(t) * a) / a),
+    ("cos(x)/(x^2+1)", 1.0, 0.0, lambda a, t: math.pi / math.e),
+    ("x*sin(x)/(x^2+1)", 1.0, 0.0, lambda a, t: math.pi / math.e),
+])
+def test_real_line_closed_forms(text, a, t, want):
+    f = meromorphic_from_text(text, {"a": a, "t": t}, real_line=True)
+    got = real_line_quadrature(f, tol=REAL_LINE_TOL)
+    assert abs(got - want(a, t)) <= 10 * REAL_LINE_TOL
+
+
 def test_real_line_odd_integrand_vanishes():
     f = meromorphic_from_text("x/(x^4+1)", real_line=True)
     assert abs(real_line_quadrature(f, tol=1e-10)) <= 1e-10
 
 
-def test_tail_bound_grows_with_small_cutoff():
+def test_real_line_sample_budget(monkeypatch):
+    # the tan map turns 1/(x^2+1) into a constant: a few doublings suffice
+    samples = 0
+    make = dxdy.oracle.axis_evaluator
+
+    def counting(f):
+        H = make(f)
+
+        def sample(x):
+            nonlocal samples
+            samples += 1
+            return H(x)
+        return sample
+
+    monkeypatch.setattr(dxdy.oracle, "axis_evaluator", counting)
     f = meromorphic_from_text("1/(x^2+1)", real_line=True)
-    assert real_line_tail_bound(f, 1e6) < real_line_tail_bound(f, 1e3)
-    spec = QuadratureSpec(tail_cutoff=100.0, tol=1e-10)
-    with pytest.raises(QuadratureError, match="tail bound"):
-        quad_real_line(lambda x: 1.0 / (x * x + 1), spec,
-                       real_line_tail_bound(f, 100.0))
+    got = real_line_quadrature(f, tol=REAL_LINE_TOL)
+    assert abs(got - math.pi) <= 10 * REAL_LINE_TOL
+    assert 0 < samples <= 4096
 
 
-def test_real_line_spec_covers_tolerance():
-    f = meromorphic_from_text("1/(x^2+1)", real_line=True)
-    spec = real_line_spec(f, 1e-8)
-    assert real_line_tail_bound(f, spec.tail_cutoff) <= 0.5 * spec.tol
+@pytest.mark.parametrize("text", [
+    "1/(x^2-1)", "1/(x^2-2)", "1/((x-0.7)*(x^2+1))^2", "exp(I*x)/(x^2-2)",
+    "x/(x^2+1)", "exp(x)/(x^2+1)",
+])
+def test_real_line_rejects_axis_poles_and_slow_decay(text):
+    f = meromorphic_from_text(text, real_line=True)
+    with pytest.raises(QuadratureError):
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+
+
+def test_simpson_guards_every_sample():
+    # x = 0.25 is a second-level node of the panel [0, 1]
+    with pytest.raises(QuadratureError, match="singular"):
+        dxdy.oracle._simpson_panel(lambda x: 1.0 / (x - 0.25), 0.0, 1.0,
+                                   1e-10)
+
+
+def test_oscillatory_sum_starts_past_the_last_pole():
+    # the peak at x = 100 lies 32 half-periods out; stopping on the sums
+    # that settle before it would return about 0 instead of pi/e*cos(100)
+    f = meromorphic_from_text("exp(I*x)/((x-100)^2+1)", real_line=True)
+    got = real_line_quadrature(f, tol=REAL_LINE_TOL)
+    want = math.pi / math.e * math.cos(100.0)
+    assert abs(got - want) <= 10 * REAL_LINE_TOL
+    # a peak beyond the cycle cap is an error, not a silent zero
+    f = meromorphic_from_text("exp(I*x)/((x-1e4)^2+1)", real_line=True)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+
+
+def test_oscillatory_sum_stops_at_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(dxdy.oracle, "MAX_POINTS", 500)
+    f = meromorphic_from_text("exp(I*x)/(x^2+1)", real_line=True)
+    with pytest.raises(QuadratureError, match="within 500 samples"):
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+
+
+def _random_axis_integrand(rng):
+    """Planted poles at least 0.2 off the axis, degree gap >= 2, and an
+    exp(I*t*x) factor half of the time."""
+    while True:
+        locations = []
+        for _ in range(rng.randint(1, 3)):
+            loc = random_even(rng)
+            if abs(loc.v) >= 0.2 and all(abs(loc - o) > 0.5
+                                         for o in locations):
+                locations.append(loc)
+        den = poly_from_roots([(loc, rng.randint(1, 2)) for loc in locations])
+        if den.degree >= 2:
+            break
+    num = Polynomial.from_coeffs(
+        [random_even(rng) for _ in range(den.degree - 1)])
+    factor = None
+    if rng.random() < 0.5:
+        t = rng.choice((-1, 1)) * rng.uniform(0.5, 2.0)
+        factor = EntireFactor("exp", even(0, t))
+    return MeromorphicFunction(num, den, factor)
+
+
+def test_real_line_matches_residue_route_on_random_rationals():
+    rng = random.Random(2024)
+    for _ in range(20):
+        f = _random_axis_integrand(rng)
+        want = integrate_real_line(f).real_value
+        got = real_line_quadrature(f, tol=REAL_LINE_TOL)
+        assert abs(got - want) <= 1e-7 * (1 + abs(want)), f
 
 
 def test_differential_check_canonical_pole():

@@ -32,6 +32,24 @@ def test_residue_reference_values():
                       even(0, -0.5 * math.exp(-1)), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_high_degree_residues_are_not_dropped_as_dust(n):
+    # a_{-1} of 1/(z^n+c) is tiny next to the top of its Laurent window;
+    # it is the residue -w/(n c) at every root w, not zero
+    rng = random.Random(n)
+    for _ in range(3):
+        c = complex(*(rng.uniform(-1.0, 1.0) for _ in range(2)))
+        c *= rng.uniform(0.5, 1.4) / abs(c)
+        f = meromorphic_from_text(f"1/(z^{n}+({c.real!r}+({c.imag!r})*I))")
+        poles = find_poles(f)
+        assert len(poles) == n
+        for p in poles:
+            w = complex(p.location.u, p.location.v)
+            want = -w / (n * c)
+            r = residue(f, p)
+            assert abs(complex(r.u, r.v) - want) <= 1e-8 * abs(want)
+
+
 def test_order_reduction_walkthrough():
     f = meromorphic_from_text("1/(z^2+1)^2")
     report = residue_by_order_reduction(f, upper_pole(f))
