@@ -20,7 +20,7 @@ from .residues import (ResidueReport, cauchy_derivative, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue,
                        residue_by_derivative_formula,
                        residue_by_order_reduction)
-from .series import LaurentSeries, coefficient, entire_series, series_inv, series_mul
+from .series import LaurentSeries, entire_series, series_inv, series_mul
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,7 @@ __all__ = [
     "IntegralResult", "LaurentSeries", "MeromorphicFunction", "Multivector",
     "OneForm", "PolarForm", "Pole", "QuadratureSpec", "ResidueReport",
     "cauchy_derivative", "cauchy_evaluate", "cauchy_integral_value",
-    "classify_one_form", "closure_half_plane", "coefficient",
-    "differential_check",
+    "classify_one_form", "closure_half_plane", "differential_check",
     "dot_one_forms", "enclosed_poles", "entire_series", "even",
     "even_int_pow", "even_inv", "even_mul", "find_poles", "from_polar",
     "integrate_closed", "integrate_real_line", "laurent_expand",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class GradeError(ValueError):
@@ -149,6 +150,21 @@ E_DXDY = EvenElement(0.0, 1.0)
 
 def even(u: float, v: float = 0.0) -> EvenElement:
     return EvenElement(float(u), float(v))
+
+
+def to_complexes(xs: Iterable[EvenElement]) -> list[complex]:
+    """Each u + v*dxdy as complex(u, v), for the float-pair kernels.
+
+    CPython's complex +, - and * compute this subalgebra's +, - and
+    ``even_mul`` bit for bit.  Complex division does not (it is scaled), nor
+    does complex times float (the float becomes complex(x, 0.0), which can
+    flip the sign of a zero), so the kernels use neither.
+    """
+    return [complex(x.u, x.v) for x in xs]
+
+
+def from_complexes(zs: Iterable[complex]) -> tuple[EvenElement, ...]:
+    return tuple(EvenElement(z.real, z.imag) for z in zs)
 
 
 def even_mul(x: EvenElement, y: EvenElement) -> EvenElement:

@@ -20,8 +20,8 @@ from . import series as series_mod
 from .algebra import EvenElement, even, format_even
 from .contours import (AXIS_TOL, AxisPoleError, CircleContour, CLOCKWISE,
                        COUNTERCLOCKWISE, DecayError, IntegralResult,
-                       PoleOnContourError, closure_half_plane,
-                       integrate_closed, integrate_real_line)
+                       PoleOnContourError, integrate_closed,
+                       integrate_real_line)
 from .expressions import ParseError
 from .functions import (OneForm, SingularSampleError,
                         UnsupportedExpressionError, classify_one_form,
@@ -202,7 +202,7 @@ def _cmd_integrate_line(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "verb": "integrate-line",
         "expression": args.expression,
-        "half_plane": closure_half_plane(f, args.half_plane),
+        "half_plane": result.half_plane,
         "poles": _pole_entries(result),
         "value": result.real_value,
         "imaginary_defect": result.imaginary_defect,

@@ -70,6 +70,8 @@ class IntegralResult:
     enclosed: tuple[Pole, ...]
     residues: tuple[EvenElement, ...] = ()
     warnings: tuple[str, ...] = field(default=())
+    #: the half-plane a real-line integral closed through; None for a circle
+    half_plane: str | None = field(default=None, repr=False)
 
 
 def enclosed_poles(contour: CircleContour,
@@ -95,7 +97,7 @@ def _defect_warning(defect: float, residue_scale: float) -> tuple[str, ...]:
 
 
 def _residue_sum(f: MeromorphicFunction, poles: tuple[Pole, ...],
-                 sign: float) -> IntegralResult:
+                 sign: float, half_plane: str | None = None) -> IntegralResult:
     """Value and defect of a contour around these poles; sign is +1 for
     counterclockwise, -1 for clockwise."""
     residues = tuple(residue(f, p) for p in poles)
@@ -103,7 +105,7 @@ def _residue_sum(f: MeromorphicFunction, poles: tuple[Pole, ...],
     defect = sign * 2.0 * math.pi * sum(r.u for r in residues)
     scale = 2.0 * math.pi * sum(abs(r) for r in residues)
     return IntegralResult(real_value, defect, poles, residues,
-                          _defect_warning(defect, scale))
+                          _defect_warning(defect, scale), half_plane)
 
 
 def integrate_closed(f: MeromorphicFunction,
@@ -180,4 +182,4 @@ def integrate_real_line(f: MeromorphicFunction,
     else:
         picked = tuple(p for p in poles if p.location.v < 0)
         sign = -1.0
-    return _residue_sum(f, picked, sign)
+    return _residue_sum(f, picked, sign, chosen)

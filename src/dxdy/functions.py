@@ -293,21 +293,32 @@ def _poly_series(p: Polynomial, center: EvenElement,
     return make_series(center, 0, shifted[:length])
 
 
+def _head(s: LaurentSeries, count: int) -> LaurentSeries:
+    """The first `count` coefficients of s."""
+    return LaurentSeries(s.center, s.valuation, s.coeffs[:count])
+
+
 def local_expansion(f: MeromorphicFunction, center: EvenElement,
                     window: int = DEFAULT_WINDOW) -> LaurentSeries:
-    """Laurent series of f about center covering `window` coefficients."""
+    """Laurent series of f about center covering `window` coefficients.
+
+    Each factor's dust scan sees `length` coefficients; the products then
+    run on its first `window` coefficients only, since the k-th coefficient
+    of a Cauchy product or an inverse depends on the first k + 1 inputs
+    alone.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     if f.is_zero():
         return make_series(center, 0, [])
     length = window + f.den.degree + 2
-    den_series = _poly_series(f.den, center, length)
-    result = series_mul(_poly_series(f.num, center, length),
+    den_series = _head(_poly_series(f.den, center, length), window)
+    result = series_mul(_head(_poly_series(f.num, center, length), window),
                         series_inv(den_series))
     if f.factor is not None:
         result = series_mul(
-            result, entire_series(f.factor.kind, f.factor.scale, center,
-                                  length - 1))
+            result, _head(entire_series(f.factor.kind, f.factor.scale,
+                                        center, length - 1), window))
     if result.is_zero():
         return result
     keep = result.coeffs[:window]

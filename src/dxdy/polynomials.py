@@ -8,8 +8,10 @@ polynomial has an empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import E_ONE, E_ZERO, EvenElement, even_inv, even_mul
+from .algebra import (E_ONE, E_ZERO, EvenElement, even_inv, even_mul,
+                      from_complexes, to_complexes)
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,17 @@ class Polynomial:
     def max_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
+    @cached_property
+    def _descending(self) -> tuple[complex, ...]:
+        """The coefficients as complex numbers, highest degree first."""
+        return tuple(reversed(to_complexes(self.coeffs)))
+
     def __call__(self, z: EvenElement) -> EvenElement:
-        acc = E_ZERO
-        for c in reversed(self.coeffs):
-            acc = even_mul(acc, z) + c
-        return acc
+        x = complex(z.u, z.v)
+        acc = 0j
+        for c in self._descending:
+            acc = acc * x + c
+        return EvenElement(acc.real, acc.imag)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -66,11 +74,12 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return ZERO_POLY
-        out = [E_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + even_mul(a, b)
-        return Polynomial.from_coeffs(out)
+        ys = to_complexes(other.coeffs)
+        out = [0j] * (len(self.coeffs) + len(ys) - 1)
+        for i, x in enumerate(to_complexes(self.coeffs)):
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+        return Polynomial.from_coeffs(from_complexes(out))
 
     def scale(self, c: EvenElement) -> "Polynomial":
         return Polynomial.from_coeffs([even_mul(c, a) for a in self.coeffs])
@@ -101,30 +110,31 @@ class Polynomial:
         """Synthetic division by (z - root): returns (quotient, remainder)."""
         if self.is_zero():
             return ZERO_POLY, E_ZERO
-        acc = E_ZERO
-        out = [E_ZERO] * max(len(self.coeffs) - 1, 0)
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            acc = even_mul(acc, root) + self.coeffs[k]
-            if k > 0:
-                out[k - 1] = acc
-        return Polynomial.from_coeffs(out), acc
+        x = complex(root.u, root.v)
+        acc = 0j
+        out = []
+        for c in self._descending:
+            acc = acc * x + c
+            out.append(acc)
+        remainder = out.pop()
+        return (Polynomial.from_coeffs(from_complexes(reversed(out))),
+                EvenElement(remainder.real, remainder.imag))
 
     def taylor_shift(self, center: EvenElement) -> tuple[EvenElement, ...]:
         """Coefficients t_k with p(center + h) = sum t_k h^k (exact degree)."""
-        if self.is_zero():
-            return ()
-        work = list(self.coeffs)
-        n = len(work)
+        x = complex(center.u, center.v)
+        work = self._descending
         out = []
-        for _ in range(n):
-            acc = E_ZERO
-            for k in range(n - 1, -1, -1):
-                acc = even_mul(acc, center) + work[k]
-                work[k] = acc
-            out.append(work[0])
-            work = work[1:]
-            n -= 1
-        return tuple(out)
+        # each pass divides by (z - center); its remainder is the next t_k
+        while work:
+            acc = 0j
+            quotient = []
+            for c in work:
+                acc = acc * x + c
+                quotient.append(acc)
+            out.append(quotient.pop())
+            work = quotient
+        return from_complexes(out)
 
 
 ZERO_POLY = Polynomial(())

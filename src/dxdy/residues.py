@@ -50,7 +50,7 @@ class ResidueReport:
     pole: Pole
     a_minus_1: EvenElement
     leading: EvenElement
-    method: str  # 'series' | 'order_reduction' | 'derivative_formula'
+    method: str  # 'order_reduction' | 'derivative_formula'
     extracted: tuple[tuple[int, EvenElement], ...] = ()
 
 
@@ -193,14 +193,6 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
     lead_coeff = leading.coeffs[0] if not leading.is_zero() else E_ZERO
     return ResidueReport(pole=p, a_minus_1=value, leading=lead_coeff,
                          method="derivative_formula")
-
-
-def residue_report(f: MeromorphicFunction, p: Pole) -> ResidueReport:
-    """Series-route report (the package's source of truth)."""
-    s = _expansion_at_pole(f, p)
-    if s.is_zero() or s.valuation >= 0:
-        return ResidueReport(p, E_ZERO, E_ZERO, method="series")
-    return ResidueReport(p, residue(f, p), s.coeffs[0], method="series")
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,6 @@ class RootFindingError(RuntimeError):
     """The iteration did not converge to a consistent root structure."""
 
 
-def _horner(coeffs: list[complex], x: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     """Raw simultaneous roots of a monic polynomial (ascending coeffs)."""
     n = len(coeffs) - 1
@@ -64,6 +57,7 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     # circle start with an irrational phase offset to dodge symmetry traps
     xs = [0.6 * bound * cmath.exp(1j * (2.0 * math.pi * k / n + 0.3923))
           for k in range(n)]
+    descending = coeffs[::-1]
     plateau = 0
     best = math.inf
     for _ in range(_DK_MAX_ITER):
@@ -72,17 +66,24 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
         for i in range(n):
             xi = xs[i]
             den = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= xi - xs[j]
+            for x in xs[:i]:
+                den *= xi - x
+            for x in xs[i + 1:]:
+                den *= xi - x
             if den == 0:
                 xs[i] = xi + 1e-8 * (1 + abs(xi)) * cmath.exp(1j * (i + 0.5))
                 delta = math.inf
                 continue
-            step = _horner(coeffs, xi) / den
-            xs[i] = xi - step
-            delta = max(delta, abs(step))
-            scale = max(scale, abs(xs[i]))
+            value = 0j
+            for c in descending:
+                value = value * xi + c
+            step = value / den
+            xi -= step
+            xs[i] = xi
+            if abs(step) > delta:
+                delta = abs(step)
+            if abs(xi) > scale:
+                scale = abs(xi)
         if delta <= 5e-15 * scale:
             break
         # multiple roots stall at their noise floor; hand over to clustering

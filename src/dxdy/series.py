@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (E_ONE, E_ZERO, EvenElement, even_int_pow, even_inv,
-                      even_mul)
+                      even_mul, from_complexes, to_complexes)
 
 #: default number of retained coefficients
 DEFAULT_WINDOW = 16
@@ -148,41 +148,33 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return zero_series(a.center, trunc)
     lo = a.valuation + b.valuation
     length = trunc - lo + 1
-    out = [E_ZERO] * length
-    for i, ca in enumerate(a.coeffs):
-        if i >= length:
-            break
-        for j, cb in enumerate(b.coeffs):
-            if i + j >= length:
-                break
-            out[i + j] = out[i + j] + even_mul(ca, cb)
+    xs = to_complexes(a.coeffs[:length])
+    ys = to_complexes(b.coeffs[:length])
+    out = []
+    for k in range(length):
+        acc = 0j
+        for x, y in zip(xs[:k + 1], reversed(ys[:k + 1])):
+            acc += x * y
+        out.append(acc)
     # the lead is a product of two nonzero leads: no dust scan, which
     # would measure a_lo against the far larger tail of a wide window
-    return LaurentSeries(a.center, lo, tuple(out))
+    return LaurentSeries(a.center, lo, from_complexes(out))
 
 
 def series_inv(a: LaurentSeries) -> LaurentSeries:
     """Multiplicative inverse: series_mul(a, result) = 1 + O(window)."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
-    n = len(a.coeffs)
-    lead = a.coeffs[0]
-    inv_lead = even_inv(lead)
-    out = [E_ZERO] * n
-    out[0] = inv_lead
-    for k in range(1, n):
-        acc = E_ZERO
-        for i in range(1, k + 1):
-            acc = acc + even_mul(a.coeffs[i], out[k - i])
-        out[k] = -even_mul(acc, inv_lead)
+    xs = to_complexes(a.coeffs)
+    inv_lead = even_inv(a.coeffs[0])
+    out = [complex(inv_lead.u, inv_lead.v)]
+    for k in range(1, len(xs)):
+        acc = 0j
+        for x, y in zip(xs[1:k + 1], reversed(out)):
+            acc += x * y
+        out.append(-(acc * out[0]))
     # the lead is 1/lead: no dust scan, as in series_mul
-    return LaurentSeries(a.center, -a.valuation, tuple(out))
-
-
-def monomial(center: EvenElement, coeff: EvenElement, exponent: int,
-             width: int = DEFAULT_WINDOW) -> LaurentSeries:
-    """coeff * z'^exponent with `width` reliable coefficients."""
-    return make_series(center, exponent, [coeff] + [E_ZERO] * (width - 1))
+    return LaurentSeries(a.center, -a.valuation, from_complexes(out))
 
 
 ENTIRE_KINDS = ("exp", "sin", "cos")
@@ -218,8 +210,3 @@ def entire_series(kind: str, scale: EvenElement, center: EvenElement,
             power = even_mul(power, scale) / k
         coeffs.append(even_mul(anchor_cycle[k % len(anchor_cycle)], power))
     return make_series(center, 0, coeffs)
-
-
-def coefficient(a: LaurentSeries, n: int) -> EvenElement:
-    """Module-level alias for LaurentSeries.coefficient."""
-    return a.coefficient(n)

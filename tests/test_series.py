@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.algebra import even, even_mul
-from dxdy.series import (CenterMismatchError, WindowError, coefficient,
-                         entire_series, make_series, monomial, series_inv,
-                         series_mul, zero_series)
+from dxdy.series import (CenterMismatchError, WindowError, entire_series,
+                         make_series, series_inv, series_mul, zero_series)
 
 from helpers import even_close
 
@@ -23,8 +22,8 @@ def series_of(vals, valuation=0, center=ORIGIN):
 
 
 def test_monomials_cancel():
-    z = monomial(ORIGIN, even(1), 1, width=8)
-    z_inv = monomial(ORIGIN, even(1), -1, width=8)
+    z = series_of([1] + [0] * 7, valuation=1)
+    z_inv = series_of([1] + [0] * 7, valuation=-1)
     product = series_mul(z, z_inv)
     assert product.valuation == 0
     assert product.coefficient(0) == even(1)
@@ -44,7 +43,7 @@ def test_binomial_product():
 
 def test_shifted_sine_product():
     sine = entire_series("sin", even(1), ORIGIN, 9)
-    shifted = series_mul(sine, monomial(ORIGIN, even(1), -3, width=10))
+    shifted = series_mul(sine, series_of([1] + [0] * 9, valuation=-3))
     assert shifted.valuation == -2
     assert even_close(shifted.coefficient(-2), even(1), rel=1e-15)
     assert shifted.coefficient(-1) == even(0)
@@ -66,7 +65,7 @@ def test_geometric_inverse():
 
 
 def test_pure_power_inverse():
-    sq = monomial(ORIGIN, even(1), 2, width=6)
+    sq = series_of([1] + [0] * 5, valuation=2)
     inv = series_inv(sq)
     assert inv.valuation == -2
     assert inv.coefficient(-2) == even(1)
@@ -138,7 +137,7 @@ def test_coefficient_window_errors():
         s.coefficient(2)
     with pytest.raises(WindowError):
         s.coefficient(-2)
-    assert coefficient(s, 0) == even(2)
+    assert s.coefficient(0) == even(2)
 
 
 def test_window_coefficients_pad_below_valuation():
