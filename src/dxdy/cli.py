@@ -27,7 +27,7 @@ from .functions import (OneForm, SingularSampleError,
                         UnsupportedExpressionError, classify_one_form,
                         find_poles, meromorphic_from_text)
 from .oracle import QuadratureError, differential_check
-from .residues import (PoleExpansionError, cauchy_evaluate,
+from .residues import (DERIVATIVE_STEP, PoleExpansionError, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue)
 from .roots import RootFindingError
 from .series import WindowError
@@ -70,7 +70,11 @@ def _bindings(args) -> dict[str, float]:
 def _base_tolerances() -> dict[str, float]:
     return {
         "root_cluster_tol": roots_mod.CLUSTER_TOL,
+        "root_verify_tol": roots_mod.VERIFY_TOL,
+        "root_kappa": roots_mod.KAPPA,
+        "root_dk_floor": roots_mod.DK_FLOOR,
         "series_dust": series_mod.DUST,
+        "derivative_step": DERIVATIVE_STEP,
     }
 
 

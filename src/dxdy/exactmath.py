@@ -14,122 +14,50 @@ beat: evaluating a polynomial near a root of multiplicity m loses all
 digits once |z - root| < eps**(1/m), which defeats Newton polishing of
 multiple roots and the multiplicity test.
 
-Finite-difference stencils are not dyadic, so the derivative-formula
-residue route keeps ``fractions.Fraction`` (``ExactEven``, ``fd_weights``):
-central differences of order d amplify evaluation noise by h**(-d), and
-exact weights and values remove it.  Only the final conversion rounds.
+The derivative-formula residue route uses the same kernel: its sample
+points z0 + j*h lie on a real dyadic offset from z0, so each sample is an
+integer polynomial in the integer j*(h * 2**e) (``offset_poly``,
+``real_horner``).  Central differences of order d amplify evaluation noise
+by h**(-d); exact samples and the integer stencil weights of
+``stencil_weights`` remove it, and only the final conversion rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class ExactEven:
-    """u + v*dxdy with exact rational components."""
+def stencil_weights(order: int, nodes: Sequence[int]) -> list[tuple[int, int]]:
+    """Finite-difference weights at 0 for distinct integer nodes.
 
-    u: Fraction
-    v: Fraction
-
-    @staticmethod
-    def from_floats(u: float, v: float = 0.0) -> "ExactEven":
-        return ExactEven(Fraction(u), Fraction(v))
-
-    def __add__(self, other: "ExactEven") -> "ExactEven":
-        return ExactEven(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "ExactEven") -> "ExactEven":
-        return ExactEven(self.u - other.u, self.v - other.v)
-
-    def __neg__(self) -> "ExactEven":
-        return ExactEven(-self.u, -self.v)
-
-    def __mul__(self, other):
-        if isinstance(other, ExactEven):
-            return ExactEven(self.u * other.u - self.v * other.v,
-                             self.u * other.v + self.v * other.u)
-        return ExactEven(self.u * other, self.v * other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, ExactEven):
-            n = other.u * other.u + other.v * other.v
-            if n == 0:
-                raise ZeroDivisionError("exact division by zero")
-            return ExactEven((self.u * other.u + self.v * other.v) / n,
-                             (self.v * other.u - self.u * other.v) / n)
-        return ExactEven(self.u / other, self.v / other)
-
-    def norm_sq(self) -> Fraction:
-        return self.u * self.u + self.v * self.v
-
-
-EXACT_ZERO = ExactEven(Fraction(0), Fraction(0))
-EXACT_ONE = ExactEven(Fraction(1), Fraction(0))
-
-
-def exact_poly(coeffs_uv: Sequence[tuple[float, float]]) -> list[ExactEven]:
-    return [ExactEven.from_floats(u, v) for u, v in coeffs_uv]
-
-
-def exact_eval(coeffs: Sequence[ExactEven], x: ExactEven) -> ExactEven:
-    acc = EXACT_ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def exact_deflate(coeffs: Sequence[ExactEven],
-                  root: ExactEven) -> list[ExactEven]:
-    """Quotient of synthetic division by (z - root); the remainder is dropped.
-
-    Dropping the remainder projects the polynomial onto the nearest one with
-    an exact root at ``root`` (to first order), which is the structural
-    reading of a clustered multiple root.
-    """
-    acc = EXACT_ZERO
-    out = [EXACT_ZERO] * max(len(coeffs) - 1, 0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[k]
-        out[k - 1] = acc
-    return out
-
-
-def fd_weights(order: int, nodes: Sequence[Fraction]) -> list[Fraction]:
-    """Exact finite-difference weights for the given derivative order.
-
-    Classic one-point-at-a-time interpolation recurrence evaluated at 0 over
-    distinct rational nodes; requires len(nodes) > order.
+    Weight j is the order-th derivative at 0 of the Lagrange basis
+    polynomial of node j, order! * [t^order] prod_{k!=j} (t - x_k) over
+    prod_{k!=j} (x_j - x_k), returned as that (numerator, denominator)
+    pair of integers; requires len(nodes) > order.
     """
     if len(nodes) <= order:
         raise ValueError("need more nodes than the derivative order")
-    n = len(nodes)
-    c = [[Fraction(0)] * (order + 1) for _ in range(n)]
-    c[0][0] = Fraction(1)
-    c1 = Fraction(1)
-    c4 = nodes[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = nodes[i]
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return [c[i][order] for i in range(n)]
+    # prod_k (t - x_k), ascending
+    full = [1]
+    for x in nodes:
+        full = [0] + full
+        for i in range(len(full) - 1):
+            full[i] -= x * full[i + 1]
+    fact = math.factorial(order)
+    out = []
+    for xj in nodes:
+        # synthetic division of the full product by (t - xj), top down
+        q = 0
+        for i in range(len(full) - 1, order, -1):
+            q = full[i] + xj * q
+        den = 1
+        for xk in nodes:
+            if xk != xj:
+                den *= xj - xk
+        out.append((fact * q, den))
+    return out
 
 
 def central_stencil(order: int) -> list[int]:
@@ -145,7 +73,7 @@ def central_stencil(order: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dyadic Gaussian integers: the root finder's kernels
+# dyadic Gaussian integers: root finder and derivative-route kernels
 
 @dataclass(frozen=True)
 class Dyadic:
@@ -230,3 +158,24 @@ def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:
     else:
         den <<= a.exp - b.exp
     return complex(num_re / den, num_im / den)
+
+
+def offset_poly(ts: Sequence[Dyadic], e: int) -> DyadicPoly:
+    """sum_k ts[k] * d**k as an integer polynomial in X = d * 2**e.
+
+    The result P satisfies sum_k ts[k] d**k = P(X) / 2**P.exp exactly, so
+    at a dyadic offset d every sample is one integer Horner (real_horner).
+    """
+    exp = max((t.exp + e * k for k, t in enumerate(ts)), default=0)
+    return DyadicPoly(
+        tuple(t.re << (exp - t.exp - e * k) for k, t in enumerate(ts)),
+        tuple(t.im << (exp - t.exp - e * k) for k, t in enumerate(ts)), exp)
+
+
+def real_horner(poly: DyadicPoly, x: int) -> tuple[int, int]:
+    """(re, im) with poly(x) = (re + i*im) / 2**poly.exp, for an integer x."""
+    ar = ai = 0
+    for r, i in zip(reversed(poly.re), reversed(poly.im)):
+        ar = ar * x + r
+        ai = ai * x + i
+    return ar, ai

@@ -8,22 +8,25 @@ Three independent routes to a residue are provided:
   extracting the leading principal coefficient and subtracting it until the
   pole is exhausted;
 * ``residue_by_derivative_formula`` evaluates the (m-1)-th x-derivative of
-  z'^m f at the pole by central differences.  The stencil is summed in exact
-  rational arithmetic so the difference quotient is truncation-limited even
-  for high orders, where plain float sampling would drown in eps/h**(m-1)
-  noise.
+  z'^m f at the pole by central differences.  The stencil is summed exactly,
+  in plain integers, and rounded once, so the difference quotient is
+  truncation-limited even for high orders, where plain float sampling would
+  drown in eps/h**(m-1) noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import E_ZERO, EvenElement, even, even_mul
-from .exactmath import (EXACT_ONE, EXACT_ZERO, ExactEven, central_stencil,
-                        exact_deflate, exact_eval, exact_poly, fd_weights)
-from .functions import MeromorphicFunction, Pole, local_expansion
+from .algebra import (E_ZERO, EvenElement, even, even_cos, even_exp,
+                      even_mul, even_sin, to_complexes)
+from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
+                        dyadic_taylor_shift, offset_poly, real_horner,
+                        stencil_weights)
+from .functions import (EntireFactor, MeromorphicFunction, Pole,
+                        local_expansion)
+from .polynomials import Polynomial
 from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError, make_series)
 
 #: widest coefficient window laurent_expand will produce
@@ -97,60 +100,45 @@ def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport
 
 
 # ---------------------------------------------------------------------------
-# derivative-formula route (finite differences, exact arithmetic)
+# derivative-formula route (finite differences, exact integer arithmetic)
 
 _FACTOR_TAYLOR_TERMS = 18
 
+#: common denominator of the entire factor's Taylor terms
+_FACTOR_DEN = math.factorial(_FACTOR_TAYLOR_TERMS - 1)
 
-def _exact_factor_values(f: MeromorphicFunction, z0: EvenElement,
-                         offsets: list[Fraction]) -> list[ExactEven]:
-    """Entire-factor samples at z0 + offset, anchored at z0.
 
-    The factor is expanded as an exact-rational Taylor polynomial in the
-    (tiny) offset around w0 = scale*z0, with the transcendental anchors
-    taken once in double precision.  The anchor rounding then enters every
-    stencil value as a common factor, which a linear difference quotient
-    cannot amplify.
+def _factor_poly(factor: EntireFactor, z0: EvenElement, e: int) -> DyadicPoly:
+    """The entire factor at z0 + d as an integer polynomial in X = d * 2**e.
+
+    The factor is its Taylor sum sum_n F^(n)(w0) dw^n / n! over
+    n < _FACTOR_TAYLOR_TERMS, with dw = scale*d around w0 = scale*z0 and
+    the anchors F^(n)(w0) taken once in double precision.  The anchor
+    rounding then enters every stencil value as a common factor, which a
+    linear difference quotient cannot amplify.  The result P gives
+    F = P(X) / (2**P.exp * _FACTOR_DEN).
     """
-    from .algebra import even_cos, even_exp, even_sin
-    factor = f.factor
-    assert factor is not None
-    scale = ExactEven.from_floats(factor.scale.u, factor.scale.v)
     w0 = even_mul(factor.scale, z0)
-    s0 = ExactEven.from_floats(*_pair(even_sin(w0)))
-    c0 = ExactEven.from_floats(*_pair(even_cos(w0)))
-    e0 = ExactEven.from_floats(*_pair(even_exp(w0)))
-    out = []
-    for offset in offsets:
-        dw = scale * offset
-        if factor.kind == "exp":
-            # e0 * sum dw^n / n!
-            term = EXACT_ONE
-            total = EXACT_ONE
-            for n in range(1, _FACTOR_TAYLOR_TERMS):
-                term = term * dw / n
-                total = total + term
-            out.append(e0 * total)
-            continue
-        # sin/cos need the offset's own sine and cosine series
-        cos_dw = EXACT_ONE
-        sin_dw = EXACT_ZERO
-        term = EXACT_ONE
-        for n in range(1, _FACTOR_TAYLOR_TERMS):
-            term = term * dw / n
-            if n % 2 == 1:
-                sin_dw = sin_dw + (term if n % 4 == 1 else -term)
-            else:
-                cos_dw = cos_dw + (term if n % 4 == 0 else -term)
-        if factor.kind == "sin":
-            out.append(s0 * cos_dw + c0 * sin_dw)
-        else:
-            out.append(c0 * cos_dw - s0 * sin_dw)
-    return out
-
-
-def _pair(x: EvenElement) -> tuple[float, float]:
-    return x.u, x.v
+    if factor.kind == "exp":
+        cycle = [even_exp(w0)]
+    else:
+        s0, c0 = even_sin(w0), even_cos(w0)
+        cycle = ([s0, c0, -s0, -c0] if factor.kind == "sin"
+                 else [c0, -s0, -c0, s0])
+    anchors = dyadic_poly(to_complexes(cycle))
+    scale = dyadic_poly(to_complexes([factor.scale]))
+    sr, si = scale.re[0], scale.im[0]
+    shift = scale.exp + e
+    top = _FACTOR_TAYLOR_TERMS - 1
+    re, im = [], []
+    pr, pi = 1, 0  # numerator of scale**n
+    for n in range(_FACTOR_TAYLOR_TERMS):
+        g = _FACTOR_DEN // math.factorial(n) << shift * (top - n)
+        ar, ai = anchors.re[n % len(cycle)], anchors.im[n % len(cycle)]
+        re.append(g * (ar * pr - ai * pi))
+        im.append(g * (ar * pi + ai * pr))
+        pr, pi = pr * sr - pi * si, pr * si + pi * sr
+    return DyadicPoly(tuple(re), tuple(im), anchors.exp + shift * top)
 
 
 def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
@@ -158,41 +146,70 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
     """a_{-1} = (1/(m-1)!) d^{m-1}[z'^m f]/dx^{m-1} at the pole.
 
     The removable-singularity function g = z'^m f is sampled on a symmetric
-    x-stencil excluding the pole itself.  z'^m is cancelled against the
-    denominator beforehand by deflating it m times at the pole in exact
-    arithmetic: coefficient rounding scatters a multiplicity-m root by about
+    x-stencil z0 + j*step excluding the pole itself.  z'^m is cancelled
+    against the denominator exactly: with t_i its Taylor coefficients at
+    z0, the cofactor after m deflations is C(z0+d) = sum_{i>=m} t_i d^(i-m).
+    Coefficient rounding scatters a multiplicity-m root by about
     eps**(1/m), which is comparable to the step, so sampling the raw
     denominator would see the scatter cloud rather than the order-m pole
-    this formula is about.  The difference quotient itself is also summed
-    exactly; see the module docstring.
+    this formula is about.  step is dyadic, so numerator, cofactor and
+    entire factor are integer polynomials in j times the step's integer
+    mantissa, and the weighted sum is one exact rational whose components
+    are each rounded once; see the ``exactmath`` docstring.
     """
     m = p.order
     d = m - 1
     nodes = central_stencil(d)
-    h = Fraction(step)
-    weights = fd_weights(d, [Fraction(j) for j in nodes])
-    z0 = ExactEven.from_floats(p.location.u, p.location.v)
-    num = exact_poly([(c.u, c.v) for c in f.num.coeffs])
-    cofactor = exact_poly([(c.u, c.v) for c in f.den.coeffs])
-    for _ in range(m):
-        cofactor = exact_deflate(cofactor, z0)
-    offsets = [j * h for j in nodes]
+    z0 = complex(p.location.u, p.location.v)
+    mantissa, step_den = step.as_integer_ratio()
+    e = step_den.bit_length() - 1
+    num = offset_poly(_taylor(f.num, z0), e)
+    cofactor = offset_poly(_taylor(f.den, z0)[m:], e)
+    # the value is (acc_re + i*acc_im) / q * 2**shift / divisor, where
+    # acc / q sums w_j * N_j * F_j / C_j over the stencil in integer numerators
+    shift = cofactor.exp - num.exp + e * d
+    divisor = mantissa ** d
+    factor = None
     if f.factor is not None:
-        factor_values = _exact_factor_values(f, p.location, offsets)
+        factor = _factor_poly(f.factor, p.location, e)
+        shift -= factor.exp
+        divisor *= _FACTOR_DEN
+    acc_re = acc_im = 0
+    q = 1
+    for j, (w_num, w_den) in zip(nodes, stencil_weights(d, nodes)):
+        x = j * mantissa
+        nr, ni = real_horner(num, x)
+        if factor is not None:
+            fr, fi = real_horner(factor, x)
+            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
+        cr, ci = real_horner(cofactor, x)
+        norm = cr * cr + ci * ci
+        if norm == 0:
+            raise ZeroDivisionError("exact division by zero")
+        term_q = w_den * norm
+        acc_re = acc_re * term_q + w_num * (nr * cr + ni * ci) * q
+        acc_im = acc_im * term_q + w_num * (ni * cr - nr * ci) * q
+        q *= term_q
+    q *= divisor
+    if q < 0:
+        acc_re, acc_im, q = -acc_re, -acc_im, -q
+    if shift >= 0:
+        acc_re <<= shift
+        acc_im <<= shift
     else:
-        factor_values = [EXACT_ONE] * len(offsets)
-    acc = EXACT_ZERO
-    for weight, offset, factor_value in zip(weights, offsets, factor_values):
-        x = z0 + ExactEven(offset, Fraction(0))
-        g = exact_eval(num, x) / exact_eval(cofactor, x) * factor_value
-        acc = acc + weight * g
-    acc = acc / h ** d
+        q <<= -shift
     fact = math.factorial(d)
-    value = even(float(acc.u) / fact, float(acc.v) / fact)
+    value = even(acc_re / q / fact, acc_im / q / fact)
     leading = local_expansion(f, p.location, max(DEFAULT_WINDOW, m + 2))
     lead_coeff = leading.coeffs[0] if not leading.is_zero() else E_ZERO
     return ResidueReport(pole=p, a_minus_1=value, leading=lead_coeff,
                          method="derivative_formula")
+
+
+def _taylor(poly: Polynomial, z0: complex) -> list[Dyadic]:
+    """Exact Taylor coefficients of poly at z0, all of them."""
+    return dyadic_taylor_shift(dyadic_poly(to_complexes(poly.coeffs)), z0,
+                               len(poly.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ roughly eps**(1/m) (both iteration noise and coefficient rounding split a
 multiplicity-m root by that much), so raw distances alone cannot decide
 multiplicities.  The pipeline is therefore:
 
-1. raw Durand-Kerner roots;
+1. raw Durand-Kerner roots; the iteration stops once its steps converge,
+   or once they have stopped halving for 25 iterations and every |p(x)| is
+   within DK_FLOOR times Horner's rounding bound, the noise floor where a
+   multiple root's cloud sits (the stopping rule of Bini and Fiorentino,
+   Numer. Algorithms 23, 2000); iterating past it only spreads the cloud;
 2. single-linkage grouping with a multiplicity-aware radius that follows the
    eps**(1/k) scatter law;
 3. per group, a structural hypothesis test on the exact Taylor
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_shift)
@@ -41,6 +46,10 @@ VERIFY_TOL = 1e-5
 
 #: linkage radius for a k-group is max(CLUSTER_TOL, KAPPA**(1/k))
 KAPPA = 1e-10
+
+#: Durand-Kerner stops on a plateau once every |p(x)| is within this many
+#: Horner rounding bounds
+DK_FLOOR = 8.0
 
 _DK_MAX_ITER = 600
 _NEWTON_MAX_ITER = 24
@@ -92,9 +101,25 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
             plateau = 0
         else:
             plateau += 1
-            if plateau >= 25 and delta < 1e-5 * scale:
+            if plateau >= 25 and _at_rounding_floor(descending, xs):
                 break
     return xs
+
+
+def _at_rounding_floor(descending: list[complex], xs: list[complex]) -> bool:
+    """Whether every |p(x)| is within DK_FLOOR times Horner's rounding
+    bound (n+1)*eps*sum |a_k| |x|^k (Higham, Accuracy and Stability, 5.1)."""
+    slack = DK_FLOOR * len(descending) * sys.float_info.epsilon
+    for x in xs:
+        value = 0j
+        bound = 0.0
+        r = abs(x)
+        for c in descending:
+            value = value * x + c
+            bound = bound * r + abs(c)
+        if abs(value) > slack * bound:
+            return False
+    return True
 
 
 def _link_radius(degree: int, magnitude: float) -> float:

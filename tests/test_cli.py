@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from dxdy import residues, roots, series
 from dxdy.cli import main
 
 
@@ -37,6 +38,19 @@ def test_residues_verb_lists_conjugate_pair(run):
     assert poles[(0.0, 1.0)]["order"] == 2
     assert poles[(0.0, 1.0)]["residue"] == [0.0, -0.25]
     assert poles[(0.0, -1.0)]["residue"] == [0.0, 0.25]
+
+
+def test_tolerances_list_the_root_finder_and_derivative_constants(run):
+    doc = run_json(run, "residues", "1/(z^2+1)^2")
+    assert doc["schema_version"] == "1"
+    assert doc["tolerances"] == {
+        "root_cluster_tol": roots.CLUSTER_TOL,
+        "root_verify_tol": roots.VERIFY_TOL,
+        "root_kappa": roots.KAPPA,
+        "root_dk_floor": roots.DK_FLOOR,
+        "series_dust": series.DUST,
+        "derivative_step": residues.DERIVATIVE_STEP,
+    }
 
 
 def test_contour_verb_surfaces_imaginary_defect(run):

@@ -1,4 +1,4 @@
-"""Dyadic Gaussian-integer kernel against the exact-Fraction reference."""
+"""Dyadic Gaussian-integer kernels against exact-Fraction references."""
 
 import math
 from fractions import Fraction
@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxdy.exactmath import (EXACT_ZERO, ExactEven, dyadic_poly, dyadic_ratio,
-                            dyadic_taylor_shift)
+from dxdy.exactmath import (central_stencil, dyadic_poly, dyadic_ratio,
+                            dyadic_taylor_shift, stencil_weights)
+
+from exact_reference import EXACT_ZERO, ExactEven, fd_weights
 
 
 # ---------------------------------------------------------------------------
@@ -134,3 +136,14 @@ def test_subnormal_results_round_once():
     p, _ = dyadic_taylor_shift(dyadic_poly([tiny, tiny]), 0.5 + 0j, 2)
     # 1.5 * 2**-1074 is a tie between 2**-1074 and 2**-1073: to even
     assert p.to_complex() == complex(math.ldexp(1.0, -1073), 0.0)
+
+
+@pytest.mark.parametrize("order", range(20))
+def test_stencil_weights_match_fornberg(order):
+    for nodes in (central_stencil(order), list(range(-1, order + 2)),
+                  [3, -7, 2, 11, -1, 5, 8, -4, 6, -9][:order + 1]):
+        if len(nodes) <= order:
+            continue
+        want = fd_weights(order, [Fraction(x) for x in nodes])
+        got = [Fraction(n, d) for n, d in stencil_weights(order, nodes)]
+        assert got == want

@@ -3,13 +3,16 @@
 The series, polynomial and Durand-Kerner loops compute on Python `complex`,
 whose +, - and * are the even subalgebra's operations bit for bit.  The
 references below are the same loops written on `EvenElement`; every result
-must agree in the hex digits of both parts.  A last group checks that
-`local_expansion` gives the same bits as the wider window it used to build.
+must agree in the hex digits of both parts.  Durand-Kerner must also stop
+at the rounding floor of a multiple root, and not before convergence
+anywhere else.  A last group checks that `local_expansion` gives the same
+bits as the wider window it used to build.
 """
 
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,14 @@ def reference_durand_kerner(coeffs):
             acc = acc * x + c
         return acc
 
+    def at_floor(x):
+        # |p(x)| within DK_FLOOR Horner rounding bounds
+        bound = 0.0
+        for c in reversed(coeffs):
+            bound = bound * abs(x) + abs(c)
+        slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
+        return abs(horner(x)) <= slack * bound
+
     n = len(coeffs) - 1
     bound = 1.0 + max(abs(c) for c in coeffs[:-1])
     xs = [0.6 * bound * cmath.exp(1j * (2.0 * math.pi * k / n + 0.3923))
@@ -140,7 +151,7 @@ def reference_durand_kerner(coeffs):
             plateau = 0
         else:
             plateau += 1
-            if plateau >= 25 and delta < 1e-5 * scale:
+            if plateau >= 25 and all(at_floor(x) for x in xs):
                 break
     return xs
 
@@ -278,6 +289,45 @@ def test_durand_kerner_iterates_on_binomials():
             monic = [c] + [0j] * (n - 1) + [1 + 0j]
             assert (_dk_bits(roots._durand_kerner(monic))
                     == _dk_bits(reference_durand_kerner(monic)))
+
+
+def test_durand_kerner_stalls_out_on_multiple_roots(monkeypatch):
+    # the rounding-floor exit stops (z-1)^m well before the iteration cap
+    ladder = [[complex(math.comb(m, k) * (-1) ** (m - k))
+               for k in range(m + 1)] for m in range(2, 14)]
+    want = [_dk_bits(roots._durand_kerner(monic)) for monic in ladder]
+    monkeypatch.setattr(roots, "_DK_MAX_ITER", 150)
+    assert [_dk_bits(roots._durand_kerner(monic)) for monic in ladder] == want
+
+
+#: |p(x)| over the Horner scale sum |a_k| |x|^k at a converged simple root
+RESIDUAL_TOL = 1e-13
+
+
+def _relative_residual(coeffs, x):
+    value = 0j
+    scale = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+        scale = scale * abs(x) + abs(c)
+    return abs(value) / scale
+
+
+def test_durand_kerner_does_not_stop_early_at_high_degree():
+    rng = random.Random(42)
+    for n in range(20, 61):
+        c = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        xs = roots._durand_kerner([c] + [0j] * (n - 1) + [1 + 0j])
+        assert len(xs) == n
+        radius = abs(c) ** (1.0 / n)
+        assert all(abs(abs(x) - radius) <= 1e-12 for x in xs), n
+    for _ in range(12):
+        n = rng.randint(20, 45)
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        coeffs.append(1 + 0j)
+        xs = roots._durand_kerner(coeffs)
+        assert len(xs) == n
+        assert all(_relative_residual(coeffs, x) <= RESIDUAL_TOL for x in xs)
 
 
 # ---------------------------------------------------------------------------

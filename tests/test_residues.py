@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dxdy.algebra import even
+from dxdy.contours import CircleContour, integrate_closed
 from dxdy.functions import MeromorphicFunction, Pole, find_poles, meromorphic_from_text
 from dxdy.polynomials import Polynomial
 from dxdy.residues import (MAX_LAURENT_WINDOW, PoleExpansionError,
@@ -13,8 +14,10 @@ from dxdy.residues import (MAX_LAURENT_WINDOW, PoleExpansionError,
                            cauchy_integral_value, is_two_form, laurent_expand,
                            residue, residue_by_derivative_formula,
                            residue_by_order_reduction)
+from dxdy.roots import find_roots
 from dxdy.series import WindowError
 
+from exact_reference import reference_derivative_formula
 from helpers import even_close, random_planted_rational
 
 
@@ -118,6 +121,46 @@ def test_method_agreement_with_entire_factor():
     p = find_poles(g)[0]
     assert even_close(residue_by_derivative_formula(g, p).a_minus_1,
                       residue(g, p), rel=1e-7)
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_order_ladder_closed_form(m):
+    # z^(m-1)/(z-1)^m = sum_k C(m-1, k) (z-1)^(k-m): residue 1 for every m
+    binomial = [complex(math.comb(m, k) * (-1) ** (m - k))
+                for k in range(m + 1)]
+    assert find_roots(binomial) == [(1 + 0j, m)]
+    f = meromorphic_from_text(f"z^{m - 1}/(z-1)^{m}")
+    (p,) = find_poles(f)
+    assert p == Pole(even(1.0), m)
+    assert residue(f, p) == even(1.0)
+    assert residue_by_order_reduction(f, p).a_minus_1 == even(1.0)
+    assert residue_by_derivative_formula(f, p).a_minus_1 == even(1.0)
+    result = integrate_closed(f, CircleContour(even(1.0), 0.5))
+    assert result.real_value == 0.0
+    assert result.imaginary_defect == 2.0 * math.pi
+
+
+DERIVATIVE_CORPUS = [
+    *(f"1/(z^{n}+(0.7-0.2*I))" for n in range(1, 16)),
+    *(f"z^{m - 1}/(z-1)^{m}" for m in range(1, 21)),
+    "exp(I*z)/(z^2+1)^2",
+    "exp(2*z)/(z-1)^3",
+    "exp(-0.5*I*z)/(z-0.25)^5",
+    "sin(z)/(z-1)^3",
+    "sin(3*z)/(z^2+1)^3",
+    "cos(I*z)/(z^2+4)^2",
+    "cos(0.3*z)/((z-0.5)^4*(z+2))",
+    "z^6/(z-(-0.3+1.2*I))^7",
+]
+
+
+@pytest.mark.parametrize("text", DERIVATIVE_CORPUS)
+def test_derivative_formula_matches_fraction_reference(text):
+    f = meromorphic_from_text(text)
+    for p in find_poles(f):
+        for step in (1e-4, 3e-3):
+            assert (repr(residue_by_derivative_formula(f, p, step))
+                    == repr(reference_derivative_formula(f, p, step)))
 
 
 def test_residue_linearity():
