@@ -15,6 +15,7 @@ import math
 import sys
 
 from . import checks as checks_mod
+from . import oracle as oracle_mod
 from . import roots as roots_mod
 from . import series as series_mod
 from .algebra import EvenElement, even, format_even
@@ -26,7 +27,8 @@ from .expressions import ParseError
 from .functions import (OneForm, SingularSampleError,
                         UnsupportedExpressionError, classify_one_form,
                         find_poles, meromorphic_from_text)
-from .oracle import QuadratureError, differential_check
+from .oracle import (QuadratureError, differential_check,
+                     differential_quad_tol)
 from .residues import (DERIVATIVE_STEP, PoleExpansionError, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue)
 from .roots import RootFindingError
@@ -188,8 +190,12 @@ def _cmd_integrate_contour(args) -> int:
             "quadrature": report.quadrature,
             "difference": report.difference,
             "defect_quadrature": report.defect_quadrature,
+            "defect_difference": report.defect_difference,
             "tol": report.tol,
         }
+        tolerances["quad_tol"] = differential_quad_tol(report.tol)
+        tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
+        tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
         if not report.passed:
             status = 1
     _emit(doc, args.json)

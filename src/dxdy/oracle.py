@@ -7,9 +7,10 @@ period, on which H(tan(theta))/cos(theta)^2 is analytic when H is rational
 with degree gap >= 2 and no axis pole, so nothing is truncated.
 Oscillatory axis integrands are folded onto [0, inf), integrated one
 half-period at a time by adaptive Simpson, and the partial sums are
-extrapolated with Wynn's epsilon algorithm.  The oracle shares only
-even-element evaluation and pole location with the rest of the package,
-never series or residue code.
+extrapolated with Wynn's epsilon algorithm.  Integrands are evaluated
+by the oracle's own complex Horner evaluator from the coefficient lists;
+the oracle shares only pole location with the rest of the package, never
+even-element evaluation, series or residue code.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import even
 from .contours import (AXIS_TOL, CircleContour, COUNTERCLOCKWISE,
                        integrate_closed)
 from .functions import MeromorphicFunction, find_poles
 
 #: points of the first trapezoid estimate
 MIN_POINTS = 32
-#: the trapezoid rule gives up beyond this many points, and the oscillatory
-#: axis rule beyond this many samples
-MAX_POINTS = 2 ** 20
+#: points of the finest trapezoid estimate, after which the rule gives up,
+#: and the number of samples the oscillatory axis rule may take
+MAX_POINTS = 2 ** 21
 #: half-periods an oscillatory axis integral may sum before it gives up
 MAX_CYCLES = 1000
 
@@ -75,18 +75,31 @@ def _limit(estimates: Iterable[float], tol: float, what: str) -> float:
 
 def _periodic_trapezoid(sample: Callable[[float], float], period: float,
                         start: float, shift: float, tol: float) -> float:
-    """Trapezoid rule over one period, nodes at start + (i + shift) *
-    period / n, with n doubling from MIN_POINTS up to MAX_POINTS."""
-    def estimate(n: int) -> float:
-        total = 0.0
-        step = period / n
-        for i in range(n):
-            total += _checked(sample, start + (i + shift) * step)
-        return total * step
+    """Trapezoid rule over one period with n doubling from MIN_POINTS to
+    MAX_POINTS, nodes at origin + i * period / n.
 
-    doublings = (MAX_POINTS // MIN_POINTS).bit_length()
-    return _limit((estimate(MIN_POINTS << j) for j in range(doublings + 1)),
-                  tol, f"trapezoid rule within {MAX_POINTS} points")
+    The origin, start + shift * period / MIN_POINTS, is the same at every
+    level, so each level's nodes are the previous level's plus the
+    midpoints between them, and only the midpoints are sampled.  Each
+    level's new samples are summed exactly rounded (fsum), so an estimate
+    is within a few ulps of n * max|sample| * step of the fixed-n rule.
+    """
+    origin = start + shift * period / MIN_POINTS
+
+    def estimates():
+        n = MIN_POINTS
+        step = period / n
+        total = math.fsum(_checked(sample, origin + i * step)
+                          for i in range(n))
+        yield total * step
+        while n < MAX_POINTS:
+            total += math.fsum(_checked(sample, origin + (i + 0.5) * step)
+                               for i in range(n))
+            n, step = 2 * n, 0.5 * step
+            yield total * step
+
+    return _limit(estimates(), tol,
+                  f"trapezoid rule within {MAX_POINTS} points")
 
 
 def quad_circle(k: Callable[[float, float], float],
@@ -195,13 +208,48 @@ def _oscillatory_axis(H: Callable[[float], float], frequency: float,
 # ---------------------------------------------------------------------------
 # meromorphic-function front ends
 
+_FACTORS = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
+
+
+def _complex_evaluator(f: MeromorphicFunction) -> Callable[[complex], complex]:
+    """f as a plain-complex closure, u + v*dxdy read as u + v*1j.
+
+    Built directly on complex Horner evaluation of the coefficient lists and
+    cmath's exp, sin and cos, so the quadrature path shares no arithmetic
+    with the algebra/series stack.
+    """
+    num = [complex(c.u, c.v) for c in reversed(f.num.coeffs)]
+    den = [complex(c.u, c.v) for c in reversed(f.den.coeffs)]
+    if f.factor is None:
+        factor, scale = None, 0j
+    else:
+        factor = _FACTORS[f.factor.kind]
+        scale = complex(f.factor.scale.u, f.factor.scale.v)
+
+    def F(z: complex) -> complex:
+        p = 0j
+        for c in num:
+            p = p * z + c
+        q = 0j
+        for c in den:
+            q = q * z + c
+        value = p / q
+        if factor is not None:
+            value *= factor(scale * z)
+        return value
+
+    return F
+
+
 def one_form_components(f: MeromorphicFunction):
     """(k, g) of the 1-form f dx: k = u-part of f, g = -v-part."""
+    F = _complex_evaluator(f)
+
     def k(x: float, y: float) -> float:
-        return f(even(x, y)).u
+        return F(complex(x, y)).real
 
     def g(x: float, y: float) -> float:
-        return -f(even(x, y)).v
+        return -F(complex(x, y)).imag
 
     return k, g
 
@@ -209,11 +257,13 @@ def one_form_components(f: MeromorphicFunction):
 def dual_form_components(f: MeromorphicFunction):
     """(k, g) whose circle integral is the imaginary part of the classical
     integral of f dz, i.e. the imaginary defect."""
+    F = _complex_evaluator(f)
+
     def k(x: float, y: float) -> float:
-        return f(even(x, y)).v
+        return F(complex(x, y)).imag
 
     def g(x: float, y: float) -> float:
-        return f(even(x, y)).u
+        return F(complex(x, y)).real
 
     return k, g
 
@@ -244,34 +294,11 @@ def _axis_oscillation(f: MeromorphicFunction) -> float:
 
 
 def axis_evaluator(f: MeromorphicFunction) -> Callable[[float], float]:
-    """u-part of f on the axis as a plain-float closure.
-
-    Built directly on complex Horner evaluation of the coefficient lists, so
-    the quadrature path shares no arithmetic with the algebra/series stack.
-    """
-    num = [complex(c.u, c.v) for c in f.num.coeffs]
-    den = [complex(c.u, c.v) for c in f.den.coeffs]
-    if f.factor is not None:
-        kind = f.factor.kind
-        scale = complex(f.factor.scale.u, f.factor.scale.v)
-    else:
-        kind, scale = None, 0j
+    """u-part of f on the axis as a plain-float closure."""
+    F = _complex_evaluator(f)
 
     def H(x: float) -> float:
-        p = 0j
-        for c in reversed(num):
-            p = p * x + c
-        q = 0j
-        for c in reversed(den):
-            q = q * x + c
-        value = p / q
-        if kind == "exp":
-            value *= cmath.exp(scale * x)
-        elif kind == "sin":
-            value *= cmath.sin(scale * x)
-        elif kind == "cos":
-            value *= cmath.cos(scale * x)
-        return value.real
+        return F(x).real
 
     return H
 
@@ -302,7 +329,10 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
     def mapped(theta: float) -> float:
         return H(math.tan(theta)) / math.cos(theta) ** 2
 
-    return _periodic_trapezoid(mapped, math.pi, -0.5 * math.pi, 0.5, tol)
+    # a non-dyadic shift keeps every level's nodes off theta = +-pi/2, the
+    # image of x = inf, by at least a third of the finest step
+    return _periodic_trapezoid(mapped, math.pi, -0.5 * math.pi, 1.0 / 3.0,
+                               tol)
 
 
 @dataclass(frozen=True)
@@ -317,6 +347,12 @@ class DifferentialReport:
     tol: float
 
 
+def differential_quad_tol(tol: float) -> float:
+    """Tolerance of the circle quadratures behind a differential check at
+    tol: a hundredth of tol, and never looser than 1e-10."""
+    return min(tol * 1e-2, 1e-10)
+
+
 def differential_check(f: MeromorphicFunction, contour: CircleContour,
                        tol: float = 1e-8) -> DifferentialReport:
     """Compare the residue-route contour value against direct quadrature.
@@ -326,7 +362,7 @@ def differential_check(f: MeromorphicFunction, contour: CircleContour,
     relative to the symbolic side.
     """
     result = integrate_closed(f, contour)
-    spec = QuadratureSpec(tol=min(tol * 1e-2, 1e-10))
+    spec = QuadratureSpec(tol=differential_quad_tol(tol))
     quad = quad_circle(*one_form_components(f), contour, spec)
     dual = quad_circle(*dual_form_components(f), contour, spec)
     difference = abs(result.real_value - quad)

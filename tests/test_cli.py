@@ -1,11 +1,13 @@
 """Command-line front end: verbs, exit codes, text/json value agreement."""
 
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
+import dxdy.oracle
 from dxdy import residues, roots, series
 from dxdy.cli import main
 
@@ -70,6 +72,41 @@ def test_contour_verify_flag(run):
                    "--center", "0,1", "--radius", "0.5", "--verify")
     assert doc["verification"]["passed"] is True
     assert abs(doc["value"] - math.pi / 2) <= 1e-10
+
+
+def test_contour_verify_explains_a_defect_failure(run, monkeypatch):
+    # the oracle's symbolic side is shifted by 2 pi in the defect only: the
+    # verification block says the defect is what failed, and which
+    # quadrature settings were in effect
+    base = run_json(run, "integrate-contour", "1/z", "--center", "0,0",
+                    "--radius", "1")
+    assert "quad_tol" not in base["tolerances"]
+    integrate_closed = dxdy.oracle.integrate_closed
+
+    def shifted(*args):
+        result = integrate_closed(*args)
+        return dataclasses.replace(
+            result, imaginary_defect=result.imaginary_defect - 2 * math.pi)
+
+    monkeypatch.setattr(dxdy.oracle, "integrate_closed", shifted)
+    status, out, _ = run("integrate-contour", "1/z", "--center", "0,0",
+                         "--radius", "1", "--verify", "--verify-tol", "1e-7",
+                         "--json")
+    assert status == 1
+    doc = json.loads(out)
+    assert doc["schema_version"] == "1"
+    check = doc["verification"]
+    assert check["passed"] is False
+    assert check["difference"] <= 1e-7
+    assert abs(check["defect_difference"] - 2 * math.pi) <= 1e-7
+    assert {key: doc["tolerances"][key] for key in
+            ("quad_tol", "quad_min_points", "quad_max_points")} == {
+        "quad_tol": dxdy.oracle.differential_quad_tol(1e-7),
+        "quad_min_points": dxdy.oracle.MIN_POINTS,
+        "quad_max_points": dxdy.oracle.MAX_POINTS,
+    }
+    assert dxdy.oracle.differential_quad_tol(1e-7) == 1e-10
+    assert math.isclose(dxdy.oracle.differential_quad_tol(1e-9), 1e-11)
 
 
 def test_cauchy_verb(run):

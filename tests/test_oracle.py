@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,8 @@ from dxdy.contours import CircleContour, integrate_closed, integrate_real_line
 from dxdy.functions import EntireFactor, MeromorphicFunction, meromorphic_from_text
 from dxdy.oracle import (QuadratureError, QuadratureSpec, circle_quadrature,
                          differential_check, dual_form_components,
-                         quad_circle, real_line_quadrature)
+                         one_form_components, quad_circle,
+                         real_line_quadrature)
 from dxdy.polynomials import Polynomial
 
 from helpers import poly_from_roots, random_even, random_planted_rational
@@ -98,9 +100,163 @@ def test_singular_samples_rejected():
 
 
 def test_noisy_integrand_hits_the_point_cap():
+    # every level runs, and each node is sampled once: MAX_POINTS in all
     noise = lambda x, y: math.sin(3.7e7 * x * y)  # noqa: E731
-    with pytest.raises(QuadratureError, match="did not converge"):
-        quad_circle(noise, noise, UNIT, QuadratureSpec(tol=1e-12))
+    samples = 0
+
+    def counted(x, y):
+        nonlocal samples
+        samples += 1
+        return noise(x, y)
+
+    with pytest.raises(QuadratureError,
+                       match=f"within {2 ** 21} points did not converge"):
+        quad_circle(counted, noise, UNIT, QuadratureSpec(tol=1e-12))
+    assert dxdy.oracle.MAX_POINTS == 2 ** 21
+    assert samples == 2 ** 21
+
+
+def _first_estimates(monkeypatch, levels, run):
+    """The first ``levels`` estimates of the doubling rule inside run()."""
+    seen = []
+
+    def first_levels(estimates, tol, what):
+        for estimate in estimates:
+            seen.append(estimate)
+            if len(seen) == levels:
+                return estimate
+
+    monkeypatch.setattr(dxdy.oracle, "_limit", first_levels)
+    run()
+    return seen
+
+
+def _fixed_trapezoid(sample, period, origin, n):
+    """The n-point periodic trapezoid rule with nodes origin + i*period/n,
+    summed exactly rounded, and the largest |sample|."""
+    step = period / n
+    values = [sample(origin + i * step) for i in range(n)]
+    return math.fsum(values) * step, max(abs(v) for v in values)
+
+
+def _assert_nested_matches_fixed(estimates, sample, period, origin):
+    n = dxdy.oracle.MIN_POINTS
+    for estimate in estimates:
+        want, peak = _fixed_trapezoid(sample, period, origin, n)
+        step = period / n
+        assert abs(estimate - want) <= (
+            8 * sys.float_info.epsilon * n * peak * step), (n, estimate, want)
+        n *= 2
+
+
+NESTED_LEVELS = 8  # 32 .. 4096 nodes
+
+
+def test_nested_circle_estimates_match_the_fixed_rule(monkeypatch):
+    rng = random.Random(707)
+    for _ in range(4):
+        f, poles = random_planted_rational(rng, max_poles=2, max_order=3)
+        center = poles[0].location
+        others = [p.location for p in poles[1:]]
+        nearest = min([abs(center - o) for o in others], default=2.0)
+        contour = CircleContour(center, rng.uniform(0.2, 0.45) * nearest)
+        estimates = _first_estimates(
+            monkeypatch, NESTED_LEVELS,
+            lambda: circle_quadrature(f, contour, TIGHT))
+        k, g = one_form_components(f)
+        cx, cy, r = contour.center.u, contour.center.v, contour.radius
+
+        def sample(t):
+            ct, st = math.cos(t), math.sin(t)
+            x, y = cx + r * ct, cy + r * st
+            return -k(x, y) * r * st + g(x, y) * r * ct
+
+        _assert_nested_matches_fixed(estimates, sample, 2 * math.pi, 0.0)
+
+
+def test_nested_axis_estimates_match_the_fixed_rule(monkeypatch):
+    # the axis origin is fixed at -pi/2 + (1/3) * pi/MIN_POINTS; an origin
+    # that moved with the step would sample other nodes from 64 on, which
+    # the slowly converging, not even, 1/((x-0.3)^2+0.01) tells apart
+    rng = random.Random(708)
+    start, period = -0.5 * math.pi, math.pi
+    origin = start + (1.0 / 3.0) * period / dxdy.oracle.MIN_POINTS
+    cases = [meromorphic_from_text("1/((x-0.3)^2+0.01)", real_line=True)]
+    for _ in range(4):
+        g = _random_axis_integrand(rng)
+        cases.append(MeromorphicFunction(g.num, g.den))
+    for f in cases:
+        estimates = _first_estimates(
+            monkeypatch, NESTED_LEVELS,
+            lambda: real_line_quadrature(f, tol=REAL_LINE_TOL))
+        H = dxdy.oracle.axis_evaluator(f)
+
+        def sample(theta):
+            return H(math.tan(theta)) / math.cos(theta) ** 2
+
+        _assert_nested_matches_fixed(estimates, sample, period, origin)
+        if f is cases[0]:
+            n = 2 * dxdy.oracle.MIN_POINTS
+            drifted, _ = _fixed_trapezoid(
+                sample, period, start + (1.0 / 3.0) * period / n, n)
+            assert abs(drifted - estimates[1]) > 1e-8
+
+
+def test_circle_sample_budget(monkeypatch):
+    # k and g are sampled once per node, and every level only adds the
+    # midpoints of the one before: twice the final level's nodes in all
+    samples = 0
+    levels = 0
+    make = dxdy.oracle.one_form_components
+    limit = dxdy.oracle._limit
+
+    def counting(f):
+        def counted(fn):
+            def sample(x, y):
+                nonlocal samples
+                samples += 1
+                return fn(x, y)
+            return sample
+        return tuple(counted(fn) for fn in make(f))
+
+    def counting_limit(estimates, tol, what):
+        def seen():
+            nonlocal levels
+            for estimate in estimates:
+                levels += 1
+                yield estimate
+        return limit(seen(), tol, what)
+
+    monkeypatch.setattr(dxdy.oracle, "one_form_components", counting)
+    monkeypatch.setattr(dxdy.oracle, "_limit", counting_limit)
+    f = meromorphic_from_text("1/(z^2+1)^2")
+    got = circle_quadrature(f, CircleContour(even(0, 1), 0.5), TIGHT)
+    assert abs(got - math.pi / 2) <= 1e-10
+    assert levels >= 3
+    assert samples == 2 * (dxdy.oracle.MIN_POINTS << (levels - 1))
+
+
+def test_axis_nodes_stay_off_the_image_of_infinity(monkeypatch):
+    # theta = +-pi/2 is x = inf; with MAX_POINTS patched down, a noise
+    # integrand runs every level, and no node comes within a third of the
+    # finest step of either end (up to the rounding of tan and atan)
+    monkeypatch.setattr(dxdy.oracle, "MAX_POINTS", 4096)
+    xs = []
+
+    def noisy(f):
+        def H(x):
+            xs.append(x)
+            return math.sin(3.7e7 * x)
+        return H
+
+    monkeypatch.setattr(dxdy.oracle, "axis_evaluator", noisy)
+    f = meromorphic_from_text("1/(x^2+1)", real_line=True)
+    with pytest.raises(QuadratureError, match="within 4096 points"):
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+    assert len(xs) == 4096
+    finest = math.pi / 4096
+    nearest_end = min(math.atan2(1.0, abs(x)) for x in xs)
+    assert nearest_end >= finest / 3 * (1 - 1e-9)
 
 
 def test_circle_self_consistency_across_radii():
@@ -269,6 +425,15 @@ def test_differential_check_fails_on_a_defect_mismatch(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_differential_check_order_ladder(m):
+    # z^(m-1)/(z-1)^m: value 0 and defect 2 pi around |z-1| = 0.5
+    f = meromorphic_from_text(f"z^{m - 1}/(z-1)^{m}")
+    report = differential_check(f, CircleContour(even(1, 0), 0.5))
+    assert report.passed, report
+    assert abs(report.defect_quadrature - 2 * math.pi) <= 1e-8
+
+
 def test_differential_check_reference_case():
     f = meromorphic_from_text("1/(z^2+1)^2")
     report = differential_check(f, CircleContour(even(0, 1), 0.5), tol=1e-8)
@@ -315,3 +480,32 @@ def test_dual_form_matches_defect():
     result = integrate_closed(f, UNIT)
     got = quad_circle(*dual_form_components(f), UNIT, TIGHT)
     assert abs(got - result.imaginary_defect) <= 1e-9
+
+
+@pytest.mark.parametrize("text", [
+    "(z^3-2*z+I)/(z^4+3*z^2-z+2)",
+    "(2*z-1)/((z-0.3)^3*(z+1+I))",
+    "exp((0.7-1.3*I)*z)/(z^2+1)",
+    "sin(2.5*z)/(z-1)^2",
+    "z*cos(0.4*I*z)/(z^3-1)",
+])
+def test_complex_evaluator_matches_meromorphic_call(text):
+    f = meromorphic_from_text(text)
+    F = dxdy.oracle._complex_evaluator(f)
+    rng = random.Random(text)
+    for _ in range(200):
+        z = random_even(rng, 3.0)
+        w = f(z)
+        want = complex(w.u, w.v)
+        assert abs(F(complex(z.u, z.v)) - want) <= 1e-13 * abs(want), z
+
+
+def test_overflowing_samples_raise_quadrature_error():
+    # cosh(1000 * 0.9) overflows inside sin at the top of the circle
+    f = meromorphic_from_text("sin(1000*z)/(z-1)")
+    with pytest.raises(QuadratureError, match="singular"):
+        circle_quadrature(f, CircleContour(even(1, 0), 0.9))
+    # e^709 is finite, but 2^10 times it is not
+    f = meromorphic_from_text("exp(709*z)/(z-0.5)^10")
+    with pytest.raises(QuadratureError, match="non-finite"):
+        circle_quadrature(f, CircleContour(even(0.5, 0), 0.5))
