@@ -7,7 +7,9 @@ against the independent trapezoid oracle.  Each case also draws one
 real-line integrand (poles at least 0.2 off the axis, degree gap 2, an
 exp(I*t*x) factor half of the time) and checks its half-plane closure
 against the real-line oracle.  Prints a summary and the worst observed
-discrepancies.
+discrepancies.  A failing contour case whose poles come back with other
+orders than the planted ones prints both, e.g. "planted orders [3, 4×2],
+found [3, 1×8]".
 
     python scripts/random_sweep.py --count 200 --seed 7 --tol 1e-7
 """
@@ -19,7 +21,7 @@ import sys
 
 from dxdy.algebra import even
 from dxdy.contours import CircleContour, integrate_real_line
-from dxdy.functions import EntireFactor, MeromorphicFunction, Pole
+from dxdy.functions import EntireFactor, MeromorphicFunction, Pole, find_poles
 from dxdy.oracle import (QuadratureError, differential_check,
                          real_line_quadrature)
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
@@ -80,6 +82,18 @@ def planted_axis_integrand(rng: random.Random, max_poles: int,
         return MeromorphicFunction(num, den, factor)
 
 
+def order_structure(poles) -> str:
+    """Pole orders in location order, a run of equal orders as order×count."""
+    runs: list[list[int]] = []
+    for p in sorted(poles, key=lambda p: (p.location.u, p.location.v)):
+        if runs and runs[-1][0] == p.order:
+            runs[-1][1] += 1
+        else:
+            runs.append([p.order, 1])
+    return "[" + ", ".join(f"{order}×{count}" if count > 1 else f"{order}"
+                           for order, count in runs) + "]"
+
+
 def check_real_line(f: MeromorphicFunction, tol: float) -> float:
     """Scaled gap between the half-plane closure and the axis oracle."""
     symbolic = integrate_real_line(f).real_value
@@ -118,6 +132,10 @@ def main(argv=None) -> int:
             failures += 1
             print(f"FAIL case {index}: residue route {report.symbolic!r}, "
                   f"oracle {report.quadrature!r}, diff {report.difference:g}")
+            found = find_poles(f)
+            if sorted(p.order for p in found) != sorted(p.order for p in poles):
+                print(f"    planted orders {order_structure(poles)}, "
+                      f"found {order_structure(found)}")
         g = planted_axis_integrand(axis_rng, args.max_poles, args.max_order)
         try:
             spread = check_real_line(g, args.tol)

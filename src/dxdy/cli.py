@@ -17,7 +17,6 @@ import sys
 from . import checks as checks_mod
 from . import oracle as oracle_mod
 from . import roots as roots_mod
-from . import series as series_mod
 from .algebra import EvenElement, even, format_even
 from .contours import (AXIS_TOL, AxisPoleError, CircleContour, CLOCKWISE,
                        COUNTERCLOCKWISE, DecayError, IntegralResult,
@@ -75,7 +74,6 @@ def _base_tolerances() -> dict[str, float]:
         "root_verify_tol": roots_mod.VERIFY_TOL,
         "root_kappa": roots_mod.KAPPA,
         "root_dk_floor": roots_mod.DK_FLOOR,
-        "series_dust": series_mod.DUST,
         "derivative_step": DERIVATIVE_STEP,
     }
 

@@ -4,7 +4,9 @@ A function is a rational part (two polynomials with even-element
 coefficients, denominator monic, shared roots cancelled) times at most one
 entire factor exp/sin/cos(scale*z).  Poles come from denominator roots; a
 simple zero of a sin/cos factor sitting on a denominator root lowers the
-pole order by one.
+pole order by one.  Every function roots its denominator once, when it is
+built, and that root table is the only place a pole order or a Laurent
+valuation is decided.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
-                      even_inv, even_mul, even_sin)
+from .algebra import (E_DXDY, E_ZERO, EvenElement, even, even_cos,
+                      even_exp, even_inv, even_mul, even_sin)
 from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
-from .roots import RootFindingError, find_roots
+from .roots import CLUSTER_TOL, RootFindingError, find_roots
 from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
-                     make_series, series_inv, series_mul)
+                     entire_zero_order, series_inv, series_mul)
 
 #: a numerator value this small (relative to the numerator scale) at a
 #: denominator root counts as a shared root and is cancelled
@@ -67,11 +69,16 @@ class MeromorphicFunction:
     num: Polynomial
     den: Polynomial
     factor: EntireFactor | None = None
-    #: (location, multiplicity) roots of ``den`` when they are already known
-    #: (``to_meromorphic`` keeps those found while normalizing); ``None``
-    #: makes ``find_poles`` root ``den`` itself
+    #: (location, multiplicity) roots of ``den``; given when already known
+    #: (``to_meromorphic`` keeps those found while normalizing), found here
+    #: when ``None``
     den_roots: _Roots | None = field(
         default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.den_roots is None:
+            roots = _roots_of(self.den) if self.den.degree >= 1 else ()
+            object.__setattr__(self, "den_roots", roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
         value = even_mul(self.num(z), even_inv(self.den(z)))
@@ -252,31 +259,18 @@ def _bits(p: Polynomial) -> list[tuple[str, str]]:
     return [(c.u.hex(), c.v.hex()) for c in p.coeffs]
 
 
-def _factor_zero_multiplicity(factor: EntireFactor | None,
-                              loc: EvenElement) -> int:
-    """Zeros of sin/cos factors are simple; exp never vanishes."""
-    if factor is None or factor.kind == "exp":
-        return 0
-    w = even_mul(factor.scale, loc)
-    s, c = even_sin(w), even_cos(w)
-    value = s if factor.kind == "sin" else c
-    other = c if factor.kind == "sin" else s
-    return 1 if abs(value) <= 1e-9 * (abs(other) + abs(value)) else 0
-
-
 def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     """All denominator roots, with orders reduced by entire-factor zeros."""
-    if f.den.degree < 1:
-        return ()
     scale = f.den.max_coeff()
-    roots = f.den_roots if f.den_roots is not None else _roots_of(f.den)
     poles = []
-    for loc, mult in roots:
+    for loc, mult in f.den_roots:
         if abs(f.den(loc)) > RESIDUAL_TOL * scale:
             raise RootFindingError(
                 f"root residual too large at {loc}; denominator is "
                 f"ill-conditioned")
-        order = mult - _factor_zero_multiplicity(f.factor, loc)
+        order = mult
+        if f.factor is not None:
+            order -= entire_zero_order(f.factor.kind, f.factor.scale, loc)
         if order >= 1:
             poles.append(Pole(loc, order))
     return tuple(sorted(poles, key=lambda p: (p.location.u, p.location.v)))
@@ -285,44 +279,46 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
 # ---------------------------------------------------------------------------
 # local expansion
 
-def _poly_series(p: Polynomial, center: EvenElement,
-                 length: int) -> LaurentSeries:
-    """Exact Taylor expansion of a polynomial, zero-padded to `length`."""
-    shifted = list(p.taylor_shift(center))
-    shifted += [even(0.0)] * (length - len(shifted))
-    return make_series(center, 0, shifted[:length])
+def _den_valuation(f: MeromorphicFunction, center: EvenElement) -> int:
+    """Multiplicity of the table root at center; 0 if none is that close."""
+    for loc, mult in f.den_roots:
+        if abs(loc - center) <= CLUSTER_TOL * (1.0 + abs(center)):
+            return mult
+    return 0
 
 
-def _head(s: LaurentSeries, count: int) -> LaurentSeries:
-    """The first `count` coefficients of s."""
-    return LaurentSeries(s.center, s.valuation, s.coeffs[:count])
+def _taylor_window(p: Polynomial, center: EvenElement, valuation: int,
+                   window: int) -> LaurentSeries:
+    """t_valuation.. of p's Taylor shift to center, zero-padded to window."""
+    shifted = p.taylor_shift(center)[valuation:valuation + window]
+    return LaurentSeries(center, valuation,
+                         shifted + (E_ZERO,) * (window - len(shifted)))
 
 
 def local_expansion(f: MeromorphicFunction, center: EvenElement,
                     window: int = DEFAULT_WINDOW) -> LaurentSeries:
     """Laurent series of f about center covering `window` coefficients.
 
-    Each factor's dust scan sees `length` coefficients; the products then
-    run on its first `window` coefficients only, since the k-th coefficient
-    of a Cauchy product or an inverse depends on the first k + 1 inputs
-    alone.
+    Each factor's valuation is structural.  The denominator's is the
+    multiplicity m of its table root at center: the computed t_0..t_{m-1}
+    there are root error and are dropped by index.  The numerator's is 0,
+    since normalizing cancelled the shared roots, and the entire factor's
+    is its zero order at center.  The k-th coefficient of a Cauchy product
+    or an inverse depends on the first k + 1 inputs alone, so every factor
+    is cut to `window` coefficients.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if f.is_zero():
-        return make_series(center, 0, [])
-    length = window + f.den.degree + 2
-    den_series = _head(_poly_series(f.den, center, length), window)
-    result = series_mul(_head(_poly_series(f.num, center, length), window),
-                        series_inv(den_series))
+        return LaurentSeries(center, 0, ())
+    den = _taylor_window(f.den, center, _den_valuation(f, center), window)
+    result = series_mul(_taylor_window(f.num, center, 0, window),
+                        series_inv(den))
     if f.factor is not None:
-        result = series_mul(
-            result, _head(entire_series(f.factor.kind, f.factor.scale,
-                                        center, length - 1), window))
-    if result.is_zero():
-        return result
-    keep = result.coeffs[:window]
-    return make_series(center, result.valuation, keep)
+        # the factor's valuation is 0 or 1: up to z'^window covers the window
+        result = series_mul(result, entire_series(
+            f.factor.kind, f.factor.scale, center, window))
+    return result
 
 
 # ---------------------------------------------------------------------------

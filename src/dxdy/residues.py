@@ -1,12 +1,12 @@
 """Residues, Laurent windows, order reduction, and the special integral
 formulas for evaluation points where the integrand value is a 2-form.
 
-Three independent routes to a residue are provided:
+Three routes to a residue are provided:
 
 * ``residue`` reads a_{-1} off the local Laurent expansion (source of truth);
-* ``residue_by_order_reduction`` runs the iterative peel-off procedure,
-  extracting the leading principal coefficient and subtracting it until the
-  pole is exhausted;
+* ``residue_by_order_reduction`` reads the whole principal part
+  a_{-m}..a_{-1} off the same expansion, so it is a walkthrough of the
+  peel-off procedure rather than an independent check;
 * ``residue_by_derivative_formula`` evaluates the (m-1)-th x-derivative of
   z'^m f at the pole by central differences.  The stencil is summed exactly,
   in plain integers, and rounded once, so the difference quotient is
@@ -19,15 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import (E_ZERO, EvenElement, even, even_cos, even_exp,
-                      even_mul, even_sin, to_complexes)
+from .algebra import E_ZERO, EvenElement, even, even_mul, to_complexes
 from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
                         dyadic_taylor_shift, offset_poly, real_horner,
                         stencil_weights)
 from .functions import (EntireFactor, MeromorphicFunction, Pole,
                         local_expansion)
 from .polynomials import Polynomial
-from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError, make_series)
+from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError,
+                     derivative_cycle)
 
 #: widest coefficient window laurent_expand will produce
 MAX_LAURENT_WINDOW = 64
@@ -58,8 +58,8 @@ class ResidueReport:
 
 
 def _expansion_at_pole(f: MeromorphicFunction, p: Pole) -> LaurentSeries:
-    window = max(DEFAULT_WINDOW, p.order + 2)
-    return local_expansion(f, p.location, window)
+    """The principal part a_{-order}..a_{-1}, and no more."""
+    return local_expansion(f, p.location, p.order)
 
 
 def residue(f: MeromorphicFunction, p: Pole) -> EvenElement:
@@ -71,32 +71,24 @@ def residue(f: MeromorphicFunction, p: Pole) -> EvenElement:
 
 
 def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport:
-    """Iterative peel-off of the principal part, in series space.
+    """The peel-off of the principal part, in series space.
 
-    Each round extracts the current leading coefficient a_m of z'^{-m} and
-    subtracts a_m/z'^m from the expansion; the remainder's pole order drops
-    strictly until the constant term is reached.  a_{-1} is the coefficient
-    extracted at order one, or zero when the constant term arrives first.
+    Each round extracts the leading coefficient a_{-k} of z'^{-k} and
+    subtracts a_{-k}/z'^k, so the rounds read a_{-m}, ..., a_{-1} off the
+    expansion in turn; exact zeros are skipped, as a peel would find the
+    next order at once.  a_{-1} is the coefficient extracted at order one,
+    or zero when the constant term arrives first.
     """
     s = _expansion_at_pole(f, p)
-    if s.is_zero() or s.valuation >= 0:
+    extracted = tuple((-n, c) for n, c in zip(range(s.valuation, 0), s.coeffs)
+                      if not c.is_zero())
+    if not extracted:
         raise PoleExpansionError(
-            f"{p.location} is not a pole of the function (valuation "
-            f"{s.valuation if not s.is_zero() else 'infinite'})")
-    leading = s.coeffs[0]
-    extracted = []
-    a_minus_1 = E_ZERO
-    current = s
-    while not current.is_zero() and current.valuation < 0:
-        order = -current.valuation
-        coeff = current.coeffs[0]
-        extracted.append((order, coeff))
-        if order == 1:
-            a_minus_1 = coeff
-        current = make_series(current.center, current.valuation + 1,
-                              current.coeffs[1:])
-    return ResidueReport(pole=p, a_minus_1=a_minus_1, leading=leading,
-                         method="order_reduction", extracted=tuple(extracted))
+            f"{p.location} is not a pole of the function (no nonzero "
+            f"coefficient below z'^0)")
+    a_minus_1 = extracted[-1][1] if extracted[-1][0] == 1 else E_ZERO
+    return ResidueReport(pole=p, a_minus_1=a_minus_1, leading=extracted[0][1],
+                         method="order_reduction", extracted=extracted)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +110,7 @@ def _factor_poly(factor: EntireFactor, z0: EvenElement, e: int) -> DyadicPoly:
     linear difference quotient cannot amplify.  The result P gives
     F = P(X) / (2**P.exp * _FACTOR_DEN).
     """
-    w0 = even_mul(factor.scale, z0)
-    if factor.kind == "exp":
-        cycle = [even_exp(w0)]
-    else:
-        s0, c0 = even_sin(w0), even_cos(w0)
-        cycle = ([s0, c0, -s0, -c0] if factor.kind == "sin"
-                 else [c0, -s0, -c0, s0])
+    cycle = derivative_cycle(factor.kind, even_mul(factor.scale, z0))
     anchors = dyadic_poly(to_complexes(cycle))
     scale = dyadic_poly(to_complexes([factor.scale]))
     sr, si = scale.re[0], scale.im[0]
@@ -200,7 +186,7 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
         q <<= -shift
     fact = math.factorial(d)
     value = even(acc_re / q / fact, acc_im / q / fact)
-    leading = local_expansion(f, p.location, max(DEFAULT_WINDOW, m + 2))
+    leading = local_expansion(f, p.location, 1)
     lead_coeff = leading.coeffs[0] if not leading.is_zero() else E_ZERO
     return ResidueReport(pole=p, a_minus_1=value, leading=lead_coeff,
                          method="derivative_formula")
@@ -275,5 +261,5 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
     window = max(1, hi + f.den.degree + 2)
     s = local_expansion(f, z0, window)
     if s.is_zero():
-        return make_series(z0, lo, [E_ZERO] * (hi - lo + 1))
-    return make_series(z0, lo, s.window_coefficients(lo, hi))
+        return LaurentSeries(z0, lo, (E_ZERO,) * (hi - lo + 1))
+    return LaurentSeries(z0, lo, tuple(s.window_coefficients(lo, hi)))

@@ -4,22 +4,20 @@ A series is a finite window of coefficients a_n for exponents
 valuation <= n <= truncation_order of powers of z' = z - center.  All
 arithmetic tracks the window over which the result is reliable; coefficients
 beyond it are unknown, coefficients below the valuation are exactly zero.
+The valuation is structural: whoever builds a series states it, and no
+coefficient is ever dropped for being small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .algebra import (E_ONE, E_ZERO, EvenElement, even_int_pow, even_inv,
-                      even_mul, from_complexes, to_complexes)
+from .algebra import (E_ONE, E_ZERO, EvenElement, even_cos, even_exp,
+                      even_int_pow, even_inv, even_mul, even_sin,
+                      from_complexes, to_complexes)
 
 #: default number of retained coefficients
 DEFAULT_WINDOW = 16
-
-#: leading coefficients smaller than DUST times the largest magnitude in the
-#: window are treated as zero when the valuation is determined
-DUST = 1e-13
 
 
 class WindowError(ValueError):
@@ -34,8 +32,9 @@ class CenterMismatchError(ValueError):
 class LaurentSeries:
     """Sum of coeffs[k] * z'^(valuation + k) around ``center``.
 
-    The zero series is represented by an empty coefficient tuple with
-    valuation = truncation_order + 1.
+    coeffs[0] may be zero when the builder's valuation says so, e.g. at a
+    zero of a numerator.  The zero series is represented by an empty
+    coefficient tuple with valuation = truncation_order + 1.
     """
 
     center: EvenElement
@@ -94,26 +93,6 @@ class LaurentSeries:
         return series_mul(self, other)
 
 
-def make_series(center: EvenElement, valuation: int,
-                coeffs: Sequence[EvenElement],
-                dust: float = DUST) -> LaurentSeries:
-    """Normalize raw coefficients into a LaurentSeries.
-
-    Leading coefficients below dust * (largest magnitude in the window) are
-    dropped, raising the valuation; an all-dust window becomes the zero
-    series with the same truncation order.
-    """
-    coeffs = list(coeffs)
-    top = max((abs(c) for c in coeffs), default=0.0)
-    threshold = dust * top
-    lead = 0
-    while lead < len(coeffs) and abs(coeffs[lead]) <= threshold:
-        lead += 1
-    if lead == len(coeffs):
-        return LaurentSeries(center, valuation + len(coeffs), ())
-    return LaurentSeries(center, valuation + lead, tuple(coeffs[lead:]))
-
-
 def zero_series(center: EvenElement, truncation_order: int) -> LaurentSeries:
     return LaurentSeries(center, truncation_order + 1, ())
 
@@ -136,7 +115,7 @@ def series_add(a: LaurentSeries, b: LaurentSeries,
         ca = a.coeffs[n - a.valuation] if a.valuation <= n <= a.truncation_order else E_ZERO
         cb = b.coeffs[n - b.valuation] if b.valuation <= n <= b.truncation_order else E_ZERO
         out.append(ca - cb if negate else ca + cb)
-    return make_series(a.center, lo, out)
+    return LaurentSeries(a.center, lo, tuple(out))
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -156,8 +135,6 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         for x, y in zip(xs[:k + 1], reversed(ys[:k + 1])):
             acc += x * y
         out.append(acc)
-    # the lead is a product of two nonzero leads: no dust scan, which
-    # would measure a_lo against the far larger tail of a wide window
     return LaurentSeries(a.center, lo, from_complexes(out))
 
 
@@ -173,11 +150,39 @@ def series_inv(a: LaurentSeries) -> LaurentSeries:
         for x, y in zip(xs[1:k + 1], reversed(out)):
             acc += x * y
         out.append(-(acc * out[0]))
-    # the lead is 1/lead: no dust scan, as in series_mul
     return LaurentSeries(a.center, -a.valuation, from_complexes(out))
 
 
 ENTIRE_KINDS = ("exp", "sin", "cos")
+
+
+def derivative_cycle(kind: str, w0: EvenElement) -> list[EvenElement]:
+    """F(w0), F'(w0), ... for F = exp/sin/cos, one period of the cycle."""
+    if kind == "exp":
+        return [even_exp(w0)]
+    s0, c0 = even_sin(w0), even_cos(w0)
+    if kind == "sin":
+        return [s0, c0, -s0, -c0]
+    if kind == "cos":
+        return [c0, -s0, -c0, s0]
+    raise ValueError(f"unknown entire kind {kind!r}; "
+                     f"expected one of {ENTIRE_KINDS}")
+
+
+def _zero_order(cycle: list[EvenElement]) -> int:
+    """Zeros of sin/cos are simple and exp never vanishes."""
+    if len(cycle) == 1:
+        return 0
+    value, slope = cycle[0], cycle[1]
+    return 1 if abs(value) <= 1e-9 * (abs(slope) + abs(value)) else 0
+
+
+def entire_zero_order(kind: str, scale: EvenElement,
+                      point: EvenElement) -> int:
+    """Order (0 or 1) of the zero of exp/sin/cos(scale*z) at point."""
+    if kind == "exp":
+        return 0
+    return _zero_order(derivative_cycle(kind, even_mul(scale, point)))
 
 
 def entire_series(kind: str, scale: EvenElement, center: EvenElement,
@@ -186,27 +191,18 @@ def entire_series(kind: str, scale: EvenElement, center: EvenElement,
 
     Writing z = center + z', the argument is w0 + scale*z' with
     w0 = scale*center, so the coefficients follow from the derivative cycle
-    of the function at w0 evaluated in even-element arithmetic.
+    of the function at w0 evaluated in even-element arithmetic.  The
+    valuation is the zero order at the center, so a sin/cos zero starts the
+    series at z'^1 however the rounded value at w0 compares with the rest.
     """
-    from .algebra import even_cos, even_exp, even_sin
     if order < 0:
         raise ValueError("order must be >= 0")
-    w0 = even_mul(scale, center)
-    if kind == "exp":
-        anchor_cycle = [even_exp(w0)]
-    elif kind == "sin":
-        s0, c0 = even_sin(w0), even_cos(w0)
-        anchor_cycle = [s0, c0, -s0, -c0]
-    elif kind == "cos":
-        s0, c0 = even_sin(w0), even_cos(w0)
-        anchor_cycle = [c0, -s0, -c0, s0]
-    else:
-        raise ValueError(f"unknown entire kind {kind!r}; "
-                         f"expected one of {ENTIRE_KINDS}")
+    cycle = derivative_cycle(kind, even_mul(scale, center))
+    valuation = _zero_order(cycle)
     coeffs = []
     power = E_ONE  # scale^k / k!
     for k in range(order + 1):
         if k > 0:
             power = even_mul(power, scale) / k
-        coeffs.append(even_mul(anchor_cycle[k % len(anchor_cycle)], power))
-    return make_series(center, 0, coeffs)
+        coeffs.append(even_mul(cycle[k % len(cycle)], power))
+    return LaurentSeries(center, valuation, tuple(coeffs[valuation:]))

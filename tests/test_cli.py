@@ -8,7 +8,7 @@ import re
 import pytest
 
 import dxdy.oracle
-from dxdy import residues, roots, series
+from dxdy import residues, roots
 from dxdy.cli import main
 
 
@@ -50,7 +50,6 @@ def test_tolerances_list_the_root_finder_and_derivative_constants(run):
         "root_verify_tol": roots.VERIFY_TOL,
         "root_kappa": roots.KAPPA,
         "root_dk_floor": roots.DK_FLOOR,
-        "series_dust": series.DUST,
         "derivative_step": residues.DERIVATIVE_STEP,
     }
 

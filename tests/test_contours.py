@@ -145,6 +145,15 @@ def test_real_line_reference_values():
     got = integrate_real_line(meromorphic_from_text(
         "exp(I*t*x)/(x^2+1)", {"t": 1.0}, real_line=True)).real_value
     assert abs(got - math.pi / math.e) <= 1e-12
+    # poles 1e-2 and 1e-6 off the axis, whose windows grow like (1/2v)^k;
+    # rounding 49.0001 moves the pole at 7+0.01i by about 3e-11 of its v
+    for text, want, rel in [
+            ("1/(x^2+1e-4)", 100 * math.pi, 1e-12),
+            ("1/((x-7)^2+1e-4)", 100 * math.pi, 1e-10),
+            ("exp(I*x)/(x^2+1e-12)", 1e6 * math.pi * math.exp(-1e-6), 1e-12)]:
+        got = integrate_real_line(
+            meromorphic_from_text(text, real_line=True)).real_value
+        assert abs(got - want) <= rel * want, text
 
 
 def test_lower_half_plane_closure():

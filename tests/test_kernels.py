@@ -22,8 +22,7 @@ from dxdy import roots
 from dxdy.algebra import E_ZERO, EvenElement, even, even_inv, even_mul
 from dxdy.functions import find_poles, local_expansion, meromorphic_from_text
 from dxdy.polynomials import ZERO_POLY, Polynomial
-from dxdy.series import (LaurentSeries, entire_series, make_series,
-                         series_inv, series_mul)
+from dxdy.series import LaurentSeries, entire_series, series_inv, series_mul
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +156,28 @@ def reference_durand_kerner(coeffs):
 
 
 def reference_local_expansion(f, center, window):
-    """local_expansion as it was: every product over the padded length."""
-    def poly_series(p, length):
-        shifted = list(p.taylor_shift(center))
+    """local_expansion as it was: every product over the padded length.
+
+    The valuations are the structural ones: the denominator starts at the
+    multiplicity of its table root at center, the numerator at 0.
+    """
+    def poly_series(p, valuation, length):
+        shifted = list(p.taylor_shift(center))[valuation:]
         shifted += [E_ZERO] * (length - len(shifted))
-        return make_series(center, 0, shifted[:length])
+        return LaurentSeries(center, valuation, tuple(shifted[:length]))
 
     if f.is_zero():
-        return make_series(center, 0, [])
+        return LaurentSeries(center, 0, ())
+    near = [mult for loc, mult in f.den_roots
+            if abs(loc - center) <= roots.CLUSTER_TOL * (1.0 + abs(center))]
     length = window + f.den.degree + 2
-    result = series_mul(poly_series(f.num, length),
-                        series_inv(poly_series(f.den, length)))
+    result = series_mul(poly_series(f.num, 0, length),
+                        series_inv(poly_series(f.den, sum(near), length)))
     if f.factor is not None:
         result = series_mul(
             result, entire_series(f.factor.kind, f.factor.scale, center,
                                   length - 1))
-    if result.is_zero():
-        return result
-    return make_series(center, result.valuation, result.coeffs[:window])
+    return LaurentSeries(center, result.valuation, result.coeffs[:window])
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,23 @@ def test_residue_reference_values():
     h = meromorphic_from_text("exp(I*z)/(z^2+1)")
     assert even_close(residue(h, upper_pole(h)),
                       even(0, -0.5 * math.exp(-1)), rel=1e-14)
+    # each a_{-1} below is tiny next to the far end of its Laurent window,
+    # or follows coefficients that are pure rounding; the order comes from
+    # the pole, so neither hides it
+    for text, want in [
+            ("exp(I*z)/(z^2+1e-4)", even(0, -50 * math.exp(-0.01))),
+            ("z^6/(z-(-0.3+1.2*I))^7", even(1.0)),
+            ("cos(40*z)/(z-1)", even(math.cos(40))),
+            ("cos(200*z)/(z-1)", even(math.cos(200))),
+            ("sin(1000*z)/(z-1)^2", even(1000 * math.cos(1000)))]:
+        f = meromorphic_from_text(text)
+        top = max(find_poles(f), key=lambda p: p.location.v)
+        got = residue(f, top)
+        assert even_close(got, want, rel=1e-12), text
+        assert residue_by_order_reduction(f, top).a_minus_1 == got, text
 
 
-@pytest.mark.parametrize("n", [16, 17, 18])
+@pytest.mark.parametrize("n", [16, 17, 18, 45, 60])
 def test_high_degree_residues_are_not_dropped_as_dust(n):
     # a_{-1} of 1/(z^n+c) is tiny next to the top of its Laurent window;
     # it is the residue -w/(n c) at every root w, not zero
@@ -226,6 +240,11 @@ def test_cauchy_derivative_cases():
     assert even_close(cauchy_derivative(square, even(1, 0), 2), even(2, 0),
                       rel=1e-14)
 
+    # a pole at 0.1: a_1 = -100 sits far below a_15 = -1e16 in the window
+    near = meromorphic_from_text("1/(z-0.1)")
+    assert even_close(cauchy_derivative(near, even(0, 0), 1), even(-100, 0),
+                      rel=1e-14)
+
 
 def test_laurent_expand_windows():
     f = meromorphic_from_text("sin(z)/z^3")
@@ -242,6 +261,12 @@ def test_laurent_expand_windows():
     geometric = laurent_expand(meromorphic_from_text("1/(1-z)"),
                                even(0, 0), 0, 3)
     assert all(c == even(1, 0) for c in geometric.window_coefficients(0, 3))
+
+    # 1/(z-0.1) = -sum 10^(n+1) z^n: a_0 = -10 is tiny next to a_20
+    steep = laurent_expand(meromorphic_from_text("1/(z-0.1)"),
+                           even(0, 0), 0, 20)
+    for n, c in enumerate(steep.window_coefficients(0, 20)):
+        assert even_close(c, even(-10.0 ** (n + 1)), rel=1e-13)
 
 
 def test_laurent_expand_window_limits():
