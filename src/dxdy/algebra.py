@@ -60,9 +60,6 @@ class Multivector:
     def is_grade_one(self) -> bool:
         return self.s == 0.0 and self.p == 0.0
 
-    def even_part(self) -> "EvenElement":
-        return EvenElement(self.s, self.p)
-
 
 ONE = Multivector(s=1.0)
 DX = Multivector(a=1.0)

@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .contours import (AXIS_TOL, AxisPoleError, CircleContour, CLOCKWISE,
                        COUNTERCLOCKWISE, DecayError, IntegralResult,
                        PoleOnContourError, integrate_closed,
                        integrate_real_line)
-from .expressions import ParseError
+from .expressions import ParseError, evaluate, parse
 from .functions import (OneForm, SingularSampleError,
                         UnsupportedExpressionError, classify_one_form,
                         find_poles, meromorphic_from_text)
@@ -54,7 +55,6 @@ def _parse_even(text: str) -> EvenElement:
             return even(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ParseError(f"expected numeric 'u,v', got {text!r}") from None
-    from .expressions import evaluate, parse
     node = parse(text)
     try:
         return evaluate(node, {})
@@ -299,7 +299,20 @@ def _cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _bounded(convert, accept, requirement: str):
+    """An argparse type: convert, then reject what fails accept (exit 2)."""
+    def checked(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    checked.__name__ = convert.__name__  # argparse's "invalid int value"
+    return checked
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dxdy",
         description="Residues, Laurent expansions and contour integrals in "
@@ -363,10 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="closedness / CR classification of k dx + g dy")
     p.add_argument("--k", required=True, help="dx component, in x and y")
     p.add_argument("--g", required=True, help="dy component, in x and y")
-    p.add_argument("--samples", type=int, default=24)
+    p.add_argument("--samples", default=24,
+                   type=_bounded(int, lambda n: n >= 1, "must be at least 1"))
     p.add_argument("--sample-radius", type=float, default=1.5)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--step", default=1e-6,
+                   type=_bounded(float, lambda h: h > 0, "must be positive"))
+    p.add_argument("--tol", default=1e-5,
+                   type=_bounded(float, lambda t: t >= 0,
+                                 "must be non-negative"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
@@ -378,8 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as err:

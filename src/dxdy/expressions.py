@@ -19,10 +19,12 @@ because fractional powers are not single-valued around a circle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from .algebra import E_DXDY, EvenElement, even, even_cos, even_exp, even_sin
+from .algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
+                      even_int_pow, even_sin)
 
 
 class ParseError(ValueError):
@@ -242,86 +244,77 @@ def parse(text: str) -> Expr:
     return node
 
 
-def free_symbols(e: Expr) -> set[str]:
+def _replace(e: Expr, table: dict[str, Expr]) -> Expr:
+    """e with every name in table replaced by its entry."""
     if isinstance(e, Sym):
-        return {e.name}
+        return table.get(e.name, e)
     if isinstance(e, Neg):
-        return free_symbols(e.operand)
+        return Neg(_replace(e.operand, table))
     if isinstance(e, BinOp):
-        return free_symbols(e.left) | free_symbols(e.right)
+        return BinOp(e.op, _replace(e.left, table), _replace(e.right, table))
     if isinstance(e, Pow):
-        return free_symbols(e.base)
+        return Pow(_replace(e.base, table), e.exponent)
     if isinstance(e, Call):
-        return free_symbols(e.arg)
-    return set()
+        return Call(e.func, _replace(e.arg, table))
+    return e
 
 
 def substitute(e: Expr, bindings: dict[str, float]) -> Expr:
     """Replace bound names (e.g. a CLI-supplied t) by numeric literals."""
-    if isinstance(e, Sym) and e.name in bindings:
-        return Num(float(bindings[e.name]))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.operand, bindings))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, bindings),
-                     substitute(e.right, bindings))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, bindings), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, bindings))
-    return e
+    return _replace(e, {name: Num(float(v)) for name, v in bindings.items()})
 
 
 def rewrite_x_to_z(e: Expr) -> Expr:
     """Real-line mode: the integration variable x becomes the position form z."""
-    if isinstance(e, Sym) and e.name == "x":
-        return Sym("z")
-    if isinstance(e, Neg):
-        return Neg(rewrite_x_to_z(e.operand))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, rewrite_x_to_z(e.left), rewrite_x_to_z(e.right))
-    if isinstance(e, Pow):
-        return Pow(rewrite_x_to_z(e.base), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, rewrite_x_to_z(e.arg))
-    return e
+    return _replace(e, {"x": Sym("z")})
 
 
 _CALL_EVAL = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
 
+_CONSTANTS = {"I": E_DXDY, "pi": even(math.pi)}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def compile_expression(
+        e: Expr) -> Callable[[dict[str, EvenElement]], EvenElement]:
+    """Walk the tree once into closures that evaluate it pointwise.
+
+    The closures run the even-element operations of a tree walk in the same
+    order, so the values are the same bit for bit.  ``I`` and ``pi`` are
+    predefined; an unbound name raises ParseError when the closure runs.
+    """
+    if isinstance(e, Num):
+        value = even(e.value)
+        return lambda env: value
+    if isinstance(e, Sym) and e.name in _CONSTANTS:
+        value = _CONSTANTS[e.name]
+        return lambda env: value
+    if isinstance(e, Sym):
+        def symbol(env, name=e.name):
+            if name in env:
+                return env[name]
+            raise ParseError(f"unbound symbol {name!r}")
+        return symbol
+    if isinstance(e, Neg):
+        operand = compile_expression(e.operand)
+        return lambda env: -operand(env)
+    if isinstance(e, BinOp):
+        op = _BINARY[e.op]
+        left = compile_expression(e.left)
+        right = compile_expression(e.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(e, Pow):
+        base = compile_expression(e.base)
+        exponent = e.exponent
+        return lambda env: even_int_pow(base(env), exponent)
+    if isinstance(e, Call):
+        func = _CALL_EVAL[e.func]
+        arg = compile_expression(e.arg)
+        return lambda env: func(arg(env))
+    raise TypeError(f"not an expression node: {e!r}")
+
 
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:
-    """Evaluate pointwise in even-element arithmetic.
-
-    ``I`` and ``pi`` are predefined; remaining free symbols must appear in
-    env.  Used for plane-valued expressions (1-form components) and for
-    differential-testing meromorphic conversions against direct evaluation.
-    """
-    from .algebra import even_int_pow
-    if isinstance(e, Num):
-        return even(e.value)
-    if isinstance(e, Sym):
-        if e.name == "I":
-            return E_DXDY
-        if e.name == "pi":
-            return even(math.pi)
-        if e.name in env:
-            return env[e.name]
-        raise ParseError(f"unbound symbol {e.name!r}")
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, env)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return even_int_pow(evaluate(e.base, env), e.exponent)
-    if isinstance(e, Call):
-        return _CALL_EVAL[e.func](evaluate(e.arg, env))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate once in even-element arithmetic (see compile_expression)."""
+    return compile_expression(e)(env)

@@ -351,15 +351,14 @@ class OneForm:
     @staticmethod
     def from_expressions(k_text: str, g_text: str) -> "OneForm":
         """Components given as expressions in x and y (real-valued)."""
-        k_node = ex.parse(k_text)
-        g_node = ex.parse(g_text)
+        def component(text):
+            run = ex.compile_expression(ex.parse(text))
 
-        def component(node):
             def evaluator(x: float, y: float) -> float:
-                return ex.evaluate(node, {"x": even(x), "y": even(y)}).u
+                return run({"x": even(x), "y": even(y)}).u
             return evaluator
 
-        return OneForm(component(k_node), component(g_node))
+        return OneForm(component(k_text), component(g_text))
 
 
 def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
@@ -368,8 +367,15 @@ def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
 
     Central differences with the given step; each sample must satisfy the
     conditions within tol scaled by the local derivative magnitude, and every
-    sample must agree for the stronger verdicts.
+    sample must agree for the stronger verdicts.  No samples, step <= 0 or
+    tol < 0 raise ValueError, as the verdict would be untested.
     """
+    if not samples:
+        raise ValueError("classification needs at least one sample")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     closed = True
     cauchy_riemann = True
     for x, y in samples:

@@ -24,7 +24,7 @@ from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
                         dyadic_taylor_shift, offset_poly, real_horner,
                         stencil_weights)
 from .functions import (EntireFactor, MeromorphicFunction, Pole,
-                        local_expansion)
+                        _den_valuation, local_expansion)
 from .polynomials import Polynomial
 from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError,
                      derivative_cycle)
@@ -222,10 +222,12 @@ def cauchy_evaluate(f: MeromorphicFunction,
 
 def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
                       n: int) -> EvenElement:
-    """n-th x-derivative of f at a regular point, off the local expansion."""
+    """n-th x-derivative of f off the local expansion, away from poles."""
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     _require_regular(f, z0)
+    if _den_valuation(f, z0) > 0:  # the expansion would be the pole's
+        raise PoleExpansionError(f"{z0} is a pole of the root table")
     s = local_expansion(f, z0, max(DEFAULT_WINDOW, n + 2))
     if s.is_zero() or n < s.valuation:
         return E_ZERO

@@ -1,11 +1,15 @@
-"""Shared test utilities: even-element comparison and random meromorphic
-function generation with planted pole structure."""
+"""Shared test utilities: even-element comparison, random meromorphic
+function generation with planted pole structure, and a plain tree walk as
+the reference for compiled expressions."""
 
 from __future__ import annotations
 
+import math
 import random
 
-from dxdy.algebra import EvenElement, even
+from dxdy import expressions as ex
+from dxdy.algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
+                          even_int_pow, even_sin)
 from dxdy.functions import MeromorphicFunction, Pole
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
 
@@ -77,3 +81,41 @@ def random_planted_rational(rng: random.Random,
         if min_residue_v and any(abs(r.v) < min_residue_v for r in residues):
             continue
         return f, sorted(poles, key=lambda p: (p.location.u, p.location.v))
+
+
+_REFERENCE_CALLS = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
+
+
+def reference_evaluate(e: ex.Expr, env: dict[str, EvenElement]) -> EvenElement:
+    """Evaluate an expression tree node by node, on every call.
+
+    The walk ``expressions.evaluate`` did before it compiled trees: the
+    compiled closures must give the same bits and raise at the same inputs.
+    """
+    if isinstance(e, ex.Num):
+        return even(e.value)
+    if isinstance(e, ex.Sym):
+        if e.name == "I":
+            return E_DXDY
+        if e.name == "pi":
+            return even(math.pi)
+        if e.name in env:
+            return env[e.name]
+        raise ex.ParseError(f"unbound symbol {e.name!r}")
+    if isinstance(e, ex.Neg):
+        return -reference_evaluate(e.operand, env)
+    if isinstance(e, ex.BinOp):
+        a = reference_evaluate(e.left, env)
+        b = reference_evaluate(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return a / b
+    if isinstance(e, ex.Pow):
+        return even_int_pow(reference_evaluate(e.base, env), e.exponent)
+    if isinstance(e, ex.Call):
+        return _REFERENCE_CALLS[e.func](reference_evaluate(e.arg, env))
+    raise TypeError(f"not an expression node: {e!r}")

@@ -1,6 +1,8 @@
 """Command-line front end: verbs, exit codes, text/json value agreement."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -9,7 +11,7 @@ import pytest
 
 import dxdy.oracle
 from dxdy import residues, roots
-from dxdy.cli import main
+from dxdy.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -133,6 +135,40 @@ def test_classify_verb(run):
     assert doc["classification"] == "closed_only"
     doc = run_json(run, "classify", "--k", "y", "--g", "0")
     assert doc["classification"] == "not_closed"
+
+
+@pytest.mark.parametrize("option", [
+    ["--samples", "0"], ["--samples", "-3"], ["--step", "0"],
+    ["--step=-1e-6"], ["--step", "nan"], ["--tol=-1"],
+])
+def test_classify_rejects_bad_options_with_exit_two(option, capsys):
+    # each of these used to print a verdict the samples never tested
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--k", "y", "--g", "0", *option])
+    assert info.value.code == 2
+    assert option[0].split("=")[0] in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_no_state_between_calls(run):
+    line = ("integrate-line", "exp(I*t*x)/(x^2+1)")
+    status, _, err = run(*line, "--t", "2")
+    assert status == 0, err
+    status, _, err = run(*line)  # t is not bound again by the earlier call
+    assert status == 2
+    assert "unbound symbol 't'" in err
+    with pytest.raises(SystemExit) as info:
+        main(["laurent", "1/z"])
+    assert info.value.code == 2
+
+    argv = ["cauchy", "1/(z+I)^2", "--at", "0,1", "--n", "1", "--json"]
+    status, cached, _ = run(*argv)
+    assert status == 0
+    fresh = _build_parser.__wrapped__()
+    args = fresh.parse_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert args.func(args) == 0
+    assert out.getvalue() == cached
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_binding_option(run):

@@ -232,3 +232,19 @@ def test_integer_power_series_forms_classify_cr():
 def test_expression_components():
     form = OneForm.from_expressions("0-y/(x^2+y^2)", "x/(x^2+y^2)")
     assert classify_one_form(form, ring_samples()) is FormClass.CLOSED_AND_CR
+
+
+@pytest.mark.parametrize("samples, options", [
+    ([], {}),
+    (ring_samples(), {"step": 0.0}),
+    (ring_samples(), {"step": -1e-6}),
+    (ring_samples(), {"step": math.nan}),
+    (ring_samples(), {"tol": -1.0}),
+])
+def test_classify_rejects_what_it_cannot_test(samples, options):
+    # y dx is not closed; with no samples or a bad step or tol a verdict
+    # would come back all the same
+    shear = OneForm.from_expressions("y", "0")
+    with pytest.raises(ValueError):
+        classify_one_form(shear, samples, **options)
+    assert classify_one_form(shear, ring_samples()) is FormClass.NOT_CLOSED

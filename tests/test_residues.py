@@ -246,6 +246,20 @@ def test_cauchy_derivative_cases():
                       rel=1e-14)
 
 
+@pytest.mark.parametrize("offset", [1e-8, 1e-7])
+def test_cauchy_derivative_rejects_points_the_root_table_calls_a_pole(offset):
+    # the pole's expansion would be read there: derivative 0, not -1/offset^2
+    f = meromorphic_from_text("1/(z-1)")
+    with pytest.raises(PoleExpansionError):
+        cauchy_derivative(f, even(1 + offset, 0), 1)
+
+
+def test_cauchy_derivative_just_outside_the_clustering_distance():
+    f = meromorphic_from_text("1/(z-1)")
+    assert even_close(cauchy_derivative(f, even(1 + 1e-5, 0), 1),
+                      even(-1e10, 0), rel=1e-6)
+
+
 def test_laurent_expand_windows():
     f = meromorphic_from_text("sin(z)/z^3")
     window = laurent_expand(f, even(0, 0), -3, 2)
