@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""One hash over every output of a benchmark workload, for bit-identity.
+
+Runs the given rounds of a perfbench workload at each seed, with the inputs
+and calls of the benchmark itself, and prints one sha256 over the reprs of
+all outputs in order; an operation that raises contributes
+``type: message`` instead.  Two checkouts whose hashes agree computed the
+same bits for every operation.
+
+    python3 scripts/bitcheck.py --workload verify --seeds 1-4 --rounds 3
+
+Run it from the root of a source checkout; dxdy is imported from ``src/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+
+def seeds(text: str) -> list[int]:
+    """'1-4' or '1,3,5' (or a mix) as a list of seeds."""
+    out = []
+    for item in text.split(","):
+        low, _, high = item.partition("-")
+        out.extend(range(int(low), int(high or low) + 1))
+    return out
+
+
+def outcome(op) -> str:
+    try:
+        # CLI verbs print their errors on stderr; the status is the output
+        with contextlib.redirect_stderr(io.StringIO()):
+            return repr(workloads.execute(op))
+    except Exception as err:  # noqa: BLE001 - a failure is an outcome
+        return f"{type(err).__name__}: {err}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=run.WORKLOADS, required=True)
+    parser.add_argument("--seeds", type=seeds, required=True,
+                        help="seeds as '1-4' or '1,3,5'")
+    parser.add_argument("--rounds", type=int, default=3)
+    args = parser.parse_args(argv)
+    workloads.bind(run._import_dxdy())
+    digest = hashlib.sha256()
+    count = 0
+    for seed in args.seeds:
+        for ops in inputs.make_rounds(args.workload, seed, args.rounds):
+            for op in ops:
+                digest.update(outcome(op).encode())
+                digest.update(b"\n")
+                count += 1
+    print(f"{args.workload} seeds {','.join(map(str, args.seeds))} rounds "
+          f"{args.rounds}: {count} ops, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .functions import (OneForm, SingularSampleError,
                         UnsupportedExpressionError, classify_one_form,
                         find_poles, meromorphic_from_text)
 from .oracle import (QuadratureError, differential_check,
-                     differential_quad_tol)
+                     differential_quad_tol, real_line_quadrature)
 from .residues import (DERIVATIVE_STEP, PoleExpansionError, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue)
 from .roots import RootFindingError
@@ -137,6 +137,8 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_laurent(args) -> int:
+    if args.low > args.high:
+        args.parser.error("--from must not exceed --to")
     f = meromorphic_from_text(args.expression, _bindings(args))
     center = _parse_even(args.center)
     window = laurent_expand(f, center, args.low, args.high)
@@ -217,8 +219,19 @@ def _cmd_integrate_line(args) -> int:
         "warnings": list(result.warnings),
         "tolerances": tolerances,
     }
+    status = 0
+    if args.verify:
+        quad_tol = differential_quad_tol(args.verify_tol)
+        quadrature = real_line_quadrature(f, quad_tol)
+        difference = abs(result.real_value - quadrature)
+        passed = difference <= args.verify_tol * (1.0 + abs(result.real_value))
+        doc["verification"] = {"passed": passed, "quadrature": quadrature,
+                               "difference": difference,
+                               "tol": args.verify_tol}
+        tolerances["quad_tol"] = quad_tol
+        status = 0 if passed else 1
     _emit(doc, args.json)
-    return 0
+    return status
 
 
 def _cmd_cauchy(args) -> int:
@@ -330,6 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit the structured document instead of text")
 
+    positive = _bounded(float, lambda x: x > 0, "must be positive")
+
+    def add_verify(p):
+        p.add_argument("--verify", action="store_true",
+                       help="cross-check against direct quadrature")
+        p.add_argument("--verify-tol", type=positive, default=1e-8)
+
     p = sub.add_parser("residues", help="poles and residues of an expression")
     add_common(p)
     p.set_defaults(func=_cmd_residues)
@@ -341,20 +361,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="lowest exponent")
     p.add_argument("--to", dest="high", type=int, required=True,
                    help="highest exponent")
-    p.set_defaults(func=_cmd_laurent)
+    p.set_defaults(func=_cmd_laurent, parser=p)
 
     p = sub.add_parser("integrate-contour",
                        help="circle contour integral of f dx")
     add_common(p)
     p.add_argument("--center", required=True, help="circle center 'u,v'")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=positive, required=True)
     p.add_argument("--clockwise", action="store_true")
-    p.add_argument("--clearance", type=float, default=None,
+    p.add_argument("--clearance", type=positive, default=None,
                    help="absolute pole-on-contour band (default "
                         "1e-6 * radius)")
-    p.add_argument("--verify", action="store_true",
-                   help="cross-check against direct quadrature")
-    p.add_argument("--verify-tol", type=float, default=1e-8)
+    add_verify(p)
     p.set_defaults(func=_cmd_integrate_contour)
 
     p = sub.add_parser("integrate-line",
@@ -362,13 +380,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--half-plane", choices=["auto", "upper", "lower"],
                    default="auto")
+    add_verify(p)
     p.set_defaults(func=_cmd_integrate_line)
 
     p = sub.add_parser("cauchy",
                        help="special integral formula at a regular point")
     add_common(p)
     p.add_argument("--at", required=True, help="evaluation point 'u,v'")
-    p.add_argument("--n", type=int, default=0,
+    p.add_argument("--n", default=0,
+                   type=_bounded(int, lambda n: n >= 0, "must be non-negative"),
                    help="derivative order (0 evaluates f itself)")
     p.set_defaults(func=_cmd_cauchy)
 
@@ -379,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", default=24,
                    type=_bounded(int, lambda n: n >= 1, "must be at least 1"))
     p.add_argument("--sample-radius", type=float, default=1.5)
-    p.add_argument("--step", default=1e-6,
-                   type=_bounded(float, lambda h: h > 0, "must be positive"))
+    p.add_argument("--step", default=1e-6, type=positive)
     p.add_argument("--tol", default=1e-5,
                    type=_bounded(float, lambda t: t >= 0,
                                  "must be non-negative"))

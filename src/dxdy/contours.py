@@ -55,6 +55,8 @@ class CircleContour:
             raise ValueError("radius must be positive")
         if self.orientation not in (COUNTERCLOCKWISE, CLOCKWISE):
             raise ValueError(f"unknown orientation {self.orientation!r}")
+        if self.clearance is not None and not self.clearance > 0:
+            raise ValueError("clearance must be positive")
 
     @property
     def band(self) -> float:

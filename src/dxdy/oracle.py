@@ -7,8 +7,10 @@ period, on which H(tan(theta))/cos(theta)^2 is analytic when H is rational
 with degree gap >= 2 and no axis pole, so nothing is truncated.
 Oscillatory axis integrands are folded onto [0, inf), integrated one
 half-period at a time by adaptive Simpson, and the partial sums are
-extrapolated with Wynn's epsilon algorithm.  Integrands are evaluated
-by the oracle's own complex Horner evaluator from the coefficient lists;
+extrapolated with Wynn's epsilon algorithm.  On a circle f is evaluated
+once per node, and the scalar and dxdy parts of f dz, the 1-form and its
+dual form, are summed side by side.  Integrands are evaluated by the
+oracle's own complex Horner evaluator from the coefficient lists;
 the oracle shares only pole location with the rest of the package, never
 even-element evaluation, series or residue code.
 """
@@ -16,7 +18,9 @@ even-element evaluation, series or residue code.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -46,14 +50,14 @@ class QuadratureSpec:
             raise ValueError("tol must be positive")
 
 
-def _checked(sample: Callable[[float], float], t: float) -> float:
+def _checked(sample: Callable[[float], complex], t: float) -> complex:
     """sample(t), with singular and non-finite values as QuadratureError."""
     try:
         value = sample(t)
     except (ZeroDivisionError, OverflowError) as err:
         raise QuadratureError(
             f"singular integrand sample at t={t:.6g}") from err
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise QuadratureError(f"non-finite integrand sample at t={t:.6g}")
     return value
 
@@ -73,51 +77,80 @@ def _limit(estimates: Iterable[float], tol: float, what: str) -> float:
     raise QuadratureError(f"{what} did not converge below {tol:g}")
 
 
-def _periodic_trapezoid(sample: Callable[[float], float], period: float,
-                        start: float, shift: float, tol: float) -> float:
+#: the parts of a sample: the real part, and of a complex sample the imag
+_PARTS = (operator.attrgetter("real"), operator.attrgetter("imag"))
+
+
+def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
+                        start: float, shift: float, tol: float,
+                        parts: int = 1) -> list[float]:
     """Trapezoid rule over one period with n doubling from MIN_POINTS to
-    MAX_POINTS, nodes at origin + i * period / n.
+    MAX_POINTS, nodes at origin + i * period / n, for each of the first
+    ``parts`` parts (real, imag) of the samples.
 
     The origin, start + shift * period / MIN_POINTS, is the same at every
     level, so each level's nodes are the previous level's plus the
     midpoints between them, and only the midpoints are sampled.  Each
     level's new samples are summed exactly rounded (fsum), so an estimate
     is within a few ulps of n * max|sample| * step of the fixed-n rule.
+    Each part stops at its own limit, bit for bit where a run on it alone
+    would, and nodes are sampled only while some part needs them.
     """
     origin = start + shift * period / MIN_POINTS
+
+    def sums(nodes):
+        samples = [_checked(sample, t) for t in nodes]
+        return [math.fsum(map(part, samples)) for part in _PARTS[:parts]]
 
     def estimates():
         n = MIN_POINTS
         step = period / n
-        total = math.fsum(_checked(sample, origin + i * step)
-                          for i in range(n))
-        yield total * step
+        totals = sums(origin + i * step for i in range(n))
+        yield [total * step for total in totals]
         while n < MAX_POINTS:
-            total += math.fsum(_checked(sample, origin + (i + 0.5) * step)
-                               for i in range(n))
+            totals = [total + new for total, new in zip(
+                totals, sums(origin + (i + 0.5) * step for i in range(n)))]
             n, step = 2 * n, 0.5 * step
-            yield total * step
+            yield [total * step for total in totals]
 
-    return _limit(estimates(), tol,
-                  f"trapezoid rule within {MAX_POINTS} points")
+    what = f"trapezoid rule within {MAX_POINTS} points"
+    return [_limit(map(operator.itemgetter(j), levels), tol, what)
+            for j, levels in enumerate(itertools.tee(estimates(), parts))]
+
+
+def _contour_integral(F: Callable[[complex], complex], contour: CircleContour,
+                      spec: QuadratureSpec, parts: int) -> list[float]:
+    """The circle integral of F dz by the periodic trapezoid rule, evaluating
+    F once per node: its scalar part, the integral of the 1-form F dx, and
+    with parts=2 its dxdy part, the integral of the dual form."""
+    cx, cy = contour.center.u, contour.center.v
+    r = contour.radius
+
+    def sample(t: float) -> complex:
+        ct, st = math.cos(t), math.sin(t)
+        w = F(complex(cx + r * ct, cy + r * st))
+        # k dx + g dy sampled as -k*r*sin + g*r*cos, for (k, g) the form
+        # (w.real, -w.imag) and the dual form (w.imag, w.real)
+        return complex(-w.real * r * st + -w.imag * r * ct,
+                       -w.imag * r * st + w.real * r * ct)
+
+    values = _periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0, spec.tol,
+                                 parts)
+    return (values if contour.orientation == COUNTERCLOCKWISE
+            else [-value for value in values])
 
 
 def quad_circle(k: Callable[[float, float], float],
                 g: Callable[[float, float], float],
                 contour: CircleContour,
                 spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of k dx + g dy over the circle by the periodic trapezoid rule."""
-    cx, cy = contour.center.u, contour.center.v
-    r = contour.radius
+    """Integral of k dx + g dy over the circle by the periodic trapezoid
+    rule: the scalar part of the integral of (k - g dxdy) dz."""
 
-    def sample(t: float) -> float:
-        ct, st = math.cos(t), math.sin(t)
-        x = cx + r * ct
-        y = cy + r * st
-        return -k(x, y) * r * st + g(x, y) * r * ct
+    def F(z: complex) -> complex:
+        return complex(k(z.real, z.imag), -g(z.real, z.imag))
 
-    value = _periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0, spec.tol)
-    return value if contour.orientation == COUNTERCLOCKWISE else -value
+    return _contour_integral(F, contour, spec, 1)[0]
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -270,8 +303,7 @@ def dual_form_components(f: MeromorphicFunction):
 
 def circle_quadrature(f: MeromorphicFunction, contour: CircleContour,
                       spec: QuadratureSpec = QuadratureSpec()) -> float:
-    k, g = one_form_components(f)
-    return quad_circle(k, g, contour, spec)
+    return _contour_integral(_complex_evaluator(f), contour, spec, 1)[0]
 
 
 def _axis_oscillation(f: MeromorphicFunction) -> float:
@@ -332,7 +364,7 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
     # a non-dyadic shift keeps every level's nodes off theta = +-pi/2, the
     # image of x = inf, by at least a third of the finest step
     return _periodic_trapezoid(mapped, math.pi, -0.5 * math.pi, 1.0 / 3.0,
-                               tol)
+                               tol)[0]
 
 
 @dataclass(frozen=True)
@@ -348,8 +380,9 @@ class DifferentialReport:
 
 
 def differential_quad_tol(tol: float) -> float:
-    """Tolerance of the circle quadratures behind a differential check at
-    tol: a hundredth of tol, and never looser than 1e-10."""
+    """Tolerance of the quadratures behind a check at tol (the circle's of
+    a differential check, the axis one of integrate-line --verify): a
+    hundredth of tol, and never looser than 1e-10."""
     return min(tol * 1e-2, 1e-10)
 
 
@@ -358,13 +391,12 @@ def differential_check(f: MeromorphicFunction, contour: CircleContour,
     """Compare the residue-route contour value against direct quadrature.
 
     The real value is quadratured through the form, the imaginary defect
-    through the dual form; the check passes only if both agree within tol
-    relative to the symbolic side.
+    through the dual form, both from one trapezoid run over f dz; the check
+    passes only if both agree within tol relative to the symbolic side.
     """
     result = integrate_closed(f, contour)
     spec = QuadratureSpec(tol=differential_quad_tol(tol))
-    quad = quad_circle(*one_form_components(f), contour, spec)
-    dual = quad_circle(*dual_form_components(f), contour, spec)
+    quad, dual = _contour_integral(_complex_evaluator(f), contour, spec, 2)
     difference = abs(result.real_value - quad)
     defect_difference = abs(result.imaginary_defect - dual)
     passed = (difference <= tol * (1.0 + abs(result.real_value))

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+import dxdy.cli
 import dxdy.oracle
 from dxdy import residues, roots
 from dxdy.cli import _build_parser, main
@@ -110,6 +111,45 @@ def test_contour_verify_explains_a_defect_failure(run, monkeypatch):
     assert math.isclose(dxdy.oracle.differential_quad_tol(1e-9), 1e-11)
 
 
+@pytest.mark.parametrize("text,want", [
+    ("1/(x^2+1)", math.pi),
+    ("exp(I*2*x)/(x^2+1)", math.pi * math.exp(-2)),
+])
+def test_integrate_line_verify_flag(run, text, want):
+    base = run_json(run, "integrate-line", text)
+    assert "verification" not in base and "quad_tol" not in base["tolerances"]
+    doc = run_json(run, "integrate-line", text, "--verify")
+    assert doc["schema_version"] == "1"
+    check = doc["verification"]
+    assert check["passed"] is True
+    assert check["tol"] == 1e-8
+    assert abs(check["quadrature"] - want) <= 1e-9
+    assert check["difference"] == abs(doc["value"] - check["quadrature"])
+    assert doc["tolerances"]["quad_tol"] == dxdy.oracle.differential_quad_tol(
+        1e-8)
+    assert {k: v for k, v in doc.items() if k != "verification"} == {
+        **base, "tolerances": doc["tolerances"]}
+
+
+def test_integrate_line_verify_failure_and_oracle_error(run, monkeypatch):
+    monkeypatch.setattr(dxdy.cli, "real_line_quadrature",
+                        lambda f, tol: math.pi + 1e-6)
+    status, out, _ = run("integrate-line", "1/(x^2+1)", "--verify",
+                         "--json")
+    assert status == 1
+    check = json.loads(out)["verification"]
+    assert check["passed"] is False
+    assert abs(check["difference"] - 1e-6) <= 1e-12
+
+    def fails(f, tol):
+        raise dxdy.oracle.QuadratureError("did not converge")
+
+    monkeypatch.setattr(dxdy.cli, "real_line_quadrature", fails)
+    status, _, err = run("integrate-line", "1/(x^2+1)", "--verify")
+    assert status == 1
+    assert "did not converge" in err
+
+
 def test_cauchy_verb(run):
     doc = run_json(run, "cauchy", "1/(z+I)^2", "--at", "0,1", "--n", "1")
     assert doc["applicable"] is True
@@ -147,6 +187,32 @@ def test_classify_rejects_bad_options_with_exit_two(option, capsys):
         main(["classify", "--k", "y", "--g", "0", *option])
     assert info.value.code == 2
     assert option[0].split("=")[0] in capsys.readouterr().err
+
+
+CONTOUR = ["integrate-contour", "1/(z-1)", "--center", "0,0"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["cauchy", "1/(z-1)", "--at", "0,0", "--n", "-1"], "--n"),
+    (["laurent", "1/(z-1)", "--center", "0,0", "--from", "3", "--to", "1"],
+     "--from"),
+    ([*CONTOUR, "--radius", "-1"], "--radius"),
+    ([*CONTOUR, "--radius", "0"], "--radius"),
+    ([*CONTOUR, "--radius", "1", "--clearance", "0"], "--clearance"),
+    ([*CONTOUR, "--radius", "1", "--clearance=-1"], "--clearance"),
+    ([*CONTOUR, "--radius", "1", "--clearance", "nan"], "--clearance"),
+    ([*CONTOUR, "--radius", "2", "--verify", "--verify-tol=-1"],
+     "--verify-tol"),
+    (["integrate-line", "1/(x^2+1)", "--verify", "--verify-tol", "0"],
+     "--verify-tol"),
+])
+def test_bad_option_values_exit_two(argv, option, capsys):
+    # each of these used to end in a ValueError (exit 1), or, for the
+    # clearance, in a value of 0 with the pole on the circle dropped
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 def test_cached_parser_keeps_no_state_between_calls(run):

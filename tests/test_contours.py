@@ -37,6 +37,15 @@ def test_pole_on_contour_raises():
         integrate_closed(f, UNIT)
 
 
+@pytest.mark.parametrize("clearance", [0.0, -1.0, math.nan])
+def test_clearance_must_be_positive(clearance):
+    # a band of zero or less (or NaN) would let a pole on the circle pass
+    # as outside it, and the integral come out 0 with no error
+    with pytest.raises(ValueError, match="clearance"):
+        CircleContour(even(0, 0), 1.0, clearance=clearance)
+    assert CircleContour(even(0, 0), 1.0, clearance=1e-3).band == 1e-3
+
+
 def test_quarter_pole_circle_value():
     f = meromorphic_from_text("1/(z^2+1)^2")
     result = integrate_closed(f, CircleContour(even(0, 1), 0.5))

@@ -9,12 +9,13 @@ import pytest
 
 import dxdy.oracle
 from dxdy.algebra import even
-from dxdy.contours import CircleContour, integrate_closed, integrate_real_line
+from dxdy.contours import (CLOCKWISE, COUNTERCLOCKWISE, CircleContour,
+                           integrate_closed, integrate_real_line)
 from dxdy.functions import EntireFactor, MeromorphicFunction, meromorphic_from_text
-from dxdy.oracle import (QuadratureError, QuadratureSpec, circle_quadrature,
-                         differential_check, dual_form_components,
-                         one_form_components, quad_circle,
-                         real_line_quadrature)
+from dxdy.oracle import (QuadratureError, QuadratureSpec, _limit,
+                         circle_quadrature, differential_check,
+                         dual_form_components, one_form_components,
+                         quad_circle, real_line_quadrature)
 from dxdy.polynomials import Polynomial
 
 from helpers import poly_from_roots, random_even, random_planted_rational
@@ -202,38 +203,138 @@ def test_nested_axis_estimates_match_the_fixed_rule(monkeypatch):
             assert abs(drifted - estimates[1]) > 1e-8
 
 
-def test_circle_sample_budget(monkeypatch):
-    # k and g are sampled once per node, and every level only adds the
-    # midpoints of the one before: twice the final level's nodes in all
-    samples = 0
-    levels = 0
-    make = dxdy.oracle.one_form_components
+def _count_levels(monkeypatch):
+    """Patch _limit to record how many estimates each part's run reads."""
+    levels = []
     limit = dxdy.oracle._limit
 
-    def counting(f):
-        def counted(fn):
-            def sample(x, y):
-                nonlocal samples
-                samples += 1
-                return fn(x, y)
-            return sample
-        return tuple(counted(fn) for fn in make(f))
-
     def counting_limit(estimates, tol, what):
+        levels.append(0)
+        index = len(levels) - 1
+
         def seen():
-            nonlocal levels
             for estimate in estimates:
-                levels += 1
+                levels[index] += 1
                 yield estimate
         return limit(seen(), tol, what)
 
-    monkeypatch.setattr(dxdy.oracle, "one_form_components", counting)
     monkeypatch.setattr(dxdy.oracle, "_limit", counting_limit)
+    return levels
+
+
+def _count_evaluations(monkeypatch):
+    """Patch _complex_evaluator so its closures count their calls."""
+    calls = [0]
+    make = dxdy.oracle._complex_evaluator
+
+    def counting(f):
+        F = make(f)
+
+        def counted(z):
+            calls[0] += 1
+            return F(z)
+        return counted
+
+    monkeypatch.setattr(dxdy.oracle, "_complex_evaluator", counting)
+    return calls
+
+
+def test_circle_sample_budget(monkeypatch):
+    # f is evaluated once per node, and every level only adds the
+    # midpoints of the one before: the final level's nodes in all
+    levels = _count_levels(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     f = meromorphic_from_text("1/(z^2+1)^2")
     got = circle_quadrature(f, CircleContour(even(0, 1), 0.5), TIGHT)
     assert abs(got - math.pi / 2) <= 1e-10
-    assert levels >= 3
-    assert samples == 2 * (dxdy.oracle.MIN_POINTS << (levels - 1))
+    assert len(levels) == 1 and levels[0] >= 3
+    assert calls[0] == dxdy.oracle.MIN_POINTS << (levels[0] - 1)
+
+
+@pytest.mark.parametrize("text", ["1/(z-0.9)", "I/(z-0.9)",
+                                  "exp(2*I*z)/(z-0.5)^3"])
+def test_differential_check_evaluates_f_once_per_node(text, monkeypatch):
+    # the form and the dual form share each evaluation of f; the part that
+    # stops later sets the nodes
+    levels = _count_levels(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
+    report = differential_check(meromorphic_from_text(text), UNIT)
+    assert report.passed, report
+    assert len(levels) == 2
+    assert calls[0] == dxdy.oracle.MIN_POINTS << (max(levels) - 1)
+
+
+def _reference_quad_circle(k, g, contour, tol):
+    """The circle rule on one 1-form k dx + g dy alone, as written before
+    the form and the dual form shared a run: each level's new nodes summed
+    by fsum onto one running total, stopped by _limit."""
+    cx, cy, r = contour.center.u, contour.center.v, contour.radius
+
+    def sample(t):
+        ct, st = math.cos(t), math.sin(t)
+        x, y = cx + r * ct, cy + r * st
+        return -k(x, y) * r * st + g(x, y) * r * ct
+
+    def estimates():
+        n = dxdy.oracle.MIN_POINTS
+        step = 2 * math.pi / n
+        total = math.fsum(sample(i * step) for i in range(n))
+        yield total * step
+        while n < dxdy.oracle.MAX_POINTS:
+            total += math.fsum(sample((i + 0.5) * step) for i in range(n))
+            n, step = 2 * n, 0.5 * step
+            yield total * step
+
+    value = _limit(estimates(), tol, "reference")
+    return value if contour.orientation == COUNTERCLOCKWISE else -value
+
+
+def _separate_runs(f, contour, tol):
+    """The form and the dual form, each run alone by the reference rule, as
+    float.hex; quad_circle must give the same bits."""
+    quad_tol = dxdy.oracle.differential_quad_tol(tol)
+    runs = []
+    for k, g in (one_form_components(f), dual_form_components(f)):
+        want = _reference_quad_circle(k, g, contour, quad_tol).hex()
+        got = quad_circle(k, g, contour, QuadratureSpec(tol=quad_tol)).hex()
+        assert got == want
+        runs.append(want)
+    return tuple(runs)
+
+
+def _bit_identity_cases():
+    rng = random.Random(1010)
+    for _ in range(12):
+        f, poles = random_planted_rational(rng, max_poles=2, max_order=3)
+        center = poles[0].location
+        others = [p.location for p in poles[1:]]
+        nearest = min([abs(center - o) for o in others], default=2.0)
+        yield f, CircleContour(center, rng.uniform(0.2, 0.45) * nearest,
+                               rng.choice([COUNTERCLOCKWISE, CLOCKWISE]))
+    for m in range(1, 9):
+        yield (meromorphic_from_text(f"z^{m - 1}/(z-1)^{m}"),
+               CircleContour(even(1, 0), 0.5))
+    for text in ["exp((0.7-1.3*I)*z)/(z^2+1)", "sin(2.5*z)/(z-1)^2",
+                 "z*cos(0.4*I*z)/(z^3-1)", "1/(z-0.9)", "I/(z-0.9)"]:
+        for orientation in [COUNTERCLOCKWISE, CLOCKWISE]:
+            yield meromorphic_from_text(text), CircleContour(
+                even(0.1, -0.2), 1.3 if "z^3" in text else 0.95, orientation)
+
+
+def test_joint_run_is_bit_identical_to_separate_runs(monkeypatch):
+    levels = _count_levels(monkeypatch)
+    stops = set()
+    orientations = set()
+    for f, contour in _bit_identity_cases():
+        report = differential_check(f, contour)
+        stops.add(levels[0] == levels[1])
+        got = (report.quadrature.hex(), report.defect_quadrature.hex())
+        assert got == _separate_runs(f, contour, report.tol), (f, contour)
+        orientations.add(contour.orientation)
+        levels.clear()
+    # some cases stop the two parts at different levels
+    assert stops == {True, False}
+    assert orientations == {COUNTERCLOCKWISE, CLOCKWISE}
 
 
 def test_axis_nodes_stay_off_the_image_of_infinity(monkeypatch):
@@ -503,9 +604,15 @@ def test_complex_evaluator_matches_meromorphic_call(text):
 def test_overflowing_samples_raise_quadrature_error():
     # cosh(1000 * 0.9) overflows inside sin at the top of the circle
     f = meromorphic_from_text("sin(1000*z)/(z-1)")
+    contour = CircleContour(even(1, 0), 0.9)
     with pytest.raises(QuadratureError, match="singular"):
-        circle_quadrature(f, CircleContour(even(1, 0), 0.9))
+        circle_quadrature(f, contour)
+    with pytest.raises(QuadratureError, match="singular"):
+        differential_check(f, contour)
     # e^709 is finite, but 2^10 times it is not
     f = meromorphic_from_text("exp(709*z)/(z-0.5)^10")
+    contour = CircleContour(even(0.5, 0), 0.5)
     with pytest.raises(QuadratureError, match="non-finite"):
-        circle_quadrature(f, CircleContour(even(0.5, 0), 0.5))
+        circle_quadrature(f, contour)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        differential_check(f, contour)
