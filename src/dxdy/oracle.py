@@ -1,18 +1,22 @@
 """Independent numeric verification by direct quadrature.
 
-One rule does most of the work: the periodic trapezoid rule, refined by
-doubling, which converges geometrically on analytic periodic integrands.
+Every integral is one rule: the periodic trapezoid rule, refined by
+doubling until three estimates agree, which converges geometrically on
+analytic integrands that are periodic or vanish at both ends of a window.
 A circle is one period of its angle; x = tan(theta) makes the axis one
-period, on which H(tan(theta))/cos(theta)^2 is analytic when H is rational
-with degree gap >= 2 and no axis pole, so nothing is truncated.
-Oscillatory axis integrands are folded onto [0, inf), integrated one
-half-period at a time by adaptive Simpson, and the partial sums are
-extrapolated with Wynn's epsilon algorithm.  On a circle f is evaluated
-once per node, and the scalar and dxdy parts of f dz, the 1-form and its
-dual form, are summed side by side.  Integrands are evaluated by the
-oracle's own complex Horner evaluator from the coefficient lists;
-the oracle shares only pole location with the rest of the package, never
-even-element evaluation, series or residue code.
+period, on which a rational integrand with degree gap >= 2 and no axis
+pole is analytic, so nothing is truncated.  An oscillatory axis integrand
+is cut at its pole abscissae.  Between cuts, x = tanh(pi/2 sinh s)
+clusters the nodes at the cuts, where narrow peaks sit; past the outer
+cuts, each exp part of the factor leaves the axis on a 45 degree ray into
+the half-plane where it decays, under r = exp(pi/2 sinh s).  No pole lies
+beyond the outer cuts, so by Cauchy's theorem the rays give the axis
+integral: like the axis checks, they rely on the pole list.  On a circle f
+is evaluated once per node, and the scalar and dxdy parts of f dz, the
+1-form and its dual form, are summed side by side.  Integrands are
+evaluated by the oracle's own complex Horner evaluator from the
+coefficient lists; the oracle shares only pole location with the rest of
+the package, never even-element evaluation, series or residue code.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from .functions import MeromorphicFunction, find_poles
 
 #: points of the first trapezoid estimate
 MIN_POINTS = 32
-#: points of the finest trapezoid estimate, after which the rule gives up,
-#: and the number of samples the oscillatory axis rule may take
+#: points of the finest trapezoid estimate, after which the rule gives up
 MAX_POINTS = 2 ** 21
-#: half-periods an oscillatory axis integral may sum before it gives up
-MAX_CYCLES = 1000
+#: the double-exponential maps run s over [-WINDOW, WINDOW], as one period:
+#: past it the tanh-sinh weights, and the exp-sinh weights toward the ray's
+#: start, are below 1e-17, and toward infinity r exceeds 4e18
+WINDOW = 4.0
+
+_HALF_PI = 0.5 * math.pi
 
 
 class QuadratureError(RuntimeError):
@@ -153,123 +160,90 @@ def quad_circle(k: Callable[[float, float], float],
     return _contour_integral(F, contour, spec, 1)[0]
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      fa: float, fm: float, fb: float, whole: float,
-                      rtol: float, depth: int) -> float:
-    """Simpson on [a, b], split until the halves agree with the whole
-    within rtol times the integral of |f| there.
+def _tanh_sinh(H: Callable[[float], float], a: float, b: float,
+               tol: float) -> float:
+    """Integral of H over [a, b] under x = mid + half * tanh(pi/2 sinh s):
+    the nodes cluster double-exponentially at both ends."""
+    half = 0.5 * (b - a)
 
-    The test scales with the panel, as rounding noise does; an absolute
-    tolerance halved at each split can stay below the noise of a sharp
-    peak at every depth and so keep splitting.
+    def sample(s: float) -> float:
+        w = _HALF_PI * math.sinh(s)
+        # half * (1 - tanh|w|), the distance to the nearer end, without the
+        # cancellation of 1 - tanh near the ends
+        d = half / (math.exp(abs(w)) * math.cosh(w))
+        return (H(a + d if w < 0.0 else b - d)
+                * (half * _HALF_PI * math.cosh(s) / math.cosh(w) ** 2))
+
+    return _periodic_trapezoid(sample, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
+
+
+def _exp_sinh_ray(R: Callable[[complex], complex], c: complex, a: complex,
+                  start: float, sense: float, tol: float) -> float:
+    """Real part of the integral of c R(x) exp(a x) over the axis from start
+    to sense * infinity, taken on the 45 degree ray z = start + r * omega
+    into the half-plane where exp(a z) decays, under r = exp(pi/2 sinh s).
+
+    Cauchy's theorem keeps the value when no pole of R lies between the
+    axis and the ray, as no pole does past the outermost pole abscissa.
     """
-    m = 0.5 * (a + b)
-    flm = _checked(f, 0.5 * (a + m))
-    frm = _checked(f, 0.5 * (m + b))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    size = (b - a) / 12.0 * (abs(fa) + 4.0 * abs(flm) + 2.0 * abs(fm)
-                             + 4.0 * abs(frm) + abs(fb))
-    if depth <= 0 or abs(delta) <= 15.0 * rtol * size:
-        return left + right + delta / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, rtol, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, rtol, depth - 1))
+    omega = complex(sense, math.copysign(1.0, a.imag)) / math.sqrt(2.0)
+    weight = sense * omega * c * _HALF_PI
 
+    def sample(s: float) -> float:
+        r = math.exp(_HALF_PI * math.sinh(s))
+        z = start + r * omega
+        e = cmath.exp(a * z)
+        if not e:
+            # underflowed far out on the ray, where R(z) may overflow
+            return 0.0
+        return (R(z) * e * weight * (r * math.cosh(s))).real
 
-def _simpson_panel(f, a, b, rtol, depth=48):
-    fa, fm, fb = (_checked(f, x) for x in (a, 0.5 * (a + b), b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, rtol, depth)
-
-
-def _wynn(diagonal: list[float], s: float) -> tuple[list[float], float]:
-    """Add the partial sum s to Wynn's epsilon table, given and returned
-    as its last ascending diagonal (column k first), with the deepest
-    even-column entry, the extrapolated limit.  The diagonal stops before
-    an infinite entry: the sequence has settled there."""
-    new = [s]
-    for k, old in enumerate(diagonal):
-        delta = new[k] - old
-        entry = (diagonal[k - 1] if k else 0.0) + (
-            1.0 / delta if delta else math.inf)
-        if not math.isfinite(entry):
-            break
-        new.append(entry)
-    return new, new[(len(new) - 1) & ~1]
-
-
-def _oscillatory_axis(H: Callable[[float], float], frequency: float,
-                      peaks: list[float], tol: float) -> float:
-    """Integral of H over the axis when H oscillates at this frequency.
-
-    H(x) + H(-x) is integrated over successive half-periods of [0, inf),
-    split at the ``peaks`` (the |u| of the poles).  Past the last peak the
-    partial sums alternate about the limit, and Wynn's epsilon algorithm
-    extrapolates them; its estimates can settle briefly before they
-    converge, so they must agree within a tenth of tol.
-    """
-    samples = 0
-
-    def folded(x: float) -> float:
-        nonlocal samples
-        samples += 1
-        if samples > MAX_POINTS:
-            raise QuadratureError(
-                f"half-period sum did not converge below {tol:g} within "
-                f"{MAX_POINTS} samples")
-        return H(x) + H(-x)
-
-    def extrapolations():
-        half_period = math.pi / frequency
-        last_peak = max(peaks, default=0.0)
-        diagonal: list[float] = []
-        partial = 0.0
-        for cycle in range(MAX_CYCLES):
-            a, b = cycle * half_period, (cycle + 1) * half_period
-            cuts = [a, *(x for x in peaks if a < x < b), b]
-            for lo, hi in zip(cuts, cuts[1:]):
-                partial += _simpson_panel(folded, lo, hi, 0.1 * tol)
-            if a >= last_peak:
-                diagonal, limit = _wynn(diagonal, partial)
-                yield limit
-
-    return _limit(extrapolations(), 0.1 * tol,
-                  f"half-period sum within {MAX_CYCLES} half-periods")
+    return _periodic_trapezoid(sample, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # meromorphic-function front ends
 
 _FACTORS = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
+#: (c, b) with factor(sz) the sum of c * exp(b * sz): exp is one part, and
+#: cos w = (e^{iw} + e^{-iw})/2 and sin w = (e^{iw} - e^{-iw})/2i are two
+_EXP_PARTS = {"exp": ((1.0, 1.0),), "cos": ((0.5, 1j), (0.5, -1j)),
+              "sin": ((-0.5j, 1j), (0.5j, -1j))}
 
 
-def _complex_evaluator(f: MeromorphicFunction) -> Callable[[complex], complex]:
-    """f as a plain-complex closure, u + v*dxdy read as u + v*1j.
-
-    Built directly on complex Horner evaluation of the coefficient lists and
-    cmath's exp, sin and cos, so the quadrature path shares no arithmetic
-    with the algebra/series stack.
-    """
+def _rational_evaluator(f: MeromorphicFunction
+                        ) -> Callable[[complex], complex]:
+    """The rational part of f by complex Horner evaluation of its
+    coefficient lists, u + v*dxdy read as u + v*1j."""
     num = [complex(c.u, c.v) for c in reversed(f.num.coeffs)]
     den = [complex(c.u, c.v) for c in reversed(f.den.coeffs)]
-    if f.factor is None:
-        factor, scale = None, 0j
-    else:
-        factor = _FACTORS[f.factor.kind]
-        scale = complex(f.factor.scale.u, f.factor.scale.v)
 
-    def F(z: complex) -> complex:
+    def R(z: complex) -> complex:
         p = 0j
         for c in num:
             p = p * z + c
         q = 0j
         for c in den:
             q = q * z + c
-        value = p / q
-        if factor is not None:
-            value *= factor(scale * z)
-        return value
+        return p / q
+
+    return R
+
+
+def _complex_evaluator(f: MeromorphicFunction) -> Callable[[complex], complex]:
+    """f as a plain-complex closure, u + v*dxdy read as u + v*1j.
+
+    Built on the rational evaluator and cmath's exp, sin and cos, so the
+    quadrature path shares no arithmetic with the algebra/series stack.
+    """
+    R = _rational_evaluator(f)
+    if f.factor is None:
+        return R
+    factor = _FACTORS[f.factor.kind]
+    scale = complex(f.factor.scale.u, f.factor.scale.v)
+
+    def F(z: complex) -> complex:
+        return R(z) * factor(scale * z)
 
     return F
 
@@ -339,8 +313,11 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
     """Direct quadrature of the u-part of f along the axis.
 
     Needs deg(den) >= deg(num) + 2, or + 1 with an oscillating factor, and
-    no pole on the axis; anything else raises QuadratureError.
+    no denominator root on the axis; anything else raises QuadratureError.
+    A tol that is not positive raises ValueError.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if f.is_zero():
         return 0.0
     frequency = _axis_oscillation(f)
@@ -350,13 +327,21 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
             f"integrand does not decay fast enough along the axis (degree "
             f"gap {gap})")
     poles = find_poles(f)
-    for p in poles:
-        if abs(p.location.v) <= AXIS_TOL:
-            raise QuadratureError(f"pole at {p.location} lies on the axis")
+    # a root whose pole a sin/cos zero cancels is a pole of each exp part
+    for loc, _ in f.den_roots:
+        if abs(loc.v) <= AXIS_TOL:
+            raise QuadratureError(
+                f"denominator root at {loc} lies on the axis")
     H = axis_evaluator(f)
     if frequency:
-        peaks = sorted({abs(p.location.u) for p in poles})
-        return _oscillatory_axis(H, frequency, peaks, tol)
+        cuts = sorted({p.location.u for p in poles}) or [0.0]
+        R = _rational_evaluator(f)
+        scale = complex(f.factor.scale.u, f.factor.scale.v)
+        pieces = [_tanh_sinh(H, a, b, tol) for a, b in zip(cuts, cuts[1:])]
+        for c, b in _EXP_PARTS[f.factor.kind]:
+            pieces.append(_exp_sinh_ray(R, c, b * scale, cuts[-1], 1.0, tol))
+            pieces.append(_exp_sinh_ray(R, c, b * scale, cuts[0], -1.0, tol))
+        return math.fsum(pieces)
 
     def mapped(theta: float) -> float:
         return H(math.tan(theta)) / math.cos(theta) ** 2
