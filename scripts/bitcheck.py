@@ -5,9 +5,11 @@ Runs the given rounds of a perfbench workload at each seed, with the inputs
 and calls of the benchmark itself, and prints one sha256 over the reprs of
 all outputs in order; an operation that raises contributes
 ``type: message`` instead.  Two checkouts whose hashes agree computed the
-same bits for every operation.
+same bits for every operation.  ``--workload all`` prints one such line
+per workload.
 
     python3 scripts/bitcheck.py --workload verify --seeds 1-4 --rounds 3
+    python3 scripts/bitcheck.py --workload all --seeds 1-4 --rounds 3
 
 Run it from the root of a source checkout; dxdy is imported from ``src/``.
 """
@@ -48,24 +50,31 @@ def outcome(op) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def digest_line(workload: str, seed_list: list[int], rounds: int) -> str:
+    digest = hashlib.sha256()
+    count = 0
+    for seed in seed_list:
+        for ops in inputs.make_rounds(workload, seed, rounds):
+            for op in ops:
+                digest.update(outcome(op).encode())
+                digest.update(b"\n")
+                count += 1
+    return (f"{workload} seeds {','.join(map(str, seed_list))} rounds "
+            f"{rounds}: {count} ops, sha256 {digest.hexdigest()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=run.WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=run.WORKLOADS + ("all",),
+                        required=True)
     parser.add_argument("--seeds", type=seeds, required=True,
                         help="seeds as '1-4' or '1,3,5'")
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     workloads.bind(run._import_dxdy())
-    digest = hashlib.sha256()
-    count = 0
-    for seed in args.seeds:
-        for ops in inputs.make_rounds(args.workload, seed, args.rounds):
-            for op in ops:
-                digest.update(outcome(op).encode())
-                digest.update(b"\n")
-                count += 1
-    print(f"{args.workload} seeds {','.join(map(str, args.seeds))} rounds "
-          f"{args.rounds}: {count} ops, sha256 {digest.hexdigest()}")
+    chosen = run.WORKLOADS if args.workload == "all" else (args.workload,)
+    for workload in chosen:
+        print(digest_line(workload, args.seeds, args.rounds))
     return 0
 
 

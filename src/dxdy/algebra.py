@@ -17,7 +17,7 @@ ordinary floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 
@@ -25,14 +25,44 @@ class GradeError(ValueError):
     """Raised when an operation requires a pure grade-1 input."""
 
 
-@dataclass(frozen=True)
-class Multivector:
+class _Frozen:
+    """Immutable slotted value with a frozen dataclass's eq, hash and repr."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Multivector(_Frozen):
     """Element s + a*dx + b*dy + p*dxdy of the full plane algebra."""
 
-    s: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    p: float = 0.0
+    __slots__ = ("s", "a", "b", "p")
+
+    def __init__(self, s=0.0, a=0.0, b=0.0, p=0.0) -> None:
+        _set_s(self, s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_p(self, p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.a, self.b, self.p) == (other.s, other.a,
+                                                    other.b, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.a, self.b, self.p))
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(self.s + other.s, self.a + other.a,
@@ -52,16 +82,14 @@ class Multivector:
                            self.b * other, self.p * other)
 
     def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            return mv_product(other, self)
         return Multivector(other * self.s, other * self.a,
                            other * self.b, other * self.p)
 
-    def is_grade_one(self) -> bool:
-        return self.s == 0.0 and self.p == 0.0
 
+# slot setters for __init__, far cheaper than a frozen dataclass's setattr
+_set_s, _set_a, _set_b, _set_p = (Multivector.s.__set__, Multivector.a.__set__,
+                                  Multivector.b.__set__, Multivector.p.__set__)
 
-ONE = Multivector(s=1.0)
 DX = Multivector(a=1.0)
 DY = Multivector(b=1.0)
 DXDY = Multivector(p=1.0)
@@ -69,12 +97,10 @@ DXDY = Multivector(p=1.0)
 
 def mv_product(x: Multivector, y: Multivector) -> Multivector:
     """Geometric product of two multivectors."""
-    return Multivector(
-        s=x.s * y.s + x.a * y.a + x.b * y.b - x.p * y.p,
-        a=x.s * y.a + x.a * y.s - x.b * y.p + x.p * y.b,
-        b=x.s * y.b + x.b * y.s + x.a * y.p - x.p * y.a,
-        p=x.s * y.p + x.p * y.s + x.a * y.b - x.b * y.a,
-    )
+    return Multivector(x.s * y.s + x.a * y.a + x.b * y.b - x.p * y.p,
+                       x.s * y.a + x.a * y.s - x.b * y.p + x.p * y.b,
+                       x.s * y.b + x.b * y.s + x.a * y.p - x.p * y.a,
+                       x.s * y.p + x.p * y.s + x.a * y.b - x.b * y.a)
 
 
 def one_form(k: float, g: float) -> Multivector:
@@ -88,17 +114,27 @@ def dot_one_forms(x: Multivector, y: Multivector) -> float:
     Equals the metric inner product of the coefficient pairs.  Inputs with a
     scalar or dxdy component are rejected.
     """
-    if not x.is_grade_one() or not y.is_grade_one():
+    if x.s != 0.0 or x.p != 0.0 or y.s != 0.0 or y.p != 0.0:
         raise GradeError("dot_one_forms requires pure grade-1 arguments")
     return x.a * y.a + x.b * y.b
 
 
-@dataclass(frozen=True)
-class EvenElement:
+class EvenElement(_Frozen):
     """Element u + v*dxdy of the commutative even subalgebra."""
 
-    u: float
-    v: float
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: float, v: float) -> None:
+        _set_u(self, u)
+        _set_v(self, v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.u, self.v) == (other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
 
     def __add__(self, other: "EvenElement") -> "EvenElement":
         return EvenElement(self.u + other.u, self.v + other.v)
@@ -115,8 +151,6 @@ class EvenElement:
         return EvenElement(self.u * other, self.v * other)
 
     def __rmul__(self, other):
-        if isinstance(other, EvenElement):
-            return even_mul(other, self)
         return EvenElement(other * self.u, other * self.v)
 
     def __truediv__(self, other):
@@ -139,6 +173,8 @@ class EvenElement:
     def to_multivector(self) -> Multivector:
         return Multivector(s=self.u, p=self.v)
 
+
+_set_u, _set_v = EvenElement.u.__set__, EvenElement.v.__set__
 
 E_ZERO = EvenElement(0.0, 0.0)
 E_ONE = EvenElement(1.0, 0.0)
@@ -182,20 +218,34 @@ def even_int_pow(x: EvenElement, m: int) -> EvenElement:
         return even_int_pow(even_inv(x), -m)
     result = E_ONE
     base = x
-    while m > 0:
+    while True:
         if m & 1:
             result = even_mul(result, base)
-        base = even_mul(base, base)
         m >>= 1
-    return result
+        if not m:  # the next square would go unused
+            return result
+        base = even_mul(base, base)
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(_Frozen):
     """Polar pair (rho, phi) with rho >= 0 and phi in (-pi, pi]."""
 
-    rho: float
-    phi: float
+    __slots__ = ("rho", "phi")
+
+    def __init__(self, rho: float, phi: float) -> None:
+        _set_rho(self, rho)
+        _set_phi(self, phi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rho, self.phi) == (other.rho, other.phi)
+
+    def __hash__(self) -> int:
+        return hash((self.rho, self.phi))
+
+
+_set_rho, _set_phi = PolarForm.rho.__set__, PolarForm.phi.__set__
 
 
 def to_polar(x: EvenElement) -> PolarForm:

@@ -19,12 +19,11 @@ because fractional powers are not single-valued around a circle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
-                      even_int_pow, even_sin)
+                      even_int_pow, even_mul, even_sin)
 
 
 class ParseError(ValueError):
@@ -194,6 +193,10 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
 
+_FOLD = {"+": float.__add__, "-": float.__sub__, "*": float.__mul__,
+         "/": float.__truediv__}
+
+
 def _fold_constant(e: Expr) -> float | None:
     """Fold pure numeric subtrees (pi included) to a float, else None."""
     if isinstance(e, Num):
@@ -206,15 +209,7 @@ def _fold_constant(e: Expr) -> float | None:
     if isinstance(e, BinOp):
         a = _fold_constant(e.left)
         b = _fold_constant(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
+        return None if a is None or b is None else _FOLD[e.op](a, b)
     if isinstance(e, Pow):
         v = _fold_constant(e.base)
         return None if v is None else v ** e.exponent
@@ -272,8 +267,9 @@ def rewrite_x_to_z(e: Expr) -> Expr:
 _CALL_EVAL = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
 
 _CONSTANTS = {"I": E_DXDY, "pi": even(math.pi)}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
+# every operand is an EvenElement, so the kernels are called directly
+_BINARY = {"+": EvenElement.__add__, "-": EvenElement.__sub__, "*": even_mul,
+           "/": EvenElement.__truediv__}
 
 
 def compile_expression(

@@ -260,6 +260,10 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
         raise WindowError(
             f"window of {hi - lo + 1} coefficients exceeds the configured "
             f"maximum {MAX_LAURENT_WINDOW}")
+    if (_den_valuation(f, z0) > 0
+            and abs(f.den(z0)) > 1e-9 * f.den.max_coeff()):
+        raise PoleExpansionError(
+            f"{z0} is within the root table's radius of a pole, not on it")
     window = max(1, hi + f.den.degree + 2)
     s = local_expansion(f, z0, window)
     if s.is_zero():

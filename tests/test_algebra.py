@@ -1,14 +1,18 @@
 """Algebra kernel: basis relations, even arithmetic, polar decomposition."""
 
+import copy
+import itertools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxdy.algebra import (DX, DXDY, DY, GradeError, Multivector, PolarForm,
-                          dot_one_forms, even, even_int_pow, even_inv,
+from dxdy.algebra import (DX, DXDY, DY, EvenElement, GradeError, Multivector,
+                          PolarForm, dot_one_forms, even, even_int_pow, even_inv,
                           even_mul, from_polar, mv_product, one_form,
                           to_polar)
 
@@ -197,3 +201,88 @@ def test_reciprocal_position_form_gives_angular_form():
         assert abs(produced.a - (-y / rho_sq)) <= 1e-14 * max(1.0, 1.0 / rho_sq)
         assert abs(produced.b - (x / rho_sq)) <= 1e-14 * max(1.0, 1.0 / rho_sq)
         assert produced.s == 0.0 and produced.p == 0.0
+
+
+# (value, its repr, its field tuple) for each immutable value type
+VALUE_TYPES = [
+    (EvenElement(1.0, 2.0), "EvenElement(u=1.0, v=2.0)", (1.0, 2.0)),
+    (Multivector(1.0, -0.0, 3.5, -4.0),
+     "Multivector(s=1.0, a=-0.0, b=3.5, p=-4.0)", (1.0, -0.0, 3.5, -4.0)),
+    (PolarForm(2.0, 0.5), "PolarForm(rho=2.0, phi=0.5)", (2.0, 0.5)),
+]
+each_value_type = pytest.mark.parametrize(
+    "value, text, fields", VALUE_TYPES,
+    ids=[type(value).__name__ for value, _, _ in VALUE_TYPES])
+
+
+@each_value_type
+def test_value_types_repr_eq_and_hash(value, text, fields):
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+    assert value != type(value)(*fields[:-1], 7.0)
+    assert value.__eq__(fields) is NotImplemented
+    assert value != fields
+    for other, _, other_fields in VALUE_TYPES:
+        if type(other) is not type(value) and len(other_fields) == len(fields):
+            assert value != type(other)(*fields)
+
+
+@each_value_type
+def test_value_types_are_frozen_and_slotted(value, text, fields):
+    name = type(value).__slots__[0]
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, name, 9.0)
+    with pytest.raises(FrozenInstanceError):
+        delattr(value, name)
+    with pytest.raises(FrozenInstanceError):
+        value.extra = 1.0
+    assert repr(value) == text
+    assert not hasattr(value, "__dict__")
+
+
+@each_value_type
+def test_value_types_copy_and_pickle(value, text, fields):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and repr(twin) == text
+
+
+def test_multivector_keeps_its_defaults_and_keywords():
+    assert Multivector() == Multivector(0.0, 0.0, 0.0, 0.0)
+    assert repr(Multivector(p=2.0, a=1.0)) == (
+        "Multivector(s=0.0, a=1.0, b=0.0, p=2.0)")
+
+
+def _binary_power(x, m):
+    """Plain binary powering, squaring once more after the top bit too."""
+    if m < 0:
+        return _binary_power(even_inv(x), -m)
+    result = even(1, 0)
+    base = x
+    while m > 0:
+        if m & 1:
+            result = even_mul(result, base)
+        base = even_mul(base, base)
+        m >>= 1
+    return result
+
+
+def _bits(power, x, m):
+    try:
+        y = power(x, m)
+    except ArithmeticError as err:
+        return type(err)
+    return float.hex(y.u), float.hex(y.v)
+
+
+def test_even_int_pow_matches_the_plain_binary_loop_bit_for_bit():
+    parts = (0.0, -0.0, 1.0, -1.5, 0.7, math.inf, -math.inf, math.nan,
+             5e-324, -2.2e-308, 1e154, -3e307)
+    for u, v in itertools.product(parts, repeat=2):
+        x = even(u, v)
+        for m in range(-9, 10):
+            assert _bits(even_int_pow, x, m) == _bits(_binary_power, x, m), \
+                (u, v, m)
+    assert _bits(even_int_pow, even(-0.0, 0.0), -3) is ZeroDivisionError

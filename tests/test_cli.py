@@ -167,6 +167,13 @@ def test_laurent_verb(run):
     assert coeffs[0] == [pytest.approx(-1 / 6), 0.0]
 
 
+def test_laurent_verb_refuses_a_point_beside_a_pole(run):
+    status, out, err = run("laurent", "1/(z-1)", "--center", "1.00000001,0",
+                           "--from", "-1", "--to", "1")
+    assert status == 1 and not out
+    assert "not on it" in err
+
+
 def test_classify_verb(run):
     doc = run_json(run, "classify", "--k", "0-y/(x^2+y^2)",
                    "--g", "x/(x^2+y^2)")

@@ -283,6 +283,23 @@ def test_laurent_expand_windows():
         assert even_close(c, even(-10.0 ** (n + 1)), rel=1e-13)
 
 
+def test_laurent_expand_refuses_points_beside_a_pole():
+    # within CLUSTER_TOL of the root 1 the table would hand back the pole's
+    # window (a_-1 = 1), though the point is regular
+    f = meromorphic_from_text("1/(z-1)")
+    for center in (1 + 1e-8, 1 + 1e-7):
+        with pytest.raises(PoleExpansionError):
+            laurent_expand(f, even(center, 0), -1, 1)
+    on_pole = laurent_expand(f, even(1, 0), -1, 1).window_coefficients(-1, 1)
+    assert on_pole == [even(1, 0), even(0, 0), even(0, 0)]
+    # 1/(z-1) = 1/d - (z-z0)/d^2 + ... about z0 = 1 + d
+    d = 1e-5
+    beside = laurent_expand(f, even(1 + d, 0), -1, 1).window_coefficients(-1, 1)
+    assert beside[0] == even(0, 0)
+    assert even_close(beside[1], even(1 / d, 0), rel=1e-9)
+    assert even_close(beside[2], even(-1 / d ** 2, 0), rel=1e-9)
+
+
 def test_laurent_expand_window_limits():
     f = meromorphic_from_text("1/z")
     with pytest.raises(ValueError):
