@@ -20,8 +20,10 @@ import math
 from dataclasses import FrozenInstanceError
 from typing import Iterable
 
+from .errors import RangeError, UsageError
 
-class GradeError(ValueError):
+
+class GradeError(UsageError):
     """Raised when an operation requires a pure grade-1 input."""
 
 
@@ -207,8 +209,13 @@ def even_mul(x: EvenElement, y: EvenElement) -> EvenElement:
 def even_inv(x: EvenElement) -> EvenElement:
     """Multiplicative inverse conj(x)/|x|^2."""
     n = x.norm_sq()
-    if n == 0.0:
-        raise ZeroDivisionError("inverse of the zero even element")
+    if ((n == 0.0 or n == math.inf)
+            and math.isfinite(x.u) and math.isfinite(x.v)):
+        if x.is_zero():
+            raise ZeroDivisionError("inverse of the zero even element")
+        # |x|^2 left the double range; a power-of-two scale brings it back
+        s = 2.0 ** (600 if n == 0.0 else -600)
+        return even_inv(x * s) * s
     return EvenElement(x.u / n, -x.v / n)
 
 
@@ -264,18 +271,31 @@ def from_polar(p: PolarForm) -> EvenElement:
 
 def even_exp(x: EvenElement) -> EvenElement:
     """exp(u + v*dxdy) = e^u (cos v + dxdy sin v)."""
-    e = math.exp(x.u)
-    return EvenElement(e * math.cos(x.v), e * math.sin(x.v))
+    try:
+        e = math.exp(x.u)
+        return EvenElement(e * math.cos(x.v), e * math.sin(x.v))
+    except (OverflowError, ValueError):  # e^u overflows, or v is infinite
+        raise _beyond_range("exp", x) from None
 
 
 def even_sin(x: EvenElement) -> EvenElement:
-    return EvenElement(math.sin(x.u) * math.cosh(x.v),
-                       math.cos(x.u) * math.sinh(x.v))
+    try:
+        return EvenElement(math.sin(x.u) * math.cosh(x.v),
+                           math.cos(x.u) * math.sinh(x.v))
+    except (OverflowError, ValueError):
+        raise _beyond_range("sin", x) from None
 
 
 def even_cos(x: EvenElement) -> EvenElement:
-    return EvenElement(math.cos(x.u) * math.cosh(x.v),
-                       -math.sin(x.u) * math.sinh(x.v))
+    try:
+        return EvenElement(math.cos(x.u) * math.cosh(x.v),
+                           -math.sin(x.u) * math.sinh(x.v))
+    except (OverflowError, ValueError):
+        raise _beyond_range("cos", x) from None
+
+
+def _beyond_range(name: str, x: EvenElement) -> RangeError:
+    return RangeError(f"{name}({format_even(x)}) lies beyond the double range")
 
 
 def format_even(x: EvenElement) -> str:

@@ -2,9 +2,10 @@
 
 Verbs map one-to-one onto library operations; every command accepts --json
 for a structured document (schema_version 1) carrying the same numeric
-values as the text rendering.  Exit codes: 0 success, 1 computation error
-(pole on contour, decay violation, non-convergence), 2 usage or expression
-errors.
+values as the text rendering.  Exit codes: 0 success; 1 a ComputationError
+(pole on contour, decay violation, non-convergence, a value beyond the
+double range) or a failed --verify; 2 a UsageError (bad expression) or a
+bad option value.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -19,49 +20,30 @@ from . import checks as checks_mod
 from . import oracle as oracle_mod
 from . import roots as roots_mod
 from .algebra import EvenElement, even, format_even
-from .contours import (AXIS_TOL, AxisPoleError, CircleContour, CLOCKWISE,
-                       COUNTERCLOCKWISE, DecayError, IntegralResult,
-                       PoleOnContourError, integrate_closed,
-                       integrate_real_line)
-from .expressions import ParseError, evaluate, parse
-from .functions import (OneForm, SingularSampleError,
-                        UnsupportedExpressionError, classify_one_form,
-                        find_poles, meromorphic_from_text)
-from .oracle import (QuadratureError, differential_check,
-                     differential_quad_tol, real_line_quadrature)
-from .residues import (DERIVATIVE_STEP, PoleExpansionError, cauchy_evaluate,
+from .contours import (AXIS_TOL, CircleContour, CLOCKWISE, COUNTERCLOCKWISE,
+                       IntegralResult, integrate_closed, integrate_real_line)
+from .errors import ComputationError, UsageError
+from .expressions import ParseError, parse_point
+from .functions import (OneForm, classify_one_form, find_poles,
+                        meromorphic_from_text)
+from .oracle import (differential_check, differential_quad_tol,
+                     real_line_quadrature)
+from .residues import (DERIVATIVE_STEP, cauchy_evaluate,
                        cauchy_integral_value, laurent_expand, residue)
-from .roots import RootFindingError
-from .series import WindowError
 
 SCHEMA_VERSION = "1"
-
-_USAGE_ERRORS = (ParseError, UnsupportedExpressionError)
-_COMPUTATION_ERRORS = (PoleOnContourError, DecayError, AxisPoleError,
-                       RootFindingError, QuadratureError, PoleExpansionError,
-                       WindowError, SingularSampleError, ZeroDivisionError,
-                       ValueError)
 
 
 def _pair(x: EvenElement) -> list[float]:
     return [x.u, x.v]
 
 
-def _parse_even(text: str) -> EvenElement:
-    """An even element, either as 'u,v' or as a constant expression in I."""
-    parts = text.split(",")
-    if len(parts) == 2:
-        try:
-            return even(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ParseError(f"expected numeric 'u,v', got {text!r}") from None
-    node = parse(text)
+def _point(text: str) -> EvenElement:
+    """An argparse type: parse_point, with its message on a bad point."""
     try:
-        return evaluate(node, {})
-    except ParseError:
-        raise ParseError(
-            f"point {text!r} must be a constant (only I and pi are "
-            f"predefined)") from None
+        return parse_point(text)
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _bindings(args) -> dict[str, float]:
@@ -140,8 +122,7 @@ def _cmd_laurent(args) -> int:
     if args.low > args.high:
         args.parser.error("--from must not exceed --to")
     f = meromorphic_from_text(args.expression, _bindings(args))
-    center = _parse_even(args.center)
-    window = laurent_expand(f, center, args.low, args.high)
+    window = laurent_expand(f, args.center, args.low, args.high)
     coefficients = [
         {"exponent": n, "coefficient": _pair(c)}
         for n, c in zip(range(args.low, args.high + 1),
@@ -151,7 +132,7 @@ def _cmd_laurent(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "verb": "laurent",
         "expression": args.expression,
-        "center": _pair(center),
+        "center": _pair(args.center),
         "window": [args.low, args.high],
         "coefficients": coefficients,
         "warnings": [],
@@ -164,7 +145,7 @@ def _cmd_laurent(args) -> int:
 def _cmd_integrate_contour(args) -> int:
     f = meromorphic_from_text(args.expression, _bindings(args))
     orientation = CLOCKWISE if args.clockwise else COUNTERCLOCKWISE
-    contour = CircleContour(_parse_even(args.center), args.radius,
+    contour = CircleContour(args.center, args.radius,
                             orientation, clearance=args.clearance)
     result = integrate_closed(f, contour)
     tolerances = _base_tolerances()
@@ -236,7 +217,7 @@ def _cmd_integrate_line(args) -> int:
 
 def _cmd_cauchy(args) -> int:
     f = meromorphic_from_text(args.expression, _bindings(args))
-    z0 = _parse_even(args.at)
+    z0 = args.at
     doc = {
         "schema_version": SCHEMA_VERSION,
         "verb": "cauchy",
@@ -333,17 +314,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "unit.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    finite = _bounded(float, math.isfinite, "must be finite")
+    positive = _bounded(float, lambda x: 0 < x < math.inf,
+                        "must be positive and finite")
+
     def add_common(p, expression=True):
         if expression:
             p.add_argument("expression", help="integrand expression in z "
                            "(x in real-line mode); I denotes dxdy, pi is "
                            "predefined")
-            p.add_argument("--t", type=float, default=None,
+            p.add_argument("--t", type=finite, default=None,
                            help="bind the symbol t to a value")
         p.add_argument("--json", action="store_true",
                        help="emit the structured document instead of text")
-
-    positive = _bounded(float, lambda x: x > 0, "must be positive")
 
     def add_verify(p):
         p.add_argument("--verify", action="store_true",
@@ -356,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laurent", help="Laurent coefficients over a window")
     add_common(p)
-    p.add_argument("--center", required=True, help="expansion center 'u,v'")
+    p.add_argument("--center", type=_point, required=True,
+                   help="expansion center 'u,v'")
     p.add_argument("--from", dest="low", type=int, required=True,
                    help="lowest exponent")
     p.add_argument("--to", dest="high", type=int, required=True,
@@ -366,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate-contour",
                        help="circle contour integral of f dx")
     add_common(p)
-    p.add_argument("--center", required=True, help="circle center 'u,v'")
+    p.add_argument("--center", type=_point, required=True,
+                   help="circle center 'u,v'")
     p.add_argument("--radius", type=positive, required=True)
     p.add_argument("--clockwise", action="store_true")
     p.add_argument("--clearance", type=positive, default=None,
@@ -386,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cauchy",
                        help="special integral formula at a regular point")
     add_common(p)
-    p.add_argument("--at", required=True, help="evaluation point 'u,v'")
+    p.add_argument("--at", type=_point, required=True,
+                   help="evaluation point 'u,v'")
     p.add_argument("--n", default=0,
                    type=_bounded(int, lambda n: n >= 0, "must be non-negative"),
                    help="derivative order (0 evaluates f itself)")
@@ -398,11 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="dy component, in x and y")
     p.add_argument("--samples", default=24,
                    type=_bounded(int, lambda n: n >= 1, "must be at least 1"))
-    p.add_argument("--sample-radius", type=float, default=1.5)
+    p.add_argument("--sample-radius", type=finite, default=1.5)
     p.add_argument("--step", default=1e-6, type=positive)
     p.add_argument("--tol", default=1e-5,
-                   type=_bounded(float, lambda t: t >= 0,
-                                 "must be non-negative"))
+                   type=_bounded(float, lambda t: 0 <= t < math.inf,
+                                 "must be non-negative and finite"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
@@ -417,10 +403,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _COMPUTATION_ERRORS as err:
+    except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

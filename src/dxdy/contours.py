@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import EvenElement
+from .errors import ComputationError, UsageError
 from .functions import MeromorphicFunction, Pole, find_poles
 from .residues import residue
 
@@ -31,15 +32,15 @@ COUNTERCLOCKWISE = "counterclockwise"
 CLOCKWISE = "clockwise"
 
 
-class PoleOnContourError(ValueError):
+class PoleOnContourError(ComputationError, ValueError):
     """A pole sits inside the contour's clearance band."""
 
 
-class DecayError(ValueError):
+class DecayError(ComputationError, ValueError):
     """The integrand does not decay on the closing semicircle."""
 
 
-class AxisPoleError(ValueError):
+class AxisPoleError(ComputationError, ValueError):
     """A pole lies on the real axis (principal values are out of scope)."""
 
 
@@ -52,11 +53,11 @@ class CircleContour:
 
     def __post_init__(self):
         if not self.radius > 0:
-            raise ValueError("radius must be positive")
+            raise UsageError("radius must be positive")
         if self.orientation not in (COUNTERCLOCKWISE, CLOCKWISE):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+            raise UsageError(f"unknown orientation {self.orientation!r}")
         if self.clearance is not None and not self.clearance > 0:
-            raise ValueError("clearance must be positive")
+            raise UsageError("clearance must be positive")
 
     @property
     def band(self) -> float:
@@ -170,7 +171,7 @@ def integrate_real_line(f: MeromorphicFunction,
     traverses clockwise, which flips the sign of the residue sum.
     """
     if half_plane not in (AUTO, UPPER, LOWER):
-        raise ValueError(f"unknown half plane {half_plane!r}")
+        raise UsageError(f"unknown half plane {half_plane!r}")
     chosen = closure_half_plane(f, half_plane)
     poles = find_poles(f)
     for p in poles:

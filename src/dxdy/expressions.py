@@ -10,7 +10,7 @@ Grammar (usual precedence, ^ binds tightest and right-associates):
 
 Names are case-sensitive: ``z`` is the position form, ``I`` denotes dxdy,
 ``pi`` is bound to its numeric value, and ``exp``/``sin``/``cos`` are the
-entire calls.  ``x`` is accepted only where a caller rewrites it to z
+entire calls.  ``x`` is accepted only where a caller binds it to z
 (real-line integrands) or evaluates over the plane (1-form classification).
 Exponents must fold to integer constants; anything fractional is rejected
 because fractional powers are not single-valued around a circle.
@@ -24,9 +24,10 @@ from typing import Callable, Union
 
 from .algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
                       even_int_pow, even_mul, even_sin)
+from .errors import UsageError
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     """Syntax or grammar violation, with the offending position."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -239,31 +240,6 @@ def parse(text: str) -> Expr:
     return node
 
 
-def _replace(e: Expr, table: dict[str, Expr]) -> Expr:
-    """e with every name in table replaced by its entry."""
-    if isinstance(e, Sym):
-        return table.get(e.name, e)
-    if isinstance(e, Neg):
-        return Neg(_replace(e.operand, table))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _replace(e.left, table), _replace(e.right, table))
-    if isinstance(e, Pow):
-        return Pow(_replace(e.base, table), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, _replace(e.arg, table))
-    return e
-
-
-def substitute(e: Expr, bindings: dict[str, float]) -> Expr:
-    """Replace bound names (e.g. a CLI-supplied t) by numeric literals."""
-    return _replace(e, {name: Num(float(v)) for name, v in bindings.items()})
-
-
-def rewrite_x_to_z(e: Expr) -> Expr:
-    """Real-line mode: the integration variable x becomes the position form z."""
-    return _replace(e, {"x": Sym("z")})
-
-
 _CALL_EVAL = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
 
 _CONSTANTS = {"I": E_DXDY, "pi": even(math.pi)}
@@ -314,3 +290,18 @@ def compile_expression(
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:
     """Evaluate once in even-element arithmetic (see compile_expression)."""
     return compile_expression(e)(env)
+
+
+def parse_point(text: str) -> EvenElement:
+    """A finite point, written 'u,v' or as a constant expression in I and
+    pi; anything else, a division by zero included, raises ParseError."""
+    parts = text.split(",")
+    try:
+        value = (even(float(parts[0]), float(parts[1])) if len(parts) == 2
+                 else evaluate(parse(text), {}))
+    except (ValueError, ArithmeticError) as err:  # ParseError is a ValueError
+        raise ParseError(f"expected 'u,v' or a constant (only I and pi are "
+                         f"predefined), got {text!r}: {err}") from None
+    if not (math.isfinite(value.u) and math.isfinite(value.v)):
+        raise ParseError(f"point {text!r} is not finite")
+    return value

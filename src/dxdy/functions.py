@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from . import expressions as ex
 from .algebra import (E_DXDY, E_ZERO, EvenElement, even, even_cos,
                       even_exp, even_inv, even_mul, even_sin)
+from .errors import ComputationError, UsageError
 from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
 from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
@@ -32,11 +33,11 @@ CANCEL_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 
 
-class UnsupportedExpressionError(ValueError):
+class UnsupportedExpressionError(UsageError):
     """Expression falls outside the rational-times-entire-factor model."""
 
 
-class SingularSampleError(ValueError):
+class SingularSampleError(ComputationError, ValueError):
     """A classification sample sits on or too close to a singularity."""
 
 
@@ -104,27 +105,33 @@ class _Rational:
     factor: EntireFactor | None
 
 
-def _fold(e: ex.Expr) -> _Rational:
+def _constant(value: float) -> _Rational:
+    return _Rational(Polynomial.constant(even(value)), ONE_POLY, None)
+
+
+#: what each predefined name folds to; the caller's table may add bindings
+_NAMES = {"z": _Rational(Z_POLY, ONE_POLY, None),
+          "I": _Rational(Polynomial.constant(E_DXDY), ONE_POLY, None),
+          "pi": _constant(math.pi)}
+
+
+def _fold(e: ex.Expr, names: dict[str, _Rational]) -> _Rational:
     if isinstance(e, ex.Num):
-        return _Rational(Polynomial.constant(even(e.value)), ONE_POLY, None)
+        return _constant(e.value)
     if isinstance(e, ex.Sym):
-        if e.name == "z":
-            return _Rational(Z_POLY, ONE_POLY, None)
-        if e.name == "I":
-            return _Rational(Polynomial.constant(E_DXDY), ONE_POLY, None)
-        if e.name == "pi":
-            return _Rational(Polynomial.constant(even(math.pi)), ONE_POLY, None)
+        if e.name in names:
+            return names[e.name]
         if e.name == "x":
             raise UnsupportedExpressionError(
                 "the symbol x is only accepted for real-line integrands; "
                 "use z in contour mode")
         raise UnsupportedExpressionError(f"unbound symbol {e.name!r}")
     if isinstance(e, ex.Neg):
-        r = _fold(e.operand)
+        r = _fold(e.operand, names)
         return _Rational(-r.num, r.den, r.factor)
     if isinstance(e, ex.BinOp):
-        a = _fold(e.left)
-        b = _fold(e.right)
+        a = _fold(e.left, names)
+        b = _fold(e.right, names)
         if e.op in "+-":
             if a.factor is not None or b.factor is not None:
                 if (a.factor is None or b.factor is None
@@ -148,10 +155,10 @@ def _fold(e: ex.Expr) -> _Rational:
                 "an entire factor in a denominator is not meromorphic "
                 "in this model")
         if b.num.is_zero():
-            raise ZeroDivisionError("division by the zero expression")
+            raise UnsupportedExpressionError("division by the zero expression")
         return _Rational(a.num * b.den, a.den * b.num, a.factor)
     if isinstance(e, ex.Pow):
-        r = _fold(e.base)
+        r = _fold(e.base, names)
         if r.factor is not None and e.exponent not in (0, 1):
             raise UnsupportedExpressionError(
                 "powers of entire factors are not representable")
@@ -161,11 +168,12 @@ def _fold(e: ex.Expr) -> _Rational:
             return _Rational(r.num.int_pow(e.exponent),
                              r.den.int_pow(e.exponent), r.factor)
         if r.num.is_zero():
-            raise ZeroDivisionError("negative power of the zero expression")
+            raise UnsupportedExpressionError(
+                "negative power of the zero expression")
         m = -e.exponent
         return _Rational(r.den.int_pow(m), r.num.int_pow(m), r.factor)
     if isinstance(e, ex.Call):
-        arg = _fold(e.arg)
+        arg = _fold(e.arg, names)
         if arg.factor is not None:
             raise UnsupportedExpressionError(
                 "entire factors cannot be composed")
@@ -176,12 +184,8 @@ def _fold(e: ex.Expr) -> _Rational:
 
 def _linear_scale(arg: _Rational) -> EvenElement:
     """The c of an entire-call argument, which must be exactly c*z."""
-    if arg.den.degree != 0:
-        raise UnsupportedExpressionError(
-            "entire factor arguments must be a constant multiple of z")
     num = arg.num
-    inv = even_inv(arg.den.coeffs[0])
-    if num.degree > 1:
+    if arg.den.degree != 0 or num.degree > 1:
         raise UnsupportedExpressionError(
             "entire factor arguments must be a constant multiple of z")
     if num.degree >= 0 and not num.coeffs[0].is_zero():
@@ -189,61 +193,51 @@ def _linear_scale(arg: _Rational) -> EvenElement:
             "entire factor arguments must have no constant term")
     if num.degree < 1:
         return even(0.0)
-    return even_mul(num.coeffs[1], inv)
+    return even_mul(num.coeffs[1], even_inv(arg.den.coeffs[0]))
 
 
 def normalize_rational(num: Polynomial, den: Polynomial
-                       ) -> tuple[Polynomial, Polynomial, _Roots | None]:
-    """Monic denominator, shared roots cancelled.
-
-    The third item holds the roots of the returned denominator when they
-    were found on exactly its coefficients, i.e. nothing was cancelled and
-    retightening the lead changed no bit; otherwise it is None.
-    """
+                       ) -> tuple[Polynomial, Polynomial, _Roots]:
+    """Monic denominator, shared roots cancelled, and its root table: each
+    cancellation lowers its root's multiplicity there, and rescaling the
+    lead moves no root, so the denominator is rooted once."""
     if den.is_zero():
-        raise ZeroDivisionError("zero denominator polynomial")
+        raise UnsupportedExpressionError("zero denominator polynomial")
     den, lead = den.monic()
     num = num.scale(even_inv(lead))
     if num.is_zero():
-        return ZERO_POLY, ONE_POLY, None
-    rooted, roots = den, None
-    if den.degree >= 1:
-        roots = _roots_of(den)
-        for loc, mult in roots:
-            cancelled = 0
-            while cancelled < mult:
-                scale = num.max_coeff()
-                if num.degree < 0 or abs(num(loc)) > CANCEL_TOL * scale:
-                    break
-                num, _ = num.deflate(loc)
-                den, _ = den.deflate(loc)
-                cancelled += 1
-            if num.is_zero():
-                return ZERO_POLY, ONE_POLY, None
+        return ZERO_POLY, ONE_POLY, ()
+    roots = []
+    for loc, mult in _roots_of(den) if den.degree >= 1 else ():
+        while mult and abs(num(loc)) <= CANCEL_TOL * num.max_coeff():
+            num, _ = num.deflate(loc)
+            den, _ = den.deflate(loc)
+            mult -= 1
+        if num.is_zero():
+            return ZERO_POLY, ONE_POLY, ()
+        if mult:
+            roots.append((loc, mult))
     # deflation keeps den monic up to rounding; retighten the lead
-    if not den.is_zero() and den.degree >= 0:
-        den, lead = den.monic()
-        num = num.scale(even_inv(lead))
-    if roots is not None and _bits(den) != _bits(rooted):
-        roots = None
-    return num, den, roots
+    den, lead = den.monic()
+    num = num.scale(even_inv(lead))
+    return num, den, tuple(roots)
 
 
-def to_meromorphic(e: ex.Expr) -> MeromorphicFunction:
+def to_meromorphic(e: ex.Expr, names: dict[str, _Rational] = _NAMES
+                   ) -> MeromorphicFunction:
     """Normalize a parsed expression into the meromorphic model."""
-    r = _fold(e)
+    r = _fold(e, names)
     num, den, roots = normalize_rational(r.num, r.den)
     return MeromorphicFunction(num, den, r.factor, roots)
 
 
 def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
                           real_line: bool = False) -> MeromorphicFunction:
-    node = ex.parse(text)
-    if bindings:
-        node = ex.substitute(node, bindings)
-    if real_line:
-        node = ex.rewrite_x_to_z(node)
-    return to_meromorphic(node)
+    """Parse and fold; x is z on the real line, each binding a constant."""
+    names = dict(_NAMES, x=_NAMES["z"]) if real_line else dict(_NAMES)
+    for name, value in (bindings or {}).items():
+        names[name] = _constant(float(value))
+    return to_meromorphic(ex.parse(text), names)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +246,6 @@ def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
 def _roots_of(p: Polynomial) -> _Roots:
     pairs = find_roots([complex(c.u, c.v) for c in p.coeffs])
     return tuple((even(loc.real, loc.imag), mult) for loc, mult in pairs)
-
-
-def _bits(p: Polynomial) -> list[tuple[str, str]]:
-    """The coefficients bit for bit (0.0 and -0.0 differ)."""
-    return [(c.u.hex(), c.v.hex()) for c in p.coeffs]
 
 
 def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
@@ -308,7 +297,7 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     is cut to `window` coefficients.
     """
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise UsageError("window must be >= 1")
     if f.is_zero():
         return LaurentSeries(center, 0, ())
     den = _taylor_window(f.den, center, _den_valuation(f, center), window)
@@ -368,14 +357,14 @@ def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
     Central differences with the given step; each sample must satisfy the
     conditions within tol scaled by the local derivative magnitude, and every
     sample must agree for the stronger verdicts.  No samples, step <= 0 or
-    tol < 0 raise ValueError, as the verdict would be untested.
+    tol < 0 raise UsageError, as the verdict would be untested.
     """
     if not samples:
-        raise ValueError("classification needs at least one sample")
+        raise UsageError("classification needs at least one sample")
     if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise UsageError(f"step must be positive, got {step}")
     if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+        raise UsageError(f"tol must be non-negative, got {tol}")
     closed = True
     cauchy_riemann = True
     for x, y in samples:

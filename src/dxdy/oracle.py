@@ -30,6 +30,7 @@ from typing import Callable, Iterable
 
 from .contours import (AXIS_TOL, CircleContour, COUNTERCLOCKWISE,
                        integrate_closed)
+from .errors import ComputationError, UsageError
 from .functions import MeromorphicFunction, find_poles
 
 #: points of the first trapezoid estimate
@@ -44,7 +45,7 @@ WINDOW = 4.0
 _HALF_PI = 0.5 * math.pi
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ComputationError, RuntimeError):
     """Non-finite samples or failure to reach the requested tolerance."""
 
 
@@ -54,15 +55,15 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise UsageError("tol must be positive")
 
 
 def _checked(sample: Callable[[float], complex], t: float) -> complex:
     """sample(t), with singular and non-finite values as QuadratureError."""
     try:
         value = sample(t)
-    except (ZeroDivisionError, OverflowError) as err:
-        raise QuadratureError(
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        raise QuadratureError(  # ValueError: cmath's domain error at inf
             f"singular integrand sample at t={t:.6g}") from err
     if not cmath.isfinite(value):
         raise QuadratureError(f"non-finite integrand sample at t={t:.6g}")
@@ -107,7 +108,11 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
 
     def sums(nodes):
         samples = [_checked(sample, t) for t in nodes]
-        return [math.fsum(map(part, samples)) for part in _PARTS[:parts]]
+        try:
+            return [math.fsum(map(part, samples)) for part in _PARTS[:parts]]
+        except OverflowError:  # finite samples, but their sum is not
+            raise QuadratureError("integrand samples sum beyond the double "
+                                  "range") from None
 
     def estimates():
         n = MIN_POINTS
@@ -314,10 +319,10 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
 
     Needs deg(den) >= deg(num) + 2, or + 1 with an oscillating factor, and
     no denominator root on the axis; anything else raises QuadratureError.
-    A tol that is not positive raises ValueError.
+    A tol that is not positive raises UsageError.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise UsageError("tol must be positive")
     if f.is_zero():
         return 0.0
     frequency = _axis_oscillation(f)

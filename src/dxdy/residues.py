@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import E_ZERO, EvenElement, even, even_mul, to_complexes
+from .errors import ComputationError, RangeError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
                         dyadic_taylor_shift, offset_poly, real_horner,
                         stencil_weights)
@@ -39,7 +40,7 @@ DERIVATIVE_STEP = 1e-4
 TWO_FORM_TOL = 1e-10
 
 
-class PoleExpansionError(ValueError):
+class PoleExpansionError(ComputationError, ValueError):
     """The function is singular where a regular point was required."""
 
 
@@ -224,7 +225,9 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
                       n: int) -> EvenElement:
     """n-th x-derivative of f off the local expansion, away from poles."""
     if n < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise UsageError("derivative order must be >= 0")
+    if n > 170:  # 171! exceeds the largest double
+        raise RangeError(f"{n}! lies beyond the double range")
     _require_regular(f, z0)
     if _den_valuation(f, z0) > 0:  # the expansion would be the pole's
         raise PoleExpansionError(f"{z0} is a pole of the root table")
@@ -232,7 +235,6 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
     if s.is_zero() or n < s.valuation:
         return E_ZERO
     return s.coefficient(n) * float(math.factorial(n))
-
 
 def cauchy_integral_value(f: MeromorphicFunction, z0: EvenElement,
                           n: int = 0) -> tuple[float, EvenElement, bool]:
@@ -255,7 +257,7 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
                    hi: int) -> LaurentSeries:
     """Laurent coefficients of f about z0 exposed over exponents [lo, hi]."""
     if lo > hi:
-        raise ValueError("empty window: lo > hi")
+        raise UsageError("empty window: lo > hi")
     if hi - lo + 1 > MAX_LAURENT_WINDOW:
         raise WindowError(
             f"window of {hi - lo + 1} coefficients exceeds the configured "

@@ -34,6 +34,7 @@ import cmath
 import math
 import sys
 
+from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_shift)
 
@@ -55,7 +56,7 @@ _DK_MAX_ITER = 600
 _NEWTON_MAX_ITER = 24
 
 
-class RootFindingError(RuntimeError):
+class RootFindingError(ComputationError, RuntimeError):
     """The iteration did not converge to a consistent root structure."""
 
 
@@ -250,11 +251,14 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) <= 1:
-        raise ValueError("root finding needs degree >= 1")
+        raise UsageError("root finding needs degree >= 1")
     lead = cs[-1]
     monic = [c / lead for c in cs]
     degree = len(monic) - 1
     raw = _durand_kerner(monic)
+    if not all(map(cmath.isfinite, raw)):
+        raise RootFindingError(f"Durand-Kerner iterates left the double "
+                               f"range at degree {degree}")
     exact = dyadic_poly(monic)
     found: list[tuple[complex, int]] = []
     for group in _single_linkage(raw, degree):

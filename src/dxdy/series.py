@@ -15,16 +15,17 @@ from dataclasses import dataclass
 from .algebra import (E_ONE, E_ZERO, EvenElement, even_cos, even_exp,
                       even_int_pow, even_inv, even_mul, even_sin,
                       from_complexes, to_complexes)
+from .errors import ComputationError, UsageError
 
 #: default number of retained coefficients
 DEFAULT_WINDOW = 16
 
 
-class WindowError(ValueError):
+class WindowError(ComputationError, ValueError):
     """Requested coefficient lies outside the reliable window."""
 
 
-class CenterMismatchError(ValueError):
+class CenterMismatchError(UsageError):
     """Operands are centered at different points."""
 
 
@@ -165,7 +166,7 @@ def derivative_cycle(kind: str, w0: EvenElement) -> list[EvenElement]:
         return [s0, c0, -s0, -c0]
     if kind == "cos":
         return [c0, -s0, -c0, s0]
-    raise ValueError(f"unknown entire kind {kind!r}; "
+    raise UsageError(f"unknown entire kind {kind!r}; "
                      f"expected one of {ENTIRE_KINDS}")
 
 
@@ -196,7 +197,7 @@ def entire_series(kind: str, scale: EvenElement, center: EvenElement,
     series at z'^1 however the rounded value at w0 compares with the rest.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise UsageError("order must be >= 0")
     cycle = derivative_cycle(kind, even_mul(scale, center))
     valuation = _zero_order(cycle)
     coeffs = []

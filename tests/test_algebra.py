@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.algebra import (DX, DXDY, DY, EvenElement, GradeError, Multivector,
-                          PolarForm, dot_one_forms, even, even_int_pow, even_inv,
-                          even_mul, from_polar, mv_product, one_form,
-                          to_polar)
+                          PolarForm, dot_one_forms, even, even_cos, even_exp,
+                          even_int_pow, even_inv, even_mul, even_sin,
+                          from_polar, mv_product, one_form, to_polar)
+from dxdy.errors import RangeError
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
                    allow_infinity=False)
@@ -132,6 +133,31 @@ def test_even_inv_rejects_zero():
         even_inv(even(0, 0))
     with pytest.raises(ZeroDivisionError):
         even_int_pow(even(0, 0), -2)
+
+
+@pytest.mark.parametrize("x", [
+    even(1e-170), even(3e-163, -4e-163), even(0.0, 5e-300), even(1e200),
+    even(1e308, 1e308), even(-1e300, 1e-300)])
+def test_even_inv_rescales_when_the_squared_norm_leaves_the_range(x):
+    # conj(x)/|x|^2 would divide by 0.0 or by inf here
+    inv = even_inv(x)
+    assert abs(even_mul(x, inv) - even(1, 0)) <= 1e-15
+
+
+def test_even_inv_keeps_non_finite_and_subnormal_limits():
+    assert even_inv(even(1e-320)) == even(math.inf, -0.0)
+    inv = even_inv(even(math.inf))
+    assert math.isnan(inv.u) and inv.v == 0.0
+
+
+@pytest.mark.parametrize("kernel,x", [
+    (even_exp, even(710.0)), (even_exp, even(0.0, math.inf)),
+    (even_sin, even(0.0, 711.0)), (even_sin, even(math.inf)),
+    (even_cos, even(1.0, -711.0)), (even_cos, even(-math.inf, 1.0))])
+def test_entire_kernels_raise_range_error_beyond_the_double_range(kernel, x):
+    with pytest.raises(RangeError, match="double range"):
+        kernel(x)
+    assert issubclass(RangeError, OverflowError)
 
 
 @given(nonzero, nonzero)

@@ -186,7 +186,8 @@ def test_classify_verb(run):
 
 @pytest.mark.parametrize("option", [
     ["--samples", "0"], ["--samples", "-3"], ["--step", "0"],
-    ["--step=-1e-6"], ["--step", "nan"], ["--tol=-1"],
+    ["--step=-1e-6"], ["--step", "nan"], ["--tol=-1"], ["--step", "inf"],
+    ["--sample-radius", "nan"],
 ])
 def test_classify_rejects_bad_options_with_exit_two(option, capsys):
     # each of these used to print a verdict the samples never tested
@@ -212,10 +213,23 @@ CONTOUR = ["integrate-contour", "1/(z-1)", "--center", "0,0"]
      "--verify-tol"),
     (["integrate-line", "1/(x^2+1)", "--verify", "--verify-tol", "0"],
      "--verify-tol"),
+    (["integrate-contour", "1/z", "--center", "nan,0", "--radius", "1"],
+     "--center"),
+    (["laurent", "1/z", "--center", "inf,0", "--from", "-1", "--to", "1"],
+     "--center"),
+    (["cauchy", "1/z", "--at", "nan,0"], "--at"),
+    ([*CONTOUR, "--radius", "2", "--verify", "--verify-tol", "inf"],
+     "--verify-tol"),
+    (["classify", "--k", "y", "--g", "0", "--tol", "inf"], "--tol"),
+    (["cauchy", "1/z", "--at", "1/0"], "--at"),
+    ([*CONTOUR, "--radius", "inf"], "--radius"),
+    ([*CONTOUR, "--radius", "1", "--clearance", "inf"], "--clearance"),
+    (["integrate-line", "exp(I*t*x)/(x^2+1)", "--t", "inf"], "--t"),
 ])
 def test_bad_option_values_exit_two(argv, option, capsys):
     # each of these used to end in a ValueError (exit 1), or, for the
-    # clearance, in a value of 0 with the pole on the circle dropped
+    # clearance, in a value of 0 with the pole on the circle dropped; a
+    # non-finite value gave an answer that was wrong or never tested
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
@@ -258,6 +272,10 @@ def test_parse_errors_exit_two(run):
     status, _, err = run("integrate-contour", "x+1", "--center", "0,0",
                          "--radius", "1")
     assert status == 2
+    # zero denominators are expression errors; these exited 1
+    for text in ("1/(z-z)", "(z-z)^-1", "1/(1e-200*z)/(1e-200*z)"):
+        status, _, err = run("residues", text)
+        assert status == 2 and "zero" in err
 
 
 def test_computation_errors_exit_one(run):
@@ -269,6 +287,32 @@ def test_computation_errors_exit_one(run):
     assert status == 1
     status, _, err = run("integrate-line", "1/(x^2-1)")
     assert status == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    # Durand-Kerner overflows; these ended in a NaN conversion error
+    (["residues", "1/(z-1)^40"], "Durand-Kerner"),
+    (["residues", "1/(z^2+1e300)"], "Durand-Kerner"),
+    (["integrate-line", "1/(x^2+1e300)"], "Durand-Kerner"),
+    # values beyond the double range; these ended in a traceback
+    (["cauchy", "exp(z)", "--at", "0,0", "--n", "171"], "171!"),
+    (["cauchy", "exp(1000*z)", "--at", "1,0"], "exp("),
+    (["residues", "exp(1000*z)/(z-1)"], "exp("),
+    (["residues", "sin(1000*I*z)/(z-1)"], "sin("),
+    (["laurent", "cos(z)/z", "--center", "0,800", "--from", "-1", "--to",
+      "1"], "double range"),
+    (["integrate-contour", "exp(800*z)/(z-1)", "--center", "1,0",
+      "--radius", "0.5", "--verify"], "exp("),
+])
+def test_overflows_exit_one(run, argv, message):
+    status, out, err = run(*argv)
+    assert status == 1 and not out
+    assert message in err
+
+
+def test_largest_finite_factorial_still_gives_a_derivative(run):
+    doc = run_json(run, "cauchy", "exp(z)", "--at", "0,0", "--n", "170")
+    assert doc["derivative"] == [1.0000000000000004, 0.0]
 
 
 def test_usage_error_exits_two():

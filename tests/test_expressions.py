@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dxdy.algebra import even
 from dxdy.expressions import (CALLS, BinOp, Call, Neg, Num, ParseError, Pow,
                               Sym, compile_expression, evaluate, parse,
-                              rewrite_x_to_z, substitute)
+                              parse_point)
+from dxdy.functions import (UnsupportedExpressionError,
+                            meromorphic_from_text)
 
 from helpers import reference_evaluate
 
@@ -46,7 +48,8 @@ def test_unary_minus_and_negative_exponent():
 def test_call_with_scaled_argument():
     node = parse("exp(I*t*z)/(z^2+1)")
     assert isinstance(node.left, Call) and node.left.func == "exp"
-    assert substitute(node, {"t": 1}) == parse("exp(I*1.0*z)/(z^2+1)")
+    bound = meromorphic_from_text("exp(I*t*z)/(z^2+1)", {"t": 1})
+    assert bound == meromorphic_from_text("exp(I*1.0*z)/(z^2+1)")
 
 
 def test_fractional_power_rejected_with_periodicity_message():
@@ -76,9 +79,18 @@ def test_syntax_errors_carry_positions():
 
 
 def test_x_rewrites_only_on_request():
-    node = parse("1/(x^2+1)")
-    assert rewrite_x_to_z(node) == parse("1/(z^2+1)")
-    assert node == BinOp("/", Num(1.0), parse("x^2+1"))
+    assert (meromorphic_from_text("1/(x^2+1)", real_line=True)
+            == meromorphic_from_text("1/(z^2+1)"))
+    with pytest.raises(UnsupportedExpressionError, match="real-line"):
+        meromorphic_from_text("1/(x^2+1)")
+
+
+def test_points_are_finite_constants():
+    assert parse_point("0.5,-2") == even(0.5, -2.0)
+    assert parse_point("1+2*I") == even(1.0, 2.0)
+    for text in ("nan,0", "0,inf", "1/0", "exp(1000)", "z", "1,q", "(1"):
+        with pytest.raises(ParseError):
+            parse_point(text)
 
 
 def test_pi_and_scientific_literals():

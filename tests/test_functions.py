@@ -13,7 +13,7 @@ from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
                             UnsupportedExpressionError, classify_one_form,
                             find_poles, local_expansion, meromorphic_from_text,
                             to_meromorphic)
-from dxdy.residues import laurent_expand
+from dxdy.residues import laurent_expand, residue
 from dxdy.roots import find_roots
 
 from helpers import even_close, random_planted_rational
@@ -118,15 +118,32 @@ def test_find_poles_reuses_the_normalizing_roots(monkeypatch):
     assert repr(fresh) == repr(poles)
 
 
-def test_cancelled_denominator_is_rooted_again(monkeypatch):
+def test_cancelled_denominator_is_rooted_once(monkeypatch):
     calls = _count_find_roots(monkeypatch)
     f = meromorphic_from_text("(z-1)/((z-1)*(z+2))")
     assert f.den.degree == 1
     poles = find_poles(f)
-    assert len(calls) == 2
-    assert len(calls[1]) == 2       # the cancelled, degree-1 denominator
+    assert len(calls) == 1          # the cancellation drops z = 1 from it
     assert len(poles) == 1 and poles[0].order == 1
     assert abs(poles[0].location - even(-2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1/(z-1)+1/(z-1)", [(even(1.0), 1, even(2.0))]),
+    ("(z^2-1)/(z-1)^3", [(even(1.0), 2, even(1.0))]),
+    ("z/(z^2+1)-1/(z+I)",            # I/(z^2+1)
+     [(even(0.0, -1.0), 1, even(-0.5)), (even(0.0, 1.0), 1, even(0.5))]),
+])
+def test_cancellation_lowers_the_multiplicity_in_the_table(
+        text, want, monkeypatch):
+    calls = _count_find_roots(monkeypatch)
+    f = meromorphic_from_text(text)
+    poles = find_poles(f)
+    assert len(calls) == 1
+    assert [p.order for p in poles] == [order for _, order, _ in want]
+    for p, (location, _, value) in zip(poles, want):
+        assert abs(p.location - location) <= 1e-12
+        assert abs(residue(f, p) - value) <= 1e-12
 
 
 def test_local_expansion_reference_values():
