@@ -6,10 +6,13 @@ and calls of the benchmark itself, and prints one sha256 over the reprs of
 all outputs in order; an operation that raises contributes
 ``type: message`` instead.  Two checkouts whose hashes agree computed the
 same bits for every operation.  ``--workload all`` prints one such line
-per workload.
+per workload.  ``--against CHECKOUT`` also runs CHECKOUT's own bitcheck on
+the same workloads, seeds and rounds, prints ``match`` or ``mismatch`` per
+workload and exits 1 on any mismatch.
 
     python3 scripts/bitcheck.py --workload verify --seeds 1-4 --rounds 3
     python3 scripts/bitcheck.py --workload all --seeds 1-4 --rounds 3
+    python3 scripts/bitcheck.py --workload all --seeds 1-4 --against ../parent
 
 Run it from the root of a source checkout; dxdy is imported from ``src/``.
 """
@@ -20,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +67,19 @@ def digest_line(workload: str, seed_list: list[int], rounds: int) -> str:
             f"{rounds}: {count} ops, sha256 {digest.hexdigest()}")
 
 
+def their_lines(checkout: Path, workload: str, seed_list: list[int],
+                rounds: int) -> dict[str, str]:
+    """The hash lines of another checkout's bitcheck, by workload."""
+    done = subprocess.run(
+        [sys.executable, str(checkout / "scripts" / "bitcheck.py"),
+         "--workload", workload, "--seeds", ",".join(map(str, seed_list)),
+         "--rounds", str(rounds)],
+        cwd=checkout, capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    return {line.split()[0]: line for line in done.stdout.splitlines()
+            if line.strip()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=run.WORKLOADS + ("all",),
@@ -70,12 +87,27 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seeds, required=True,
                         help="seeds as '1-4' or '1,3,5'")
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="compare with CHECKOUT's bitcheck on the same "
+                             "arguments; exit 1 on any mismatch")
     args = parser.parse_args(argv)
     workloads.bind(run._import_dxdy())
     chosen = run.WORKLOADS if args.workload == "all" else (args.workload,)
+    ours = {}
     for workload in chosen:
-        print(digest_line(workload, args.seeds, args.rounds))
-    return 0
+        ours[workload] = digest_line(workload, args.seeds, args.rounds)
+        print(ours[workload], flush=True)
+    if args.against is None:
+        return 0
+    theirs = their_lines(args.against.resolve(), args.workload, args.seeds,
+                         args.rounds)
+    status = 0
+    for workload, line in ours.items():
+        same = theirs.get(workload) == line
+        print(f"{workload}: {'match' if same else 'mismatch'} against "
+              f"{args.against}")
+        status |= not same
+    return status
 
 
 if __name__ == "__main__":

@@ -147,6 +147,30 @@ def dyadic_taylor_shift(poly: DyadicPoly, center: complex,
     return out
 
 
+def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
+                              j: int) -> Dyadic:
+    """Exact t_j alone: dyadic_taylor_shift(poly, center, j + 1)[j].
+
+    t_j = sum_{i >= j} C(i, j) c_i center**(i - j), one Horner pass over
+    i = n .. j in the shift's homogeneous form (coefficient i held as
+    C(i, j) c_i * 2**(exp + s*(n-i))), so it ends on the same integers
+    over the same power of two.  Needs 0 <= j <= degree.
+    """
+    n = len(poly.re) - 1
+    xr, xi, s = _dyadic_parts(center)
+    xsum, xdiff = xr + xi, xi - xr
+    binom = math.comb(n, j)
+    ar = ai = 0
+    for i in range(n, j - 1, -1):
+        k1 = xr * (ar + ai)
+        shift = s * (n - i)
+        ar, ai = (k1 - ai * xsum + (binom * poly.re[i] << shift),
+                  k1 + ar * xdiff + (binom * poly.im[i] << shift))
+        if i > j:
+            binom = binom * (i - j) // i  # C(i - 1, j)
+    return Dyadic(ar, ai, poly.exp + s * (n - j))
+
+
 def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:
     """a / (scale * b), each component rounded once; b != 0, scale > 0."""
     num_re = a.re * b.re + a.im * b.im

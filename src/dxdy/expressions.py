@@ -110,6 +110,9 @@ def _tokenize(source: str) -> list[_Token]:
                 value = float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", start) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} lies beyond the double "
+                                 f"range", start)
             tokens.append(_Token("num", text, start, value))
             continue
         if c.isalpha() or c == "_":

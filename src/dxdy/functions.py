@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 from . import expressions as ex
 from .algebra import (E_DXDY, E_ZERO, EvenElement, even, even_cos,
-                      even_exp, even_inv, even_mul, even_sin)
-from .errors import ComputationError, UsageError
+                      even_exp, even_inv, even_mul, even_sin, format_even)
+from .errors import ComputationError, RangeError, UsageError
 from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
 from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
@@ -227,6 +227,10 @@ def to_meromorphic(e: ex.Expr, names: dict[str, _Rational] = _NAMES
                    ) -> MeromorphicFunction:
     """Normalize a parsed expression into the meromorphic model."""
     r = _fold(e, names)
+    for c in r.num.coeffs + r.den.coeffs:
+        if not (math.isfinite(c.u) and math.isfinite(c.v)):
+            raise RangeError(f"folded coefficient {format_even(c)} lies "
+                             f"beyond the double range")
     num, den, roots = normalize_rational(r.num, r.den)
     return MeromorphicFunction(num, den, r.factor, roots)
 
@@ -270,8 +274,9 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
 
 def _den_valuation(f: MeromorphicFunction, center: EvenElement) -> int:
     """Multiplicity of the table root at center; 0 if none is that close."""
+    radius = CLUSTER_TOL * (1.0 + abs(center))
     for loc, mult in f.den_roots:
-        if abs(loc - center) <= CLUSTER_TOL * (1.0 + abs(center)):
+        if abs(loc - center) <= radius:
             return mult
     return 0
 
@@ -279,7 +284,7 @@ def _den_valuation(f: MeromorphicFunction, center: EvenElement) -> int:
 def _taylor_window(p: Polynomial, center: EvenElement, valuation: int,
                    window: int) -> LaurentSeries:
     """t_valuation.. of p's Taylor shift to center, zero-padded to window."""
-    shifted = p.taylor_shift(center)[valuation:valuation + window]
+    shifted = p.taylor_shift(center, valuation + window)[valuation:]
     return LaurentSeries(center, valuation,
                          shifted + (E_ZERO,) * (window - len(shifted)))
 

@@ -89,12 +89,13 @@ class Polynomial:
             raise ValueError("negative polynomial power")
         result = ONE_POLY
         base = self
-        while m > 0:
+        while True:
             if m & 1:
                 result = result * base
-            base = base * base
             m >>= 1
-        return result
+            if not m:  # the next square would go unused
+                return result
+            base = base * base
 
     def derivative(self) -> "Polynomial":
         return Polynomial.from_coeffs(
@@ -120,13 +121,20 @@ class Polynomial:
         return (Polynomial.from_coeffs(from_complexes(reversed(out))),
                 EvenElement(remainder.real, remainder.imag))
 
-    def taylor_shift(self, center: EvenElement) -> tuple[EvenElement, ...]:
-        """Coefficients t_k with p(center + h) = sum t_k h^k (exact degree)."""
+    def taylor_shift(self, center: EvenElement,
+                     terms: int | None = None) -> tuple[EvenElement, ...]:
+        """Coefficients t_k with p(center + h) = sum t_k h^k.
+
+        Pass k of repeated synthetic division by (z - center) ends on t_k
+        and leaves the quotient for pass k + 1, so the first ``terms``
+        coefficients cost ``terms`` passes and are the same bits as the
+        head of the full shift.  ``None`` (or more terms than deg + 1)
+        gives all deg + 1 of them.
+        """
         x = complex(center.u, center.v)
         work = self._descending
         out = []
-        # each pass divides by (z - center); its remainder is the next t_k
-        while work:
+        for _ in range(len(work) if terms is None else min(terms, len(work))):
             acc = 0j
             quotient = []
             for c in work:

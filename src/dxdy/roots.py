@@ -17,15 +17,18 @@ multiplicities.  The pipeline is therefore:
    coefficients t_j at the refined center: the group of k approximations is
    accepted as one multiplicity-k root iff the polynomial is,
    coefficient-relatively, close to one with an exact multiplicity-k root
-   there.  Failed groups are split and retried with tighter radii.
+   there.  The test is lazy: it computes t_j and its scale for
+   j = 0, 1, .. in order, each t_j in one exact pass of its own, and stops
+   at the first that fails; t_k is one more pass.  Failed groups are split
+   and retried with tighter radii.
 
 Centers of accepted groups start from the group mean (first-order scatter
 cancels around a multiple root) and are refined with a Newton step on
 t_{k-1}, so reported locations do not inherit the scatter; simple roots get
 plain Newton steps.  The monic coefficients and every iterate are doubles,
 hence dyadic: p, p' and the t_j come exact from ``exactmath``'s Gaussian
-integer Taylor shift, and each step or test value is rounded once from the
-exact rational.
+integer Horner passes, and each step or test value is rounded once from
+the exact rational.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import sys
 
 from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
-                        dyadic_taylor_shift)
+                        dyadic_taylor_coefficient, dyadic_taylor_shift)
 
 #: two polished roots closer than this (times 1 + |root|) are the same root
 CLUSTER_TOL = 1e-7
@@ -123,23 +126,25 @@ def _at_rounding_floor(descending: list[complex], xs: list[complex]) -> bool:
     return True
 
 
-def _link_radius(degree: int, magnitude: float) -> float:
-    # the widest a multiplicity cluster can scatter is the degree-m law
-    return (1.0 + magnitude) * max(CLUSTER_TOL, KAPPA ** (1.0 / degree))
-
-
 def _single_linkage(points: list[complex], degree: int) -> list[list[complex]]:
-    """Repeatedly merge the closest pair of groups within the linkage radius."""
+    """Repeatedly merge the closest pair of groups within the linkage radius.
+
+    The radius for a pair is (1 + |merged mean|) * max(CLUSTER_TOL,
+    KAPPA**(1/degree)): the widest a multiplicity cluster can scatter is
+    the degree-m law.
+    """
+    factor = max(CLUSTER_TOL, KAPPA ** (1.0 / degree))
     groups = [[p] for p in points]
     while len(groups) > 1:
+        means = [_mean(g) for g in groups]
         best = None
         best_d = math.inf
-        for i in range(len(groups)):
-            ci = _mean(groups[i])
+        for i, ci in enumerate(means):
             for j in range(i + 1, len(groups)):
-                d = abs(ci - _mean(groups[j]))
-                mag = abs(_mean(groups[i] + groups[j]))
-                if d <= _link_radius(degree, mag) and d < best_d:
+                d = abs(ci - means[j])
+                if d >= best_d:  # no merged mean needed for a losing pair
+                    continue
+                if d <= (1.0 + abs(_mean(groups[i] + groups[j]))) * factor:
                     best_d = d
                     best = (i, j)
         if best is None:
@@ -170,24 +175,18 @@ def _newton_polish(exact: DyadicPoly, x0: complex) -> complex:
     return x
 
 
-def _coefficient_scales(coeffs: list[complex], c: complex) -> list[float]:
-    """Magnitude scale of each shifted Taylor coefficient at c."""
-    n = len(coeffs)
-    mags = [abs(ci) for ci in coeffs]
-    ac = abs(c)
-    scales = []
-    for j in range(n):
-        s = 0.0
-        binom = 1.0
-        power = 1.0
-        for i in range(j, n):
-            if i > j:
-                binom = binom * i / (i - j)
-                power *= ac
-            s += binom * mags[i] * power
-        scales.append(s)
-    top = max(mags)
-    return [s if s > 0.0 else top for s in scales]
+def _coefficient_scale(mags: list[float], ac: float, j: int) -> float:
+    """Magnitude scale sum_i C(i, j) |c_i| ac**(i - j) of the shifted
+    Taylor coefficient t_j at a center of modulus ac."""
+    s = 0.0
+    binom = 1.0
+    power = 1.0
+    for i in range(j, len(mags)):
+        if i > j:
+            binom = binom * i / (i - j)
+            power *= ac
+        s += binom * mags[i] * power
+    return s if s > 0.0 else max(mags)
 
 
 def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
@@ -197,25 +196,30 @@ def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
     The center update zeroes the Taylor coefficient t_{k-1}, which is the
     first-order condition for the nearest polynomial with an exact
     multiplicity-k root at c; acceptance requires every t_j below the
-    hypothesised order to be coefficient-relatively negligible.
+    hypothesised order to be coefficient-relatively negligible.  Each
+    exact t_j is one Horner pass of its own, so a step computes t_k and
+    t_{k-1} only, and the test stops at the first t_j that fails.
     """
     c = seed
     for _ in range(8):
-        t = dyadic_taylor_shift(exact, c, k + 1)
-        if t[k].is_zero():
+        t_k = dyadic_taylor_coefficient(exact, c, k)
+        if t_k.is_zero():
             return None
-        correction = dyadic_ratio(t[k - 1], t[k], k)
+        correction = dyadic_ratio(
+            dyadic_taylor_coefficient(exact, c, k - 1), t_k, k)
         if not (math.isfinite(correction.real) and math.isfinite(correction.imag)):
             return None
         c = c - correction
         if abs(correction) <= 1e-16 * (1.0 + abs(c)):
             break
-    t = dyadic_taylor_shift(exact, c, k + 1)
-    scales = _coefficient_scales(coeffs, c)
+    mags = [abs(ci) for ci in coeffs]
+    ac = abs(c)
     for j in range(k):
-        if abs(t[j].to_complex()) > VERIFY_TOL * scales[j]:
+        t_j = dyadic_taylor_coefficient(exact, c, j).to_complex()
+        if abs(t_j) > VERIFY_TOL * _coefficient_scale(mags, ac, j):
             return None
-    if abs(t[k].to_complex()) <= VERIFY_TOL * scales[k]:
+    t_k = dyadic_taylor_coefficient(exact, c, k).to_complex()
+    if abs(t_k) <= VERIFY_TOL * _coefficient_scale(mags, ac, k):
         # would be a deeper multiple root than the group accounts for
         return None
     return c

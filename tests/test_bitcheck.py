@@ -18,11 +18,14 @@ def _perfbench_inputs():
     return module
 
 
-def test_bitcheck_all_prints_one_hash_line_per_workload():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bitcheck.py"),
-         "--workload", "all", "--seeds", "1", "--rounds", "1"],
+def bitcheck(*argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bitcheck.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_bitcheck_all_prints_one_hash_line_per_workload():
+    done = bitcheck("--workload", "all", "--seeds", "1", "--rounds", "1")
     assert done.returncode == 0, done.stderr
     inputs = _perfbench_inputs()
     lines = done.stdout.splitlines()
@@ -33,3 +36,24 @@ def test_bitcheck_all_prints_one_hash_line_per_workload():
         assert match, line
         workload, count = match.group(1), int(match.group(2))
         assert count == len(inputs.make_rounds(workload, 1, 1)[0])
+
+
+def test_bitcheck_against_itself_matches_every_workload():
+    done = bitcheck("--workload", "all", "--seeds", "1", "--rounds", "1",
+                    "--against", str(ROOT))
+    assert done.returncode == 0, done.stderr
+    names = list(_perfbench_inputs().ROUNDS)
+    verdicts = done.stdout.splitlines()[-len(names):]
+    assert ([line.split()[:2] for line in verdicts]
+            == [[f"{name}:", "match"] for name in names])
+
+
+def test_bitcheck_against_other_hashes_exits_one(tmp_path):
+    # a checkout whose bitcheck prints a different hash for every workload
+    fake = tmp_path / "scripts" / "bitcheck.py"
+    fake.parent.mkdir()
+    fake.write_text("print('session seeds 1 rounds 1: 1 ops, sha256 0')\n")
+    done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
+                    "--against", str(tmp_path))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("session: mismatch")

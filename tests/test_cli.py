@@ -276,6 +276,12 @@ def test_parse_errors_exit_two(run):
     for text in ("1/(z-z)", "(z-z)^-1", "1/(1e-200*z)/(1e-200*z)"):
         status, _, err = run("residues", text)
         assert status == 2 and "zero" in err
+    # literals beyond the double range; these printed NaN residues, exit 0
+    for verb, text in (("residues", "1e309/(z-1)"),
+                       ("integrate-line", "1e309/(x^2+1)")):
+        status, out, err = run(verb, text)
+        assert status == 2 and not out
+        assert "'1e309' lies beyond the double range" in err
 
 
 def test_computation_errors_exit_one(run):
@@ -303,6 +309,8 @@ def test_computation_errors_exit_one(run):
       "1"], "double range"),
     (["integrate-contour", "exp(800*z)/(z-1)", "--center", "1,0",
       "--radius", "0.5", "--verify"], "exp("),
+    # a folded coefficient beyond the range; this printed a NaN residue
+    (["residues", "1e200*1e200/(z-1)"], "folded coefficient"),
 ])
 def test_overflows_exit_one(run, argv, message):
     status, out, err = run(*argv)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.exactmath import (central_stencil, dyadic_poly, dyadic_ratio,
-                            dyadic_taylor_shift, stencil_weights)
+                            dyadic_taylor_coefficient, dyadic_taylor_shift,
+                            stencil_weights)
 
 from exact_reference import EXACT_ZERO, ExactEven, fd_weights
 
@@ -107,6 +108,15 @@ def test_taylor_shift_matches_reference(coeffs, center):
         if not is_zero(ref[k]):
             assert (outcome(lambda: dyadic_ratio(got[k - 1], got[k], k))
                     == outcome(lambda: rounded(ref[k - 1] / (ref[k] * k))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeffs, _complex)
+def test_single_taylor_coefficient_matches_the_shift(coeffs, center):
+    poly = dyadic_poly(coeffs)
+    full = dyadic_taylor_shift(poly, center, len(coeffs))
+    assert [dyadic_taylor_coefficient(poly, center, j)
+            for j in range(len(coeffs))] == full
 
 
 def test_truncated_taylor_shift_is_a_prefix():

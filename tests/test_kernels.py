@@ -264,6 +264,14 @@ def test_taylor_shift_matches_reference(p, center):
             == [bits(t) for t in reference_taylor_shift(p, center)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(_poly, _even, st.integers(0, 9))
+def test_truncated_taylor_shift_is_the_head_of_the_full_shift(p, center,
+                                                              terms):
+    assert ([bits(t) for t in p.taylor_shift(center, terms)]
+            == [bits(t) for t in p.taylor_shift(center)][:terms])
+
+
 def test_cached_coefficients_leave_equality_alone():
     p = Polynomial.from_coeffs([even(1.5, -2.0), even(0.0, 3.0)])
     before = (repr(p), hash(p))

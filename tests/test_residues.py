@@ -177,6 +177,24 @@ def test_derivative_formula_matches_fraction_reference(text):
                     == repr(reference_derivative_formula(f, p, step)))
 
 
+def test_simple_pole_residue_shifts_at_most_two_terms(monkeypatch):
+    f = meromorphic_from_text("1/(z^60+0.7-0.2*I)")
+    poles = find_poles(f)
+    requested = []
+    shift = Polynomial.taylor_shift
+
+    def counted(self, center, terms=None):
+        requested.append(terms)
+        return shift(self, center, terms)
+
+    monkeypatch.setattr(Polynomial, "taylor_shift", counted)
+    for p in poles:
+        residue(f, p)
+    assert len(poles) == 60 and len(requested) == 120
+    # a_{-1} at a simple pole reads t_1 of den and t_0 of num alone
+    assert all(terms is not None and terms <= 2 for terms in requested)
+
+
 def test_residue_linearity():
     rng = random.Random(77)
     for _ in range(20):

@@ -1,10 +1,15 @@
 """Root finder: planted multiplicities, clustering, edge cases."""
 
+import cmath
+import math
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dxdy import roots
 from dxdy.roots import CLUSTER_TOL, find_roots
 
 
@@ -97,3 +102,105 @@ def test_residuals_are_small():
             for c in reversed(coeffs):
                 value = value * loc + c
             assert abs(value) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# grouping: the linkage pass against its cubic reference
+
+def reference_single_linkage(points, degree):
+    """The linkage pass as it was: every group mean for every pair."""
+    def mean(group):
+        return sum(group) / len(group)
+
+    def link_radius(magnitude):
+        return (1.0 + magnitude) * max(roots.CLUSTER_TOL,
+                                       roots.KAPPA ** (1.0 / degree))
+
+    groups = [[p] for p in points]
+    while len(groups) > 1:
+        best = None
+        best_d = math.inf
+        for i in range(len(groups)):
+            ci = mean(groups[i])
+            for j in range(i + 1, len(groups)):
+                d = abs(ci - mean(groups[j]))
+                mag = abs(mean(groups[i] + groups[j]))
+                if d <= link_radius(mag) and d < best_d:
+                    best_d = d
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        groups[i] = groups[i] + groups[j]
+        del groups[j]
+    return groups
+
+
+@st.composite
+def _clouds(draw):
+    """Planted clusters of 1..5 points, scattered 1e-12..0.3 about their
+    centers, in a random order, with a degree for the radius law."""
+    coord = st.floats(-2.0, 2.0)
+    unit = st.floats(-1.0, 1.0)
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        center = complex(draw(coord), draw(coord))
+        spread = 10.0 ** draw(st.floats(-12.0, -0.5))
+        for _ in range(draw(st.integers(1, 5))):
+            points.append(center + spread * complex(draw(unit), draw(unit)))
+    return draw(st.permutations(points)), draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clouds())
+def test_linkage_matches_cubic_reference(cloud):
+    points, degree = cloud
+    assert (roots._single_linkage(points, degree)
+            == reference_single_linkage(points, degree))
+
+
+@pytest.mark.parametrize("c", [0.7 - 0.2j, 0.5 + 0.3j, 1.2, 0.9j])
+def test_linkage_matches_reference_at_the_n15_spacing(c):
+    # the degree-15 radius, about 0.43, exceeds the root spacing there
+    raw = roots._durand_kerner([c] + [0j] * 14 + [1 + 0j])
+    jittered = [x * cmath.exp(1e-3j * k) for k, x in enumerate(raw)]
+    for points in (raw, jittered):
+        assert (roots._single_linkage(points, 15)
+                == reference_single_linkage(points, 15))
+
+
+# ---------------------------------------------------------------------------
+# cost guard: exact Horner passes, counted
+
+def test_failing_double_root_hypothesis_costs_at_most_17_passes(monkeypatch):
+    passes = [0]
+    tried = []
+    coefficient = roots.dyadic_taylor_coefficient
+    shift = roots.dyadic_taylor_shift
+    refine = roots._refine_and_verify
+
+    def one_pass(poly, center, j):
+        passes[0] += 1
+        return coefficient(poly, center, j)
+
+    def many_passes(poly, center, terms):
+        passes[0] += terms
+        return shift(poly, center, terms)
+
+    def counted(coeffs, exact, seed, k):
+        passes[0] = 0
+        center = refine(coeffs, exact, seed, k)
+        tried.append((k, center, passes[0]))
+        return center
+
+    monkeypatch.setattr(roots, "dyadic_taylor_coefficient", one_pass)
+    monkeypatch.setattr(roots, "dyadic_taylor_shift", many_passes)
+    monkeypatch.setattr(roots, "_refine_and_verify", counted)
+    # z^15 + c: the linkage joins neighbouring simple roots, so each
+    # call rejects several double-root hypotheses (8 steps of t_1 and
+    # t_2, then t_0 fails; 27 passes while every step shifted t_0..t_2)
+    found = find_roots([0.7 - 0.2j] + [0j] * 14 + [1 + 0j])
+    assert [m for _, m in found] == [1] * 15
+    failed = [count for k, center, count in tried if center is None]
+    assert failed and all(k == 2 for k, _, _ in tried)
+    assert max(failed) <= 17
