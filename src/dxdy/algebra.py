@@ -157,7 +157,9 @@ class EvenElement(_Frozen):
 
     def __truediv__(self, other):
         if isinstance(other, EvenElement):
-            return even_mul(self, even_inv(other))
+            inv = complex_inv(complex(other.u, other.v))
+            z = complex(self.u, self.v) * inv
+            return EvenElement(z.real, z.imag)
         return EvenElement(self.u / other, self.v / other)
 
     def __abs__(self) -> float:
@@ -193,7 +195,8 @@ def to_complexes(xs: Iterable[EvenElement]) -> list[complex]:
     CPython's complex +, - and * compute this subalgebra's +, - and
     ``even_mul`` bit for bit.  Complex division does not (it is scaled), nor
     does complex times float (the float becomes complex(x, 0.0), which can
-    flip the sign of a zero), so the kernels use neither.
+    flip the sign of a zero), so the kernels use neither: inverses go
+    through ``complex_inv`` and real scalings scale each part.
     """
     return [complex(x.u, x.v) for x in xs]
 
@@ -206,32 +209,46 @@ def even_mul(x: EvenElement, y: EvenElement) -> EvenElement:
     return EvenElement(x.u * y.u - x.v * y.v, x.u * y.v + x.v * y.u)
 
 
-def even_inv(x: EvenElement) -> EvenElement:
-    """Multiplicative inverse conj(x)/|x|^2."""
-    n = x.norm_sq()
-    if ((n == 0.0 or n == math.inf)
-            and math.isfinite(x.u) and math.isfinite(x.v)):
-        if x.is_zero():
-            raise ZeroDivisionError("inverse of the zero even element")
-        # |x|^2 left the double range; a power-of-two scale brings it back
-        s = 2.0 ** (600 if n == 0.0 else -600)
-        return even_inv(x * s) * s
-    return EvenElement(x.u / n, -x.v / n)
+def complex_inv(x: complex) -> complex:
+    """Multiplicative inverse conj(x)/|x|^2 of the float pair x."""
+    u = x.real
+    v = x.imag
+    n = u * u + v * v
+    if 0.0 < n < math.inf or not (math.isfinite(u) and math.isfinite(v)):
+        return complex(u / n, -v / n)
+    if u == 0.0 and v == 0.0:
+        raise ZeroDivisionError("inverse of the zero even element")
+    # |x|^2 left the double range; a power-of-two scale brings it back
+    s = 2.0 ** (600 if n == 0.0 else -600)
+    r = complex_inv(complex(u * s, v * s))
+    return complex(r.real * s, r.imag * s)
 
 
-def even_int_pow(x: EvenElement, m: int) -> EvenElement:
+def complex_int_pow(x: complex, m: int) -> complex:
     """x**m for integer m by binary powering; m < 0 inverts first."""
     if m < 0:
-        return even_int_pow(even_inv(x), -m)
-    result = E_ONE
+        return complex_int_pow(complex_inv(x), -m)
+    result = 1 + 0j
     base = x
     while True:
         if m & 1:
-            result = even_mul(result, base)
+            result = result * base
         m >>= 1
         if not m:  # the next square would go unused
             return result
-        base = even_mul(base, base)
+        base = base * base
+
+
+def even_inv(x: EvenElement) -> EvenElement:
+    """Multiplicative inverse conj(x)/|x|^2 (see ``complex_inv``)."""
+    z = complex_inv(complex(x.u, x.v))
+    return EvenElement(z.real, z.imag)
+
+
+def even_int_pow(x: EvenElement, m: int) -> EvenElement:
+    """x**m for integer m (see ``complex_int_pow``)."""
+    z = complex_int_pow(complex(x.u, x.v), m)
+    return EvenElement(z.real, z.imag)
 
 
 class PolarForm(_Frozen):
@@ -269,33 +286,49 @@ def from_polar(p: PolarForm) -> EvenElement:
     return EvenElement(p.rho * math.cos(p.phi), p.rho * math.sin(p.phi))
 
 
-def even_exp(x: EvenElement) -> EvenElement:
+def complex_exp(x: complex) -> complex:
     """exp(u + v*dxdy) = e^u (cos v + dxdy sin v)."""
     try:
-        e = math.exp(x.u)
-        return EvenElement(e * math.cos(x.v), e * math.sin(x.v))
+        e = math.exp(x.real)
+        return complex(e * math.cos(x.imag), e * math.sin(x.imag))
     except (OverflowError, ValueError):  # e^u overflows, or v is infinite
         raise _beyond_range("exp", x) from None
 
 
-def even_sin(x: EvenElement) -> EvenElement:
+def complex_sin(x: complex) -> complex:
     try:
-        return EvenElement(math.sin(x.u) * math.cosh(x.v),
-                           math.cos(x.u) * math.sinh(x.v))
+        return complex(math.sin(x.real) * math.cosh(x.imag),
+                       math.cos(x.real) * math.sinh(x.imag))
     except (OverflowError, ValueError):
         raise _beyond_range("sin", x) from None
 
 
-def even_cos(x: EvenElement) -> EvenElement:
+def complex_cos(x: complex) -> complex:
     try:
-        return EvenElement(math.cos(x.u) * math.cosh(x.v),
-                           -math.sin(x.u) * math.sinh(x.v))
+        return complex(math.cos(x.real) * math.cosh(x.imag),
+                       -math.sin(x.real) * math.sinh(x.imag))
     except (OverflowError, ValueError):
         raise _beyond_range("cos", x) from None
 
 
-def _beyond_range(name: str, x: EvenElement) -> RangeError:
-    return RangeError(f"{name}({format_even(x)}) lies beyond the double range")
+def _beyond_range(name: str, x: complex) -> RangeError:
+    return RangeError(f"{name}({format_even(EvenElement(x.real, x.imag))}) "
+                      f"lies beyond the double range")
+
+
+def even_exp(x: EvenElement) -> EvenElement:
+    z = complex_exp(complex(x.u, x.v))
+    return EvenElement(z.real, z.imag)
+
+
+def even_sin(x: EvenElement) -> EvenElement:
+    z = complex_sin(complex(x.u, x.v))
+    return EvenElement(z.real, z.imag)
+
+
+def even_cos(x: EvenElement) -> EvenElement:
+    z = complex_cos(complex(x.u, x.v))
+    return EvenElement(z.real, z.imag)
 
 
 def format_even(x: EvenElement) -> str:

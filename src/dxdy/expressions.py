@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
-                      even_int_pow, even_mul, even_sin)
+from .algebra import (EvenElement, complex_cos, complex_exp, complex_int_pow,
+                      complex_inv, complex_sin, even)
 from .errors import UsageError
 
 
@@ -243,46 +243,51 @@ def parse(text: str) -> Expr:
     return node
 
 
-_CALL_EVAL = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
+_CALL_EVAL = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
 
-_CONSTANTS = {"I": E_DXDY, "pi": even(math.pi)}
-# every operand is an EvenElement, so the kernels are called directly
-_BINARY = {"+": EvenElement.__add__, "-": EvenElement.__sub__, "*": even_mul,
-           "/": EvenElement.__truediv__}
+_CONSTANTS = {"I": complex(0.0, 1.0), "pi": complex(math.pi, 0.0)}
+# closure factories: complex +, - and * are the even-element operations
+_BINARY = {
+    "+": lambda left, right: lambda env: left(env) + right(env),
+    "-": lambda left, right: lambda env: left(env) - right(env),
+    "*": lambda left, right: lambda env: left(env) * right(env),
+    "/": lambda left, right: lambda env: left(env) * complex_inv(right(env)),
+}
 
 
-def compile_expression(
-        e: Expr) -> Callable[[dict[str, EvenElement]], EvenElement]:
+def compile_expression(e: Expr) -> Callable[[dict[str, complex]], complex]:
     """Walk the tree once into closures that evaluate it pointwise.
 
-    The closures run the even-element operations of a tree walk in the same
-    order, so the values are the same bit for bit.  ``I`` and ``pi`` are
-    predefined; an unbound name raises ParseError when the closure runs.
+    The closures compute on float pairs: each value u + v*dxdy is
+    complex(u, v), a number c is complex(c, 0.0), and the environment
+    binds names to such pairs.  They run the even-element operations of a
+    tree walk in the same order, so the values are the same bits as that
+    walk's.  ``I`` and ``pi`` are predefined; an unbound name raises
+    ParseError when the closure runs.
     """
     if isinstance(e, Num):
-        value = even(e.value)
+        value = complex(e.value, 0.0)
         return lambda env: value
     if isinstance(e, Sym) and e.name in _CONSTANTS:
         value = _CONSTANTS[e.name]
         return lambda env: value
     if isinstance(e, Sym):
         def symbol(env, name=e.name):
-            if name in env:
+            try:
                 return env[name]
-            raise ParseError(f"unbound symbol {name!r}")
+            except KeyError:
+                raise ParseError(f"unbound symbol {name!r}") from None
         return symbol
     if isinstance(e, Neg):
         operand = compile_expression(e.operand)
         return lambda env: -operand(env)
     if isinstance(e, BinOp):
-        op = _BINARY[e.op]
-        left = compile_expression(e.left)
-        right = compile_expression(e.right)
-        return lambda env: op(left(env), right(env))
+        return _BINARY[e.op](compile_expression(e.left),
+                             compile_expression(e.right))
     if isinstance(e, Pow):
         base = compile_expression(e.base)
         exponent = e.exponent
-        return lambda env: even_int_pow(base(env), exponent)
+        return lambda env: complex_int_pow(base(env), exponent)
     if isinstance(e, Call):
         func = _CALL_EVAL[e.func]
         arg = compile_expression(e.arg)
@@ -291,8 +296,11 @@ def compile_expression(
 
 
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:
-    """Evaluate once in even-element arithmetic (see compile_expression)."""
-    return compile_expression(e)(env)
+    """Evaluate once; the pairs are converted only on the way in and out
+    (see compile_expression)."""
+    z = compile_expression(e)({name: complex(x.u, x.v)
+                               for name, x in env.items()})
+    return EvenElement(z.real, z.imag)
 
 
 def parse_point(text: str) -> EvenElement:

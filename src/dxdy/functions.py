@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .algebra import (E_DXDY, E_ZERO, EvenElement, even, even_cos,
-                      even_exp, even_inv, even_mul, even_sin, format_even)
+from .algebra import (E_DXDY, E_ZERO, EvenElement, complex_cos, complex_exp,
+                      complex_inv, complex_sin, even, format_even)
 from .errors import ComputationError, RangeError, UsageError
 from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
@@ -41,18 +41,21 @@ class SingularSampleError(ComputationError, ValueError):
     """A classification sample sits on or too close to a singularity."""
 
 
+_ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
+
+
 @dataclass(frozen=True)
 class EntireFactor:
     kind: str  # 'exp' | 'sin' | 'cos'
     scale: EvenElement
 
+    def at(self, x: complex) -> complex:
+        """The factor at the float pair x = complex(u, v)."""
+        return _ENTIRE[self.kind](complex(self.scale.u, self.scale.v) * x)
+
     def __call__(self, z: EvenElement) -> EvenElement:
-        w = even_mul(self.scale, z)
-        if self.kind == "exp":
-            return even_exp(w)
-        if self.kind == "sin":
-            return even_sin(w)
-        return even_cos(w)
+        w = self.at(complex(z.u, z.v))
+        return EvenElement(w.real, w.imag)
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,12 @@ class MeromorphicFunction:
             object.__setattr__(self, "den_roots", roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
-        value = even_mul(self.num(z), even_inv(self.den(z)))
+        """num/den times the factor, on float pairs; one conversion out."""
+        x = complex(z.u, z.v)
+        value = self.num.at(x) * complex_inv(self.den.at(x))
         if self.factor is not None:
-            value = even_mul(value, self.factor(z))
-        return value
+            value = value * self.factor.at(x)
+        return EvenElement(value.real, value.imag)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -184,6 +189,8 @@ def _fold(e: ex.Expr, names: dict[str, _Rational]) -> _Rational:
 
 def _linear_scale(arg: _Rational) -> EvenElement:
     """The c of an entire-call argument, which must be exactly c*z."""
+    # 0*inf leaves a NaN constant term, which is no grammar error
+    _require_finite(arg.num.coeffs + arg.den.coeffs)
     num = arg.num
     if arg.den.degree != 0 or num.degree > 1:
         raise UnsupportedExpressionError(
@@ -193,7 +200,7 @@ def _linear_scale(arg: _Rational) -> EvenElement:
             "entire factor arguments must have no constant term")
     if num.degree < 1:
         return even(0.0)
-    return even_mul(num.coeffs[1], even_inv(arg.den.coeffs[0]))
+    return num.coeffs[1] / arg.den.coeffs[0]
 
 
 def normalize_rational(num: Polynomial, den: Polynomial
@@ -203,8 +210,8 @@ def normalize_rational(num: Polynomial, den: Polynomial
     lead moves no root, so the denominator is rooted once."""
     if den.is_zero():
         raise UnsupportedExpressionError("zero denominator polynomial")
-    den, lead = den.monic()
-    num = num.scale(even_inv(lead))
+    den, inv_lead = den.monic()
+    num = num.scale(inv_lead)
     if num.is_zero():
         return ZERO_POLY, ONE_POLY, ()
     roots = []
@@ -218,19 +225,23 @@ def normalize_rational(num: Polynomial, den: Polynomial
         if mult:
             roots.append((loc, mult))
     # deflation keeps den monic up to rounding; retighten the lead
-    den, lead = den.monic()
-    num = num.scale(even_inv(lead))
+    den, inv_lead = den.monic()
+    num = num.scale(inv_lead)
     return num, den, tuple(roots)
+
+
+def _require_finite(coeffs: tuple[EvenElement, ...]) -> None:
+    for c in coeffs:
+        if not (math.isfinite(c.u) and math.isfinite(c.v)):
+            raise RangeError(f"folded coefficient {format_even(c)} lies "
+                             f"beyond the double range")
 
 
 def to_meromorphic(e: ex.Expr, names: dict[str, _Rational] = _NAMES
                    ) -> MeromorphicFunction:
     """Normalize a parsed expression into the meromorphic model."""
     r = _fold(e, names)
-    for c in r.num.coeffs + r.den.coeffs:
-        if not (math.isfinite(c.u) and math.isfinite(c.v)):
-            raise RangeError(f"folded coefficient {format_even(c)} lies "
-                             f"beyond the double range")
+    _require_finite(r.num.coeffs + r.den.coeffs)
     num, den, roots = normalize_rational(r.num, r.den)
     return MeromorphicFunction(num, den, r.factor, roots)
 
@@ -349,7 +360,7 @@ class OneForm:
             run = ex.compile_expression(ex.parse(text))
 
             def evaluator(x: float, y: float) -> float:
-                return run({"x": even(x), "y": even(y)}).u
+                return run({"x": complex(x, 0.0), "y": complex(y, 0.0)}).real
             return evaluator
 
         return OneForm(component(k_text), component(g_text))

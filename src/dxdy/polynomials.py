@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (E_ONE, E_ZERO, EvenElement, even_inv, even_mul,
+from .algebra import (E_ONE, E_ZERO, EvenElement, complex_inv,
                       from_complexes, to_complexes)
 
 
@@ -49,11 +49,15 @@ class Polynomial:
         """The coefficients as complex numbers, highest degree first."""
         return tuple(reversed(to_complexes(self.coeffs)))
 
-    def __call__(self, z: EvenElement) -> EvenElement:
-        x = complex(z.u, z.v)
+    def at(self, x: complex) -> complex:
+        """Horner's value at the float pair x = complex(u, v)."""
         acc = 0j
         for c in self._descending:
             acc = acc * x + c
+        return acc
+
+    def __call__(self, z: EvenElement) -> EvenElement:
+        acc = self.at(complex(z.u, z.v))
         return EvenElement(acc.real, acc.imag)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -81,8 +85,10 @@ class Polynomial:
                 out[i + j] += x * y
         return Polynomial.from_coeffs(from_complexes(out))
 
-    def scale(self, c: EvenElement) -> "Polynomial":
-        return Polynomial.from_coeffs([even_mul(c, a) for a in self.coeffs])
+    def scale(self, c: complex) -> "Polynomial":
+        """c times self, for the float pair c = complex(u, v)."""
+        return Polynomial.from_coeffs(
+            from_complexes([c * a for a in to_complexes(self.coeffs)]))
 
     def int_pow(self, m: int) -> "Polynomial":
         if m < 0:
@@ -101,11 +107,11 @@ class Polynomial:
         return Polynomial.from_coeffs(
             [self.coeffs[k] * float(k) for k in range(1, len(self.coeffs))])
 
-    def monic(self) -> tuple["Polynomial", EvenElement]:
-        """Return (self / leading, leading)."""
+    def monic(self) -> tuple["Polynomial", complex]:
+        """Return (self / leading, 1 / leading), the inverse as a pair."""
         lead = self.leading()
-        inv = even_inv(lead)
-        return self.scale(inv), lead
+        inv = complex_inv(complex(lead.u, lead.v))
+        return self.scale(inv), inv
 
     def deflate(self, root: EvenElement) -> tuple["Polynomial", EvenElement]:
         """Synthetic division by (z - root): returns (quotient, remainder)."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (E_ONE, E_ZERO, EvenElement, even_cos, even_exp,
-                      even_int_pow, even_inv, even_mul, even_sin,
+from .algebra import (E_ONE, E_ZERO, EvenElement, complex_int_pow,
+                      complex_inv, even_cos, even_exp, even_mul, even_sin,
                       from_complexes, to_complexes)
 from .errors import ComputationError, UsageError
 
@@ -79,10 +79,12 @@ class LaurentSeries:
         """Sum the truncated series at z' = dz (Horner over the window)."""
         if self.is_zero():
             return E_ZERO
-        acc = E_ZERO
-        for c in reversed(self.coeffs):
-            acc = even_mul(acc, dz) + c
-        return even_mul(acc, even_int_pow(dz, self.valuation))
+        x = complex(dz.u, dz.v)
+        acc = 0j
+        for c in reversed(to_complexes(self.coeffs)):
+            acc = acc * x + c
+        value = acc * complex_int_pow(x, self.valuation)
+        return EvenElement(value.real, value.imag)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_add(self, other)
@@ -144,8 +146,7 @@ def series_inv(a: LaurentSeries) -> LaurentSeries:
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
     xs = to_complexes(a.coeffs)
-    inv_lead = even_inv(a.coeffs[0])
-    out = [complex(inv_lead.u, inv_lead.v)]
+    out = [complex_inv(xs[0])]
     for k in range(1, len(xs)):
         acc = 0j
         for x, y in zip(xs[1:k + 1], reversed(out)):

@@ -1,6 +1,7 @@
 """Shared test utilities: even-element comparison, random meromorphic
-function generation with planted pole structure, and a plain tree walk as
-the reference for compiled expressions."""
+function generation with planted pole structure, and independent
+references: the inverse, integer power and entire kernels written on
+EvenElement, and a plain tree walk over them for compiled expressions."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import math
 import random
 
 from dxdy import expressions as ex
-from dxdy.algebra import (E_DXDY, EvenElement, even, even_cos, even_exp,
-                          even_int_pow, even_sin)
+from dxdy.algebra import (E_DXDY, E_ONE, EvenElement, even, even_mul,
+                          format_even)
+from dxdy.errors import RangeError
 from dxdy.functions import MeromorphicFunction, Pole
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
 
@@ -83,14 +85,61 @@ def random_planted_rational(rng: random.Random,
         return f, sorted(poles, key=lambda p: (p.location.u, p.location.v))
 
 
-_REFERENCE_CALLS = {"exp": even_exp, "sin": even_sin, "cos": even_cos}
+def reference_inv(x: EvenElement) -> EvenElement:
+    """conj(x)/|x|^2 on EvenElement: the reference for ``complex_inv``."""
+    n = x.norm_sq()
+    if ((n == 0.0 or n == math.inf)
+            and math.isfinite(x.u) and math.isfinite(x.v)):
+        if x.is_zero():
+            raise ZeroDivisionError("inverse of the zero even element")
+        # |x|^2 left the double range; a power-of-two scale brings it back
+        s = 2.0 ** (600 if n == 0.0 else -600)
+        return reference_inv(x * s) * s
+    return EvenElement(x.u / n, -x.v / n)
+
+
+def reference_int_pow(x: EvenElement, m: int) -> EvenElement:
+    """x**m by binary powering on EvenElement, m < 0 inverting first: the
+    reference for ``complex_int_pow``."""
+    if m < 0:
+        return reference_int_pow(reference_inv(x), -m)
+    result = E_ONE
+    base = x
+    while True:
+        if m & 1:
+            result = even_mul(result, base)
+        m >>= 1
+        if not m:  # the next square would go unused
+            return result
+        base = even_mul(base, base)
+
+
+def _reference_entire(name, parts):
+    def kernel(x: EvenElement) -> EvenElement:
+        try:
+            return EvenElement(*parts(x.u, x.v))
+        except (OverflowError, ValueError):
+            raise RangeError(f"{name}({format_even(x)}) lies beyond the "
+                             f"double range") from None
+    return kernel
+
+
+#: exp, sin and cos of u + v*dxdy on EvenElement
+REFERENCE_CALLS = {
+    "exp": _reference_entire("exp", lambda u, v: (
+        math.exp(u) * math.cos(v), math.exp(u) * math.sin(v))),
+    "sin": _reference_entire("sin", lambda u, v: (
+        math.sin(u) * math.cosh(v), math.cos(u) * math.sinh(v))),
+    "cos": _reference_entire("cos", lambda u, v: (
+        math.cos(u) * math.cosh(v), -math.sin(u) * math.sinh(v))),
+}
 
 
 def reference_evaluate(e: ex.Expr, env: dict[str, EvenElement]) -> EvenElement:
-    """Evaluate an expression tree node by node, on every call.
+    """Evaluate an expression tree node by node on EvenElement, every call.
 
-    The walk ``expressions.evaluate`` did before it compiled trees: the
-    compiled closures must give the same bits and raise at the same inputs.
+    The reference for compiled trees, which run on float pairs: they must
+    give the same bits and raise at the same inputs.
     """
     if isinstance(e, ex.Num):
         return even(e.value)
@@ -113,9 +162,9 @@ def reference_evaluate(e: ex.Expr, env: dict[str, EvenElement]) -> EvenElement:
             return a - b
         if e.op == "*":
             return a * b
-        return a / b
+        return even_mul(a, reference_inv(b))
     if isinstance(e, ex.Pow):
-        return even_int_pow(reference_evaluate(e.base, env), e.exponent)
+        return reference_int_pow(reference_evaluate(e.base, env), e.exponent)
     if isinstance(e, ex.Call):
-        return _REFERENCE_CALLS[e.func](reference_evaluate(e.arg, env))
+        return REFERENCE_CALLS[e.func](reference_evaluate(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")

@@ -311,6 +311,10 @@ def test_computation_errors_exit_one(run):
       "--radius", "0.5", "--verify"], "exp("),
     # a folded coefficient beyond the range; this printed a NaN residue
     (["residues", "1e200*1e200/(z-1)"], "folded coefficient"),
+    # an entire factor argument beyond the range; this exited 2 as a
+    # grammar error ("no constant term"), reading 0*inf = NaN as a constant
+    (["residues", "exp(1e200*1e200*z)/(z-1)"], "folded coefficient"),
+    (["integrate-line", "sin(1e200*1e200*x)/(x^2+1)"], "folded coefficient"),
 ])
 def test_overflows_exit_one(run, argv, message):
     status, out, err = run(*argv)

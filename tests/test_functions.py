@@ -7,7 +7,7 @@ import random
 import pytest
 
 import dxdy.functions
-from dxdy.algebra import even, even_mul
+from dxdy.algebra import EvenElement, even, even_mul
 from dxdy.expressions import parse
 from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
                             UnsupportedExpressionError, classify_one_form,
@@ -227,6 +227,26 @@ def test_conjugate_position_form_is_closed_only():
 def test_shear_form_is_not_closed():
     form = OneForm(lambda x, y: y, lambda x, y: 0.0)
     assert classify_one_form(form, ring_samples()) is FormClass.NOT_CLOSED
+
+
+def test_classification_builds_no_even_element_per_sample(monkeypatch):
+    # w dx for w = a*z^2 + b*z, a = 0.7-1.3i, b = 0.4+1.1i, written as the
+    # benchmark's classify calls write it; the compiled trees run on pairs
+    a_r, a_i, b_r, b_i = "0.7", "(-1.3)", "0.4", "1.1"
+    form = OneForm.from_expressions(
+        f"{a_r}*(x^2-y^2)-2*{a_i}*x*y+{b_r}*x-{b_i}*y",
+        f"0-({a_i}*(x^2-y^2)+2*{a_r}*x*y+{b_i}*x+{b_r}*y)")
+    built = []
+    init = EvenElement.__init__
+
+    def counting(self, u, v):
+        built.append((u, v))
+        init(self, u, v)
+
+    monkeypatch.setattr(EvenElement, "__init__", counting)
+    samples = ring_samples(n=24, radius=1.5)
+    assert classify_one_form(form, samples) is FormClass.CLOSED_AND_CR
+    assert built == []
 
 
 def test_integer_power_series_forms_classify_cr():

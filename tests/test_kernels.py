@@ -3,9 +3,11 @@
 The series, polynomial and Durand-Kerner loops compute on Python `complex`,
 whose +, - and * are the even subalgebra's operations bit for bit.  The
 references below are the same loops written on `EvenElement`; every result
-must agree in the hex digits of both parts.  Durand-Kerner must also stop
-at the rounding floor of a multiple root, and not before convergence
-anywhere else.  A last group checks that `local_expansion` gives the same
+must agree in the hex digits of both parts.  The inverse, integer power
+and exp/sin/cos kernels, and the value f(z) of a meromorphic function, are
+checked against the EvenElement bodies in ``helpers``.  Durand-Kerner must
+also stop at the rounding floor of a multiple root, and not before
+convergence anywhere else.  A last group checks that `local_expansion` gives the same
 bits as the wider window it used to build.
 """
 
@@ -15,14 +17,20 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxdy import roots
-from dxdy.algebra import E_ZERO, EvenElement, even, even_inv, even_mul
-from dxdy.functions import find_poles, local_expansion, meromorphic_from_text
+from dxdy.algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
+                          complex_int_pow, complex_inv, complex_sin, even,
+                          even_int_pow, even_inv, even_mul)
+from dxdy.errors import RangeError
+from dxdy.functions import (EntireFactor, MeromorphicFunction, find_poles,
+                            local_expansion, meromorphic_from_text)
 from dxdy.polynomials import ZERO_POLY, Polynomial
 from dxdy.series import LaurentSeries, entire_series, series_inv, series_mul
+
+from helpers import REFERENCE_CALLS, reference_int_pow, reference_inv
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +56,7 @@ def reference_series_mul(a, b):
 
 def reference_series_inv(a):
     n = len(a.coeffs)
-    inv_lead = even_inv(a.coeffs[0])
+    inv_lead = reference_inv(a.coeffs[0])
     out = [E_ZERO] * n
     out[0] = inv_lead
     for k in range(1, n):
@@ -57,6 +65,15 @@ def reference_series_inv(a):
             acc = acc + even_mul(a.coeffs[i], out[k - i])
         out[k] = -even_mul(acc, inv_lead)
     return LaurentSeries(a.center, -a.valuation, tuple(out))
+
+
+def reference_series_evaluate(s, dz):
+    if s.is_zero():
+        return E_ZERO
+    acc = E_ZERO
+    for c in reversed(s.coeffs):
+        acc = even_mul(acc, dz) + c
+    return even_mul(acc, reference_int_pow(dz, s.valuation))
 
 
 def reference_call(p, z):
@@ -103,6 +120,15 @@ def reference_taylor_shift(p, center):
         work = work[1:]
         n -= 1
     return tuple(out)
+
+
+def reference_meromorphic_call(f, z):
+    value = even_mul(reference_call(f.num, z),
+                     reference_inv(reference_call(f.den, z)))
+    if f.factor is not None:
+        value = even_mul(value, REFERENCE_CALLS[f.factor.kind](
+            even_mul(f.factor.scale, z)))
+    return value
 
 
 def reference_durand_kerner(coeffs):
@@ -187,6 +213,10 @@ def bits(x: EvenElement) -> tuple[str, str]:
     return x.u.hex(), x.v.hex()
 
 
+def pair_bits(x: complex) -> tuple[str, str]:
+    return x.real.hex(), x.imag.hex()
+
+
 def series_bits(s: LaurentSeries):
     return bits(s.center), s.valuation, [bits(c) for c in s.coeffs]
 
@@ -199,7 +229,7 @@ def outcome(compute, convert):
     """The result in bits, or the exception it raises."""
     try:
         value = compute()
-    except ZeroDivisionError as err:
+    except (ZeroDivisionError, RangeError) as err:
         return type(err), str(err)
     return convert(value)
 
@@ -237,15 +267,100 @@ def test_series_inv_matches_reference(a):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_series, _even)
+def test_series_evaluate_matches_reference(s, dz):
+    assert (outcome(lambda: s.evaluate(dz), bits)
+            == outcome(lambda: reference_series_evaluate(s, dz), bits))
+
+
+@settings(max_examples=100, deadline=None)
 @given(_poly, _even)
 def test_polynomial_call_matches_reference(p, z):
     assert bits(p(z)) == bits(reference_call(p, z))
+
+
+# the inverse and power kernels: both 2^+-600 rescalings (|x|^2 underflows
+# to 0 below about 2^-537 and overflows to inf above 2^512), non-finite parts
+_kernel_exponents = st.one_of(
+    st.integers(-1074, -1000), st.integers(-560, -500), st.integers(-30, 30),
+    st.integers(500, 560), st.integers(1000, 1023))
+_kernel_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(lambda m, e, neg: math.ldexp(-m if neg else m, e),
+              st.floats(0.5, 1.0, exclude_max=True), _kernel_exponents,
+              st.booleans()))
+_kernel_even = st.builds(EvenElement, _kernel_parts, _kernel_parts)
+
+
+@settings(max_examples=300, deadline=None)
+@example(even(1e-170, -0.0), -3)  # |x|^2 underflows: the 2^600 path
+@example(even(-0.0, 3e-163), 5)
+@example(even(1e200, 1e-300), -2)  # |x|^2 overflows: the 2^-600 path
+@example(even(-1e308, 1e308), 1)
+@example(even(0.0, -0.0), -1)
+@example(even(math.inf, math.nan), -40)
+@given(_kernel_even, st.integers(-40, 40))
+def test_inverse_and_power_kernels_match_the_even_element_bodies(x, m):
+    c = complex(x.u, x.v)
+    want = outcome(lambda: reference_inv(x), bits)
+    assert outcome(lambda: complex_inv(c), pair_bits) == want
+    assert outcome(lambda: even_inv(x), bits) == want
+    want = outcome(lambda: reference_int_pow(x, m), bits)
+    assert outcome(lambda: complex_int_pow(c, m), pair_bits) == want
+    assert outcome(lambda: even_int_pow(x, m), bits) == want
+
+
+_ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_ENTIRE)), _kernel_even)
+def test_entire_kernels_match_the_even_element_bodies(kind, x):
+    assert (outcome(lambda: _ENTIRE[kind](complex(x.u, x.v)), pair_bits)
+            == outcome(lambda: REFERENCE_CALLS[kind](x), bits))
+
+
+_factor = st.one_of(st.none(), st.builds(
+    EntireFactor, st.sampled_from(sorted(_ENTIRE)), _even))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly, _poly, _factor, _even)
+def test_meromorphic_call_matches_reference(num, den, factor, z):
+    # den_roots=() skips rooting: only the value is under test
+    f = MeromorphicFunction(num, den, factor, den_roots=())
+    assert (outcome(lambda: f(z), bits)
+            == outcome(lambda: reference_meromorphic_call(f, z), bits))
+
+
+def test_meromorphic_call_on_random_rationals_with_entire_factors():
+    rng = random.Random(15)
+    for _ in range(60):
+        num = Polynomial.from_coeffs(
+            [even(rng.uniform(-2, 2), rng.uniform(-2, 2))
+             for _ in range(rng.randint(1, 5))])
+        den = Polynomial.from_coeffs(
+            [even(rng.uniform(-2, 2), rng.uniform(-2, 2))
+             for _ in range(rng.randint(1, 6))])
+        factor = EntireFactor(rng.choice(["exp", "sin", "cos"]),
+                              even(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+        f = MeromorphicFunction(num, den, factor)
+        for _ in range(5):
+            z = even(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert bits(f(z)) == bits(reference_meromorphic_call(f, z))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_poly, _poly)
 def test_polynomial_mul_matches_reference(p, q):
     assert poly_bits(p * q) == poly_bits(reference_mul(p, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly, _even)
+def test_polynomial_scale_matches_reference(p, c):
+    want = Polynomial.from_coeffs([even_mul(c, a) for a in p.coeffs])
+    assert poly_bits(p.scale(complex(c.u, c.v))) == poly_bits(want)
 
 
 @settings(max_examples=100, deadline=None)
