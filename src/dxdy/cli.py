@@ -409,7 +409,3 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

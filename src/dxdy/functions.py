@@ -337,33 +337,36 @@ class FormClass(enum.Enum):
 
 @dataclass(frozen=True)
 class OneForm:
-    """alpha = k dx + g dy given by plane-valued component callables."""
+    """alpha = k dx + g dy; ``both``, if set, gives (k, g) in one call."""
 
     k: Callable[[float, float], float]
     g: Callable[[float, float], float]
+    both: Callable[[float, float], tuple[float, float]] | None = None
+
+    def at(self, x: float, y: float) -> tuple[float, float]:
+        return self.both(x, y) if self.both else (self.k(x, y), self.g(x, y))
 
     @staticmethod
     def from_function(f: Callable[[EvenElement], EvenElement]) -> "OneForm":
         """The form w dx with w = f(z): k = u-part, g = -v-part."""
-        def k(x: float, y: float) -> float:
-            return f(even(x, y)).u
+        def both(x: float, y: float) -> tuple[float, float]:
+            w = f(even(x, y))
+            return w.u, -w.v
 
-        def g(x: float, y: float) -> float:
-            return -f(even(x, y)).v
-
-        return OneForm(k, g)
+        return OneForm(lambda x, y: both(x, y)[0],
+                       lambda x, y: both(x, y)[1], both)
 
     @staticmethod
     def from_expressions(k_text: str, g_text: str) -> "OneForm":
         """Components given as expressions in x and y (real-valued)."""
-        def component(text):
-            run = ex.compile_expression(ex.parse(text))
+        run_k, run_g = (ex.compile_expression(ex.parse(text))
+                        for text in (k_text, g_text))
+        def both(x: float, y: float) -> tuple[float, float]:
+            env = {"x": complex(x, 0.0), "y": complex(y, 0.0)}
+            return run_k(env).real, run_g(env).real
 
-            def evaluator(x: float, y: float) -> float:
-                return run({"x": complex(x, 0.0), "y": complex(y, 0.0)}).real
-            return evaluator
-
-        return OneForm(component(k_text), component(g_text))
+        return OneForm(lambda x, y: both(x, y)[0],
+                       lambda x, y: both(x, y)[1], both)
 
 
 def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
@@ -385,10 +388,10 @@ def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
     cauchy_riemann = True
     for x, y in samples:
         try:
-            k_x = (form.k(x + step, y) - form.k(x - step, y)) / (2 * step)
-            k_y = (form.k(x, y + step) - form.k(x, y - step)) / (2 * step)
-            g_x = (form.g(x + step, y) - form.g(x - step, y)) / (2 * step)
-            g_y = (form.g(x, y + step) - form.g(x, y - step)) / (2 * step)
+            (k_e, g_e), (k_w, g_w) = form.at(x + step, y), form.at(x - step, y)
+            (k_n, g_n), (k_s, g_s) = form.at(x, y + step), form.at(x, y - step)
+            k_x, g_x = (k_e - k_w) / (2 * step), (g_e - g_w) / (2 * step)
+            k_y, g_y = (k_n - k_s) / (2 * step), (g_n - g_s) / (2 * step)
         except ZeroDivisionError as err:
             raise SingularSampleError(
                 f"sample ({x}, {y}) is too close to a singularity") from err

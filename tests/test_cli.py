@@ -6,6 +6,8 @@ import io
 import json
 import math
 import re
+import runpy
+import sys
 
 import pytest
 
@@ -365,3 +367,27 @@ def test_check_verb_passes(run):
     assert "checks passed" in out
     doc = run_json(run, "check")
     assert doc["passed"] is True
+    rows = {row["name"]: row for row in doc["checks"]}
+    assert list(rows) == [
+        "integrate-line 1/(x^2+1) = pi",
+        "integrate-line 1/(x^2+1)^2 = pi/2 (reduction and derivative routes)",
+        "integrate-line exp(I*t*x)/(x^2+1) = pi*e^-t for t in {0.5, 1, 2}",
+        "unit circle of 1/(z(z-pi)): real 0, imaginary defect -2, warning",
+        "algebra: basis products, commutation, conjugation, polar powers",
+        "laurent sin(z)/z^3 over [-3, 2] = (0, 1, 0, -1/6, 0, 1/120)",
+    ]
+    algebra = rows["algebra: basis products, commutation, conjugation, "
+                   "polar powers"]
+    assert algebra["detail"] == ("basis True, commutation True, conj True, "
+                                 "powers True")
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["dxdy", "check"])
+    # an earlier import of the module (as by a test that imports every
+    # module) would make runpy warn that it runs a stale copy
+    monkeypatch.delitem(sys.modules, "dxdy.__main__", raising=False)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("dxdy", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "6/6 checks passed" in capsys.readouterr().out

@@ -266,6 +266,21 @@ def test_integer_power_series_forms_classify_cr():
         assert classify_one_form(form, ring_samples()) is FormClass.CLOSED_AND_CR
 
 
+def test_from_function_evaluates_once_per_point():
+    points = []
+
+    def w(z):
+        points.append((z.u, z.v))
+        return z * z * z + 2 * z
+
+    samples = ring_samples(n=24)
+    form = OneForm.from_function(w)
+    assert classify_one_form(form, samples) is FormClass.CLOSED_AND_CR
+    assert len(points) == 4 * len(samples) == len(set(points))
+    assert form.k(0.5, 2.0) == w(even(0.5, 2.0)).u
+    assert form.g(0.5, 2.0) == -w(even(0.5, 2.0)).v
+
+
 def test_expression_components():
     form = OneForm.from_expressions("0-y/(x^2+y^2)", "x/(x^2+y^2)")
     assert classify_one_form(form, ring_samples()) is FormClass.CLOSED_AND_CR
