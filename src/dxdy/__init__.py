@@ -7,7 +7,7 @@ that algebra and cross-checked by direct numeric quadrature.
 """
 
 from .algebra import (DX, DXDY, DY, EvenElement, Multivector, PolarForm,
-                      dot_one_forms, even, even_int_pow, even_inv, even_mul,
+                      dot_one_forms, even, even_int_pow, even_mul,
                       from_polar, mv_product, to_polar)
 from .contours import (CircleContour, IntegralResult, closure_half_plane,
                        enclosed_poles, integrate_closed, integrate_real_line)
@@ -32,7 +32,7 @@ __all__ = [
     "cauchy_derivative", "cauchy_evaluate", "cauchy_integral_value",
     "classify_one_form", "closure_half_plane", "differential_check",
     "dot_one_forms", "enclosed_poles", "entire_series", "even",
-    "even_int_pow", "even_inv", "even_mul", "find_poles", "from_polar",
+    "even_int_pow", "even_mul", "find_poles", "from_polar",
     "integrate_closed", "integrate_real_line", "laurent_expand",
     "local_expansion", "meromorphic_from_text", "mv_product", "quad_circle",
     "real_line_quadrature", "residue",

@@ -12,13 +12,21 @@ complex variable throughout the package.
 Scalars are IEEE doubles.  Products whose structure constants are only 0/±1
 (basis products, conjugation swaps) are bit-exact; everything else carries
 ordinary floating-point rounding.
+
+Inside the package an even element is the float pair complex(u, v);
+``EvenElement`` is what the public API takes and hands out, and
+``complex(x)`` converts it.  CPython's complex +, - and * compute this
+subalgebra's +, - and ``even_mul`` bit for bit.  Complex division does not
+(it is scaled), nor does complex times float (the float becomes
+complex(x, 0.0), which can flip the sign of a zero), so the kernels use
+neither: inverses go through ``complex_inv`` and real scalings scale each
+part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError
-from typing import Iterable
 
 from .errors import RangeError, UsageError
 
@@ -165,6 +173,9 @@ class EvenElement(_Frozen):
     def __abs__(self) -> float:
         return math.hypot(self.u, self.v)
 
+    def __complex__(self) -> complex:
+        return complex(self.u, self.v)
+
     def conj(self) -> "EvenElement":
         return EvenElement(self.u, -self.v)
 
@@ -181,28 +192,10 @@ class EvenElement(_Frozen):
 _set_u, _set_v = EvenElement.u.__set__, EvenElement.v.__set__
 
 E_ZERO = EvenElement(0.0, 0.0)
-E_ONE = EvenElement(1.0, 0.0)
-E_DXDY = EvenElement(0.0, 1.0)
 
 
 def even(u: float, v: float = 0.0) -> EvenElement:
     return EvenElement(float(u), float(v))
-
-
-def to_complexes(xs: Iterable[EvenElement]) -> list[complex]:
-    """Each u + v*dxdy as complex(u, v), for the float-pair kernels.
-
-    CPython's complex +, - and * compute this subalgebra's +, - and
-    ``even_mul`` bit for bit.  Complex division does not (it is scaled), nor
-    does complex times float (the float becomes complex(x, 0.0), which can
-    flip the sign of a zero), so the kernels use neither: inverses go
-    through ``complex_inv`` and real scalings scale each part.
-    """
-    return [complex(x.u, x.v) for x in xs]
-
-
-def from_complexes(zs: Iterable[complex]) -> tuple[EvenElement, ...]:
-    return tuple(EvenElement(z.real, z.imag) for z in zs)
 
 
 def even_mul(x: EvenElement, y: EvenElement) -> EvenElement:
@@ -237,12 +230,6 @@ def complex_int_pow(x: complex, m: int) -> complex:
         if not m:  # the next square would go unused
             return result
         base = base * base
-
-
-def even_inv(x: EvenElement) -> EvenElement:
-    """Multiplicative inverse conj(x)/|x|^2 (see ``complex_inv``)."""
-    z = complex_inv(complex(x.u, x.v))
-    return EvenElement(z.real, z.imag)
 
 
 def even_int_pow(x: EvenElement, m: int) -> EvenElement:
@@ -312,26 +299,12 @@ def complex_cos(x: complex) -> complex:
 
 
 def _beyond_range(name: str, x: complex) -> RangeError:
-    return RangeError(f"{name}({format_even(EvenElement(x.real, x.imag))}) "
-                      f"lies beyond the double range")
+    return RangeError(f"{name}({format_even(x)}) lies beyond the double "
+                      f"range")
 
 
-def even_exp(x: EvenElement) -> EvenElement:
-    z = complex_exp(complex(x.u, x.v))
-    return EvenElement(z.real, z.imag)
-
-
-def even_sin(x: EvenElement) -> EvenElement:
-    z = complex_sin(complex(x.u, x.v))
-    return EvenElement(z.real, z.imag)
-
-
-def even_cos(x: EvenElement) -> EvenElement:
-    z = complex_cos(complex(x.u, x.v))
-    return EvenElement(z.real, z.imag)
-
-
-def format_even(x: EvenElement) -> str:
-    """Render u + v*dxdy in the package's text notation, full precision."""
-    sign = "+" if (x.v >= 0.0 or math.isnan(x.v)) else "-"
-    return f"{x.u!r} {sign} {abs(x.v)!r}·dxdy"
+def format_even(x: complex) -> str:
+    """Render the pair complex(u, v) as u + v*dxdy in the package's text
+    notation, full precision."""
+    sign = "+" if (x.imag >= 0.0 or math.isnan(x.imag)) else "-"
+    return f"{x.real!r} {sign} {abs(x.imag)!r}·dxdy"

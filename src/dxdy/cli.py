@@ -19,7 +19,7 @@ import sys
 from . import checks as checks_mod
 from . import oracle as oracle_mod
 from . import roots as roots_mod
-from .algebra import EvenElement, even, format_even
+from .algebra import EvenElement, format_even
 from .contours import (AXIS_TOL, CircleContour, CLOCKWISE, COUNTERCLOCKWISE,
                        IntegralResult, integrate_closed, integrate_real_line)
 from .errors import ComputationError, UsageError
@@ -72,7 +72,7 @@ def _render(doc: dict, out: list[str], indent: int = 0) -> None:
                 _render(item, out, indent + 1)
         elif (isinstance(value, list) and len(value) == 2
               and all(isinstance(x, float) for x in value)):
-            out.append(f"{pad}{key}: {format_even(even(*value))}")
+            out.append(f"{pad}{key}: {format_even(complex(*value))}")
         else:
             out.append(f"{pad}{key}: {value!r}" if isinstance(value, float)
                        else f"{pad}{key}: {value}")

@@ -298,8 +298,7 @@ def compile_expression(e: Expr) -> Callable[[dict[str, complex]], complex]:
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:
     """Evaluate once; the pairs are converted only on the way in and out
     (see compile_expression)."""
-    z = compile_expression(e)({name: complex(x.u, x.v)
-                               for name, x in env.items()})
+    z = compile_expression(e)({name: complex(x) for name, x in env.items()})
     return EvenElement(z.real, z.imag)
 
 

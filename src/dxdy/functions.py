@@ -11,14 +11,15 @@ valuation is decided.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .algebra import (E_DXDY, E_ZERO, EvenElement, complex_cos, complex_exp,
-                      complex_inv, complex_sin, even, format_even)
+from .algebra import (EvenElement, complex_cos, complex_exp, complex_inv,
+                      complex_sin, even, format_even)
 from .errors import ComputationError, RangeError, UsageError
 from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
@@ -51,11 +52,7 @@ class EntireFactor:
 
     def at(self, x: complex) -> complex:
         """The factor at the float pair x = complex(u, v)."""
-        return _ENTIRE[self.kind](complex(self.scale.u, self.scale.v) * x)
-
-    def __call__(self, z: EvenElement) -> EvenElement:
-        w = self.at(complex(z.u, z.v))
-        return EvenElement(w.real, w.imag)
+        return _ENTIRE[self.kind](complex(self.scale) * x)
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class Pole:
 
 
 #: (location, multiplicity) pairs of a polynomial's roots
-_Roots = tuple[tuple[EvenElement, int], ...]
+_Roots = tuple[tuple[complex, int], ...]
 
 
 @dataclass(frozen=True)
@@ -81,12 +78,13 @@ class MeromorphicFunction:
 
     def __post_init__(self):
         if self.den_roots is None:
-            roots = _roots_of(self.den) if self.den.degree >= 1 else ()
+            roots = (tuple(find_roots(self.den.coeffs))
+                     if self.den.degree >= 1 else ())
             object.__setattr__(self, "den_roots", roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
         """num/den times the factor, on float pairs; one conversion out."""
-        x = complex(z.u, z.v)
+        x = complex(z)
         value = self.num.at(x) * complex_inv(self.den.at(x))
         if self.factor is not None:
             value = value * self.factor.at(x)
@@ -111,12 +109,12 @@ class _Rational:
 
 
 def _constant(value: float) -> _Rational:
-    return _Rational(Polynomial.constant(even(value)), ONE_POLY, None)
+    return _Rational(Polynomial.constant(value), ONE_POLY, None)
 
 
 #: what each predefined name folds to; the caller's table may add bindings
 _NAMES = {"z": _Rational(Z_POLY, ONE_POLY, None),
-          "I": _Rational(Polynomial.constant(E_DXDY), ONE_POLY, None),
+          "I": _Rational(Polynomial.constant(1j), ONE_POLY, None),
           "pi": _constant(math.pi)}
 
 
@@ -195,12 +193,13 @@ def _linear_scale(arg: _Rational) -> EvenElement:
     if arg.den.degree != 0 or num.degree > 1:
         raise UnsupportedExpressionError(
             "entire factor arguments must be a constant multiple of z")
-    if num.degree >= 0 and not num.coeffs[0].is_zero():
+    if num.degree >= 0 and num.coeffs[0]:
         raise UnsupportedExpressionError(
             "entire factor arguments must have no constant term")
     if num.degree < 1:
         return even(0.0)
-    return num.coeffs[1] / arg.den.coeffs[0]
+    c = num.coeffs[1] * complex_inv(arg.den.coeffs[0])
+    return EvenElement(c.real, c.imag)
 
 
 def normalize_rational(num: Polynomial, den: Polynomial
@@ -215,10 +214,10 @@ def normalize_rational(num: Polynomial, den: Polynomial
     if num.is_zero():
         return ZERO_POLY, ONE_POLY, ()
     roots = []
-    for loc, mult in _roots_of(den) if den.degree >= 1 else ():
-        while mult and abs(num(loc)) <= CANCEL_TOL * num.max_coeff():
-            num, _ = num.deflate(loc)
-            den, _ = den.deflate(loc)
+    for loc, mult in find_roots(den.coeffs) if den.degree >= 1 else ():
+        while mult and abs(num.at(loc)) <= CANCEL_TOL * num.max_coeff():
+            num = num.deflate(loc)
+            den = den.deflate(loc)
             mult -= 1
         if num.is_zero():
             return ZERO_POLY, ONE_POLY, ()
@@ -230,9 +229,9 @@ def normalize_rational(num: Polynomial, den: Polynomial
     return num, den, tuple(roots)
 
 
-def _require_finite(coeffs: tuple[EvenElement, ...]) -> None:
+def _require_finite(coeffs: tuple[complex, ...]) -> None:
     for c in coeffs:
-        if not (math.isfinite(c.u) and math.isfinite(c.v)):
+        if not cmath.isfinite(c):
             raise RangeError(f"folded coefficient {format_even(c)} lies "
                              f"beyond the double range")
 
@@ -258,32 +257,28 @@ def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
 # ---------------------------------------------------------------------------
 # poles
 
-def _roots_of(p: Polynomial) -> _Roots:
-    pairs = find_roots([complex(c.u, c.v) for c in p.coeffs])
-    return tuple((even(loc.real, loc.imag), mult) for loc, mult in pairs)
-
-
 def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     """All denominator roots, with orders reduced by entire-factor zeros."""
     scale = f.den.max_coeff()
+    factor = f.factor
     poles = []
     for loc, mult in f.den_roots:
-        if abs(f.den(loc)) > RESIDUAL_TOL * scale:
+        if abs(f.den.at(loc)) > RESIDUAL_TOL * scale:
             raise RootFindingError(
-                f"root residual too large at {loc}; denominator is "
-                f"ill-conditioned")
+                f"root residual too large at {EvenElement(loc.real, loc.imag)}"
+                f"; denominator is ill-conditioned")
         order = mult
-        if f.factor is not None:
-            order -= entire_zero_order(f.factor.kind, f.factor.scale, loc)
+        if factor is not None:
+            order -= entire_zero_order(factor.kind, complex(factor.scale), loc)
         if order >= 1:
-            poles.append(Pole(loc, order))
+            poles.append(Pole(EvenElement(loc.real, loc.imag), order))
     return tuple(sorted(poles, key=lambda p: (p.location.u, p.location.v)))
 
 
 # ---------------------------------------------------------------------------
 # local expansion
 
-def _den_valuation(f: MeromorphicFunction, center: EvenElement) -> int:
+def _den_valuation(f: MeromorphicFunction, center: complex) -> int:
     """Multiplicity of the table root at center; 0 if none is that close."""
     radius = CLUSTER_TOL * (1.0 + abs(center))
     for loc, mult in f.den_roots:
@@ -292,12 +287,12 @@ def _den_valuation(f: MeromorphicFunction, center: EvenElement) -> int:
     return 0
 
 
-def _taylor_window(p: Polynomial, center: EvenElement, valuation: int,
+def _taylor_window(p: Polynomial, center: complex, valuation: int,
                    window: int) -> LaurentSeries:
     """t_valuation.. of p's Taylor shift to center, zero-padded to window."""
     shifted = p.taylor_shift(center, valuation + window)[valuation:]
     return LaurentSeries(center, valuation,
-                         shifted + (E_ZERO,) * (window - len(shifted)))
+                         shifted + (0j,) * (window - len(shifted)))
 
 
 def local_expansion(f: MeromorphicFunction, center: EvenElement,
@@ -314,15 +309,15 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     """
     if window < 1:
         raise UsageError("window must be >= 1")
+    x = complex(center)
     if f.is_zero():
-        return LaurentSeries(center, 0, ())
-    den = _taylor_window(f.den, center, _den_valuation(f, center), window)
-    result = series_mul(_taylor_window(f.num, center, 0, window),
-                        series_inv(den))
+        return LaurentSeries(x, 0, ())
+    den = _taylor_window(f.den, x, _den_valuation(f, x), window)
+    result = series_mul(_taylor_window(f.num, x, 0, window), series_inv(den))
     if f.factor is not None:
         # the factor's valuation is 0 or 1: up to z'^window covers the window
         result = series_mul(result, entire_series(
-            f.factor.kind, f.factor.scale, center, window))
+            f.factor.kind, complex(f.factor.scale), x, window))
     return result
 
 

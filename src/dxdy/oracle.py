@@ -28,6 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .algebra import EvenElement
 from .contours import (AXIS_TOL, CircleContour, COUNTERCLOCKWISE,
                        integrate_closed)
 from .errors import ComputationError, UsageError
@@ -220,8 +221,8 @@ def _rational_evaluator(f: MeromorphicFunction
                         ) -> Callable[[complex], complex]:
     """The rational part of f by complex Horner evaluation of its
     coefficient lists, u + v*dxdy read as u + v*1j."""
-    num = [complex(c.u, c.v) for c in reversed(f.num.coeffs)]
-    den = [complex(c.u, c.v) for c in reversed(f.den.coeffs)]
+    num = f.num.coeffs[::-1]
+    den = f.den.coeffs[::-1]
 
     def R(z: complex) -> complex:
         p = 0j
@@ -245,7 +246,7 @@ def _complex_evaluator(f: MeromorphicFunction) -> Callable[[complex], complex]:
     if f.factor is None:
         return R
     factor = _FACTORS[f.factor.kind]
-    scale = complex(f.factor.scale.u, f.factor.scale.v)
+    scale = complex(f.factor.scale)
 
     def F(z: complex) -> complex:
         return R(z) * factor(scale * z)
@@ -334,14 +335,15 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
     poles = find_poles(f)
     # a root whose pole a sin/cos zero cancels is a pole of each exp part
     for loc, _ in f.den_roots:
-        if abs(loc.v) <= AXIS_TOL:
+        if abs(loc.imag) <= AXIS_TOL:
             raise QuadratureError(
-                f"denominator root at {loc} lies on the axis")
+                f"denominator root at {EvenElement(loc.real, loc.imag)} "
+                f"lies on the axis")
     H = axis_evaluator(f)
     if frequency:
         cuts = sorted({p.location.u for p in poles}) or [0.0]
         R = _rational_evaluator(f)
-        scale = complex(f.factor.scale.u, f.factor.scale.v)
+        scale = complex(f.factor.scale)
         pieces = [_tanh_sinh(H, a, b, tol) for a, b in zip(cuts, cuts[1:])]
         for c, b in _EXP_PARTS[f.factor.kind]:
             pieces.append(_exp_sinh_ray(R, c, b * scale, cuts[-1], 1.0, tol))

@@ -1,32 +1,30 @@
-"""Dense polynomials with even-element coefficients.
+"""Dense polynomials with even-element coefficients, held as float pairs.
 
 Used for the rational parts of meromorphic functions.  Coefficients are
-stored in ascending order; exact trailing zeros are trimmed so the zero
-polynomial has an empty coefficient tuple and degree -1.
+stored in ascending order as complex(u, v); exact trailing zeros are trimmed
+so the zero polynomial has an empty coefficient tuple and degree -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import zip_longest
 
-from .algebra import (E_ONE, E_ZERO, EvenElement, complex_inv,
-                      from_complexes, to_complexes)
+from .algebra import EvenElement, complex_inv
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    coeffs: tuple[EvenElement, ...]
+    coeffs: tuple[complex, ...]
 
     @staticmethod
     def from_coeffs(coeffs) -> "Polynomial":
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return Polynomial(tuple(cs))
+        """Ascending coefficients, each converted by complex(), so an
+        EvenElement, a complex or a float may be given."""
+        return _trimmed([complex(c) for c in coeffs])
 
     @staticmethod
-    def constant(c: EvenElement) -> "Polynomial":
+    def constant(c) -> "Polynomial":
         return Polynomial.from_coeffs([c])
 
     @property
@@ -36,38 +34,23 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> EvenElement:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
-    @cached_property
-    def _descending(self) -> tuple[complex, ...]:
-        """The coefficients as complex numbers, highest degree first."""
-        return tuple(reversed(to_complexes(self.coeffs)))
+        return max(map(abs, self.coeffs), default=0.0)
 
     def at(self, x: complex) -> complex:
         """Horner's value at the float pair x = complex(u, v)."""
         acc = 0j
-        for c in self._descending:
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def __call__(self, z: EvenElement) -> EvenElement:
-        acc = self.at(complex(z.u, z.v))
+        acc = self.at(complex(z))
         return EvenElement(acc.real, acc.imag)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else E_ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else E_ZERO
-            out.append(a + b)
-        return Polynomial.from_coeffs(out)
+        return _trimmed([a + b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0j)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -78,17 +61,15 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return ZERO_POLY
-        ys = to_complexes(other.coeffs)
-        out = [0j] * (len(self.coeffs) + len(ys) - 1)
-        for i, x in enumerate(to_complexes(self.coeffs)):
-            for j, y in enumerate(ys):
+        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
                 out[i + j] += x * y
-        return Polynomial.from_coeffs(from_complexes(out))
+        return _trimmed(out)
 
     def scale(self, c: complex) -> "Polynomial":
         """c times self, for the float pair c = complex(u, v)."""
-        return Polynomial.from_coeffs(
-            from_complexes([c * a for a in to_complexes(self.coeffs)]))
+        return _trimmed([c * a for a in self.coeffs])
 
     def int_pow(self, m: int) -> "Polynomial":
         if m < 0:
@@ -103,32 +84,22 @@ class Polynomial:
                 return result
             base = base * base
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            [self.coeffs[k] * float(k) for k in range(1, len(self.coeffs))])
-
     def monic(self) -> tuple["Polynomial", complex]:
-        """Return (self / leading, 1 / leading), the inverse as a pair."""
-        lead = self.leading()
-        inv = complex_inv(complex(lead.u, lead.v))
+        """Return (self / leading, 1 / leading); self must be nonzero."""
+        inv = complex_inv(self.coeffs[-1])
         return self.scale(inv), inv
 
-    def deflate(self, root: EvenElement) -> tuple["Polynomial", EvenElement]:
-        """Synthetic division by (z - root): returns (quotient, remainder)."""
-        if self.is_zero():
-            return ZERO_POLY, E_ZERO
-        x = complex(root.u, root.v)
+    def deflate(self, root: complex) -> "Polynomial":
+        """The quotient of synthetic division by (z - root)."""
         acc = 0j
         out = []
-        for c in self._descending:
-            acc = acc * x + c
+        for c in reversed(self.coeffs):
+            acc = acc * root + c
             out.append(acc)
-        remainder = out.pop()
-        return (Polynomial.from_coeffs(from_complexes(reversed(out))),
-                EvenElement(remainder.real, remainder.imag))
+        return _trimmed(out[-2::-1])
 
-    def taylor_shift(self, center: EvenElement,
-                     terms: int | None = None) -> tuple[EvenElement, ...]:
+    def taylor_shift(self, center: complex,
+                     terms: int | None = None) -> tuple[complex, ...]:
         """Coefficients t_k with p(center + h) = sum t_k h^k.
 
         Pass k of repeated synthetic division by (z - center) ends on t_k
@@ -137,20 +108,26 @@ class Polynomial:
         head of the full shift.  ``None`` (or more terms than deg + 1)
         gives all deg + 1 of them.
         """
-        x = complex(center.u, center.v)
-        work = self._descending
+        work = self.coeffs[::-1]
         out = []
         for _ in range(len(work) if terms is None else min(terms, len(work))):
             acc = 0j
             quotient = []
             for c in work:
-                acc = acc * x + c
+                acc = acc * center + c
                 quotient.append(acc)
             out.append(quotient.pop())
             work = quotient
-        return from_complexes(out)
+        return tuple(out)
+
+
+def _trimmed(coeffs: list[complex]) -> Polynomial:
+    """The polynomial of these ascending coefficients, trailing zeros cut."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return Polynomial(tuple(coeffs))
 
 
 ZERO_POLY = Polynomial(())
-ONE_POLY = Polynomial((E_ONE,))
-Z_POLY = Polynomial((E_ZERO, E_ONE))
+ONE_POLY = Polynomial((1 + 0j,))
+Z_POLY = Polynomial((0j, 1 + 0j))

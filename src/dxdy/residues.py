@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import E_ZERO, EvenElement, even, even_mul, to_complexes
+from .algebra import E_ZERO, EvenElement, even
 from .errors import ComputationError, RangeError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
                         dyadic_taylor_shift, offset_poly, real_horner,
@@ -81,8 +81,8 @@ def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport
     or zero when the constant term arrives first.
     """
     s = _expansion_at_pole(f, p)
-    extracted = tuple((-n, c) for n, c in zip(range(s.valuation, 0), s.coeffs)
-                      if not c.is_zero())
+    extracted = tuple((-n, EvenElement(c.real, c.imag))
+                      for n, c in zip(range(s.valuation, 0), s.coeffs) if c)
     if not extracted:
         raise PoleExpansionError(
             f"{p.location} is not a pole of the function (no nonzero "
@@ -101,7 +101,7 @@ _FACTOR_TAYLOR_TERMS = 18
 _FACTOR_DEN = math.factorial(_FACTOR_TAYLOR_TERMS - 1)
 
 
-def _factor_poly(factor: EntireFactor, z0: EvenElement, e: int) -> DyadicPoly:
+def _factor_poly(factor: EntireFactor, z0: complex, e: int) -> DyadicPoly:
     """The entire factor at z0 + d as an integer polynomial in X = d * 2**e.
 
     The factor is its Taylor sum sum_n F^(n)(w0) dw^n / n! over
@@ -111,9 +111,10 @@ def _factor_poly(factor: EntireFactor, z0: EvenElement, e: int) -> DyadicPoly:
     linear difference quotient cannot amplify.  The result P gives
     F = P(X) / (2**P.exp * _FACTOR_DEN).
     """
-    cycle = derivative_cycle(factor.kind, even_mul(factor.scale, z0))
-    anchors = dyadic_poly(to_complexes(cycle))
-    scale = dyadic_poly(to_complexes([factor.scale]))
+    s = complex(factor.scale)
+    cycle = derivative_cycle(factor.kind, s * z0)
+    anchors = dyadic_poly(cycle)
+    scale = dyadic_poly([s])
     sr, si = scale.re[0], scale.im[0]
     shift = scale.exp + e
     top = _FACTOR_TAYLOR_TERMS - 1
@@ -147,7 +148,7 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
     m = p.order
     d = m - 1
     nodes = central_stencil(d)
-    z0 = complex(p.location.u, p.location.v)
+    z0 = complex(p.location)
     mantissa, step_den = step.as_integer_ratio()
     e = step_den.bit_length() - 1
     num = offset_poly(_taylor(f.num, z0), e)
@@ -158,7 +159,7 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
     divisor = mantissa ** d
     factor = None
     if f.factor is not None:
-        factor = _factor_poly(f.factor, p.location, e)
+        factor = _factor_poly(f.factor, z0, e)
         shift -= factor.exp
         divisor *= _FACTOR_DEN
     acc_re = acc_im = 0
@@ -188,23 +189,22 @@ def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
     fact = math.factorial(d)
     value = even(acc_re / q / fact, acc_im / q / fact)
     leading = local_expansion(f, p.location, 1)
-    lead_coeff = leading.coeffs[0] if not leading.is_zero() else E_ZERO
-    return ResidueReport(pole=p, a_minus_1=value, leading=lead_coeff,
+    lead = leading.coeffs[0] if not leading.is_zero() else 0j
+    return ResidueReport(pole=p, a_minus_1=value,
+                         leading=EvenElement(lead.real, lead.imag),
                          method="derivative_formula")
 
 
 def _taylor(poly: Polynomial, z0: complex) -> list[Dyadic]:
     """Exact Taylor coefficients of poly at z0, all of them."""
-    return dyadic_taylor_shift(dyadic_poly(to_complexes(poly.coeffs)), z0,
-                               len(poly.coeffs))
+    return dyadic_taylor_shift(dyadic_poly(poly.coeffs), z0, len(poly.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # special integral formulas
 
 def _require_regular(f: MeromorphicFunction, z0: EvenElement) -> None:
-    scale = f.den.max_coeff()
-    if abs(f.den(z0)) <= 1e-9 * scale:
+    if abs(f.den.at(complex(z0))) <= 1e-9 * f.den.max_coeff():
         raise PoleExpansionError(f"{z0} is a pole of the function")
 
 
@@ -229,7 +229,7 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
     if n > 170:  # 171! exceeds the largest double
         raise RangeError(f"{n}! lies beyond the double range")
     _require_regular(f, z0)
-    if _den_valuation(f, z0) > 0:  # the expansion would be the pole's
+    if _den_valuation(f, complex(z0)) > 0:  # the expansion would be the pole's
         raise PoleExpansionError(f"{z0} is a pole of the root table")
     s = local_expansion(f, z0, max(DEFAULT_WINDOW, n + 2))
     if s.is_zero() or n < s.valuation:
@@ -262,12 +262,12 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
         raise WindowError(
             f"window of {hi - lo + 1} coefficients exceeds the configured "
             f"maximum {MAX_LAURENT_WINDOW}")
-    if (_den_valuation(f, z0) > 0
-            and abs(f.den(z0)) > 1e-9 * f.den.max_coeff()):
+    x = complex(z0)
+    if (_den_valuation(f, x) > 0
+            and abs(f.den.at(x)) > 1e-9 * f.den.max_coeff()):
         raise PoleExpansionError(
             f"{z0} is within the root table's radius of a pole, not on it")
-    window = max(1, hi + f.den.degree + 2)
-    s = local_expansion(f, z0, window)
+    s = local_expansion(f, z0, max(1, hi + f.den.degree + 2))
     if s.is_zero():
-        return LaurentSeries(z0, lo, (E_ZERO,) * (hi - lo + 1))
-    return LaurentSeries(z0, lo, tuple(s.window_coefficients(lo, hi)))
+        return LaurentSeries(x, lo, (0j,) * (hi - lo + 1))
+    return s.window(lo, hi)

@@ -1,4 +1,5 @@
-"""Truncated Laurent series (jets) with even-element coefficients.
+"""Truncated Laurent series (jets) with even-element coefficients, held as
+float pairs complex(u, v).
 
 A series is a finite window of coefficients a_n for exponents
 valuation <= n <= truncation_order of powers of z' = z - center.  All
@@ -12,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (E_ONE, E_ZERO, EvenElement, complex_int_pow,
-                      complex_inv, even_cos, even_exp, even_mul, even_sin,
-                      from_complexes, to_complexes)
+from .algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
+                      complex_int_pow, complex_inv, complex_sin)
 from .errors import ComputationError, UsageError
 
 #: default number of retained coefficients
@@ -38,9 +38,9 @@ class LaurentSeries:
     coefficient tuple with valuation = truncation_order + 1.
     """
 
-    center: EvenElement
+    center: complex
     valuation: int
-    coeffs: tuple[EvenElement, ...]
+    coeffs: tuple[complex, ...]
 
     @property
     def truncation_order(self) -> int:
@@ -60,28 +60,30 @@ class LaurentSeries:
             raise WindowError(
                 f"exponent {n} outside reliable window "
                 f"[{self.valuation}, {self.truncation_order}]")
-        return self.coeffs[n - self.valuation]
+        c = self.coeffs[n - self.valuation]
+        return EvenElement(c.real, c.imag)
 
-    def window_coefficients(self, lo: int, hi: int) -> list[EvenElement]:
-        """Coefficients for exponents lo..hi; exact zeros below valuation."""
+    def window(self, lo: int, hi: int) -> "LaurentSeries":
+        """The series over exponents lo..hi; exact zeros below valuation."""
         if hi > self.truncation_order:
             raise WindowError(f"exponent {hi} beyond truncation order "
                               f"{self.truncation_order}")
-        out = []
-        for n in range(lo, hi + 1):
-            if n < self.valuation:
-                out.append(E_ZERO)
-            else:
-                out.append(self.coeffs[n - self.valuation])
-        return out
+        v = self.valuation
+        return LaurentSeries(self.center, lo, tuple(
+            self.coeffs[n - v] if n >= v else 0j for n in range(lo, hi + 1)))
+
+    def window_coefficients(self, lo: int, hi: int) -> list[EvenElement]:
+        """Coefficients for exponents lo..hi; exact zeros below valuation."""
+        return [EvenElement(c.real, c.imag)
+                for c in self.window(lo, hi).coeffs]
 
     def evaluate(self, dz: EvenElement) -> EvenElement:
         """Sum the truncated series at z' = dz (Horner over the window)."""
         if self.is_zero():
             return E_ZERO
-        x = complex(dz.u, dz.v)
+        x = complex(dz)
         acc = 0j
-        for c in reversed(to_complexes(self.coeffs)):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         value = acc * complex_int_pow(x, self.valuation)
         return EvenElement(value.real, value.imag)
@@ -96,14 +98,16 @@ class LaurentSeries:
         return series_mul(self, other)
 
 
-def zero_series(center: EvenElement, truncation_order: int) -> LaurentSeries:
+def zero_series(center: complex, truncation_order: int) -> LaurentSeries:
     return LaurentSeries(center, truncation_order + 1, ())
 
 
 def _require_same_center(a: LaurentSeries, b: LaurentSeries) -> None:
     if a.center != b.center:
         raise CenterMismatchError(
-            f"series centered at {a.center} and {b.center} cannot be combined")
+            f"series centered at {EvenElement(a.center.real, a.center.imag)} "
+            f"and {EvenElement(b.center.real, b.center.imag)} cannot be "
+            f"combined")
 
 
 def series_add(a: LaurentSeries, b: LaurentSeries,
@@ -115,8 +119,8 @@ def series_add(a: LaurentSeries, b: LaurentSeries,
         return zero_series(a.center, trunc)
     out = []
     for n in range(lo, trunc + 1):
-        ca = a.coeffs[n - a.valuation] if a.valuation <= n <= a.truncation_order else E_ZERO
-        cb = b.coeffs[n - b.valuation] if b.valuation <= n <= b.truncation_order else E_ZERO
+        ca = a.coeffs[n - a.valuation] if a.valuation <= n <= a.truncation_order else 0j
+        cb = b.coeffs[n - b.valuation] if b.valuation <= n <= b.truncation_order else 0j
         out.append(ca - cb if negate else ca + cb)
     return LaurentSeries(a.center, lo, tuple(out))
 
@@ -130,39 +134,39 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return zero_series(a.center, trunc)
     lo = a.valuation + b.valuation
     length = trunc - lo + 1
-    xs = to_complexes(a.coeffs[:length])
-    ys = to_complexes(b.coeffs[:length])
+    xs = a.coeffs[:length]
+    ys = b.coeffs[:length]
     out = []
     for k in range(length):
         acc = 0j
         for x, y in zip(xs[:k + 1], reversed(ys[:k + 1])):
             acc += x * y
         out.append(acc)
-    return LaurentSeries(a.center, lo, from_complexes(out))
+    return LaurentSeries(a.center, lo, tuple(out))
 
 
 def series_inv(a: LaurentSeries) -> LaurentSeries:
     """Multiplicative inverse: series_mul(a, result) = 1 + O(window)."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
-    xs = to_complexes(a.coeffs)
+    xs = a.coeffs
     out = [complex_inv(xs[0])]
     for k in range(1, len(xs)):
         acc = 0j
         for x, y in zip(xs[1:k + 1], reversed(out)):
             acc += x * y
         out.append(-(acc * out[0]))
-    return LaurentSeries(a.center, -a.valuation, from_complexes(out))
+    return LaurentSeries(a.center, -a.valuation, tuple(out))
 
 
 ENTIRE_KINDS = ("exp", "sin", "cos")
 
 
-def derivative_cycle(kind: str, w0: EvenElement) -> list[EvenElement]:
+def derivative_cycle(kind: str, w0: complex) -> list[complex]:
     """F(w0), F'(w0), ... for F = exp/sin/cos, one period of the cycle."""
     if kind == "exp":
-        return [even_exp(w0)]
-    s0, c0 = even_sin(w0), even_cos(w0)
+        return [complex_exp(w0)]
+    s0, c0 = complex_sin(w0), complex_cos(w0)
     if kind == "sin":
         return [s0, c0, -s0, -c0]
     if kind == "cos":
@@ -171,7 +175,7 @@ def derivative_cycle(kind: str, w0: EvenElement) -> list[EvenElement]:
                      f"expected one of {ENTIRE_KINDS}")
 
 
-def _zero_order(cycle: list[EvenElement]) -> int:
+def _zero_order(cycle: list[complex]) -> int:
     """Zeros of sin/cos are simple and exp never vanishes."""
     if len(cycle) == 1:
         return 0
@@ -179,32 +183,33 @@ def _zero_order(cycle: list[EvenElement]) -> int:
     return 1 if abs(value) <= 1e-9 * (abs(slope) + abs(value)) else 0
 
 
-def entire_zero_order(kind: str, scale: EvenElement,
-                      point: EvenElement) -> int:
+def entire_zero_order(kind: str, scale: complex, point: complex) -> int:
     """Order (0 or 1) of the zero of exp/sin/cos(scale*z) at point."""
     if kind == "exp":
         return 0
-    return _zero_order(derivative_cycle(kind, even_mul(scale, point)))
+    return _zero_order(derivative_cycle(kind, scale * point))
 
 
-def entire_series(kind: str, scale: EvenElement, center: EvenElement,
+def entire_series(kind: str, scale: complex, center: complex,
                   order: int) -> LaurentSeries:
     """Taylor series of exp/sin/cos(scale*z) about ``center`` up to z'^order.
 
     Writing z = center + z', the argument is w0 + scale*z' with
     w0 = scale*center, so the coefficients follow from the derivative cycle
-    of the function at w0 evaluated in even-element arithmetic.  The
-    valuation is the zero order at the center, so a sin/cos zero starts the
-    series at z'^1 however the rounded value at w0 compares with the rest.
+    of the function at w0.  The valuation is the zero order at the center,
+    so a sin/cos zero starts the series at z'^1 however the rounded value
+    at w0 compares with the rest.
     """
     if order < 0:
         raise UsageError("order must be >= 0")
-    cycle = derivative_cycle(kind, even_mul(scale, center))
+    cycle = derivative_cycle(kind, scale * center)
     valuation = _zero_order(cycle)
     coeffs = []
-    power = E_ONE  # scale^k / k!
+    power = 1 + 0j  # scale^k / k!
     for k in range(order + 1):
         if k > 0:
-            power = even_mul(power, scale) / k
-        coeffs.append(even_mul(cycle[k % len(cycle)], power))
+            power = power * scale
+            # part by part: complex / k could flip the sign of a zero
+            power = complex(power.real / k, power.imag / k)
+        coeffs.append(cycle[k % len(cycle)] * power)
     return LaurentSeries(center, valuation, tuple(coeffs[valuation:]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from dxdy.algebra import E_ZERO, even, even_cos, even_exp, even_mul, even_sin
+from dxdy.algebra import complex_cos, complex_exp, complex_sin, even
 from dxdy.exactmath import central_stencil
 from dxdy.functions import local_expansion
 from dxdy.residues import DERIVATIVE_STEP, ResidueReport
@@ -121,10 +121,10 @@ def reference_factor_values(f, z0, offsets):
     double anchors at scale*z0."""
     factor = f.factor
     scale = ExactEven.from_floats(factor.scale.u, factor.scale.v)
-    w0 = even_mul(factor.scale, z0)
-    s0 = ExactEven.from_floats(*_pair(even_sin(w0)))
-    c0 = ExactEven.from_floats(*_pair(even_cos(w0)))
-    e0 = ExactEven.from_floats(*_pair(even_exp(w0)))
+    w0 = complex(factor.scale) * complex(z0)
+    s0 = ExactEven.from_floats(*_pair(complex_sin(w0)))
+    c0 = ExactEven.from_floats(*_pair(complex_cos(w0)))
+    e0 = ExactEven.from_floats(*_pair(complex_exp(w0)))
     out = []
     for offset in offsets:
         dw = scale * offset
@@ -152,8 +152,8 @@ def reference_factor_values(f, z0, offsets):
     return out
 
 
-def _pair(x):
-    return x.u, x.v
+def _pair(x: complex):
+    return x.real, x.imag
 
 
 def reference_derivative_formula(f, p, step=DERIVATIVE_STEP):
@@ -164,8 +164,8 @@ def reference_derivative_formula(f, p, step=DERIVATIVE_STEP):
     h = Fraction(step)
     weights = fd_weights(d, [Fraction(j) for j in nodes])
     z0 = ExactEven.from_floats(p.location.u, p.location.v)
-    num = exact_poly([(c.u, c.v) for c in f.num.coeffs])
-    cofactor = exact_poly([(c.u, c.v) for c in f.den.coeffs])
+    num = exact_poly([_pair(c) for c in f.num.coeffs])
+    cofactor = exact_poly([_pair(c) for c in f.den.coeffs])
     for _ in range(m):
         cofactor = exact_deflate(cofactor, z0)
     offsets = [j * h for j in nodes]
@@ -182,6 +182,7 @@ def reference_derivative_formula(f, p, step=DERIVATIVE_STEP):
     fact = math.factorial(d)
     value = even(float(acc.u) / fact, float(acc.v) / fact)
     leading = local_expansion(f, p.location, max(DEFAULT_WINDOW, m + 2))
-    lead_coeff = leading.coeffs[0] if not leading.is_zero() else E_ZERO
+    lead = leading.coeffs[0] if not leading.is_zero() else 0j
+    lead_coeff = even(lead.real, lead.imag)
     return ResidueReport(pole=p, a_minus_1=value, leading=lead_coeff,
                          method="derivative_formula")

@@ -9,8 +9,7 @@ import math
 import random
 
 from dxdy import expressions as ex
-from dxdy.algebra import (E_DXDY, E_ONE, EvenElement, even, even_mul,
-                          format_even)
+from dxdy.algebra import EvenElement, even, even_mul, format_even
 from dxdy.errors import RangeError
 from dxdy.functions import MeromorphicFunction, Pole
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
@@ -103,7 +102,7 @@ def reference_int_pow(x: EvenElement, m: int) -> EvenElement:
     reference for ``complex_int_pow``."""
     if m < 0:
         return reference_int_pow(reference_inv(x), -m)
-    result = E_ONE
+    result = even(1.0)
     base = x
     while True:
         if m & 1:
@@ -119,8 +118,8 @@ def _reference_entire(name, parts):
         try:
             return EvenElement(*parts(x.u, x.v))
         except (OverflowError, ValueError):
-            raise RangeError(f"{name}({format_even(x)}) lies beyond the "
-                             f"double range") from None
+            raise RangeError(f"{name}({format_even(complex(x))}) lies "
+                             f"beyond the double range") from None
     return kernel
 
 
@@ -145,7 +144,7 @@ def reference_evaluate(e: ex.Expr, env: dict[str, EvenElement]) -> EvenElement:
         return even(e.value)
     if isinstance(e, ex.Sym):
         if e.name == "I":
-            return E_DXDY
+            return even(0.0, 1.0)
         if e.name == "pi":
             return even(math.pi)
         if e.name in env:

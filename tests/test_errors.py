@@ -47,8 +47,6 @@ ALLOWED_RAISES = {
         "exact division by zero in the derivative route, as float division",
     ("exactmath.py", "stencil_weights", "ValueError"):
         "invariant: callers always pass more nodes than the order",
-    ("polynomials.py", "Polynomial.leading", "ValueError"):
-        "invariant: callers never ask the zero polynomial for its lead",
     ("polynomials.py", "Polynomial.int_pow", "ValueError"):
         "invariant: the expression fold never passes a negative power",
 }

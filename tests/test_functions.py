@@ -13,8 +13,9 @@ from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
                             UnsupportedExpressionError, classify_one_form,
                             find_poles, local_expansion, meromorphic_from_text,
                             to_meromorphic)
+from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.residues import laurent_expand, residue
-from dxdy.roots import find_roots
+from dxdy.roots import RootFindingError, find_roots
 
 from helpers import even_close, random_planted_rational
 
@@ -22,8 +23,8 @@ from helpers import even_close, random_planted_rational
 def test_simple_rational_shape():
     f = meromorphic_from_text("1/(z^2+1)")
     assert f.factor is None
-    assert [c.u for c in f.den.coeffs] == [1.0, 0.0, 1.0]
-    assert [c.u for c in f.num.coeffs] == [1.0]
+    assert [c.real for c in f.den.coeffs] == [1.0, 0.0, 1.0]
+    assert [c.real for c in f.num.coeffs] == [1.0]
 
 
 def test_cancellation_matches_direct_evaluation():
@@ -247,6 +248,37 @@ def test_classification_builds_no_even_element_per_sample(monkeypatch):
     samples = ring_samples(n=24, radius=1.5)
     assert classify_one_form(form, samples) is FormClass.CLOSED_AND_CR
     assert built == []
+
+
+def test_poles_and_residues_build_even_elements_only_at_the_edges(
+        monkeypatch):
+    # inside, coefficients and root locations are complex pairs; an
+    # EvenElement is built per Pole.location and per residue handed out,
+    # and at most once per literal while folding
+    built = []
+    init = EvenElement.__init__
+
+    def counting(self, u, v):
+        built.append((u, v))
+        init(self, u, v)
+
+    monkeypatch.setattr(EvenElement, "__init__", counting)
+    f = meromorphic_from_text("1/(z^20+0.7-0.2*I)")
+    poles = find_poles(f)
+    for p in poles:
+        residue(f, p)
+    literals = 3  # 1, 0.7 and 0.2
+    assert len(poles) == 20
+    assert len(built) <= 2 * len(poles) + literals
+
+
+def test_root_residual_error_names_the_root_as_an_even_element():
+    den = Polynomial.from_coeffs([-1.0, 1.0])  # z - 1
+    f = MeromorphicFunction(ONE_POLY, den, den_roots=((2 + 0j, 1),))
+    with pytest.raises(RootFindingError) as err:
+        find_poles(f)
+    assert str(err.value) == ("root residual too large at EvenElement(u=2.0, "
+                              "v=0.0); denominator is ill-conditioned")
 
 
 def test_integer_power_series_forms_classify_cr():

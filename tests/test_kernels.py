@@ -1,14 +1,15 @@
 """Float-pair kernels on `complex` against the even-element reference loops.
 
-The series, polynomial and Durand-Kerner loops compute on Python `complex`,
-whose +, - and * are the even subalgebra's operations bit for bit.  The
-references below are the same loops written on `EvenElement`; every result
-must agree in the hex digits of both parts.  The inverse, integer power
-and exp/sin/cos kernels, and the value f(z) of a meromorphic function, are
-checked against the EvenElement bodies in ``helpers``.  Durand-Kerner must
-also stop at the rounding floor of a multiple root, and not before
-convergence anywhere else.  A last group checks that `local_expansion` gives the same
-bits as the wider window it used to build.
+Polynomials and Laurent series hold `complex` coefficients, and the series,
+polynomial and Durand-Kerner loops compute on them; Python's complex +, -
+and * are the even subalgebra's operations bit for bit.  The references
+below are the same loops written on `EvenElement`; every result must agree
+in the hex digits of both parts.  The inverse, integer power and
+exp/sin/cos kernels, the entire series, and the value f(z) of a meromorphic
+function are checked against the EvenElement bodies in ``helpers``.
+Durand-Kerner must also stop at the rounding floor of a multiple root, and
+not before convergence anywhere else.  A last group checks that
+`local_expansion` gives the same bits as the wider window it used to build.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from dxdy import roots
 from dxdy.algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
                           complex_int_pow, complex_inv, complex_sin, even,
-                          even_int_pow, even_inv, even_mul)
+                          even_int_pow, even_mul)
 from dxdy.errors import RangeError
 from dxdy.functions import (EntireFactor, MeromorphicFunction, find_poles,
                             local_expansion, meromorphic_from_text)
@@ -34,7 +35,11 @@ from helpers import REFERENCE_CALLS, reference_int_pow, reference_inv
 
 
 # ---------------------------------------------------------------------------
-# reference: the same loops on EvenElement
+# reference: the same loops on EvenElement, converted once each way
+
+def evens(coeffs):
+    return [EvenElement(c.real, c.imag) for c in coeffs]
+
 
 def reference_series_mul(a, b):
     trunc = min(a.truncation_order + b.valuation,
@@ -44,51 +49,62 @@ def reference_series_mul(a, b):
     lo = a.valuation + b.valuation
     length = trunc - lo + 1
     out = [E_ZERO] * length
-    for i, ca in enumerate(a.coeffs):
+    for i, ca in enumerate(evens(a.coeffs)):
         if i >= length:
             break
-        for j, cb in enumerate(b.coeffs):
+        for j, cb in enumerate(evens(b.coeffs)):
             if i + j >= length:
                 break
             out[i + j] = out[i + j] + even_mul(ca, cb)
-    return LaurentSeries(a.center, lo, tuple(out))
+    return LaurentSeries(a.center, lo, tuple(map(complex, out)))
 
 
 def reference_series_inv(a):
-    n = len(a.coeffs)
-    inv_lead = reference_inv(a.coeffs[0])
+    coeffs = evens(a.coeffs)
+    n = len(coeffs)
+    inv_lead = reference_inv(coeffs[0])
     out = [E_ZERO] * n
     out[0] = inv_lead
     for k in range(1, n):
         acc = E_ZERO
         for i in range(1, k + 1):
-            acc = acc + even_mul(a.coeffs[i], out[k - i])
+            acc = acc + even_mul(coeffs[i], out[k - i])
         out[k] = -even_mul(acc, inv_lead)
-    return LaurentSeries(a.center, -a.valuation, tuple(out))
+    return LaurentSeries(a.center, -a.valuation, tuple(map(complex, out)))
 
 
 def reference_series_evaluate(s, dz):
     if s.is_zero():
         return E_ZERO
     acc = E_ZERO
-    for c in reversed(s.coeffs):
+    for c in reversed(evens(s.coeffs)):
         acc = even_mul(acc, dz) + c
     return even_mul(acc, reference_int_pow(dz, s.valuation))
 
 
 def reference_call(p, z):
     acc = E_ZERO
-    for c in reversed(p.coeffs):
+    for c in reversed(evens(p.coeffs)):
         acc = even_mul(acc, z) + c
     return acc
+
+
+def reference_add(p, q, negate=False):
+    """p + q, or p - q as p + (-q), each zero-padded to the longer."""
+    a = evens(p.coeffs)
+    b = [-c for c in evens(q.coeffs)] if negate else evens(q.coeffs)
+    n = max(len(a), len(b))
+    a += [E_ZERO] * (n - len(a))
+    b += [E_ZERO] * (n - len(b))
+    return Polynomial.from_coeffs([x + y for x, y in zip(a, b)])
 
 
 def reference_mul(p, q):
     if p.is_zero() or q.is_zero():
         return ZERO_POLY
     out = [E_ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    for i, a in enumerate(evens(p.coeffs)):
+        for j, b in enumerate(evens(q.coeffs)):
             out[i + j] = out[i + j] + even_mul(a, b)
     return Polynomial.from_coeffs(out)
 
@@ -96,10 +112,11 @@ def reference_mul(p, q):
 def reference_deflate(p, root):
     if p.is_zero():
         return ZERO_POLY, E_ZERO
+    coeffs = evens(p.coeffs)
     acc = E_ZERO
-    out = [E_ZERO] * max(len(p.coeffs) - 1, 0)
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        acc = even_mul(acc, root) + p.coeffs[k]
+    out = [E_ZERO] * max(len(coeffs) - 1, 0)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = even_mul(acc, root) + coeffs[k]
         if k > 0:
             out[k - 1] = acc
     return Polynomial.from_coeffs(out), acc
@@ -108,7 +125,7 @@ def reference_deflate(p, root):
 def reference_taylor_shift(p, center):
     if p.is_zero():
         return ()
-    work = list(p.coeffs)
+    work = evens(p.coeffs)
     n = len(work)
     out = []
     for _ in range(n):
@@ -129,6 +146,28 @@ def reference_meromorphic_call(f, z):
         value = even_mul(value, REFERENCE_CALLS[f.factor.kind](
             even_mul(f.factor.scale, z)))
     return value
+
+
+def reference_entire_series(kind, scale, center, order):
+    """entire_series on EvenElement: the derivative cycle of the helpers'
+    exp/sin/cos at scale*center, times scale^k / k!."""
+    w0 = even_mul(scale, center)
+    if kind == "exp":
+        cycle = [REFERENCE_CALLS["exp"](w0)]
+        valuation = 0
+    else:
+        s0, c0 = REFERENCE_CALLS["sin"](w0), REFERENCE_CALLS["cos"](w0)
+        cycle = [s0, c0, -s0, -c0] if kind == "sin" else [c0, -s0, -c0, s0]
+        value, slope = cycle[0], cycle[1]
+        valuation = int(abs(value) <= 1e-9 * (abs(slope) + abs(value)))
+    coeffs = []
+    power = even(1.0)
+    for k in range(order + 1):
+        if k > 0:
+            power = even_mul(power, scale) / k
+        coeffs.append(even_mul(cycle[k % len(cycle)], power))
+    return LaurentSeries(complex(center), valuation,
+                         tuple(map(complex, coeffs[valuation:])))
 
 
 def reference_durand_kerner(coeffs):
@@ -187,34 +226,34 @@ def reference_local_expansion(f, center, window):
     The valuations are the structural ones: the denominator starts at the
     multiplicity of its table root at center, the numerator at 0.
     """
+    x = complex(center)
+
     def poly_series(p, valuation, length):
-        shifted = list(p.taylor_shift(center))[valuation:]
-        shifted += [E_ZERO] * (length - len(shifted))
-        return LaurentSeries(center, valuation, tuple(shifted[:length]))
+        shifted = list(p.taylor_shift(x))[valuation:]
+        shifted += [0j] * (length - len(shifted))
+        return LaurentSeries(x, valuation, tuple(shifted[:length]))
 
     if f.is_zero():
-        return LaurentSeries(center, 0, ())
+        return LaurentSeries(x, 0, ())
     near = [mult for loc, mult in f.den_roots
-            if abs(loc - center) <= roots.CLUSTER_TOL * (1.0 + abs(center))]
+            if abs(loc - x) <= roots.CLUSTER_TOL * (1.0 + abs(x))]
     length = window + f.den.degree + 2
     result = series_mul(poly_series(f.num, 0, length),
                         series_inv(poly_series(f.den, sum(near), length)))
     if f.factor is not None:
         result = series_mul(
-            result, entire_series(f.factor.kind, f.factor.scale, center,
+            result, entire_series(f.factor.kind, complex(f.factor.scale), x,
                                   length - 1))
-    return LaurentSeries(center, result.valuation, result.coeffs[:window])
+    return LaurentSeries(x, result.valuation, result.coeffs[:window])
 
 
 # ---------------------------------------------------------------------------
 # bit-level comparison
 
-def bits(x: EvenElement) -> tuple[str, str]:
-    return x.u.hex(), x.v.hex()
-
-
-def pair_bits(x: complex) -> tuple[str, str]:
-    return x.real.hex(), x.imag.hex()
+def bits(x) -> tuple[str, str]:
+    """Both parts in hex, of an EvenElement or a complex."""
+    z = complex(x)
+    return z.real.hex(), z.imag.hex()
 
 
 def series_bits(s: LaurentSeries):
@@ -246,8 +285,8 @@ _parts = st.one_of(
               st.floats(0.5, 1.0, exclude_max=True), _exponents,
               st.booleans()))
 _even = st.builds(EvenElement, _parts, _parts)
-_coeffs = st.lists(_even, min_size=1, max_size=8)
-_series = st.builds(lambda v, cs: LaurentSeries(E_ZERO, v, tuple(cs)),
+_coeffs = st.lists(st.builds(complex, _parts, _parts), min_size=1, max_size=8)
+_series = st.builds(lambda v, cs: LaurentSeries(0j, v, tuple(cs)),
                     st.integers(-3, 3), _coeffs)
 _poly = st.builds(Polynomial.from_coeffs, st.lists(_even, max_size=7))
 
@@ -301,12 +340,11 @@ _kernel_even = st.builds(EvenElement, _kernel_parts, _kernel_parts)
 @example(even(math.inf, math.nan), -40)
 @given(_kernel_even, st.integers(-40, 40))
 def test_inverse_and_power_kernels_match_the_even_element_bodies(x, m):
-    c = complex(x.u, x.v)
+    c = complex(x)
     want = outcome(lambda: reference_inv(x), bits)
-    assert outcome(lambda: complex_inv(c), pair_bits) == want
-    assert outcome(lambda: even_inv(x), bits) == want
+    assert outcome(lambda: complex_inv(c), bits) == want
     want = outcome(lambda: reference_int_pow(x, m), bits)
-    assert outcome(lambda: complex_int_pow(c, m), pair_bits) == want
+    assert outcome(lambda: complex_int_pow(c, m), bits) == want
     assert outcome(lambda: even_int_pow(x, m), bits) == want
 
 
@@ -316,7 +354,7 @@ _ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(_ENTIRE)), _kernel_even)
 def test_entire_kernels_match_the_even_element_bodies(kind, x):
-    assert (outcome(lambda: _ENTIRE[kind](complex(x.u, x.v)), pair_bits)
+    assert (outcome(lambda: _ENTIRE[kind](complex(x)), bits)
             == outcome(lambda: REFERENCE_CALLS[kind](x), bits))
 
 
@@ -359,23 +397,42 @@ def test_polynomial_mul_matches_reference(p, q):
 @settings(max_examples=100, deadline=None)
 @given(_poly, _even)
 def test_polynomial_scale_matches_reference(p, c):
-    want = Polynomial.from_coeffs([even_mul(c, a) for a in p.coeffs])
-    assert poly_bits(p.scale(complex(c.u, c.v))) == poly_bits(want)
+    want = Polynomial.from_coeffs([even_mul(c, a) for a in evens(p.coeffs)])
+    assert poly_bits(p.scale(complex(c))) == poly_bits(want)
+
+
+# a -0.0 part turns +0.0 where it meets the zero padding: -0.0 + 0.0
+_SIGNED_ZERO_POLYS = (
+    Polynomial.from_coeffs([complex(-0.0, -0.0), complex(1.0, -0.0)]),
+    Polynomial.from_coeffs([complex(-0.0, 2.0)]),
+    Polynomial.from_coeffs([complex(0.0, -0.0), 0j, complex(-0.0, 1.0)]))
 
 
 @settings(max_examples=100, deadline=None)
+@example(*_SIGNED_ZERO_POLYS[:2])
+@example(*_SIGNED_ZERO_POLYS[1:])
+@example(_SIGNED_ZERO_POLYS[2], _SIGNED_ZERO_POLYS[0])
+@given(_poly, _poly)
+def test_polynomial_add_and_sub_match_reference(p, q):
+    assert poly_bits(p + q) == poly_bits(reference_add(p, q))
+    assert poly_bits(p - q) == poly_bits(reference_add(p, q, negate=True))
+
+
+@settings(max_examples=100, deadline=None)
+@example(_SIGNED_ZERO_POLYS[0], even(-0.0, 0.0))
+@example(_SIGNED_ZERO_POLYS[2], even(0.5, -0.0))
 @given(_poly, _even)
 def test_deflate_matches_reference(p, root):
-    quotient, remainder = p.deflate(root)
     ref_quotient, ref_remainder = reference_deflate(p, root)
-    assert poly_bits(quotient) == poly_bits(ref_quotient)
-    assert bits(remainder) == bits(ref_remainder)
+    assert poly_bits(p.deflate(complex(root))) == poly_bits(ref_quotient)
+    # the remainder of synthetic division is the Horner value
+    assert bits(p(root)) == bits(ref_remainder)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_poly, _even)
 def test_taylor_shift_matches_reference(p, center):
-    assert ([bits(t) for t in p.taylor_shift(center)]
+    assert ([bits(t) for t in p.taylor_shift(complex(center))]
             == [bits(t) for t in reference_taylor_shift(p, center)])
 
 
@@ -383,8 +440,22 @@ def test_taylor_shift_matches_reference(p, center):
 @given(_poly, _even, st.integers(0, 9))
 def test_truncated_taylor_shift_is_the_head_of_the_full_shift(p, center,
                                                               terms):
-    assert ([bits(t) for t in p.taylor_shift(center, terms)]
-            == [bits(t) for t in p.taylor_shift(center)][:terms])
+    x = complex(center)
+    assert ([bits(t) for t in p.taylor_shift(x, terms)]
+            == [bits(t) for t in p.taylor_shift(x)][:terms])
+
+
+@settings(max_examples=200, deadline=None)
+@example("sin", even(-0.0, 1.0), even(0.0, -0.0), 6)  # sin(0): valuation 1
+@example("cos", even(1.0, -0.0), even(-0.0, 0.5), 5)
+@example("exp", even(-0.0, -0.0), even(2.0, -0.0), 4)
+@given(st.sampled_from(sorted(_ENTIRE)), _even, _even, st.integers(0, 12))
+def test_entire_series_matches_reference(kind, scale, center, order):
+    # the k! division scales each part: complex / k would turn -0.0 to +0.0
+    assert (outcome(lambda: entire_series(kind, complex(scale),
+                                          complex(center), order), series_bits)
+            == outcome(lambda: reference_entire_series(kind, scale, center,
+                                                       order), series_bits))
 
 
 def test_cached_coefficients_leave_equality_alone():

@@ -446,6 +446,14 @@ def test_real_line_rejects_axis_poles_and_slow_decay(text):
         real_line_quadrature(f, tol=REAL_LINE_TOL)
 
 
+def test_axis_root_error_names_the_root_as_an_even_element():
+    f = meromorphic_from_text("sin(x)/(x*(x^2+1))", real_line=True)
+    with pytest.raises(QuadratureError) as err:
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+    assert str(err.value) == ("denominator root at EvenElement(u=0.0, v=0.0) "
+                              "lies on the axis")
+
+
 @pytest.mark.parametrize("text", ["1/(x^2+1)", "exp(I*x)/(x^2+1)"])
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_real_line_rejects_a_tolerance_that_is_not_positive(text, tol,
