@@ -28,8 +28,8 @@ from .functions import (OneForm, classify_one_form, find_poles,
                         meromorphic_from_text)
 from .oracle import (differential_check, differential_quad_tol,
                      real_line_quadrature)
-from .residues import (DERIVATIVE_STEP, cauchy_evaluate,
-                       cauchy_integral_value, laurent_expand, residue)
+from .residues import (cauchy_evaluate, cauchy_integral_value,
+                       laurent_expand, residue)
 
 SCHEMA_VERSION = "1"
 
@@ -56,7 +56,6 @@ def _base_tolerances() -> dict[str, float]:
         "root_verify_tol": roots_mod.VERIFY_TOL,
         "root_kappa": roots_mod.KAPPA,
         "root_dk_floor": roots_mod.DK_FLOOR,
-        "derivative_step": DERIVATIVE_STEP,
     }
 
 

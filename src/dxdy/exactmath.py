@@ -14,12 +14,10 @@ beat: evaluating a polynomial near a root of multiplicity m loses all
 digits once |z - root| < eps**(1/m), which defeats Newton polishing of
 multiple roots and the multiplicity test.
 
-The derivative-formula residue route uses the same kernel: its sample
-points z0 + j*h lie on a real dyadic offset from z0, so each sample is an
-integer polynomial in the integer j*(h * 2**e) (``offset_poly``,
-``real_horner``).  Central differences of order d amplify evaluation noise
-by h**(-d); exact samples and the integer stencil weights of
-``stencil_weights`` remove it, and only the final conversion rounds.
+The derivative-formula residue route divides power series in the same
+form: ``dyadic_series_quotient`` reads one Taylor coefficient of a
+quotient of two such series with a division-free recurrence and rounds it
+once, so no finite difference and no step enter that route.
 """
 
 from __future__ import annotations
@@ -27,49 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-
-def stencil_weights(order: int, nodes: Sequence[int]) -> list[tuple[int, int]]:
-    """Finite-difference weights at 0 for distinct integer nodes.
-
-    Weight j is the order-th derivative at 0 of the Lagrange basis
-    polynomial of node j, order! * [t^order] prod_{k!=j} (t - x_k) over
-    prod_{k!=j} (x_j - x_k), returned as that (numerator, denominator)
-    pair of integers; requires len(nodes) > order.
-    """
-    if len(nodes) <= order:
-        raise ValueError("need more nodes than the derivative order")
-    # prod_k (t - x_k), ascending
-    full = [1]
-    for x in nodes:
-        full = [0] + full
-        for i in range(len(full) - 1):
-            full[i] -= x * full[i + 1]
-    fact = math.factorial(order)
-    out = []
-    for xj in nodes:
-        # synthetic division of the full product by (t - xj), top down
-        q = 0
-        for i in range(len(full) - 1, order, -1):
-            q = full[i] + xj * q
-        den = 1
-        for xk in nodes:
-            if xk != xj:
-                den *= xj - xk
-        out.append((fact * q, den))
-    return out
-
-
-def central_stencil(order: int) -> list[int]:
-    """Symmetric integer nodes excluding 0, wide enough for O(h^4) accuracy.
-
-    The center is excluded on purpose: the quantities differenced in this
-    package are removable-singularity values that cannot be sampled at the
-    expansion point itself.  Exact-rational summation makes the wider
-    stencil free of the noise amplification that usually punishes it.
-    """
-    half = max(2, (order + 2) // 2 + 1)
-    return [k for k in range(-half, half + 1) if k != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +139,28 @@ def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:
     return complex(num_re / den, num_im / den)
 
 
-def offset_poly(ts: Sequence[Dyadic], e: int) -> DyadicPoly:
-    """sum_k ts[k] * d**k as an integer polynomial in X = d * 2**e.
+def dyadic_series_quotient(num: DyadicPoly, den: DyadicPoly, k: int,
+                           scale: int = 1) -> complex:
+    """Coefficient k of the power series num / (scale * den), each part
+    rounded once; num and den hold at least k + 1 coefficients, den's
+    first is nonzero and scale > 0.
 
-    The result P satisfies sum_k ts[k] d**k = P(X) / 2**P.exp exactly, so
-    at a dyadic offset d every sample is one integer Horner (real_horner).
+    With c = d_0 the quotient's q_j * c**(j+1) is the Gaussian integer
+    Q_j = n_j c**j - sum_{i<j} Q_i d_{j-i} c**(j-1-i) over the integer
+    coefficients, so the recurrence divides nowhere and q_k = Q_k / c**(k+1)
+    is the one rounding, made by dyadic_ratio.
     """
-    exp = max((t.exp + e * k for k, t in enumerate(ts)), default=0)
-    return DyadicPoly(
-        tuple(t.re << (exp - t.exp - e * k) for k, t in enumerate(ts)),
-        tuple(t.im << (exp - t.exp - e * k) for k, t in enumerate(ts)), exp)
-
-
-def real_horner(poly: DyadicPoly, x: int) -> tuple[int, int]:
-    """(re, im) with poly(x) = (re + i*im) / 2**poly.exp, for an integer x."""
-    ar = ai = 0
-    for r, i in zip(reversed(poly.re), reversed(poly.im)):
-        ar = ar * x + r
-        ai = ai * x + i
-    return ar, ai
+    cr, ci = den.re[0], den.im[0]
+    pr, pi = 1, 0  # c**j
+    qs: list[tuple[int, int]] = []
+    for j in range(k + 1):
+        ar = ai = 0  # the sum, by Horner in c
+        for i, (qr, qi) in enumerate(qs):
+            dr, di = den.re[j - i], den.im[j - i]
+            ar, ai = (ar * cr - ai * ci + qr * dr - qi * di,
+                      ar * ci + ai * cr + qr * di + qi * dr)
+        nr, ni = num.re[j], num.im[j]
+        qs.append((nr * pr - ni * pi - ar, nr * pi + ni * pr - ai))
+        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
+    return dyadic_ratio(Dyadic(*qs[k], num.exp), Dyadic(pr, pi, den.exp),
+                        scale)

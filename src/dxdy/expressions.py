@@ -221,9 +221,17 @@ def _fold_constant(e: Expr) -> float | None:
 
 
 def _integer_exponent(e: Expr, pos: int) -> int:
-    value = _fold_constant(e)
+    try:
+        value = _fold_constant(e)
+    except ZeroDivisionError:
+        raise ParseError("exponent divides by zero", pos) from None
+    except OverflowError:
+        value = math.inf
     if value is None:
         raise ParseError("exponent must be an integer constant", pos)
+    # a NaN comes only from intermediates that overflowed, as inf - inf
+    if not math.isfinite(value):
+        raise ParseError("exponent lies beyond the double range", pos)
     if value != int(value):
         raise ParseError(
             f"fractional power ^{value:g} rejected: fractional powers are "

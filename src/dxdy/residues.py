@@ -7,11 +7,12 @@ Three routes to a residue are provided:
 * ``residue_by_order_reduction`` reads the whole principal part
   a_{-m}..a_{-1} off the same expansion, so it is a walkthrough of the
   peel-off procedure rather than an independent check;
-* ``residue_by_derivative_formula`` evaluates the (m-1)-th x-derivative of
-  z'^m f at the pole by central differences.  The stencil is summed exactly,
-  in plain integers, and rounded once, so the difference quotient is
-  truncation-limited even for high orders, where plain float sampling would
-  drown in eps/h**(m-1) noise.
+* ``residue_by_derivative_formula`` reads the (m-1)-th x-derivative of
+  z'^m f at the pole, over (m-1)!, as that function's Taylor coefficient
+  m-1: an exact power-series division of the numerator and entire factor
+  by the denominator's cofactor, in plain integers, rounded once.  It
+  differentiates nothing and shares no float series code with the first
+  route.
 """
 
 from __future__ import annotations
@@ -19,22 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import E_ZERO, EvenElement, even
+from .algebra import E_ZERO, EvenElement
 from .errors import ComputationError, RangeError, UsageError
-from .exactmath import (Dyadic, DyadicPoly, central_stencil, dyadic_poly,
-                        dyadic_taylor_shift, offset_poly, real_horner,
-                        stencil_weights)
+from .exactmath import (Dyadic, DyadicPoly, dyadic_poly,
+                        dyadic_series_quotient, dyadic_taylor_shift)
 from .functions import (EntireFactor, MeromorphicFunction, Pole,
                         _den_valuation, local_expansion)
 from .polynomials import Polynomial
 from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError,
-                     derivative_cycle)
+                     _zero_order, derivative_cycle)
 
 #: widest coefficient window laurent_expand will produce
 MAX_LAURENT_WINDOW = 64
-
-#: default step of the derivative-formula cross-check
-DERIVATIVE_STEP = 1e-4
 
 #: u-part this small relative to the element magnitude counts as a 2-form
 TWO_FORM_TOL = 1e-10
@@ -93,119 +90,91 @@ def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport
 
 
 # ---------------------------------------------------------------------------
-# derivative-formula route (finite differences, exact integer arithmetic)
+# derivative-formula route (exact power-series division)
 
-_FACTOR_TAYLOR_TERMS = 18
+def residue_by_derivative_formula(f: MeromorphicFunction,
+                                  p: Pole) -> ResidueReport:
+    """a_{-1} = (1/(m-1)!) d^{m-1}[z'^m f]/dx^{m-1} at the pole, read as
+    Taylor coefficient m-1 of z'^m f by exact power-series division.
 
-#: common denominator of the entire factor's Taylor terms
-_FACTOR_DEN = math.factorial(_FACTOR_TAYLOR_TERMS - 1)
-
-
-def _factor_poly(factor: EntireFactor, z0: complex, e: int) -> DyadicPoly:
-    """The entire factor at z0 + d as an integer polynomial in X = d * 2**e.
-
-    The factor is its Taylor sum sum_n F^(n)(w0) dw^n / n! over
-    n < _FACTOR_TAYLOR_TERMS, with dw = scale*d around w0 = scale*z0 and
-    the anchors F^(n)(w0) taken once in double precision.  The anchor
-    rounding then enters every stencil value as a common factor, which a
-    linear difference quotient cannot amplify.  The result P gives
-    F = P(X) / (2**P.exp * _FACTOR_DEN).
-    """
-    s = complex(factor.scale)
-    cycle = derivative_cycle(factor.kind, s * z0)
-    anchors = dyadic_poly(cycle)
-    scale = dyadic_poly([s])
-    sr, si = scale.re[0], scale.im[0]
-    shift = scale.exp + e
-    top = _FACTOR_TAYLOR_TERMS - 1
-    re, im = [], []
-    pr, pi = 1, 0  # numerator of scale**n
-    for n in range(_FACTOR_TAYLOR_TERMS):
-        g = _FACTOR_DEN // math.factorial(n) << shift * (top - n)
-        ar, ai = anchors.re[n % len(cycle)], anchors.im[n % len(cycle)]
-        re.append(g * (ar * pr - ai * pi))
-        im.append(g * (ar * pi + ai * pr))
-        pr, pi = pr * sr - pi * si, pr * si + pi * sr
-    return DyadicPoly(tuple(re), tuple(im), anchors.exp + shift * top)
-
-
-def residue_by_derivative_formula(f: MeromorphicFunction, p: Pole,
-                                  step: float = DERIVATIVE_STEP) -> ResidueReport:
-    """a_{-1} = (1/(m-1)!) d^{m-1}[z'^m f]/dx^{m-1} at the pole.
-
-    The removable-singularity function g = z'^m f is sampled on a symmetric
-    x-stencil z0 + j*step excluding the pole itself.  z'^m is cancelled
-    against the denominator exactly: with t_i its Taylor coefficients at
-    z0, the cofactor after m deflations is C(z0+d) = sum_{i>=m} t_i d^(i-m).
-    Coefficient rounding scatters a multiplicity-m root by about
-    eps**(1/m), which is comparable to the step, so sampling the raw
-    denominator would see the scatter cloud rather than the order-m pole
-    this formula is about.  step is dyadic, so numerator, cofactor and
-    entire factor are integer polynomials in j times the step's integer
-    mantissa, and the weighted sum is one exact rational whose components
-    are each rounded once; see the ``exactmath`` docstring.
+    z'^m f = N F / C, each factor from its structural valuation on, as in
+    local_expansion: N is the numerator's t_0.. at the pole and C the
+    denominator's t_mult.., mult being its table multiplicity, since
+    t_0..t_{mult-1} there are root error; F is the entire factor's Taylor
+    terms F^(j)(w0) (scale z')^j / j! from its zero order on, around the
+    anchors F^(j)(w0) rounded once.  Every datum is exact over a power of
+    two, so a_{-1} and the leading a_{-m} are each one rounding of an
+    exact quotient coefficient (``exactmath.dyadic_series_quotient``).
     """
     m = p.order
-    d = m - 1
-    nodes = central_stencil(d)
     z0 = complex(p.location)
-    mantissa, step_den = step.as_integer_ratio()
-    e = step_den.bit_length() - 1
-    num = offset_poly(_taylor(f.num, z0), e)
-    cofactor = offset_poly(_taylor(f.den, z0)[m:], e)
-    # the value is (acc_re + i*acc_im) / q * 2**shift / divisor, where
-    # acc / q sums w_j * N_j * F_j / C_j over the stencil in integer numerators
-    shift = cofactor.exp - num.exp + e * d
-    divisor = mantissa ** d
-    factor = None
+    mult = _den_valuation(f, z0)
+    num = _taylor(f.num, z0, 0, m)
+    cofactor = _taylor(f.den, z0, mult, m)
+    divisor, zero_order = 1, 0
     if f.factor is not None:
-        factor = _factor_poly(f.factor, z0, e)
-        shift -= factor.exp
-        divisor *= _FACTOR_DEN
-    acc_re = acc_im = 0
-    q = 1
-    for j, (w_num, w_den) in zip(nodes, stencil_weights(d, nodes)):
-        x = j * mantissa
-        nr, ni = real_horner(num, x)
-        if factor is not None:
-            fr, fi = real_horner(factor, x)
-            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
-        cr, ci = real_horner(cofactor, x)
-        norm = cr * cr + ci * ci
-        if norm == 0:
-            raise ZeroDivisionError("exact division by zero")
-        term_q = w_den * norm
-        acc_re = acc_re * term_q + w_num * (nr * cr + ni * ci) * q
-        acc_im = acc_im * term_q + w_num * (ni * cr - nr * ci) * q
-        q *= term_q
-    q *= divisor
-    if q < 0:
-        acc_re, acc_im, q = -acc_re, -acc_im, -q
-    if shift >= 0:
-        acc_re <<= shift
-        acc_im <<= shift
-    else:
-        q <<= -shift
-    fact = math.factorial(d)
-    value = even(acc_re / q / fact, acc_im / q / fact)
-    leading = local_expansion(f, p.location, 1)
-    lead = leading.coeffs[0] if not leading.is_zero() else 0j
-    return ResidueReport(pole=p, a_minus_1=value,
-                         leading=EvenElement(lead.real, lead.imag),
-                         method="derivative_formula")
+        num, divisor, zero_order = _with_factor(num, f.factor, z0)
+    if mult - zero_order != m:  # coefficient m-1 would not be a_{-1}
+        raise PoleExpansionError(
+            f"{p.location} is not a pole of order {m} of the function")
+    if cofactor.re[0] == 0 == cofactor.im[0]:
+        raise ZeroDivisionError("exact division by zero")
+    value, lead = (EvenElement(q.real, q.imag) for q in (
+        dyadic_series_quotient(num, cofactor, k, divisor) for k in (m - 1, 0)))
+    return ResidueReport(p, value, lead, "derivative_formula")
 
 
-def _taylor(poly: Polynomial, z0: complex) -> list[Dyadic]:
-    """Exact Taylor coefficients of poly at z0, all of them."""
-    return dyadic_taylor_shift(dyadic_poly(poly.coeffs), z0, len(poly.coeffs))
+def _taylor(poly: Polynomial, z0: complex, lo: int, count: int) -> DyadicPoly:
+    """Exact t_lo .. t_{lo+count-1} of poly at z0 over one power of two,
+    zero past the degree."""
+    ts = dyadic_taylor_shift(dyadic_poly(poly.coeffs), z0,
+                             min(lo + count, len(poly.coeffs)))[lo:]
+    ts += [Dyadic(0, 0, 0)] * (count - len(ts))
+    exp = max(t.exp for t in ts)
+    return DyadicPoly(tuple(t.re << exp - t.exp for t in ts),
+                      tuple(t.im << exp - t.exp for t in ts), exp)
+
+
+def _with_factor(num: DyadicPoly, factor: EntireFactor,
+                 z0: complex) -> tuple[DyadicPoly, int, int]:
+    """num times the entire factor's Taylor terms F^(j)(w0) scale^j / j! at
+    z0, j from the factor's zero order v on, exactly; the product comes
+    over the terms' common denominator (v + len(num) - 1)!, and that
+    denominator and v are returned with it."""
+    s = complex(factor.scale)
+    cycle = derivative_cycle(factor.kind, s * z0)
+    anchors, scale = dyadic_poly(cycle), dyadic_poly([s])
+    sr, si = scale.re[0], scale.im[0]
+    v = _zero_order(cycle)
+    top = v + len(num.re) - 1
+    divisor = math.factorial(top)
+    terms = []
+    pr, pi = (sr, si) if v else (1, 0)  # numerator of scale**j
+    for j in range(v, top + 1):
+        g = divisor // math.factorial(j) << scale.exp * (top - j)
+        ar, ai = anchors.re[j % len(cycle)], anchors.im[j % len(cycle)]
+        terms.append((g * (ar * pr - ai * pi), g * (ar * pi + ai * pr)))
+        pr, pi = pr * sr - pi * si, pr * si + pi * sr
+    re, im = [], []
+    for j in range(len(num.re)):
+        pairs = [(num.re[i], num.im[i], *terms[j - i]) for i in range(j + 1)]
+        re.append(sum(a * c - b * d for a, b, c, d in pairs))
+        im.append(sum(a * d + b * c for a, b, c, d in pairs))
+    return (DyadicPoly(tuple(re), tuple(im),
+                       num.exp + anchors.exp + scale.exp * top), divisor, v)
 
 
 # ---------------------------------------------------------------------------
 # special integral formulas
 
 def _require_regular(f: MeromorphicFunction, z0: EvenElement) -> None:
-    if abs(f.den.at(complex(z0))) <= 1e-9 * f.den.max_coeff():
+    """Refuse a pole, and a point the root table places on one: there the
+    expansion read would be the pole's."""
+    x = complex(z0)
+    if abs(f.den.at(x)) <= 1e-9 * f.den.max_coeff():
         raise PoleExpansionError(f"{z0} is a pole of the function")
+    if _den_valuation(f, x) > 0:
+        raise PoleExpansionError(f"{z0} is a pole of the root table")
 
 
 def cauchy_evaluate(f: MeromorphicFunction,
@@ -229,8 +198,6 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
     if n > 170:  # 171! exceeds the largest double
         raise RangeError(f"{n}! lies beyond the double range")
     _require_regular(f, z0)
-    if _den_valuation(f, complex(z0)) > 0:  # the expansion would be the pole's
-        raise PoleExpansionError(f"{z0} is a pole of the root table")
     s = local_expansion(f, z0, max(DEFAULT_WINDOW, n + 2))
     if s.is_zero() or n < s.valuation:
         return E_ZERO

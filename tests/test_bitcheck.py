@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +58,26 @@ def test_bitcheck_against_other_hashes_exits_one(tmp_path):
                     "--against", str(tmp_path))
     assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines()[-1].startswith("session: mismatch")
+
+
+def test_bitcheck_names_the_first_operation_that_differs(tmp_path):
+    # a checkout whose laurent verb alone prints a different document
+    for part in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    cli = tmp_path / "src" / "dxdy" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"verb": "laurent"') == 1
+    cli.write_text(text.replace('"verb": "laurent"', '"verb": "Laurent"'))
+    done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
+                    "--against", str(tmp_path))
+    assert done.returncode == 1, done.stderr
+    report = done.stdout.splitlines()[-4:]
+    assert report[0].startswith(
+        "session: first difference at seed 1 round 1, laurent "
+        "{'argv': ['laurent',")
+    assert report[1].startswith("    here:  (0, ")
+    assert '"verb": "laurent"' in report[1]
+    assert report[2].startswith("    there: (0, ")
+    assert '"verb": "Laurent"' in report[2]
+    assert report[3].startswith("session: mismatch")

@@ -13,7 +13,7 @@ import pytest
 
 import dxdy.cli
 import dxdy.oracle
-from dxdy import residues, roots
+from dxdy import roots
 from dxdy.cli import _build_parser, main
 
 
@@ -47,7 +47,7 @@ def test_residues_verb_lists_conjugate_pair(run):
     assert poles[(0.0, -1.0)]["residue"] == [0.0, 0.25]
 
 
-def test_tolerances_list_the_root_finder_and_derivative_constants(run):
+def test_tolerances_list_the_root_finder_constants(run):
     doc = run_json(run, "residues", "1/(z^2+1)^2")
     assert doc["schema_version"] == "1"
     assert doc["tolerances"] == {
@@ -55,7 +55,6 @@ def test_tolerances_list_the_root_finder_and_derivative_constants(run):
         "root_verify_tol": roots.VERIFY_TOL,
         "root_kappa": roots.KAPPA,
         "root_dk_floor": roots.DK_FLOOR,
-        "derivative_step": residues.DERIVATIVE_STEP,
     }
 
 
@@ -169,6 +168,15 @@ def test_laurent_verb(run):
     assert coeffs[0] == [pytest.approx(-1 / 6), 0.0]
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_cauchy_verb_refuses_a_point_the_root_table_calls_a_pole(run, n):
+    # n = 0 used to print 1e8 there while n = 1 refused the point
+    status, out, err = run("cauchy", "1/(z-1)", "--at", "1.00000001,0",
+                           "--n", n)
+    assert status == 1 and not out
+    assert "is a pole of the root table" in err
+
+
 def test_laurent_verb_refuses_a_point_beside_a_pole(run):
     status, out, err = run("laurent", "1/(z-1)", "--center", "1.00000001,0",
                            "--from", "-1", "--to", "1")
@@ -278,6 +286,15 @@ def test_parse_errors_exit_two(run):
     for text in ("1/(z-z)", "(z-z)^-1", "1/(1e-200*z)/(1e-200*z)"):
         status, _, err = run("residues", text)
         assert status == 2 and "zero" in err
+    # exponents that fold to no finite integer; these exited 1
+    for text, message, position in (
+            ("z^(1/0)", "divides by zero", 1),
+            ("1/(z-1)^(1/0)", "divides by zero", 7),
+            ("z^(1e300*1e300)", "beyond the double range", 1),
+            ("z^(2^2000)", "beyond the double range", 1)):
+        status, out, err = run("residues", text)
+        assert status == 2 and not out
+        assert f"{message} (at position {position})" in err, text
     # literals beyond the double range; these printed NaN residues, exit 0
     for verb, text in (("residues", "1e309/(z-1)"),
                        ("integrate-line", "1e309/(x^2+1)")):

@@ -45,8 +45,6 @@ ALLOWED_RAISES = {
         "division by zero in an arithmetic primitive, as float division",
     ("residues.py", "residue_by_derivative_formula", "ZeroDivisionError"):
         "exact division by zero in the derivative route, as float division",
-    ("exactmath.py", "stencil_weights", "ValueError"):
-        "invariant: callers always pass more nodes than the order",
     ("polynomials.py", "Polynomial.int_pow", "ValueError"):
         "invariant: the expression fold never passes a negative power",
 }

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxdy.exactmath import (central_stencil, dyadic_poly, dyadic_ratio,
-                            dyadic_taylor_coefficient, dyadic_taylor_shift,
-                            stencil_weights)
+from dxdy.exactmath import (dyadic_poly, dyadic_ratio,
+                            dyadic_series_quotient, dyadic_taylor_coefficient,
+                            dyadic_taylor_shift)
 
-from exact_reference import EXACT_ZERO, ExactEven, fd_weights
+from exact_reference import EXACT_ZERO, ExactEven, exact_series_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +148,22 @@ def test_subnormal_results_round_once():
     assert p.to_complex() == complex(math.ldexp(1.0, -1073), 0.0)
 
 
-@pytest.mark.parametrize("order", range(20))
-def test_stencil_weights_match_fornberg(order):
-    for nodes in (central_stencil(order), list(range(-1, order + 2)),
-                  [3, -7, 2, 11, -1, 5, 8, -4, 6, -9][:order + 1]):
-        if len(nodes) <= order:
-            continue
-        want = fd_weights(order, [Fraction(x) for x in nodes])
-        got = [Fraction(n, d) for n, d in stencil_weights(order, nodes)]
-        assert got == want
+@settings(max_examples=100, deadline=None)
+@given(_coeffs, _coeffs.filter(lambda cs: cs[0] != 0),
+       st.integers(1, 10 ** 6))
+def test_series_quotient_matches_long_division(num, den, scale):
+    count = min(len(num), len(den))
+    ref = exact_series_quotient([exact(c) for c in num[:count]],
+                                [exact(c) for c in den[:count]])
+    for k in range(count):
+        assert (outcome(lambda: dyadic_series_quotient(
+                    dyadic_poly(num), dyadic_poly(den), k, scale))
+                == outcome(lambda: rounded(ref[k] / scale)))
+
+
+def test_series_quotient_of_a_squared_geometric_series():
+    # 1 / (3 (1 - z)^2) = sum (k+1)/3 z^k, each the nearest double
+    one = dyadic_poly([1.0] + [0.0] * 29)
+    den = dyadic_poly([1.0, -2.0, 1.0] + [0.0] * 27)
+    assert ([dyadic_series_quotient(one, den, k, 3) for k in range(30)]
+            == [complex((k + 1) / 3) for k in range(30)])

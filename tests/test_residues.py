@@ -168,13 +168,67 @@ DERIVATIVE_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("text", DERIVATIVE_CORPUS)
+#: poles whose order a sin/cos zero lowers below the table multiplicity
+REDUCED_POLES = [
+    "sin(z)/z^3",
+    "cos(pi/2*z)/(z-1)^2",
+    "sin(pi*z)/(z-1)^3",
+    "sin(2*z)/(z^2*(z-1))",
+]
+
+
+@pytest.mark.parametrize("text", DERIVATIVE_CORPUS + REDUCED_POLES)
 def test_derivative_formula_matches_fraction_reference(text):
     f = meromorphic_from_text(text)
     for p in find_poles(f):
-        for step in (1e-4, 3e-3):
-            assert (repr(residue_by_derivative_formula(f, p, step))
-                    == repr(reference_derivative_formula(f, p, step)))
+        assert (repr(residue_by_derivative_formula(f, p))
+                == repr(reference_derivative_formula(f, p)))
+
+
+def test_derivative_formula_requires_the_pole_order():
+    # coefficient m-1 of z'^m f is a_{-1} only at the order the table and
+    # the factor's zero give
+    with pytest.raises(PoleExpansionError):
+        residue_by_derivative_formula(meromorphic_from_text("z+1"),
+                                      Pole(even(0, 0), 1))
+    with pytest.raises(PoleExpansionError):
+        residue_by_derivative_formula(meromorphic_from_text("sin(z)/z^3"),
+                                      Pole(even(0, 0), 3))
+
+
+def test_derivative_formula_refuses_a_zero_cofactor_lead():
+    # a root table that undercounts an exact triple root leaves C(1) = 0
+    cube = Polynomial.from_coeffs([even(-1.0), even(3.0), even(-3.0),
+                                   even(1.0)])
+    f = MeromorphicFunction(Polynomial.from_coeffs([even(1.0)]), cube,
+                            den_roots=((1 + 0j, 2),))
+    with pytest.raises(ZeroDivisionError):
+        residue_by_derivative_formula(f, Pole(even(1.0), 2))
+
+
+@pytest.mark.parametrize("text,want", [
+    ("sin(1000*z)/(z-1)^2", 1000 * math.cos(1000)),
+    ("cos(40*z)/(z-1)", math.cos(40)),
+])
+def test_derivative_formula_closed_forms(text, want):
+    # high frequencies: exact division leaves no truncation error to grow
+    f = meromorphic_from_text(text)
+    (p,) = find_poles(f)
+    assert even_close(residue_by_derivative_formula(f, p).a_minus_1,
+                      even(want), rel=1e-12)
+
+
+def test_derivative_formula_reads_poles_a_zero_reduces():
+    # sin(pi z) vanishes at 1: an order-2 pole whose residue is 0, up to
+    # the anchor sin(pi) = 1.2e-16 that the rounded pi leaves
+    f = meromorphic_from_text("sin(pi*z)/(z-1)^3")
+    (p,) = find_poles(f)
+    assert p.order == 2
+    assert abs(residue_by_derivative_formula(f, p).a_minus_1) <= 1e-15
+    g = meromorphic_from_text("sin(2*z)/(z^2*(z-1))")
+    at_zero = next(p for p in find_poles(g) if p.location == even(0.0))
+    assert at_zero.order == 1
+    assert residue_by_derivative_formula(g, at_zero).a_minus_1 == even(-2.0)
 
 
 def test_simple_pole_residue_shifts_at_most_two_terms(monkeypatch):
@@ -270,6 +324,20 @@ def test_cauchy_derivative_rejects_points_the_root_table_calls_a_pole(offset):
     f = meromorphic_from_text("1/(z-1)")
     with pytest.raises(PoleExpansionError):
         cauchy_derivative(f, even(1 + offset, 0), 1)
+
+
+@pytest.mark.parametrize("offset", [1e-8, 1e-7])
+def test_cauchy_evaluate_rejects_points_the_root_table_calls_a_pole(offset):
+    # the table places the pole there, as for the derivative: no 1/offset
+    f = meromorphic_from_text("1/(z-1)")
+    with pytest.raises(PoleExpansionError, match="root table"):
+        cauchy_evaluate(f, even(1 + offset, 0))
+
+
+def test_cauchy_evaluate_just_outside_the_clustering_distance():
+    f = meromorphic_from_text("1/(z-1)")
+    value, _ = cauchy_evaluate(f, even(1 + 1e-5, 0))
+    assert even_close(value, even(1e5, 0), rel=1e-6)
 
 
 def test_cauchy_derivative_just_outside_the_clustering_distance():
