@@ -9,26 +9,34 @@ exp(I*t*x) factor half of the time) and checks its half-plane closure
 against the real-line oracle.  Prints a summary and the worst observed
 discrepancies.  A failing contour case whose poles come back with other
 orders than the planted ones prints both, e.g. "planted orders [3, 4×2],
-found [3, 1×8]".
+found [3, 1×8]".  A case whose computation raises a dxdy
+``ComputationError`` counts as failed, with the error as its reason.
 
     python scripts/random_sweep.py --count 200 --seed 7 --tol 1e-7
+
+dxdy is imported from the ``src/`` next to this script.
 """
 
 import argparse
 import math
 import random
 import sys
+from pathlib import Path
 
-from dxdy.algebra import even
-from dxdy.contours import CircleContour, integrate_real_line
-from dxdy.functions import EntireFactor, MeromorphicFunction, Pole, find_poles
-from dxdy.oracle import (QuadratureError, differential_check,
-                         real_line_quadrature)
-from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
-from dxdy.roots import RootFindingError
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dxdy.algebra import even  # noqa: E402
+from dxdy.contours import CircleContour, integrate_real_line  # noqa: E402
+from dxdy.errors import ComputationError  # noqa: E402
+from dxdy.functions import (EntireFactor, MeromorphicFunction,  # noqa: E402
+                            Pole, find_poles)
+from dxdy.oracle import differential_check, real_line_quadrature  # noqa: E402
+from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY  # noqa: E402
 
 
 def planted_rational(rng: random.Random, max_poles: int, max_order: int):
+    """Numerator, denominator and planted poles; the caller builds the
+    function, since rooting its denominator can raise."""
     while True:
         count = rng.randint(1, max_poles)
         locations = []
@@ -52,7 +60,7 @@ def planted_rational(rng: random.Random, max_poles: int, max_order: int):
         if any(abs(num(loc)) < 1e-2 * num.max_coeff() for loc in locations):
             continue
         poles = [Pole(loc, order) for loc, order in zip(locations, orders)]
-        return MeromorphicFunction(num, den), poles
+        return num, den, poles
 
 
 def planted_axis_integrand(rng: random.Random, max_poles: int,
@@ -94,6 +102,19 @@ def order_structure(poles) -> str:
                            for order, count in runs) + "]"
 
 
+def print_orders(f: MeromorphicFunction, planted) -> None:
+    """Print planted and found pole orders when they differ."""
+    try:
+        found = find_poles(f)
+    except ComputationError as err:
+        print(f"    planted orders {order_structure(planted)}, "
+              f"found none: {type(err).__name__}: {err}")
+        return
+    if sorted(p.order for p in found) != sorted(p.order for p in planted):
+        print(f"    planted orders {order_structure(planted)}, "
+              f"found {order_structure(found)}")
+
+
 def check_real_line(f: MeromorphicFunction, tol: float) -> float:
     """Scaled gap between the half-plane closure and the axis oracle."""
     symbolic = integrate_real_line(f).real_value
@@ -118,28 +139,34 @@ def main(argv=None) -> int:
     line_failures = 0
     line_worst = 0.0
     for index in range(args.count):
-        f, poles = planted_rational(rng, args.max_poles, args.max_order)
+        num, den, poles = planted_rational(rng, args.max_poles,
+                                           args.max_order)
         pole = poles[rng.randrange(len(poles))]
         others = [p.location for p in poles if p is not pole]
         nearest = min([abs(pole.location - o) for o in others], default=2.0)
         contour = CircleContour(pole.location, 0.4 * min(nearest, 2.0))
-        report = differential_check(f, contour, tol=args.tol)
-        spread = report.difference / (1.0 + abs(report.symbolic))
-        if spread > worst:
-            worst = spread
-            worst_case = (index, report)
-        if not report.passed:
-            failures += 1
-            print(f"FAIL case {index}: residue route {report.symbolic!r}, "
-                  f"oracle {report.quadrature!r}, diff {report.difference:g}")
-            found = find_poles(f)
-            if sorted(p.order for p in found) != sorted(p.order for p in poles):
-                print(f"    planted orders {order_structure(poles)}, "
-                      f"found {order_structure(found)}")
-        g = planted_axis_integrand(axis_rng, args.max_poles, args.max_order)
         try:
+            f = MeromorphicFunction(num, den)
+            report = differential_check(f, contour, tol=args.tol)
+        except ComputationError as err:
+            failures += 1
+            print(f"FAIL case {index}: {type(err).__name__}: {err}")
+        else:
+            spread = report.difference / (1.0 + abs(report.symbolic))
+            if spread > worst:
+                worst = spread
+                worst_case = (index, report)
+            if not report.passed:
+                failures += 1
+                print(f"FAIL case {index}: residue route "
+                      f"{report.symbolic!r}, oracle {report.quadrature!r}, "
+                      f"diff {report.difference:g}")
+                print_orders(f, poles)
+        try:
+            g = planted_axis_integrand(axis_rng, args.max_poles,
+                                       args.max_order)
             spread = check_real_line(g, args.tol)
-        except (QuadratureError, RootFindingError) as err:
+        except ComputationError as err:
             spread, reason = math.inf, f"{type(err).__name__}: {err}"
         else:
             reason = f"scaled diff {spread:g}"

@@ -1,16 +1,17 @@
 """Simultaneous polynomial root finding with multiplicity recovery.
 
-Durand-Kerner iteration produces raw approximations for every root at once.
+Aberth iteration produces raw approximations for every root at once.
 Approximations belonging to a multiple root scatter on a ring of radius
 roughly eps**(1/m) (both iteration noise and coefficient rounding split a
 multiplicity-m root by that much), so raw distances alone cannot decide
 multiplicities.  The pipeline is therefore:
 
-1. raw Durand-Kerner roots; the iteration stops once its steps converge,
-   or once they have stopped halving for 25 iterations and every |p(x)| is
-   within DK_FLOOR times Horner's rounding bound, the noise floor where a
-   multiple root's cloud sits (the stopping rule of Bini and Fiorentino,
-   Numer. Algorithms 23, 2000); iterating past it only spreads the cloud;
+1. raw Aberth roots, swept from Bini's Newton-polygon start (Numer.
+   Algorithms 13, 1996); the sweeps stop once the steps converge, or once
+   every |p(x)| entering a sweep is within DK_FLOOR times Horner's
+   rounding bound, the noise floor where a multiple root's cloud sits (the
+   stopping rule of Bini and Fiorentino, Numer. Algorithms 23, 2000);
+   iterating past it only spreads the cloud;
 2. single-linkage grouping with a multiplicity-aware radius that follows the
    eps**(1/k) scatter law;
 3. per group, a structural hypothesis test on the exact Taylor
@@ -25,10 +26,12 @@ multiplicities.  The pipeline is therefore:
 Centers of accepted groups start from the group mean (first-order scatter
 cancels around a multiple root) and are refined with a Newton step on
 t_{k-1}, so reported locations do not inherit the scatter; simple roots get
-plain Newton steps.  The monic coefficients and every iterate are doubles,
-hence dyadic: p, p' and the t_j come exact from ``exactmath``'s Gaussian
-integer Horner passes, and each step or test value is rounded once from
-the exact rational.
+plain Newton steps, and a simple root whose |p'| is below the rounding of
+the coefficients raises RootFindingError, since it may as well be multiple
+(a multiple root that no hypothesis accepted shows up so).  The monic
+coefficients and every iterate are doubles, hence dyadic: p, p' and the
+t_j come exact from ``exactmath``'s Gaussian integer Horner passes, and
+each step or test value is rounded once from the exact rational.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import cmath
 import math
 import sys
 
+from .algebra import EvenElement
 from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_coefficient, dyadic_taylor_shift)
@@ -51,79 +55,123 @@ VERIFY_TOL = 1e-5
 #: linkage radius for a k-group is max(CLUSTER_TOL, KAPPA**(1/k))
 KAPPA = 1e-10
 
-#: Durand-Kerner stops on a plateau once every |p(x)| is within this many
+#: Aberth stops once every |p(x)| entering a sweep is within this many
 #: Horner rounding bounds
 DK_FLOOR = 8.0
 
-_DK_MAX_ITER = 600
+_MAX_SWEEPS = 600
 _NEWTON_MAX_ITER = 24
+
+#: start-angle offset on every circle, irrational to dodge symmetry traps
+_PHASE = 0.3923
 
 
 class RootFindingError(ComputationError, RuntimeError):
     """The iteration did not converge to a consistent root structure."""
 
 
-def _durand_kerner(coeffs: list[complex]) -> list[complex]:
-    """Raw simultaneous roots of a monic polynomial (ascending coeffs)."""
+def _start_points(coeffs: list[complex]) -> list[complex]:
+    """Bini's starting points for a monic polynomial (ascending coeffs).
+
+    Each edge of the upper convex hull of the points (k, log|a_k|), from
+    k1 to k2, puts k2 - k1 points on a circle of radius
+    (|a_k1|/|a_k2|)**(1/(k2 - k1)): the root moduli cluster about these
+    radii (Bini, Numer. Algorithms 13, 1996).  The roots that zero low
+    coefficients put at 0 start there exactly: p(0) = 0 holds them, and
+    the multiplicity test at center 0 is exact.
+    """
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        point = (k, math.log(abs(c)))
+        while len(hull) >= 2 and _under_chord(hull[-2], hull[-1], point):
+            hull.pop()
+        hull.append(point)
+    circles = [(math.exp((log1 - log2) / (k2 - k1)), k2 - k1)
+               for (k1, log1), (k2, log2) in zip(hull, hull[1:])]
+    points = [0j] * hull[0][0]
     n = len(coeffs) - 1
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1])
-    # circle start with an irrational phase offset to dodge symmetry traps
-    xs = [0.6 * bound * cmath.exp(1j * (2.0 * math.pi * k / n + 0.3923))
-          for k in range(n)]
-    descending = coeffs[::-1]
-    plateau = 0
-    best = math.inf
-    for _ in range(_DK_MAX_ITER):
+    for edge, (radius, count) in enumerate(circles):
+        # each circle turned by 2*pi/n more, so lone points do not line up
+        points += _circle(radius, count, 2.0 * math.pi * edge / n)
+    return points
+
+
+def _under_chord(a: tuple[int, float], b: tuple[int, float],
+                 c: tuple[int, float]) -> bool:
+    """Whether b lies on or below the chord from a to c."""
+    return (b[0] - a[0]) * (c[1] - a[1]) >= (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _circle(radius: float, count: int, turn: float) -> list[complex]:
+    """count equispaced points on |x| = radius, the first at turn + _PHASE."""
+    return [radius * cmath.exp(1j * (2.0 * math.pi * j / count + turn
+                                     + _PHASE))
+            for j in range(count)]
+
+
+def _aberth(coeffs: list[complex]) -> list[complex]:
+    """Raw simultaneous roots of a monic polynomial (ascending coeffs).
+
+    Gauss-Seidel Aberth sweeps from Bini's starting points: each x_i
+    moves by N/(1 - N*sum_{j != i} 1/(x_i - x_j)) with N = p/p', and one
+    Horner pass gives p, p' and Higham's rounding bound sum |a_k| |x|^k
+    (Accuracy and Stability, 5.1).  The sweeps stop once the steps
+    converge, or once every |p(x)| entering a sweep is within DK_FLOOR
+    times (n+1)*eps times that bound: the noise floor where a multiple
+    root's cloud sits (Bini and Fiorentino, Numer. Algorithms 23, 2000).
+    """
+    n = len(coeffs) - 1
+    xs = _start_points(coeffs)
+    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    slack = DK_FLOOR * (n + 1) * sys.float_info.epsilon
+    for _ in range(_MAX_SWEEPS):
         delta = 0.0
         scale = 1.0
+        at_floor = True
         for i in range(n):
             xi = xs[i]
-            den = 1.0 + 0j
-            for x in xs[:i]:
-                den *= xi - x
-            for x in xs[i + 1:]:
-                den *= xi - x
-            if den == 0:
-                xs[i] = xi + 1e-8 * (1 + abs(xi)) * cmath.exp(1j * (i + 0.5))
+            r = abs(xi)
+            p = dp = 0j
+            bound = 0.0
+            for c, mag in terms:
+                dp = dp * xi + p
+                p = p * xi + c
+                bound = bound * r + mag
+            if not bound < math.inf:
+                raise _out_of_range(n)
+            if abs(p) > slack * bound:
+                at_floor = False
+            if not p:
+                continue
+            try:
+                pull = 0j
+                for x in xs[:i]:
+                    pull += 1.0 / (xi - x)
+                for x in xs[i + 1:]:
+                    pull += 1.0 / (xi - x)
+                newton = p / dp
+                step = newton / (1.0 - newton * pull)
+            except ZeroDivisionError:
+                # coincident iterates or a critical point: nudge, re-sweep
+                xs[i] = xi + 1e-8 * (1 + r) * cmath.exp(1j * (i + 0.5))
                 delta = math.inf
                 continue
-            value = 0j
-            for c in descending:
-                value = value * xi + c
-            step = value / den
             xi -= step
             xs[i] = xi
             if abs(step) > delta:
                 delta = abs(step)
             if abs(xi) > scale:
                 scale = abs(xi)
-        if delta <= 5e-15 * scale:
+        if delta <= 5e-15 * scale or at_floor:
             break
-        # multiple roots stall at their noise floor; hand over to clustering
-        if delta < best * 0.5:
-            best = delta
-            plateau = 0
-        else:
-            plateau += 1
-            if plateau >= 25 and _at_rounding_floor(descending, xs):
-                break
     return xs
 
 
-def _at_rounding_floor(descending: list[complex], xs: list[complex]) -> bool:
-    """Whether every |p(x)| is within DK_FLOOR times Horner's rounding
-    bound (n+1)*eps*sum |a_k| |x|^k (Higham, Accuracy and Stability, 5.1)."""
-    slack = DK_FLOOR * len(descending) * sys.float_info.epsilon
-    for x in xs:
-        value = 0j
-        bound = 0.0
-        r = abs(x)
-        for c in descending:
-            value = value * x + c
-            bound = bound * r + abs(c)
-        if abs(value) > slack * bound:
-            return False
-    return True
+def _out_of_range(degree: int) -> RootFindingError:
+    return RootFindingError(f"Aberth iterates left the double range at "
+                            f"degree {degree}")
 
 
 def _single_linkage(points: list[complex], degree: int) -> list[list[complex]]:
@@ -159,19 +207,28 @@ def _mean(points: list[complex]) -> complex:
     return sum(points) / len(points)
 
 
-def _newton_polish(exact: DyadicPoly, x0: complex) -> complex:
-    """Plain Newton with exact evaluation; quadratic for simple roots."""
+def _newton_polish(mags: list[float], exact: DyadicPoly,
+                   x0: complex) -> complex:
+    """Plain Newton with exact evaluation; quadratic for simple roots.
+
+    Raises RootFindingError if |p'(x)| is within eps of its scale
+    sum k |a_k| |x|**(k-1): a change of the coefficients below their
+    rounding then makes x a double root, so x may as well be multiple.
+    """
     x = x0
     for _ in range(_NEWTON_MAX_ITER):
         p, dp = dyadic_taylor_shift(exact, x, 2)
-        if p.is_zero():
-            return x
-        if dp.is_zero():
-            return x
+        if p.is_zero() or dp.is_zero():
+            break
         step = dyadic_ratio(p, dp)
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
+    if (abs(dp.to_complex())
+            <= sys.float_info.epsilon * _coefficient_scale(mags, abs(x), 1)):
+        raise RootFindingError(
+            f"no simple root at {EvenElement(x.real, x.imag)}: |p'| there is "
+            f"below the coefficients' rounding, so the root may be multiple")
     return x
 
 
@@ -189,7 +246,7 @@ def _coefficient_scale(mags: list[float], ac: float, j: int) -> float:
     return s if s > 0.0 else max(mags)
 
 
-def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
+def _refine_and_verify(mags: list[float], exact: DyadicPoly,
                        seed: complex, k: int) -> complex | None:
     """Refine a multiplicity-k root near seed; None if the hypothesis fails.
 
@@ -212,7 +269,6 @@ def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
         c = c - correction
         if abs(correction) <= 1e-16 * (1.0 + abs(c)):
             break
-    mags = [abs(ci) for ci in coeffs]
     ac = abs(c)
     for j in range(k):
         t_j = dyadic_taylor_coefficient(exact, c, j).to_complex()
@@ -225,24 +281,53 @@ def _refine_and_verify(coeffs: list[complex], exact: DyadicPoly,
     return c
 
 
-def _resolve_group(coeffs: list[complex], exact: DyadicPoly,
+def _resolve_group(mags: list[float], exact: DyadicPoly,
                    group: list[complex]) -> list[tuple[complex, int]]:
     """Descend multiplicity hypotheses k = |group| .. 2, else singletons."""
     if len(group) == 1:
-        return [(_newton_polish(exact, group[0]), 1)]
+        return [(_newton_polish(mags, exact, group[0]), 1)]
     center0 = _mean(group)
     for k in range(len(group), 1, -1):
         nearest = sorted(group, key=lambda p: abs(p - center0))[:k]
-        center = _refine_and_verify(coeffs, exact, _mean(nearest), k)
+        center = _refine_and_verify(mags, exact, _mean(nearest), k)
         if center is None:
             continue
         rest = sorted(group, key=lambda p: abs(p - center))[k:]
         out = [(center, k)]
-        degree = len(coeffs) - 1
-        for sub in _single_linkage(rest, degree):
-            out.extend(_resolve_group(coeffs, exact, sub))
+        for sub in _single_linkage(rest, len(mags) - 1):
+            out.extend(_resolve_group(mags, exact, sub))
         return out
-    return [(_newton_polish(exact, p), 1) for p in group]
+    return [(_newton_polish(mags, exact, p), 1) for p in group]
+
+
+def _merge(mags: list[float], exact: DyadicPoly,
+           found: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
+    """Authoritative merge of polished locations within CLUSTER_TOL.
+
+    Two locations farther apart than CLUSTER_TOL times their size are
+    merged only by the absolute part of the tolerance, near 0; the
+    merged root must then pass the multiplicity test a group passes.
+    """
+    merged: list[tuple[complex, int]] = []
+    far: set[int] = set()
+    for loc, mult in sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)):
+        for idx, (mloc, mmult) in enumerate(merged):
+            gap = abs(loc - mloc)
+            if gap <= CLUSTER_TOL * (1.0 + abs(mloc)):
+                total = mmult + mult
+                merged[idx] = ((mloc * mmult + loc * mult) / total, total)
+                if gap > CLUSTER_TOL * max(abs(loc), abs(mloc)):
+                    far.add(idx)
+                break
+        else:
+            merged.append((loc, mult))
+    for idx in far:
+        loc, mult = merged[idx]
+        if _refine_and_verify(mags, exact, loc, mult) is None:
+            raise RootFindingError(
+                f"roots near {EvenElement(loc.real, loc.imag)} merge into "
+                f"one of multiplicity {mult}, which the coefficients reject")
+    return merged
 
 
 def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
@@ -259,26 +344,26 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     lead = cs[-1]
     monic = [c / lead for c in cs]
     degree = len(monic) - 1
-    raw = _durand_kerner(monic)
+    try:
+        raw = _aberth(monic)
+    except OverflowError as err:  # a modulus beyond the double range
+        raise _out_of_range(degree) from err
     if not all(map(cmath.isfinite, raw)):
-        raise RootFindingError(f"Durand-Kerner iterates left the double "
-                               f"range at degree {degree}")
+        raise _out_of_range(degree)
     exact = dyadic_poly(monic)
-    found: list[tuple[complex, int]] = []
-    for group in _single_linkage(raw, degree):
-        found.extend(_resolve_group(monic, exact, group))
-    # authoritative merge of polished locations
-    merged: list[tuple[complex, int]] = []
-    for loc, mult in sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)):
-        for idx, (mloc, mmult) in enumerate(merged):
-            if abs(loc - mloc) <= CLUSTER_TOL * (1.0 + abs(mloc)):
-                total = mmult + mult
-                merged[idx] = ((mloc * mmult + loc * mult) / total, total)
-                break
-        else:
-            merged.append((loc, mult))
+    mags = [abs(c) for c in monic]
+    try:
+        found: list[tuple[complex, int]] = []
+        for group in _single_linkage(raw, degree):
+            found.extend(_resolve_group(mags, exact, group))
+        merged = _merge(mags, exact, found)
+    except OverflowError as err:  # rounding an exact t_j or step
+        raise RootFindingError(
+            f"an exact Taylor coefficient of the degree-{degree} "
+            f"polynomial at a root lies beyond the double range") from err
     if sum(m for _, m in merged) != degree:
         raise RootFindingError(
             f"recovered multiplicities sum to "
             f"{sum(m for _, m in merged)}, expected {degree}")
     return merged
+

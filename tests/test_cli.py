@@ -315,10 +315,10 @@ def test_computation_errors_exit_one(run):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # Durand-Kerner overflows; these ended in a NaN conversion error
-    (["residues", "1/(z-1)^40"], "Durand-Kerner"),
-    (["residues", "1/(z^2+1e300)"], "Durand-Kerner"),
-    (["integrate-line", "1/(x^2+1e300)"], "Durand-Kerner"),
+    # roots whose x^n or Horner bound lies beyond the double range
+    (["residues", "1/(z^3+1e300*z+1)"], "Aberth"),
+    (["residues", "1/(z^2+1e308)"], "Aberth"),
+    (["integrate-line", "1/(x^2+1e308)"], "Aberth"),
     # values beyond the double range; these ended in a traceback
     (["cauchy", "exp(z)", "--at", "0,0", "--n", "171"], "171!"),
     (["cauchy", "exp(1000*z)", "--at", "1,0"], "exp("),
@@ -339,6 +339,35 @@ def test_overflows_exit_one(run, argv, message):
     status, out, err = run(*argv)
     assert status == 1 and not out
     assert message in err
+
+
+def test_poles_near_the_top_of_the_double_range(run):
+    # the Newton-polygon start puts the iterates on |z| = 1e150 at once
+    doc = run_json(run, "residues", "1/(z^2+1e300)")
+    poles = sorted(doc["poles"], key=lambda p: p["location"][1])
+    assert [p["order"] for p in poles] == [1, 1]
+    for pole, sign in zip(poles, (-1, 1)):
+        (u, v), (ru, rv) = pole["location"], pole["residue"]
+        assert u == 0.0 and ru == 0.0
+        assert v == pytest.approx(sign * 1e150, rel=1e-15)
+        assert rv == pytest.approx(-sign * 5e-151, rel=1e-15)
+    doc = run_json(run, "integrate-line", "1/(x^2+1e300)")
+    assert doc["value"] == pytest.approx(math.pi * 1e-150, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", range(31, 46))
+def test_high_order_pole_is_found_or_the_call_exits_one(run, m):
+    # beyond m = 30 the noise floor of (z-1)^m is too wide to read the
+    # order from every time; the call must then fail, never list m
+    # simple poles, whose residues would be near 1e6
+    status, out, err = run("residues", f"1/(z-1)^{m}", "--json")
+    if status == 1:
+        assert not out and err.startswith("error: ")
+        return
+    assert status == 0, err
+    (pole,) = json.loads(out)["poles"]
+    assert (pole["location"], pole["order"]) == ([1.0, 0.0], m)
+    assert pole["residue"] == [0.0, 0.0]
 
 
 def test_largest_finite_factorial_still_gives_a_derivative(run):

@@ -3,7 +3,6 @@ ComputationError, and that branch alone decides the CLI exit status."""
 
 import ast
 import importlib
-import math
 import pathlib
 import pkgutil
 
@@ -140,9 +139,11 @@ def test_the_branch_decides_the_exit_status(error, status, monkeypatch,
 
 
 def test_find_roots_reports_an_overflowing_iteration():
-    # (z-1)^40: the start radius 0.6*(1+C(40,20)) overflows x^40
-    coeffs = [complex(math.comb(40, k) * (-1) ** k) for k in range(41)]
-    with pytest.raises(RootFindingError, match="degree 40"):
-        find_roots(coeffs)
+    # z^3 + 1e300 z + 1: two roots near 1e150*i, where x^3 overflows;
+    # z^2 + 1e308: |x|^2 + 1e308 overflows on the start circle itself
+    with pytest.raises(RootFindingError, match="degree 3"):
+        find_roots([1 + 0j, 1e300 + 0j, 0j, 1 + 0j])
+    with pytest.raises(RootFindingError, match="degree 2"):
+        find_roots([1e308 + 0j, 0j, 1 + 0j])
     with pytest.raises(UsageError):
         find_roots([1.0])

@@ -1,15 +1,17 @@
 """Float-pair kernels on `complex` against the even-element reference loops.
 
 Polynomials and Laurent series hold `complex` coefficients, and the series,
-polynomial and Durand-Kerner loops compute on them; Python's complex +, -
-and * are the even subalgebra's operations bit for bit.  The references
-below are the same loops written on `EvenElement`; every result must agree
-in the hex digits of both parts.  The inverse, integer power and
-exp/sin/cos kernels, the entire series, and the value f(z) of a meromorphic
-function are checked against the EvenElement bodies in ``helpers``.
-Durand-Kerner must also stop at the rounding floor of a multiple root, and
-not before convergence anywhere else.  A last group checks that
-`local_expansion` gives the same bits as the wider window it used to build.
+polynomial and Aberth loops compute on them; Python's complex +, - and *
+are the even subalgebra's operations bit for bit.  The references below
+are the same loops written on `EvenElement`; every result must agree in
+the hex digits of both parts.  The inverse, integer power and exp/sin/cos
+kernels, the entire series, and the value f(z) of a meromorphic function
+are checked against the EvenElement bodies in ``helpers``.  The Aberth
+iteration is checked against a plainly written one (Bini's start by gift
+wrapping, a loop over j != i); it must also stop at the rounding floor of
+a multiple root, and not before convergence anywhere else.  A last group
+checks that `local_expansion` gives the same bits as the wider window it
+used to build.
 """
 
 import cmath
@@ -170,53 +172,71 @@ def reference_entire_series(kind, scale, center, order):
                          tuple(map(complex, coeffs[valuation:])))
 
 
-def reference_durand_kerner(coeffs):
-    def horner(x):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+def reference_start(coeffs):
+    """Bini's start by gift wrapping: from each hull vertex k1 the next is
+    the k2 > k1 of steepest slope of log|a_k| (the farthest on a tie)."""
+    n = len(coeffs) - 1
+    logs = {k: math.log(abs(c)) for k, c in enumerate(coeffs) if c}
+    k1 = min(logs)
+    circles = []
+    while k1 < n:
+        slopes = {k: (logs[k] - logs[k1]) / (k - k1) for k in logs if k > k1}
+        steepest = max(slopes.values())
+        k2 = max(k for k, slope in slopes.items() if slope == steepest)
+        circles.append((math.exp((logs[k1] - logs[k2]) / (k2 - k1)), k2 - k1))
+        k1 = k2
+    xs = [0j] * min(logs)
+    for edge, (radius, count) in enumerate(circles):
+        xs += [radius * cmath.exp(1j * (2.0 * math.pi * j / count
+                                        + 2.0 * math.pi * edge / n
+                                        + roots._PHASE))
+               for j in range(count)]
+    return xs
 
-    def at_floor(x):
-        # |p(x)| within DK_FLOOR Horner rounding bounds
+
+def reference_aberth(coeffs):
+    """_aberth written plainly: p, p' and the rounding bound each from a
+    function of their own, the pull a loop over j != i."""
+    def horner(x):
+        # p and p' by the two-row Horner scheme
+        p = dp = 0j
+        for c in reversed(coeffs):
+            dp = dp * x + p
+            p = p * x + c
+        return p, dp
+
+    def rounding_bound(x):
         bound = 0.0
         for c in reversed(coeffs):
             bound = bound * abs(x) + abs(c)
-        slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
-        return abs(horner(x)) <= slack * bound
+        return bound
 
     n = len(coeffs) - 1
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1])
-    xs = [0.6 * bound * cmath.exp(1j * (2.0 * math.pi * k / n + 0.3923))
-          for k in range(n)]
-    plateau = 0
-    best = math.inf
-    for _ in range(roots._DK_MAX_ITER):
+    slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
+    xs = reference_start(coeffs)
+    for _ in range(roots._MAX_SWEEPS):
         delta = 0.0
         scale = 1.0
+        at_floor = True
         for i in range(n):
             xi = xs[i]
-            den = 1.0 + 0j
+            p, dp = horner(xi)
+            if abs(p) > slack * rounding_bound(xi):
+                at_floor = False
+            if p == 0:
+                continue
+            # no nudge for coincident iterates: these ladders never meet one
+            pull = 0j
             for j in range(n):
                 if j != i:
-                    den *= xi - xs[j]
-            if den == 0:
-                xs[i] = xi + 1e-8 * (1 + abs(xi)) * cmath.exp(1j * (i + 0.5))
-                delta = math.inf
-                continue
-            step = horner(xi) / den
+                    pull += 1.0 / (xi - xs[j])
+            newton = p / dp
+            step = newton / (1.0 - newton * pull)
             xs[i] = xi - step
             delta = max(delta, abs(step))
             scale = max(scale, abs(xs[i]))
-        if delta <= 5e-15 * scale:
+        if delta <= 5e-15 * scale or at_floor:
             break
-        if delta < best * 0.5:
-            best = delta
-            plateau = 0
-        else:
-            plateau += 1
-            if plateau >= 25 and all(at_floor(x) for x in xs):
-                break
     return xs
 
 
@@ -473,9 +493,10 @@ def _dk_bits(xs):
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_durand_kerner_iterates_on_multiple_roots(m):
+    # the Aberth iteration that replaced Durand-Kerner, on (z-1)^m
     monic = [complex(math.comb(m, k) * (-1) ** (m - k)) for k in range(m + 1)]
-    assert (_dk_bits(roots._durand_kerner(monic))
-            == _dk_bits(reference_durand_kerner(monic)))
+    assert (_dk_bits(roots._aberth(monic))
+            == _dk_bits(reference_aberth(monic)))
 
 
 def test_durand_kerner_iterates_on_binomials():
@@ -484,17 +505,47 @@ def test_durand_kerner_iterates_on_binomials():
         for _ in range(3):
             c = cmath.rect(rng.uniform(0.5, 1.4), rng.uniform(-math.pi, math.pi))
             monic = [c] + [0j] * (n - 1) + [1 + 0j]
-            assert (_dk_bits(roots._durand_kerner(monic))
-                    == _dk_bits(reference_durand_kerner(monic)))
+            assert (_dk_bits(roots._aberth(monic))
+                    == _dk_bits(reference_aberth(monic)))
 
 
 def test_durand_kerner_stalls_out_on_multiple_roots(monkeypatch):
-    # the rounding-floor exit stops (z-1)^m well before the iteration cap
+    # the rounding-floor exit stops (z-1)^m well before the sweep cap
     ladder = [[complex(math.comb(m, k) * (-1) ** (m - k))
                for k in range(m + 1)] for m in range(2, 14)]
-    want = [_dk_bits(roots._durand_kerner(monic)) for monic in ladder]
-    monkeypatch.setattr(roots, "_DK_MAX_ITER", 150)
-    assert [_dk_bits(roots._durand_kerner(monic)) for monic in ladder] == want
+    want = [_dk_bits(roots._aberth(monic)) for monic in ladder]
+    monkeypatch.setattr(roots, "_MAX_SWEEPS", 40)
+    assert [_dk_bits(roots._aberth(monic)) for monic in ladder] == want
+
+
+def test_start_circle_of_a_binomial_has_the_root_modulus():
+    rng = random.Random(19)
+    for n in range(1, 41):
+        c = cmath.rect(10.0 ** rng.uniform(-30, 30),
+                       rng.uniform(-math.pi, math.pi))
+        monic = [c] + [0j] * (n - 1) + [1 + 0j]
+        xs = roots._start_points(monic)
+        radius = abs(c) ** (1.0 / n)
+        assert len(xs) == n
+        assert all(abs(abs(x) - radius) <= 1e-14 * radius for x in xs), n
+        assert _dk_bits(xs) == _dk_bits(reference_start(monic))
+
+
+def test_zero_roots_start_and_stay_at_zero():
+    # z^2 (z^2 + 4): two iterates at 0, two on the circle |x| = 2
+    monic = [0j, 0j, 4 + 0j, 0j, 1 + 0j]
+    xs = roots._start_points(monic)
+    assert xs[:2] == [0j, 0j]
+    assert all(abs(abs(x) - 2.0) <= 1e-15 for x in xs[2:])
+    assert roots._aberth(monic)[:2] == [0j, 0j]
+    assert roots.find_roots(monic) == [(-2j, 1), (0j, 2), (2j, 1)]
+    # z^4 (z + c): a four-fold zero root beside a simple one
+    assert roots.find_roots([0j] * 4 + [0.53 - 2.1j, 1 + 0j]) == [
+        (-0.53 + 2.1j, 1), (0j, 4)]
+    for n in range(1, 8):
+        monic = [0j] * n + [1 + 0j]
+        assert roots._start_points(monic) == [0j] * n
+        assert roots.find_roots(monic) == [(0j, n)]
 
 
 #: |p(x)| over the Horner scale sum |a_k| |x|^k at a converged simple root
@@ -510,11 +561,11 @@ def _relative_residual(coeffs, x):
     return abs(value) / scale
 
 
-def test_durand_kerner_does_not_stop_early_at_high_degree():
+def test_aberth_does_not_stop_early_at_high_degree():
     rng = random.Random(42)
     for n in range(20, 61):
         c = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
-        xs = roots._durand_kerner([c] + [0j] * (n - 1) + [1 + 0j])
+        xs = roots._aberth([c] + [0j] * (n - 1) + [1 + 0j])
         assert len(xs) == n
         radius = abs(c) ** (1.0 / n)
         assert all(abs(abs(x) - radius) <= 1e-12 for x in xs), n
@@ -522,7 +573,7 @@ def test_durand_kerner_does_not_stop_early_at_high_degree():
         n = rng.randint(20, 45)
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
         coeffs.append(1 + 0j)
-        xs = roots._durand_kerner(coeffs)
+        xs = roots._aberth(coeffs)
         assert len(xs) == n
         assert all(_relative_residual(coeffs, x) <= RESIDUAL_TOL for x in xs)
 

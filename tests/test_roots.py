@@ -75,6 +75,36 @@ def test_degree_below_one_rejected():
         find_roots([])
 
 
+def test_merge_across_a_gap_large_for_the_roots_size_is_tested():
+    # z^2 + 1e-300: polished near +-1e-150i, within CLUSTER_TOL of each
+    # other only by the absolute part of the tolerance
+    for coeffs in ([1e-300 + 0j, 0j, 1 + 0j],
+                   # roots near +-4.7e-18 beside one near 4.7e36
+                   [103.22843768735174 - 4.095392554173994j,
+                    -7.83437627339637e-34 - 1.010697633486764e-33j,
+                    1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j]):
+        with pytest.raises(roots.RootFindingError,
+                           match="merge into one of multiplicity 2"):
+            find_roots(coeffs)
+    # two polishes of one root, 1e-9 apart near 1, merge untested
+    exact = roots.dyadic_poly([-1 + 0j, 1 + 0j])
+    found = [(1 + 0j, 1), (1 + 1e-9j, 1)]
+    assert roots._merge([1.0, 1.0], exact, found) == [(1 + 0.5e-9j, 2)]
+
+
+def test_exact_values_beyond_the_double_range_are_typed():
+    # coefficients from 1e-54 to 1e38: an exact t_j of the multiplicity
+    # test at a linked group overflows when rounded
+    coeffs = [3.0677751310322324e-44 + 2.0895160488768345e-44j,
+              5.601302054165971e+37 - 9.930526026349237e+37j,
+              5.587837006293008e-54 - 1.25250425022231e-54j,
+              -6.19914631615057e+36 + 3.510259984944766e+36j,
+              -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j]
+    with pytest.raises(roots.RootFindingError,
+                       match="beyond the double range"):
+        find_roots(coeffs)
+
+
 def test_planted_structures_randomized():
     rng = random.Random(1729)
     for _ in range(60):
@@ -162,7 +192,7 @@ def test_linkage_matches_cubic_reference(cloud):
 @pytest.mark.parametrize("c", [0.7 - 0.2j, 0.5 + 0.3j, 1.2, 0.9j])
 def test_linkage_matches_reference_at_the_n15_spacing(c):
     # the degree-15 radius, about 0.43, exceeds the root spacing there
-    raw = roots._durand_kerner([c] + [0j] * 14 + [1 + 0j])
+    raw = roots._aberth([c] + [0j] * 14 + [1 + 0j])
     jittered = [x * cmath.exp(1e-3j * k) for k, x in enumerate(raw)]
     for points in (raw, jittered):
         assert (roots._single_linkage(points, 15)
