@@ -30,7 +30,8 @@ from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
 #: denominator root counts as a shared root and is cancelled
 CANCEL_TOL = 1e-9
 
-#: reported pole locations must satisfy |den(loc)| <= RESIDUAL_TOL * max coeff
+#: reported pole locations must satisfy |den(loc)| <= RESIDUAL_TOL times
+#: Horner's bound sum |a_k| |loc|**k on its rounding
 RESIDUAL_TOL = 1e-9
 
 
@@ -259,11 +260,17 @@ def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
 
 def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     """All denominator roots, with orders reduced by entire-factor zeros."""
-    scale = f.den.max_coeff()
     factor = f.factor
+    terms = [(c, abs(c)) for c in reversed(f.den.coeffs)]
     poles = []
     for loc, mult in f.den_roots:
-        if abs(f.den.at(loc)) > RESIDUAL_TOL * scale:
+        r = abs(loc)
+        value = 0j
+        bound = 0.0
+        for c, mag in terms:
+            value = value * loc + c
+            bound = bound * r + mag
+        if abs(value) > RESIDUAL_TOL * bound:
             raise RootFindingError(
                 f"root residual too large at {EvenElement(loc.real, loc.imag)}"
                 f"; denominator is ill-conditioned")

@@ -12,8 +12,13 @@ multiplicities.  The pipeline is therefore:
    rounding bound, the noise floor where a multiple root's cloud sits (the
    stopping rule of Bini and Fiorentino, Numer. Algorithms 23, 2000);
    iterating past it only spreads the cloud;
-2. single-linkage grouping with a multiplicity-aware radius that follows the
-   eps**(1/k) scatter law;
+2. single-linkage grouping with a radius that follows the eps**(1/k)
+   scatter law for k = k*, the most raw roots a cluster obeying that law
+   can hold: the largest k such that some raw root has k raw roots,
+   itself included, within twice the law's radius for k.  A ring of n
+   simple roots about |x| = 1 keeps k* = 1 for n <= 32; from n = 33 on,
+   4 * KAPPA**(1/n) >= 2 spans the ring, so it is linked as one group
+   and step 3 splits it;
 3. per group, a structural hypothesis test on the exact Taylor
    coefficients t_j at the refined center: the group of k approximations is
    accepted as one multiplicity-k root iff the polynomial is,
@@ -52,7 +57,9 @@ CLUSTER_TOL = 1e-7
 #: hypothesised multiple root; clusters failing this are split
 VERIFY_TOL = 1e-5
 
-#: linkage radius for a k-group is max(CLUSTER_TOL, KAPPA**(1/k))
+#: linkage radius for a k-group is max(CLUSTER_TOL, KAPPA**(1/k)), times
+#: 1 + |x|; raw roots are linked at the radius for k*, the largest k such
+#: that some raw root has k raw roots within twice its k-group radius
 KAPPA = 1e-10
 
 #: Aberth stops once every |p(x)| entering a sweep is within this many
@@ -174,15 +181,25 @@ def _out_of_range(degree: int) -> RootFindingError:
                             f"degree {degree}")
 
 
-def _single_linkage(points: list[complex], degree: int) -> list[list[complex]]:
+def _single_linkage(points: list[complex]) -> list[list[complex]]:
     """Repeatedly merge the closest pair of groups within the linkage radius.
 
-    The radius for a pair is (1 + |merged mean|) * max(CLUSTER_TOL,
-    KAPPA**(1/degree)): the widest a multiplicity cluster can scatter is
-    the degree-m law.
+    The radius for a pair is (1 + |merged mean|) * _link_factor(points),
+    the scatter of a k*-fold root, k* the most points a cluster obeying
+    the scatter law can hold here.  When no pair of points lies within
+    the radius for k = len(points), the widest k* can give, they stay
+    singletons and k* is not counted.  A ring of n >= 33 simple roots
+    about |x| = 1 has all n within 4 * KAPPA**(1/n) >= 2 of each, so
+    k* = n and the ring is linked.
     """
-    factor = max(CLUSTER_TOL, KAPPA ** (1.0 / degree))
     groups = [[p] for p in points]
+    if len(groups) < 2:
+        return groups
+    widest = _scatter(len(points))
+    if not any(abs(a - b) <= (1.0 + abs((a + b) / 2)) * widest
+               for i, a in enumerate(points) for b in points[i + 1:]):
+        return groups
+    factor = _link_factor(points)
     while len(groups) > 1:
         means = [_mean(g) for g in groups]
         best = None
@@ -201,6 +218,32 @@ def _single_linkage(points: list[complex], degree: int) -> list[list[complex]]:
         groups[i] = groups[i] + groups[j]
         del groups[j]
     return groups
+
+
+def _scatter(k: int) -> float:
+    """How far a k-fold root's approximations scatter, relative to 1 + its
+    modulus: the eps**(1/k) law with KAPPA for eps."""
+    return max(CLUSTER_TOL, KAPPA ** (1.0 / k))
+
+
+def _link_factor(points: list[complex]) -> float:
+    """_scatter(k*), for k* the largest k such that some point x has k
+    points, itself included, within 2 * (1 + |x|) * _scatter(k).
+
+    A k-fold root scatters its k approximations within _scatter(k) of it,
+    so each of them has all k within twice that: k* is the most points a
+    cluster obeying the law can hold here.
+    """
+    scatter = [_scatter(k) for k in range(1, len(points) + 1)]
+    best = 1
+    for x in points:
+        gaps = sorted(abs(x - y) for y in points)
+        reach = 2.0 * (1.0 + abs(x))
+        for k in range(len(gaps), best, -1):
+            if gaps[k - 1] <= reach * scatter[k - 1]:
+                best = k
+                break
+    return scatter[best - 1]
 
 
 def _mean(points: list[complex]) -> complex:
@@ -294,7 +337,7 @@ def _resolve_group(mags: list[float], exact: DyadicPoly,
             continue
         rest = sorted(group, key=lambda p: abs(p - center))[k:]
         out = [(center, k)]
-        for sub in _single_linkage(rest, len(mags) - 1):
+        for sub in _single_linkage(rest):
             out.extend(_resolve_group(mags, exact, sub))
         return out
     return [(_newton_polish(mags, exact, p), 1) for p in group]
@@ -354,7 +397,7 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     mags = [abs(c) for c in monic]
     try:
         found: list[tuple[complex, int]] = []
-        for group in _single_linkage(raw, degree):
+        for group in _single_linkage(raw):
             found.extend(_resolve_group(mags, exact, group))
         merged = _merge(mags, exact, found)
     except OverflowError as err:  # rounding an exact t_j or step

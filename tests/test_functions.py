@@ -281,6 +281,24 @@ def test_root_residual_error_names_the_root_as_an_even_element():
                               "v=0.0); denominator is ill-conditioned")
 
 
+def test_root_residual_is_measured_against_horners_bound():
+    # roots outside the unit disk: |den| there scales with |loc|**k, so a
+    # bound on the coefficients alone refused 23 of these genuine roots
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                  for _ in range(n)] + [1]
+        f = MeromorphicFunction(ONE_POLY, Polynomial.from_coeffs(coeffs))
+        assert sum(p.order for p in find_poles(f)) == n
+    # a table location 1e-3 off a root is still refused
+    den = Polynomial.from_coeffs([1.0, 0.0, 1.0])  # z^2 + 1
+    f = MeromorphicFunction(ONE_POLY, den,
+                            den_roots=((1j + 1e-3, 1), (-1j, 1)))
+    with pytest.raises(RootFindingError, match="root residual too large"):
+        find_poles(f)
+
+
 def test_integer_power_series_forms_classify_cr():
     rng = random.Random(31)
     for _ in range(10):

@@ -137,14 +137,24 @@ def test_residuals_are_small():
 # ---------------------------------------------------------------------------
 # grouping: the linkage pass against its cubic reference
 
-def reference_single_linkage(points, degree):
-    """The linkage pass as it was: every group mean for every pair."""
+def reference_single_linkage(points):
+    """The linkage pass by its definition: k* counted at every point for
+    every k, and every group mean for every pair."""
+    def scatter(k):
+        return max(roots.CLUSTER_TOL, roots.KAPPA ** (1.0 / k))
+
+    def crowded(x, k):
+        reach = 2.0 * (1.0 + abs(x)) * scatter(k)
+        return sum(abs(x - y) <= reach for y in points) >= k
+
+    k_star = max((k for k in range(1, len(points) + 1) for x in points
+                  if crowded(x, k)), default=1)
+
     def mean(group):
         return sum(group) / len(group)
 
     def link_radius(magnitude):
-        return (1.0 + magnitude) * max(roots.CLUSTER_TOL,
-                                       roots.KAPPA ** (1.0 / degree))
+        return (1.0 + magnitude) * scatter(k_star)
 
     groups = [[p] for p in points]
     while len(groups) > 1:
@@ -169,7 +179,7 @@ def reference_single_linkage(points, degree):
 @st.composite
 def _clouds(draw):
     """Planted clusters of 1..5 points, scattered 1e-12..0.3 about their
-    centers, in a random order, with a degree for the radius law."""
+    centers, in a random order."""
     coord = st.floats(-2.0, 2.0)
     unit = st.floats(-1.0, 1.0)
     points = []
@@ -178,36 +188,42 @@ def _clouds(draw):
         spread = 10.0 ** draw(st.floats(-12.0, -0.5))
         for _ in range(draw(st.integers(1, 5))):
             points.append(center + spread * complex(draw(unit), draw(unit)))
-    return draw(st.permutations(points)), draw(st.integers(1, 60))
+    return draw(st.permutations(points))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_clouds())
-def test_linkage_matches_cubic_reference(cloud):
-    points, degree = cloud
-    assert (roots._single_linkage(points, degree)
-            == reference_single_linkage(points, degree))
+def test_linkage_matches_cubic_reference(points):
+    assert (roots._single_linkage(points)
+            == reference_single_linkage(points))
 
 
 @pytest.mark.parametrize("c", [0.7 - 0.2j, 0.5 + 0.3j, 1.2, 0.9j])
 def test_linkage_matches_reference_at_the_n15_spacing(c):
-    # the degree-15 radius, about 0.43, exceeds the root spacing there
+    # the root spacing, about 0.42, is far wider than the scatter of any
+    # cluster the ring can hold (k* = 1), though the degree-15 radius,
+    # about 0.43, exceeds it: every root stays a singleton
     raw = roots._aberth([c] + [0j] * 14 + [1 + 0j])
     jittered = [x * cmath.exp(1e-3j * k) for k, x in enumerate(raw)]
     for points in (raw, jittered):
-        assert (roots._single_linkage(points, 15)
-                == reference_single_linkage(points, 15))
+        singletons = [[p] for p in points]
+        assert roots._single_linkage(points) == singletons
+        assert reference_single_linkage(points) == singletons
 
 
 # ---------------------------------------------------------------------------
-# cost guard: exact Horner passes, counted
+# cost guards: multiplicity hypotheses and exact Horner passes, counted
 
 def test_failing_double_root_hypothesis_costs_at_most_17_passes(monkeypatch):
+    # a double root tried between two neighbouring roots of z^15 + c:
+    # 8 steps of t_1 and t_2, then t_0 fails (27 passes while every step
+    # shifted t_0..t_2)
+    monic = [0.7 - 0.2j] + [0j] * 14 + [1 + 0j]
+    found = [x for x, _ in find_roots(monic)]
+    near = min(found[1:], key=lambda x: abs(x - found[0]))
     passes = [0]
-    tried = []
     coefficient = roots.dyadic_taylor_coefficient
     shift = roots.dyadic_taylor_shift
-    refine = roots._refine_and_verify
 
     def one_pass(poly, center, j):
         passes[0] += 1
@@ -217,20 +233,36 @@ def test_failing_double_root_hypothesis_costs_at_most_17_passes(monkeypatch):
         passes[0] += terms
         return shift(poly, center, terms)
 
-    def counted(coeffs, exact, seed, k):
-        passes[0] = 0
-        center = refine(coeffs, exact, seed, k)
-        tried.append((k, center, passes[0]))
-        return center
-
     monkeypatch.setattr(roots, "dyadic_taylor_coefficient", one_pass)
     monkeypatch.setattr(roots, "dyadic_taylor_shift", many_passes)
-    monkeypatch.setattr(roots, "_refine_and_verify", counted)
-    # z^15 + c: the linkage joins neighbouring simple roots, so each
-    # call rejects several double-root hypotheses (8 steps of t_1 and
-    # t_2, then t_0 fails; 27 passes while every step shifted t_0..t_2)
-    found = find_roots([0.7 - 0.2j] + [0j] * 14 + [1 + 0j])
-    assert [m for _, m in found] == [1] * 15
-    failed = [count for k, center, count in tried if center is None]
-    assert failed and all(k == 2 for k, _, _ in tried)
-    assert max(failed) <= 17
+    center = roots._refine_and_verify([abs(c) for c in monic],
+                                      roots.dyadic_poly(monic),
+                                      (found[0] + near) / 2, 2)
+    assert center is None
+    assert 0 < passes[0] <= 17
+
+
+@pytest.mark.parametrize("n", range(15, 33))
+def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
+    # up to n = 32 no root of the ring has k roots within twice the
+    # scatter of a k-fold root for any k > 1, so k* = 1: nothing links
+    # and no hypothesis runs
+    tried = []
+    refine = roots._refine_and_verify
+    coefficient = roots.dyadic_taylor_coefficient
+
+    def counted_refine(*args):
+        tried.append("refine")
+        return refine(*args)
+
+    def counted_coefficient(*args):
+        tried.append("t_j")
+        return coefficient(*args)
+
+    monkeypatch.setattr(roots, "_refine_and_verify", counted_refine)
+    monkeypatch.setattr(roots, "dyadic_taylor_coefficient",
+                        counted_coefficient)
+    for c in (0.7 - 0.2j, 1.2, 0.5 + 0.3j):
+        found = find_roots([c] + [0j] * (n - 1) + [1 + 0j])
+        assert [m for _, m in found] == [1] * n
+    assert tried == []
