@@ -21,13 +21,14 @@ from . import expressions as ex
 from .algebra import (EvenElement, complex_cos, complex_exp, complex_inv,
                       complex_sin, even, format_even)
 from .errors import ComputationError, RangeError, UsageError
-from .polynomials import ONE_POLY, Polynomial, Z_POLY, ZERO_POLY
+from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
+                          vanishes_at)
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
 from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
                      entire_zero_order, series_inv, series_mul)
 
-#: a numerator value this small (relative to the numerator scale) at a
-#: denominator root counts as a shared root and is cancelled
+#: a numerator value this small (relative to Horner's bound on its
+#: rounding) at a denominator root counts as a shared root and is cancelled
 CANCEL_TOL = 1e-9
 
 #: reported pole locations must satisfy |den(loc)| <= RESIDUAL_TOL times
@@ -216,7 +217,7 @@ def normalize_rational(num: Polynomial, den: Polynomial
         return ZERO_POLY, ONE_POLY, ()
     roots = []
     for loc, mult in find_roots(den.coeffs) if den.degree >= 1 else ():
-        while mult and abs(num.at(loc)) <= CANCEL_TOL * num.max_coeff():
+        while mult and vanishes_at(num.coeffs, loc, CANCEL_TOL):
             num = num.deflate(loc)
             den = den.deflate(loc)
             mult -= 1
@@ -261,16 +262,9 @@ def meromorphic_from_text(text: str, bindings: dict[str, float] | None = None,
 def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     """All denominator roots, with orders reduced by entire-factor zeros."""
     factor = f.factor
-    terms = [(c, abs(c)) for c in reversed(f.den.coeffs)]
     poles = []
     for loc, mult in f.den_roots:
-        r = abs(loc)
-        value = 0j
-        bound = 0.0
-        for c, mag in terms:
-            value = value * loc + c
-            bound = bound * r + mag
-        if abs(value) > RESIDUAL_TOL * bound:
+        if not vanishes_at(f.den.coeffs, loc, RESIDUAL_TOL):
             raise RootFindingError(
                 f"root residual too large at {EvenElement(loc.real, loc.imag)}"
                 f"; denominator is ill-conditioned")

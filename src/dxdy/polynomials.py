@@ -7,6 +7,7 @@ so the zero polynomial has an empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -119,6 +120,21 @@ class Polynomial:
             out.append(quotient.pop())
             work = quotient
         return tuple(out)
+
+
+def vanishes_at(coeffs, x: complex, tol: float) -> bool:
+    """Whether |p(x)| <= tol times Horner's bound sum |a_k| |x|**k on the
+    rounding of p(x) (Higham, Accuracy and Stability, 5.1), for the
+    ascending coefficients of p: x is a root as far as the rounded
+    coefficients can tell, at any modulus.  A non-finite bound tells
+    nothing, so there the answer is no."""
+    r = abs(x)
+    value = 0j
+    bound = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+        bound = bound * r + abs(c)
+    return abs(value) <= tol * bound < math.inf
 
 
 def _trimmed(coeffs: list[complex]) -> Polynomial:

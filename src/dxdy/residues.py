@@ -24,9 +24,9 @@ from .algebra import E_ZERO, EvenElement
 from .errors import ComputationError, RangeError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, dyadic_poly,
                         dyadic_series_quotient, dyadic_taylor_shift)
-from .functions import (EntireFactor, MeromorphicFunction, Pole,
-                        _den_valuation, local_expansion)
-from .polynomials import Polynomial
+from .functions import (RESIDUAL_TOL, EntireFactor, MeromorphicFunction,
+                        Pole, _den_valuation, local_expansion)
+from .polynomials import Polynomial, vanishes_at
 from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError,
                      _zero_order, derivative_cycle)
 
@@ -142,10 +142,11 @@ def _with_factor(num: DyadicPoly, factor: EntireFactor,
     over the terms' common denominator (v + len(num) - 1)!, and that
     denominator and v are returned with it."""
     s = complex(factor.scale)
-    cycle = derivative_cycle(factor.kind, s * z0)
+    w0 = s * z0
+    cycle = derivative_cycle(factor.kind, w0)
     anchors, scale = dyadic_poly(cycle), dyadic_poly([s])
     sr, si = scale.re[0], scale.im[0]
-    v = _zero_order(cycle)
+    v = _zero_order(factor.kind, w0, cycle)
     top = v + len(num.re) - 1
     divisor = math.factorial(top)
     terms = []
@@ -171,7 +172,7 @@ def _require_regular(f: MeromorphicFunction, z0: EvenElement) -> None:
     """Refuse a pole, and a point the root table places on one: there the
     expansion read would be the pole's."""
     x = complex(z0)
-    if abs(f.den.at(x)) <= 1e-9 * f.den.max_coeff():
+    if vanishes_at(f.den.coeffs, x, RESIDUAL_TOL):
         raise PoleExpansionError(f"{z0} is a pole of the function")
     if _den_valuation(f, x) > 0:
         raise PoleExpansionError(f"{z0} is a pole of the root table")
@@ -231,7 +232,7 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
             f"maximum {MAX_LAURENT_WINDOW}")
     x = complex(z0)
     if (_den_valuation(f, x) > 0
-            and abs(f.den.at(x)) > 1e-9 * f.den.max_coeff()):
+            and not vanishes_at(f.den.coeffs, x, RESIDUAL_TOL)):
         raise PoleExpansionError(
             f"{z0} is within the root table's radius of a pole, not on it")
     s = local_expansion(f, z0, max(1, hi + f.den.degree + 2))

@@ -7,11 +7,15 @@ multiplicity-m root by that much), so raw distances alone cannot decide
 multiplicities.  The pipeline is therefore:
 
 1. raw Aberth roots, swept from Bini's Newton-polygon start (Numer.
-   Algorithms 13, 1996); the sweeps stop once the steps converge, or once
-   every |p(x)| entering a sweep is within DK_FLOOR times Horner's
-   rounding bound, the noise floor where a multiple root's cloud sits (the
-   stopping rule of Bini and Fiorentino, Numer. Algorithms 23, 2000);
-   iterating past it only spreads the cloud;
+   Algorithms 13, 1996) about the root centroid c = -a_{n-1}/n (Aberth,
+   Math. Comp. 27, 1973): Bini's points of p(c + w) moved back by c, when
+   |p(c)| < |p(0)| and the shifted coefficients are finite, else Bini's
+   points of p.  (z - a)**m shifts to w**m, so its points start on the
+   root.  The sweeps stop once the steps converge, or once every |p(x)|
+   entering a sweep is within DK_FLOOR times Horner's rounding bound,
+   the noise floor where a multiple root's cloud sits (the stopping rule
+   of Bini and Fiorentino, Numer. Algorithms 23, 2000); iterating past
+   it only spreads the cloud, so a start already there gets no sweep;
 2. single-linkage grouping with a radius that follows the eps**(1/k)
    scatter law for k = k*, the most raw roots a cluster obeying that law
    can hold: the largest k such that some raw root has k raw roots,
@@ -49,6 +53,7 @@ from .algebra import EvenElement
 from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_coefficient, dyadic_taylor_shift)
+from .polynomials import Polynomial, vanishes_at
 
 #: two polished roots closer than this (times 1 + |root|) are the same root
 CLUSTER_TOL = 1e-7
@@ -105,6 +110,23 @@ def _start_points(coeffs: list[complex]) -> list[complex]:
     return points
 
 
+def _centroid_start(coeffs: list[complex]) -> list[complex]:
+    """Aberth's start about the root centroid c = -a_{n-1}/n (Math. Comp.
+    27, 1973): Bini's points of p(c + w), moved back by c, when
+    |p(c)| < |p(0)| (the product of the root distances is smaller about
+    c) and every shifted coefficient is finite; else Bini's points of p.
+    With p(0) = 0 the start never moves, so zero roots start at 0.
+    """
+    n = len(coeffs) - 1
+    c = -coeffs[-2] / n
+    if c:
+        shifted = Polynomial(tuple(coeffs)).taylor_shift(c)
+        if (abs(shifted[0]) < abs(coeffs[0])
+                and all(map(cmath.isfinite, shifted))):
+            return [c + w for w in _start_points(list(shifted))]
+    return _start_points(coeffs)
+
+
 def _under_chord(a: tuple[int, float], b: tuple[int, float],
                  c: tuple[int, float]) -> bool:
     """Whether b lies on or below the chord from a to c."""
@@ -121,18 +143,23 @@ def _circle(radius: float, count: int, turn: float) -> list[complex]:
 def _aberth(coeffs: list[complex]) -> list[complex]:
     """Raw simultaneous roots of a monic polynomial (ascending coeffs).
 
-    Gauss-Seidel Aberth sweeps from Bini's starting points: each x_i
+    Gauss-Seidel Aberth sweeps from the centroid start: each x_i
     moves by N/(1 - N*sum_{j != i} 1/(x_i - x_j)) with N = p/p', and one
     Horner pass gives p, p' and Higham's rounding bound sum |a_k| |x|^k
     (Accuracy and Stability, 5.1).  The sweeps stop once the steps
     converge, or once every |p(x)| entering a sweep is within DK_FLOOR
     times (n+1)*eps times that bound: the noise floor where a multiple
     root's cloud sits (Bini and Fiorentino, Numer. Algorithms 23, 2000).
+    A start already at that floor is returned as it is: there the steps
+    follow rounding noise, and one sweep scatters the centroid ring of a
+    rounded (z - a)**m past the linkage radius.
     """
     n = len(coeffs) - 1
-    xs = _start_points(coeffs)
-    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    xs = _centroid_start(coeffs)
     slack = DK_FLOOR * (n + 1) * sys.float_info.epsilon
+    if all(vanishes_at(coeffs, x, slack) for x in xs):
+        return xs
+    terms = [(c, abs(c)) for c in reversed(coeffs)]
     for _ in range(_MAX_SWEEPS):
         delta = 0.0
         scale = 1.0

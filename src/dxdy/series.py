@@ -11,6 +11,7 @@ coefficient is ever dropped for being small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
@@ -19,6 +20,10 @@ from .errors import ComputationError, UsageError
 
 #: default number of retained coefficients
 DEFAULT_WINDOW = 16
+
+#: a sin/cos argument w != 0 is the zero k*pi (cos: (k + 1/2)*pi) only
+#: within this many ulps of it, about the rounding w carries
+ZERO_ULPS = 8
 
 
 class WindowError(ComputationError, ValueError):
@@ -175,19 +180,44 @@ def derivative_cycle(kind: str, w0: complex) -> list[complex]:
                      f"expected one of {ENTIRE_KINDS}")
 
 
-def _zero_order(cycle: list[complex]) -> int:
-    """Zeros of sin/cos are simple and exp never vanishes."""
-    if len(cycle) == 1:
+def _zero_order(kind: str, w0: complex, cycle: list[complex]) -> int:
+    """Order (0 or 1) of the zero of F = exp/sin/cos at w0, where cycle is
+    F(w0), F'(w0), ...
+
+    Zeros of sin/cos are simple and exp never vanishes.  sin(0) = 0 is
+    decided exactly; next to 0, sin(w0) ~ w0 keeps its full relative
+    precision, so no other w0 near 0 is a zero.  Elsewhere w0 is a zero
+    only within ZERO_ULPS ulps of the nearest k*pi (of (k + 1/2)*pi for
+    cos).  A w0 farther off, with |F(w0)| still within 1e-9 of
+    |F'(w0)| + |F(w0)|, is too close to a zero to tell from one, and
+    raises ComputationError.
+    """
+    if kind == "exp":
         return 0
+    if kind == "sin" and not w0:
+        return 1
     value, slope = cycle[0], cycle[1]
-    return 1 if abs(value) <= 1e-9 * (abs(slope) + abs(value)) else 0
+    if not abs(value) <= 1e-9 * (abs(slope) + abs(value)):
+        return 0
+    half = 0.5 if kind == "cos" else 0.0
+    k = round(w0.real / math.pi - half)
+    if kind == "sin" and k == 0:
+        return 0
+    zero = (k + half) * math.pi
+    if abs(w0 - zero) <= ZERO_ULPS * math.ulp(zero):
+        return 1
+    raise ComputationError(
+        f"{kind} argument {EvenElement(w0.real, w0.imag)} lies "
+        f"{abs(w0 - zero):.3g} from the zero {zero!r}: too close to tell "
+        f"whether it is that zero")
 
 
 def entire_zero_order(kind: str, scale: complex, point: complex) -> int:
     """Order (0 or 1) of the zero of exp/sin/cos(scale*z) at point."""
     if kind == "exp":
         return 0
-    return _zero_order(derivative_cycle(kind, scale * point))
+    w0 = scale * point
+    return _zero_order(kind, w0, derivative_cycle(kind, w0))
 
 
 def entire_series(kind: str, scale: complex, center: complex,
@@ -202,8 +232,9 @@ def entire_series(kind: str, scale: complex, center: complex,
     """
     if order < 0:
         raise UsageError("order must be >= 0")
-    cycle = derivative_cycle(kind, scale * center)
-    valuation = _zero_order(cycle)
+    w0 = scale * center
+    cycle = derivative_cycle(kind, w0)
+    valuation = _zero_order(kind, w0, cycle)
     coeffs = []
     power = 1 + 0j  # scale^k / k!
     for k in range(order + 1):

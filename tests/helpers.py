@@ -30,6 +30,17 @@ def poly_from_roots(pairs: list[tuple[EvenElement, int]]) -> Polynomial:
     return p
 
 
+def gaussian_monic_denominators(seed: int = 11, count: int = 200):
+    """Monic polynomials of degree 2-30 with standard Gaussian complex
+    coefficients; many have roots outside the unit disk."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 30)
+        yield Polynomial.from_coeffs(
+            [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+            + [1])
+
+
 def random_even(rng: random.Random, span: float = 2.0) -> EvenElement:
     return even(rng.uniform(-span, span), rng.uniform(-span, span))
 

@@ -17,7 +17,8 @@ from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.residues import laurent_expand, residue
 from dxdy.roots import RootFindingError, find_roots
 
-from helpers import even_close, random_planted_rational
+from helpers import (even_close, gaussian_monic_denominators,
+                     random_planted_rational)
 
 
 def test_simple_rational_shape():
@@ -284,13 +285,9 @@ def test_root_residual_error_names_the_root_as_an_even_element():
 def test_root_residual_is_measured_against_horners_bound():
     # roots outside the unit disk: |den| there scales with |loc|**k, so a
     # bound on the coefficients alone refused 23 of these genuine roots
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(2, 30)
-        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                  for _ in range(n)] + [1]
-        f = MeromorphicFunction(ONE_POLY, Polynomial.from_coeffs(coeffs))
-        assert sum(p.order for p in find_poles(f)) == n
+    for den in gaussian_monic_denominators():
+        f = MeromorphicFunction(ONE_POLY, den)
+        assert sum(p.order for p in find_poles(f)) == den.degree
     # a table location 1e-3 off a root is still refused
     den = Polynomial.from_coeffs([1.0, 0.0, 1.0])  # z^2 + 1
     f = MeromorphicFunction(ONE_POLY, den,

@@ -7,11 +7,11 @@ are the same loops written on `EvenElement`; every result must agree in
 the hex digits of both parts.  The inverse, integer power and exp/sin/cos
 kernels, the entire series, and the value f(z) of a meromorphic function
 are checked against the EvenElement bodies in ``helpers``.  The Aberth
-iteration is checked against a plainly written one (Bini's start by gift
-wrapping, a loop over j != i); it must also stop at the rounding floor of
-a multiple root, and not before convergence anywhere else.  A last group
-checks that `local_expansion` gives the same bits as the wider window it
-used to build.
+iteration is checked against a plainly written one (the centroid rule and
+its guard, Bini's start by gift wrapping, a loop over j != i); it must
+also stop at the rounding floor of a multiple root, and not before
+convergence anywhere else.  A last group checks that `local_expansion`
+gives the same bits as the wider window it used to build.
 """
 
 import cmath
@@ -27,11 +27,12 @@ from dxdy import roots
 from dxdy.algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
                           complex_int_pow, complex_inv, complex_sin, even,
                           even_int_pow, even_mul)
-from dxdy.errors import RangeError
+from dxdy.errors import ComputationError
 from dxdy.functions import (EntireFactor, MeromorphicFunction, find_poles,
                             local_expansion, meromorphic_from_text)
 from dxdy.polynomials import ZERO_POLY, Polynomial
-from dxdy.series import LaurentSeries, entire_series, series_inv, series_mul
+from dxdy.series import (ZERO_ULPS, LaurentSeries, entire_series,
+                         series_inv, series_mul)
 
 from helpers import REFERENCE_CALLS, reference_int_pow, reference_inv
 
@@ -150,6 +151,27 @@ def reference_meromorphic_call(f, z):
     return value
 
 
+def reference_zero_order(kind, w0, value, slope):
+    """sin(0) is a zero; otherwise a zero needs |F(w0)| within 1e-9 of
+    |F'(w0)| + |F(w0)| and w0 within ZERO_ULPS ulps of the nearest zero
+    k*pi of sin, k != 0, or (k + 1/2)*pi of cos.  Inside the 1e-9 band
+    but farther from the zero, the call raises ComputationError."""
+    if kind == "sin" and w0.u == 0 and w0.v == 0:
+        return 1
+    if abs(value) > 1e-9 * (abs(slope) + abs(value)):
+        return 0
+    half = 0.5 if kind == "cos" else 0.0
+    k = round(w0.u / math.pi - half)
+    if kind == "sin" and k == 0:
+        return 0
+    zero = (k + half) * math.pi
+    if math.hypot(w0.u - zero, w0.v) <= ZERO_ULPS * math.ulp(zero):
+        return 1
+    raise ComputationError(
+        f"{kind} argument {w0} lies {math.hypot(w0.u - zero, w0.v):.3g} "
+        f"from the zero {zero!r}: too close to tell whether it is that zero")
+
+
 def reference_entire_series(kind, scale, center, order):
     """entire_series on EvenElement: the derivative cycle of the helpers'
     exp/sin/cos at scale*center, times scale^k / k!."""
@@ -160,8 +182,7 @@ def reference_entire_series(kind, scale, center, order):
     else:
         s0, c0 = REFERENCE_CALLS["sin"](w0), REFERENCE_CALLS["cos"](w0)
         cycle = [s0, c0, -s0, -c0] if kind == "sin" else [c0, -s0, -c0, s0]
-        value, slope = cycle[0], cycle[1]
-        valuation = int(abs(value) <= 1e-9 * (abs(slope) + abs(value)))
+        valuation = reference_zero_order(kind, w0, cycle[0], cycle[1])
     coeffs = []
     power = even(1.0)
     for k in range(order + 1):
@@ -194,6 +215,23 @@ def reference_start(coeffs):
     return xs
 
 
+def reference_centroid_start(coeffs):
+    """Aberth's centroid c = -a_{n-1}/n: when c != 0, |p(c)| < |p(0)| and
+    the Taylor shift of p to c is finite, Bini's start of the shifted
+    polynomial moved back by c; otherwise Bini's start of p."""
+    n = len(coeffs) - 1
+    c = -coeffs[n - 1] / n
+    if c == 0:
+        return reference_start(coeffs)
+    p = Polynomial.from_coeffs(coeffs)
+    at_c = complex(reference_call(p, EvenElement(c.real, c.imag)))
+    shifted = list(map(complex, reference_taylor_shift(
+        p, EvenElement(c.real, c.imag))))
+    if abs(at_c) < abs(coeffs[0]) and all(map(cmath.isfinite, shifted)):
+        return [c + w for w in reference_start(shifted)]
+    return reference_start(coeffs)
+
+
 def reference_aberth(coeffs):
     """_aberth written plainly: p, p' and the rounding bound each from a
     function of their own, the pull a loop over j != i."""
@@ -213,7 +251,10 @@ def reference_aberth(coeffs):
 
     n = len(coeffs) - 1
     slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
-    xs = reference_start(coeffs)
+    xs = reference_centroid_start(coeffs)
+    if all(abs(horner(x)[0]) <= slack * rounding_bound(x)
+           and math.isfinite(rounding_bound(x)) for x in xs):
+        return xs  # a start at the rounding floor gets no sweep
     for _ in range(roots._MAX_SWEEPS):
         delta = 0.0
         scale = 1.0
@@ -288,7 +329,7 @@ def outcome(compute, convert):
     """The result in bits, or the exception it raises."""
     try:
         value = compute()
-    except (ZeroDivisionError, RangeError) as err:
+    except (ZeroDivisionError, ComputationError) as err:
         return type(err), str(err)
     return convert(value)
 
@@ -469,6 +510,9 @@ def test_truncated_taylor_shift_is_the_head_of_the_full_shift(p, center,
 @example("sin", even(-0.0, 1.0), even(0.0, -0.0), 6)  # sin(0): valuation 1
 @example("cos", even(1.0, -0.0), even(-0.0, 0.5), 5)
 @example("exp", even(-0.0, -0.0), even(2.0, -0.0), 4)
+@example("sin", even(1.0, 0.0), even(1e-10, 0.0), 3)  # no zero beside 0
+@example("sin", even(math.pi, 0.0), even(3.0, 0.0), 3)  # on 3*pi
+@example("sin", even(1.0, 0.0), even(3.1415926535, 0.0), 3)  # undecided
 @given(st.sampled_from(sorted(_ENTIRE)), _even, _even, st.integers(0, 12))
 def test_entire_series_matches_reference(kind, scale, center, order):
     # the k! division scales each part: complex / k would turn -0.0 to +0.0
@@ -507,6 +551,66 @@ def test_durand_kerner_iterates_on_binomials():
             monic = [c] + [0j] * (n - 1) + [1 + 0j]
             assert (_dk_bits(roots._aberth(monic))
                     == _dk_bits(reference_aberth(monic)))
+
+
+def _monic_power(a, m):
+    return list(Polynomial.from_coeffs([-a, 1]).int_pow(m).coeffs)
+
+
+# the roots of p(c + w) lie nearer 0 than those of p: the start moves
+_CENTROID_SHIFTED = [
+    [c + 1e-3 if k == 0 else c for k, c in enumerate(_monic_power(2, 10))],
+    list((Polynomial.from_coeffs([-1 - 1j, 1]).int_pow(6)
+          * Polynomial.from_coeffs([1, 1])).coeffs),
+]
+
+# coefficients up to about 1e38, whose p(c) far exceeds p(0): the start
+# stays about the origin
+_CENTROID_KEPT = [
+    [103.22843768735174 - 4.095392554173994j,
+     -7.83437627339637e-34 - 1.010697633486764e-33j,
+     1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j],
+    [3.0677751310322324e-44 + 2.0895160488768345e-44j,
+     5.601302054165971e+37 - 9.930526026349237e+37j,
+     5.587837006293008e-54 - 1.25250425022231e-54j,
+     -6.19914631615057e+36 + 3.510259984944766e+36j,
+     -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j],
+]
+
+
+@pytest.mark.parametrize("monic", _CENTROID_SHIFTED + _CENTROID_KEPT)
+def test_centroid_start_matches_reference(monic):
+    shifted = monic in _CENTROID_SHIFTED
+    xs = roots._centroid_start(monic)
+    assert _dk_bits(xs) == _dk_bits(reference_centroid_start(monic))
+    assert (_dk_bits(xs) != _dk_bits(roots._start_points(monic))) == shifted
+    assert (_dk_bits(roots._aberth(monic))
+            == _dk_bits(reference_aberth(monic)))
+
+
+@pytest.mark.parametrize("a", [1 + 0j, 0.5j, -2 + 1j])
+def test_pure_powers_need_no_sweep(monkeypatch, a):
+    # (z - a)^m shifts to w^m exactly: every iterate starts on a, where
+    # p = 0 puts the start at the floor, so not even one sweep runs
+    monkeypatch.setattr(roots, "_MAX_SWEEPS", 0)
+    for m in range(2, 21):
+        assert roots._aberth(_monic_power(a, m)) == [a] * m, m
+        assert roots.find_roots(_monic_power(a, m)) == [(a, m)], m
+
+
+def test_rounded_power_keeps_its_centroid_ring():
+    # the folded (z - a)^11 rounds its low coefficients to about 1e-10:
+    # its roots lie about 0.12 from a, the start ring sits there at the
+    # floor, and a sweep of noise-driven steps would link 10 of 11
+    a = -1.140625 - 1.796875j
+    monic = _monic_power(a, 11)
+    low = Polynomial(tuple(monic)).taylor_shift(a)[:11]
+    assert 1e-11 < max(map(abs, low)) < 1e-9
+    xs = roots._aberth(monic)
+    assert _dk_bits(xs) == _dk_bits(roots._centroid_start(monic))
+    assert _dk_bits(xs) == _dk_bits(reference_aberth(monic))
+    ((root, mult),) = roots.find_roots(monic)
+    assert mult == 11 and abs(root - a) <= 1e-9
 
 
 def test_durand_kerner_stalls_out_on_multiple_roots(monkeypatch):

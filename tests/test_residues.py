@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dxdy.algebra import even
 from dxdy.contours import CircleContour, integrate_closed
@@ -18,7 +20,8 @@ from dxdy.roots import find_roots
 from dxdy.series import WindowError
 
 from exact_reference import reference_derivative_formula
-from helpers import even_close, random_planted_rational
+from helpers import (even_close, gaussian_monic_denominators,
+                     random_planted_rational)
 
 
 def upper_pole(f):
@@ -154,6 +157,28 @@ def test_order_ladder_closed_form(m):
     assert result.imaginary_defect == 2.0 * math.pi
 
 
+#: a dyadic rational in [-2, 2], k / 2^e with e <= 10
+_dyadic = st.integers(0, 10).flatmap(
+    lambda e: st.integers(-2 << e, 2 << e).map(lambda k: k / (1 << e)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(0.0, -0.125, 11)  # z^10 at the pole is 1e-9-small: not cancelled
+@example(-1.140625, -1.796875, 11)  # a rounded fold: a cloud about a
+@given(_dyadic, _dyadic, st.integers(1, 12))
+def test_order_ladder_at_dyadic_gaussian_poles(u, v, m):
+    # z^(m-1)/(z-a)^m: one pole at a of order m, residue 1, by every
+    # route; at a = 0 the function is 1/z
+    a = even(u, v)
+    f = meromorphic_from_text(f"z^{m - 1}/(z-({u!r}+{v!r}*I))^{m}")
+    (p,) = find_poles(f)
+    assert even_close(p.location, a, abs_tol=1e-9)
+    assert p.order == (m if (u, v) != (0, 0) else 1)
+    for got in (residue(f, p), residue_by_order_reduction(f, p).a_minus_1,
+                residue_by_derivative_formula(f, p).a_minus_1):
+        assert even_close(got, even(1.0), abs_tol=1e-9)
+
+
 DERIVATIVE_CORPUS = [
     *(f"1/(z^{n}+(0.7-0.2*I))" for n in range(1, 16)),
     *(f"z^{m - 1}/(z-1)^{m}" for m in range(1, 21)),
@@ -229,6 +254,53 @@ def test_derivative_formula_reads_poles_a_zero_reduces():
     at_zero = next(p for p in find_poles(g) if p.location == even(0.0))
     assert at_zero.order == 1
     assert residue_by_derivative_formula(g, at_zero).a_minus_1 == even(-2.0)
+
+
+def test_entire_factor_zeros_are_decided_exactly():
+    # sin(1e-10) is no zero: the pole at 1e-10 stays, residue 1e10 sin(1e-10)
+    f = meromorphic_from_text("1e10*sin(z)/(z-1e-10)")
+    (p,) = find_poles(f)
+    assert p == Pole(even(1e-10), 1)
+    want = even(1e10 * math.sin(1e-10))
+    for got in (residue(f, p), residue_by_order_reduction(f, p).a_minus_1,
+                residue_by_derivative_formula(f, p).a_minus_1):
+        assert even_close(got, want, rel=1e-12)
+    for text in ("sin(z)/z", "sin(pi*z)/(z-3)", "cos(pi*z)/(z-0.5)"):
+        assert find_poles(meromorphic_from_text(text)) == (), text
+
+
+def test_cancellation_is_measured_against_horners_bound():
+    # |1e10*z - 1| = 1 at the root 0 is no shared root, though it is small
+    # next to the numerator's largest coefficient
+    f = meromorphic_from_text("(1e10*z-1)/(z*(z-1))")
+    at_zero, at_one = find_poles(f)
+    assert (at_zero, at_one) == (Pole(even(0.0), 1), Pole(even(1.0), 1))
+    assert residue(f, at_zero) == even(1.0)
+    assert residue(f, at_one) == even(1e10 - 1)
+    result = integrate_closed(f, CircleContour(even(0.0), 0.5))
+    assert even_close(even(result.imaginary_defect), even(2 * math.pi),
+                      rel=1e-12)
+
+
+def test_cancellation_judges_the_folded_coefficients():
+    # (z+0.1)^2 - 0.01 folds to z^2 + 0.2z + a0 with a0 = 1.7e-18 of
+    # rounding, not 0.  At the root 0 Horner's bound is |a0| itself, so
+    # the cancellation sees the polynomial a typed a0 gives: a simple pole
+    # at 0 with residue a0, the same as the literal and the contour say
+    f = meromorphic_from_text("((z+0.1)^2-0.01)/z")
+    a0 = f.num.coeffs[0]
+    assert 1e-18 < a0.real < 1e-17 and a0.imag == 0
+    literal = meromorphic_from_text(f"(z^2+0.2*z+{a0.real!r})/z")
+    assert literal.num == f.num
+    for g in (f, literal):
+        (p,) = find_poles(g)
+        assert p == Pole(even(0.0), 1)
+        for got in (residue(g, p), residue_by_order_reduction(g, p).a_minus_1,
+                    residue_by_derivative_formula(g, p).a_minus_1):
+            assert got == even(a0.real)
+    result = integrate_closed(f, CircleContour(even(0.0), 0.5))
+    assert math.isclose(result.imaginary_defect, 2 * math.pi * a0.real,
+                        rel_tol=1e-9)
 
 
 def test_simple_pole_residue_shifts_at_most_two_terms(monkeypatch):
@@ -384,6 +456,16 @@ def test_laurent_expand_refuses_points_beside_a_pole():
     assert beside[0] == even(0, 0)
     assert even_close(beside[1], even(1 / d, 0), rel=1e-9)
     assert even_close(beside[2], even(-1 / d ** 2, 0), rel=1e-9)
+
+
+def test_laurent_expand_reads_every_pole_find_poles_returns():
+    # roots outside the unit disk: a residual bound on the coefficients
+    # alone refused one pole in each of 23 of these denominators
+    for den in gaussian_monic_denominators():
+        f = MeromorphicFunction(Polynomial.from_coeffs([1]), den)
+        for p in find_poles(f):
+            window = laurent_expand(f, p.location, -1, 1)
+            assert window.coefficient(-1) == residue(f, p)
 
 
 def test_laurent_expand_window_limits():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.algebra import even, even_mul
-from dxdy.series import (CenterMismatchError, LaurentSeries, WindowError,
-                         entire_series, series_inv, series_mul, zero_series)
+from dxdy.errors import ComputationError
+from dxdy.series import (ZERO_ULPS, CenterMismatchError, LaurentSeries,
+                         WindowError, entire_series, entire_zero_order,
+                         series_inv, series_mul, zero_series)
 
 from helpers import even_close
 
@@ -113,6 +115,30 @@ def test_entire_series_off_axis_anchor():
     for t in (0.5, 1.0, 2.0):
         e = entire_series("exp", complex(0, t), 1j, 4)
         assert even_close(e.coefficient(0), even(math.exp(-t)), rel=1e-15)
+
+
+def test_entire_zero_order_decides_zeros_by_ulps():
+    pi = math.pi
+    # sin(0) exactly; beside 0, sin(w) ~ w is no zero at any size
+    assert entire_zero_order("sin", 1 + 0j, -0.0 + 0j) == 1
+    for w in (1e-10, -1e-300, 5e-324, 1e-10j):
+        assert entire_zero_order("sin", 1 + 0j, complex(w)) == 0
+    # k*pi and (k + 1/2)*pi as the scale's product lands on them
+    assert entire_zero_order("sin", complex(pi), 3 + 0j) == 1
+    assert entire_zero_order("sin", complex(pi), -7 + 0j) == 1
+    assert entire_zero_order("cos", complex(pi), 0.5 + 0j) == 1
+    assert entire_zero_order("cos", complex(pi), -2.5 + 0j) == 1
+    assert entire_zero_order("cos", 1 + 0j, 0j) == 0
+    assert entire_zero_order("exp", 1 + 0j, 0j) == 0
+    # within ZERO_ULPS ulps of pi a zero, a little farther off undecided
+    near = pi + ZERO_ULPS * math.ulp(pi)
+    assert entire_zero_order("sin", 1 + 0j, complex(near)) == 1
+    for w in (pi + 2 * ZERO_ULPS * math.ulp(pi), 3.1415926535,
+              complex(pi, 1e-12)):
+        with pytest.raises(ComputationError, match="too close to tell"):
+            entire_zero_order("sin", 1 + 0j, complex(w))
+    # beyond the 1e-9 band no zero, however few ulps
+    assert entire_zero_order("sin", 1 + 0j, 3.14159 + 0j) == 0
 
 
 def test_entire_series_rejects_unknown_kind():
