@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 from .errors import RangeError, UsageError
 
@@ -36,9 +37,25 @@ class GradeError(UsageError):
 
 
 class _Frozen:
-    """Immutable slotted value with a frozen dataclass's eq, hash and repr."""
+    """Immutable slotted value with a frozen dataclass's eq, hash and repr.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets them through the slots' ``__set__``, bound once
+    at module level.  Class keywords leave fields out: ``uncompared`` of eq
+    and hash, ``unshown`` of repr.  Copy and pickle rebuild from every
+    field.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, uncompared=(), unshown=()):
+        super().__init_subclass__()
+        compared = [f for f in cls.__slots__ if f not in uncompared]
+        # eq and hash read the compared fields as one tuple
+        cls._key = staticmethod(
+            attrgetter(*compared) if len(compared) > 1
+            else lambda self, get=attrgetter(*compared): (get(self),))
+        cls._shown = tuple(f for f in cls.__slots__ if f not in unshown)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -46,12 +63,26 @@ class _Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each of cls's slots, in order: far cheaper in an
+    ``__init__`` than a frozen dataclass's ``object.__setattr__``."""
+    return tuple(getattr(cls, f).__set__ for f in cls.__slots__)
 
 
 class Multivector(_Frozen):
@@ -64,15 +95,6 @@ class Multivector(_Frozen):
         _set_a(self, a)
         _set_b(self, b)
         _set_p(self, p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.a, self.b, self.p) == (other.s, other.a,
-                                                    other.b, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.a, self.b, self.p))
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(self.s + other.s, self.a + other.a,
@@ -96,9 +118,7 @@ class Multivector(_Frozen):
                            other * self.b, other * self.p)
 
 
-# slot setters for __init__, far cheaper than a frozen dataclass's setattr
-_set_s, _set_a, _set_b, _set_p = (Multivector.s.__set__, Multivector.a.__set__,
-                                  Multivector.b.__set__, Multivector.p.__set__)
+_set_s, _set_a, _set_b, _set_p = _slot_setters(Multivector)
 
 DX = Multivector(a=1.0)
 DY = Multivector(b=1.0)
@@ -137,14 +157,6 @@ class EvenElement(_Frozen):
     def __init__(self, u: float, v: float) -> None:
         _set_u(self, u)
         _set_v(self, v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.u, self.v) == (other.u, other.v)
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
 
     def __add__(self, other: "EvenElement") -> "EvenElement":
         return EvenElement(self.u + other.u, self.v + other.v)
@@ -189,7 +201,7 @@ class EvenElement(_Frozen):
         return Multivector(s=self.u, p=self.v)
 
 
-_set_u, _set_v = EvenElement.u.__set__, EvenElement.v.__set__
+_set_u, _set_v = _slot_setters(EvenElement)
 
 E_ZERO = EvenElement(0.0, 0.0)
 
@@ -247,16 +259,8 @@ class PolarForm(_Frozen):
         _set_rho(self, rho)
         _set_phi(self, phi)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rho, self.phi) == (other.rho, other.phi)
 
-    def __hash__(self) -> int:
-        return hash((self.rho, self.phi))
-
-
-_set_rho, _set_phi = PolarForm.rho.__set__, PolarForm.phi.__set__
+_set_rho, _set_phi = _slot_setters(PolarForm)
 
 
 def to_polar(x: EvenElement) -> PolarForm:

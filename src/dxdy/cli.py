@@ -279,7 +279,7 @@ def _cmd_check(args) -> int:
             ],
             "passed": all(r.passed for r in results),
         }
-        print(json.dumps(doc, indent=2))
+        _emit(doc, True)
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")

@@ -15,9 +15,8 @@ into the contour value, and a warning is attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .algebra import EvenElement
+from .algebra import EvenElement, _Frozen, _slot_setters
 from .errors import ComputationError, UsageError
 from .functions import MeromorphicFunction, Pole, find_poles
 from .residues import residue
@@ -27,6 +26,12 @@ DEFAULT_CLEARANCE = 1e-6
 
 #: pole v-parts at most this close to the axis block real-line integration
 AXIS_TOL = 1e-9
+
+#: bounded on the axis: a scale part below this share of the scale is zero
+AXIS_DIRECTION_TOL = 1e-12
+
+#: an imaginary defect above this times (1 + residue scale) is warned of
+DEFECT_WARN_TOL = 1e-10
 
 COUNTERCLOCKWISE = "counterclockwise"
 CLOCKWISE = "clockwise"
@@ -44,20 +49,24 @@ class AxisPoleError(ComputationError, ValueError):
     """A pole lies on the real axis (principal values are out of scope)."""
 
 
-@dataclass(frozen=True)
-class CircleContour:
-    center: EvenElement
-    radius: float
-    orientation: str = COUNTERCLOCKWISE
-    clearance: float | None = None  # absolute; default DEFAULT_CLEARANCE*radius
+class CircleContour(_Frozen):
+    """A circle; clearance is absolute, None for DEFAULT_CLEARANCE*radius."""
 
-    def __post_init__(self):
-        if not self.radius > 0:
+    __slots__ = ("center", "radius", "orientation", "clearance")
+
+    def __init__(self, center: EvenElement, radius: float,
+                 orientation: str = COUNTERCLOCKWISE,
+                 clearance: float | None = None) -> None:
+        if not radius > 0:
             raise UsageError("radius must be positive")
-        if self.orientation not in (COUNTERCLOCKWISE, CLOCKWISE):
-            raise UsageError(f"unknown orientation {self.orientation!r}")
-        if self.clearance is not None and not self.clearance > 0:
+        if orientation not in (COUNTERCLOCKWISE, CLOCKWISE):
+            raise UsageError(f"unknown orientation {orientation!r}")
+        if clearance is not None and not clearance > 0:
             raise UsageError("clearance must be positive")
+        _set_center(self, center)
+        _set_radius(self, radius)
+        _set_orientation(self, orientation)
+        _set_clearance(self, clearance)
 
     @property
     def band(self) -> float:
@@ -66,15 +75,33 @@ class CircleContour:
         return DEFAULT_CLEARANCE * self.radius
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    real_value: float
-    imaginary_defect: float
-    enclosed: tuple[Pole, ...]
-    residues: tuple[EvenElement, ...] = ()
-    warnings: tuple[str, ...] = field(default=())
-    #: the half-plane a real-line integral closed through; None for a circle
-    half_plane: str | None = field(default=None, repr=False)
+class IntegralResult(_Frozen, unshown=("half_plane",)):
+    """A contour or real-line value with the residues behind it.
+
+    ``half_plane`` is the half-plane a real-line integral closed through;
+    None for a circle.
+    """
+
+    __slots__ = ("real_value", "imaginary_defect", "enclosed", "residues",
+                 "warnings", "half_plane")
+
+    def __init__(self, real_value: float, imaginary_defect: float,
+                 enclosed: tuple[Pole, ...],
+                 residues: tuple[EvenElement, ...] = (),
+                 warnings: tuple[str, ...] = (),
+                 half_plane: str | None = None) -> None:
+        _set_real_value(self, real_value)
+        _set_imaginary_defect(self, imaginary_defect)
+        _set_enclosed(self, enclosed)
+        _set_residues(self, residues)
+        _set_warnings(self, warnings)
+        _set_half_plane(self, half_plane)
+
+
+_set_center, _set_radius, _set_orientation, _set_clearance = _slot_setters(
+    CircleContour)
+(_set_real_value, _set_imaginary_defect, _set_enclosed, _set_residues,
+ _set_warnings, _set_half_plane) = _slot_setters(IntegralResult)
 
 
 def enclosed_poles(contour: CircleContour,
@@ -93,7 +120,7 @@ def enclosed_poles(contour: CircleContour,
 
 
 def _defect_warning(defect: float, residue_scale: float) -> tuple[str, ...]:
-    if abs(defect) > 1e-10 * (1.0 + residue_scale):
+    if abs(defect) > DEFECT_WARN_TOL * (1.0 + residue_scale):
         return (f"imaginary defect {defect:.12g}: the classical integral has "
                 f"an imaginary part this real formalism does not produce",)
     return ()
@@ -140,7 +167,8 @@ def closure_half_plane(f: MeromorphicFunction, half_plane: str = AUTO) -> str:
                 f"closing semicircle to vanish (gap is {gap})")
         return UPPER if half_plane == AUTO else half_plane
     scale = f.factor.scale
-    if abs(scale.u) > 1e-12 * (abs(scale.u) + abs(scale.v) + 1e-300):
+    size = abs(scale.u) + abs(scale.v) + 1e-300
+    if abs(scale.u) > AXIS_DIRECTION_TOL * size:
         raise DecayError(
             "exp factor scale must be a pure dxdy multiple to stay bounded "
             "on the real axis")

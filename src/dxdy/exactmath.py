@@ -23,20 +23,23 @@ once, so no finite difference and no step enter that route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from .algebra import _Frozen, _slot_setters
 
 
 # ---------------------------------------------------------------------------
 # dyadic Gaussian integers: root finder and derivative-route kernels
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(_Frozen):
     """The exact value (re + i*im) / 2**exp, with integer re, im and exp."""
 
-    re: int
-    im: int
-    exp: int
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, re: int, im: int, exp: int) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_exp(self, exp)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -47,13 +50,20 @@ class Dyadic:
         return complex(self.re / scale, self.im / scale)
 
 
-@dataclass(frozen=True)
-class DyadicPoly:
+class DyadicPoly(_Frozen):
     """Ascending coefficients (re[k] + i*im[k]) / 2**exp, one common exp."""
 
-    re: tuple[int, ...]
-    im: tuple[int, ...]
-    exp: int
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, re: tuple[int, ...], im: tuple[int, ...],
+                 exp: int) -> None:
+        _set_poly_re(self, re)
+        _set_poly_im(self, im)
+        _set_poly_exp(self, exp)
+
+
+_set_re, _set_im, _set_exp = _slot_setters(Dyadic)
+_set_poly_re, _set_poly_im, _set_poly_exp = _slot_setters(DyadicPoly)
 
 
 def _dyadic_parts(z: complex) -> tuple[int, int, int]:

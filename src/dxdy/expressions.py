@@ -19,11 +19,11 @@ because fractional powers are not single-valued around a circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
-from .algebra import (EvenElement, complex_cos, complex_exp, complex_int_pow,
-                      complex_inv, complex_sin, even)
+from .algebra import (EvenElement, _Frozen, _slot_setters, complex_cos,
+                      complex_exp, complex_int_pow, complex_inv, complex_sin,
+                      even)
 from .errors import UsageError
 
 
@@ -37,51 +37,91 @@ class ParseError(UsageError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(_Frozen):
+    """A numeric literal."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        _set_num_value(self, value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(_Frozen):
+    """A name: z, x, I, pi or a caller's binding."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_sym_name(self, name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(_Frozen):
+    """Unary minus."""
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr") -> None:
+        _set_neg_operand(self, operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Frozen):
+    """A binary operation: op is '+', '-', '*' or '/'."""
+
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        _set_binop_op(self, op)
+        _set_binop_left(self, left)
+        _set_binop_right(self, right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Pow(_Frozen):
+    """base ^ exponent, the exponent folded to an integer."""
+
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: int) -> None:
+        _set_pow_base(self, base)
+        _set_pow_exponent(self, exponent)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str  # 'exp', 'sin', 'cos'
-    arg: "Expr"
+class Call(_Frozen):
+    """An entire call: func is 'exp', 'sin' or 'cos'."""
 
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: "Expr") -> None:
+        _set_call_func(self, func)
+        _set_call_arg(self, arg)
+
+
+_set_num_value, = _slot_setters(Num)
+_set_sym_name, = _slot_setters(Sym)
+_set_neg_operand, = _slot_setters(Neg)
+_set_binop_op, _set_binop_left, _set_binop_right = _slot_setters(BinOp)
+_set_pow_base, _set_pow_exponent = _slot_setters(Pow)
+_set_call_func, _set_call_arg = _slot_setters(Call)
 
 Expr = Union[Num, Sym, Neg, BinOp, Pow, Call]
 
 CALLS = ("exp", "sin", "cos")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'name', 'op', 'end'
-    text: str
-    pos: int
-    value: float = 0.0
+class _Token(_Frozen):
+    """A lexeme: kind is 'num', 'name', 'op' or 'end'."""
+
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int,
+                 value: float = 0.0) -> None:
+        _set_token_kind(self, kind)
+        _set_token_text(self, text)
+        _set_token_pos(self, pos)
+        _set_token_value(self, value)
+
+
+_set_token_kind, _set_token_text, _set_token_pos, _set_token_value = (
+    _slot_setters(_Token))
 
 
 def _tokenize(source: str) -> list[_Token]:

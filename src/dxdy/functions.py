@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .algebra import (EvenElement, complex_cos, complex_exp, complex_inv,
-                      complex_sin, even, format_even)
+from .algebra import (EvenElement, _Frozen, _slot_setters, complex_cos,
+                      complex_exp, complex_inv, complex_sin, even,
+                      format_even)
 from .errors import ComputationError, RangeError, UsageError
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
@@ -47,42 +47,58 @@ class SingularSampleError(ComputationError, ValueError):
 _ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
 
 
-@dataclass(frozen=True)
-class EntireFactor:
-    kind: str  # 'exp' | 'sin' | 'cos'
-    scale: EvenElement
+class EntireFactor(_Frozen):
+    """exp, sin or cos of scale*z; kind is 'exp', 'sin' or 'cos'."""
+
+    __slots__ = ("kind", "scale")
+
+    def __init__(self, kind: str, scale: EvenElement) -> None:
+        _set_kind(self, kind)
+        _set_scale(self, scale)
 
     def at(self, x: complex) -> complex:
         """The factor at the float pair x = complex(u, v)."""
         return _ENTIRE[self.kind](complex(self.scale) * x)
 
 
-@dataclass(frozen=True)
-class Pole:
-    location: EvenElement
-    order: int
+class Pole(_Frozen):
+    """A pole of the given order at location."""
 
+    __slots__ = ("location", "order")
+
+    def __init__(self, location: EvenElement, order: int) -> None:
+        _set_location(self, location)
+        _set_order(self, order)
+
+
+_set_kind, _set_scale = _slot_setters(EntireFactor)
+_set_location, _set_order = _slot_setters(Pole)
 
 #: (location, multiplicity) pairs of a polynomial's roots
 _Roots = tuple[tuple[complex, int], ...]
 
 
-@dataclass(frozen=True)
-class MeromorphicFunction:
-    num: Polynomial
-    den: Polynomial
-    factor: EntireFactor | None = None
-    #: (location, multiplicity) roots of ``den``; given when already known
-    #: (``to_meromorphic`` keeps those found while normalizing), found here
-    #: when ``None``
-    den_roots: _Roots | None = field(
-        default=None, compare=False, repr=False)
+class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
+                          unshown=("den_roots",)):
+    """num/den times the entire factor, if any.
 
-    def __post_init__(self):
-        if self.den_roots is None:
-            roots = (tuple(find_roots(self.den.coeffs))
-                     if self.den.degree >= 1 else ())
-            object.__setattr__(self, "den_roots", roots)
+    ``den_roots`` holds the (location, multiplicity) roots of ``den``;
+    given when already known (``to_meromorphic`` keeps those found while
+    normalizing), found here when ``None``.
+    """
+
+    __slots__ = ("num", "den", "factor", "den_roots")
+
+    def __init__(self, num: Polynomial, den: Polynomial,
+                 factor: EntireFactor | None = None,
+                 den_roots: _Roots | None = None) -> None:
+        if den_roots is None:
+            den_roots = (tuple(find_roots(den.coeffs)) if den.degree >= 1
+                         else ())
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_factor(self, factor)
+        _set_den_roots(self, den_roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
         """num/den times the factor, on float pairs; one conversion out."""
@@ -100,14 +116,27 @@ class MeromorphicFunction:
         return self.den.degree - self.num.degree
 
 
+_set_num, _set_den, _set_factor, _set_den_roots = _slot_setters(
+    MeromorphicFunction)
+
+
 # ---------------------------------------------------------------------------
 # expression -> meromorphic function
 
-@dataclass(frozen=True)
-class _Rational:
-    num: Polynomial
-    den: Polynomial
-    factor: EntireFactor | None
+class _Rational(_Frozen):
+    """num/den times the factor, as folded: nothing normalized or rooted."""
+
+    __slots__ = ("num", "den", "factor")
+
+    def __init__(self, num: Polynomial, den: Polynomial,
+                 factor: EntireFactor | None) -> None:
+        _set_rational_num(self, num)
+        _set_rational_den(self, den)
+        _set_rational_factor(self, factor)
+
+
+_set_rational_num, _set_rational_den, _set_rational_factor = _slot_setters(
+    _Rational)
 
 
 def _constant(value: float) -> _Rational:
@@ -331,13 +360,18 @@ class FormClass(enum.Enum):
     CLOSED_AND_CR = "closed_and_CR"
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_Frozen):
     """alpha = k dx + g dy; ``both``, if set, gives (k, g) in one call."""
 
-    k: Callable[[float, float], float]
-    g: Callable[[float, float], float]
-    both: Callable[[float, float], tuple[float, float]] | None = None
+    __slots__ = ("k", "g", "both")
+
+    def __init__(self, k: Callable[[float, float], float],
+                 g: Callable[[float, float], float],
+                 both: Callable[[float, float], tuple[float, float]]
+                 | None = None) -> None:
+        _set_k(self, k)
+        _set_g(self, g)
+        _set_both(self, both)
 
     def at(self, x: float, y: float) -> tuple[float, float]:
         return self.both(x, y) if self.both else (self.k(x, y), self.g(x, y))
@@ -363,6 +397,9 @@ class OneForm:
 
         return OneForm(lambda x, y: both(x, y)[0],
                        lambda x, y: both(x, y)[1], both)
+
+
+_set_k, _set_g, _set_both = _slot_setters(OneForm)
 
 
 def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],

@@ -25,12 +25,11 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import EvenElement
-from .contours import (AXIS_TOL, CircleContour, COUNTERCLOCKWISE,
-                       integrate_closed)
+from .algebra import EvenElement, _Frozen, _slot_setters
+from .contours import (AXIS_DIRECTION_TOL, AXIS_TOL, CircleContour,
+                       COUNTERCLOCKWISE, integrate_closed)
 from .errors import ComputationError, UsageError
 from .functions import MeromorphicFunction, find_poles
 
@@ -50,13 +49,18 @@ class QuadratureError(ComputationError, RuntimeError):
     """Non-finite samples or failure to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    tol: float = 1e-10
+class QuadratureSpec(_Frozen):
+    """The tolerance a quadrature must reach."""
 
-    def __post_init__(self):
-        if not self.tol > 0:
+    __slots__ = ("tol",)
+
+    def __init__(self, tol: float = 1e-10) -> None:
+        if not tol > 0:
             raise UsageError("tol must be positive")
+        _set_tol(self, tol)
+
+
+_set_tol, = _slot_setters(QuadratureSpec)
 
 
 def _checked(sample: Callable[[float], complex], t: float) -> complex:
@@ -297,10 +301,10 @@ def _axis_oscillation(f: MeromorphicFunction) -> float:
     scale = f.factor.scale
     magnitude = abs(scale) + 1e-300
     if f.factor.kind == "exp":
-        if abs(scale.u) > 1e-12 * magnitude:
+        if abs(scale.u) > AXIS_DIRECTION_TOL * magnitude:
             raise QuadratureError("exp factor grows along the axis")
         return abs(scale.v)
-    if abs(scale.v) > 1e-12 * magnitude:
+    if abs(scale.v) > AXIS_DIRECTION_TOL * magnitude:
         raise QuadratureError(f"{f.factor.kind} factor grows along the axis")
     return abs(scale.u)
 
@@ -359,16 +363,30 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
                                tol)[0]
 
 
-@dataclass(frozen=True)
-class DifferentialReport:
-    passed: bool
-    symbolic: float
-    quadrature: float
-    difference: float
-    defect_symbolic: float
-    defect_quadrature: float
-    defect_difference: float
-    tol: float
+class DifferentialReport(_Frozen):
+    """The residue route's value and defect against quadrature's."""
+
+    __slots__ = ("passed", "symbolic", "quadrature", "difference",
+                 "defect_symbolic", "defect_quadrature", "defect_difference",
+                 "tol")
+
+    def __init__(self, passed: bool, symbolic: float, quadrature: float,
+                 difference: float, defect_symbolic: float,
+                 defect_quadrature: float, defect_difference: float,
+                 tol: float) -> None:
+        _set_passed(self, passed)
+        _set_symbolic(self, symbolic)
+        _set_quadrature(self, quadrature)
+        _set_difference(self, difference)
+        _set_defect_symbolic(self, defect_symbolic)
+        _set_defect_quadrature(self, defect_quadrature)
+        _set_defect_difference(self, defect_difference)
+        _set_report_tol(self, tol)
+
+
+(_set_passed, _set_symbolic, _set_quadrature, _set_difference,
+ _set_defect_symbolic, _set_defect_quadrature, _set_defect_difference,
+ _set_report_tol) = _slot_setters(DifferentialReport)
 
 
 def differential_quad_tol(tol: float) -> float:

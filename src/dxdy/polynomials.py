@@ -8,15 +8,18 @@ so the zero polynomial has an empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .algebra import EvenElement, complex_inv
+from .algebra import EvenElement, _Frozen, _slot_setters, complex_inv
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple[complex, ...]
+class Polynomial(_Frozen):
+    """p(z) = sum coeffs[k] * z**k, coefficients ascending."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[complex, ...]) -> None:
+        _set_coeffs(self, coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "Polynomial":
@@ -120,6 +123,9 @@ class Polynomial:
             out.append(quotient.pop())
             work = quotient
         return tuple(out)
+
+
+_set_coeffs, = _slot_setters(Polynomial)
 
 
 def vanishes_at(coeffs, x: complex, tol: float) -> bool:

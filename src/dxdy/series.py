@@ -12,10 +12,10 @@ coefficient is ever dropped for being small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
-                      complex_int_pow, complex_inv, complex_sin)
+from .algebra import (E_ZERO, EvenElement, _Frozen, _slot_setters,
+                      complex_cos, complex_exp, complex_int_pow, complex_inv,
+                      complex_sin)
 from .errors import ComputationError, UsageError
 
 #: default number of retained coefficients
@@ -34,8 +34,7 @@ class CenterMismatchError(UsageError):
     """Operands are centered at different points."""
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(_Frozen):
     """Sum of coeffs[k] * z'^(valuation + k) around ``center``.
 
     coeffs[0] may be zero when the builder's valuation says so, e.g. at a
@@ -43,9 +42,13 @@ class LaurentSeries:
     coefficient tuple with valuation = truncation_order + 1.
     """
 
-    center: complex
-    valuation: int
-    coeffs: tuple[complex, ...]
+    __slots__ = ("center", "valuation", "coeffs")
+
+    def __init__(self, center: complex, valuation: int,
+                 coeffs: tuple[complex, ...]) -> None:
+        _set_center(self, center)
+        _set_valuation(self, valuation)
+        _set_coeffs(self, coeffs)
 
     @property
     def truncation_order(self) -> int:
@@ -101,6 +104,9 @@ class LaurentSeries:
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_mul(self, other)
+
+
+_set_center, _set_valuation, _set_coeffs = _slot_setters(LaurentSeries)
 
 
 def zero_series(center: complex, truncation_order: int) -> LaurentSeries:

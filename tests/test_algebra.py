@@ -3,19 +3,37 @@
 import copy
 import itertools
 import math
+import os
 import pickle
+import pkgutil
 import random
+import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxdy.algebra import (DX, DXDY, DY, EvenElement, GradeError, Multivector,
-                          PolarForm, complex_cos, complex_exp, complex_inv,
-                          complex_sin, dot_one_forms, even, even_int_pow,
-                          even_mul, from_polar, mv_product, one_form, to_polar)
-from dxdy.errors import RangeError
+import dxdy
+from dxdy.algebra import (DX, DXDY, DY, E_ZERO, EvenElement, GradeError,
+                          Multivector, PolarForm, complex_cos, complex_exp,
+                          complex_inv, complex_sin, dot_one_forms, even,
+                          even_int_pow, even_mul, from_polar, mv_product,
+                          one_form, to_polar)
+from dxdy.checks import CheckResult
+from dxdy.contours import (CLOCKWISE, COUNTERCLOCKWISE, CircleContour,
+                           IntegralResult)
+from dxdy.errors import RangeError, UsageError
+from dxdy.exactmath import Dyadic, DyadicPoly
+from dxdy.expressions import BinOp, Call, Neg, Num, Pow, Sym, _Token
+from dxdy.functions import (EntireFactor, MeromorphicFunction, OneForm, Pole,
+                            _Rational)
+from dxdy.oracle import DifferentialReport, QuadratureSpec
+from dxdy.polynomials import Polynomial
+from dxdy.residues import ResidueReport
+from dxdy.series import LaurentSeries
 
 from helpers import reference_inv
 
@@ -232,16 +250,86 @@ def test_reciprocal_position_form_gives_angular_form():
         assert produced.s == 0.0 and produced.p == 0.0
 
 
-# (value, its repr, its field tuple) for each immutable value type
+_POLE = Pole(EvenElement(0.0, 1.0), 2)
+_ONE, _Z = Polynomial((1 + 0j,)), Polynomial((0j, 1 + 0j))
+_Z2_PLUS_1 = Polynomial((1 + 0j, 0j, 1 + 0j))
+
+# (value, its repr, its compared fields) for each immutable value type; the
+# reprs are those the frozen dataclasses printed, and the compared fields,
+# passed positionally, rebuild the value
 VALUE_TYPES = [
     (EvenElement(1.0, 2.0), "EvenElement(u=1.0, v=2.0)", (1.0, 2.0)),
     (Multivector(1.0, -0.0, 3.5, -4.0),
      "Multivector(s=1.0, a=-0.0, b=3.5, p=-4.0)", (1.0, -0.0, 3.5, -4.0)),
     (PolarForm(2.0, 0.5), "PolarForm(rho=2.0, phi=0.5)", (2.0, 0.5)),
+    (Num(2.5), "Num(value=2.5)", (2.5,)),
+    (Sym("z"), "Sym(name='z')", ("z",)),
+    (Neg(Sym("z")), "Neg(operand=Sym(name='z'))", (Sym("z"),)),
+    (BinOp("+", Num(1.0), Sym("z")),
+     "BinOp(op='+', left=Num(value=1.0), right=Sym(name='z'))",
+     ("+", Num(1.0), Sym("z"))),
+    (Pow(Sym("z"), 3), "Pow(base=Sym(name='z'), exponent=3)", (Sym("z"), 3)),
+    (Call("exp", Sym("z")), "Call(func='exp', arg=Sym(name='z'))",
+     ("exp", Sym("z"))),
+    (_Token("num", "2.5", 4, 2.5),
+     "_Token(kind='num', text='2.5', pos=4, value=2.5)",
+     ("num", "2.5", 4, 2.5)),
+    (Dyadic(3, -1, 2), "Dyadic(re=3, im=-1, exp=2)", (3, -1, 2)),
+    (DyadicPoly((1, 2), (0, -1), 3),
+     "DyadicPoly(re=(1, 2), im=(0, -1), exp=3)", ((1, 2), (0, -1), 3)),
+    (_Z, "Polynomial(coeffs=(0j, (1+0j)))", ((0j, 1 + 0j),)),
+    (LaurentSeries(1 + 0j, -2, (1j, 0j, 3 + 0j)),
+     "LaurentSeries(center=(1+0j), valuation=-2, coeffs=(1j, 0j, (3+0j)))",
+     (1 + 0j, -2, (1j, 0j, 3 + 0j))),
+    (EntireFactor("sin", EvenElement(2.0, -0.0)),
+     "EntireFactor(kind='sin', scale=EvenElement(u=2.0, v=-0.0))",
+     ("sin", EvenElement(2.0, -0.0))),
+    (_POLE, "Pole(location=EvenElement(u=0.0, v=1.0), order=2)",
+     (EvenElement(0.0, 1.0), 2)),
+    (MeromorphicFunction(_ONE, _Z2_PLUS_1),
+     "MeromorphicFunction(num=Polynomial(coeffs=((1+0j),)), "
+     "den=Polynomial(coeffs=((1+0j), 0j, (1+0j))), factor=None)",
+     (_ONE, _Z2_PLUS_1, None)),
+    (_Rational(_ONE, _Z, None),
+     "_Rational(num=Polynomial(coeffs=((1+0j),)), "
+     "den=Polynomial(coeffs=(0j, (1+0j))), factor=None)", (_ONE, _Z, None)),
+    (OneForm(math.hypot, math.atan2),
+     "OneForm(k=<built-in function hypot>, g=<built-in function atan2>, "
+     "both=None)", (math.hypot, math.atan2, None)),
+    (CircleContour(EvenElement(0.5, 0.0), 1.5),
+     "CircleContour(center=EvenElement(u=0.5, v=0.0), radius=1.5, "
+     "orientation='counterclockwise', clearance=None)",
+     (EvenElement(0.5, 0.0), 1.5, "counterclockwise", None)),
+    (IntegralResult(-6.25, 0.125, (_POLE,), (EvenElement(0.0, 1.0),), ("w",),
+                    "upper"),
+     "IntegralResult(real_value=-6.25, imaginary_defect=0.125, "
+     "enclosed=(Pole(location=EvenElement(u=0.0, v=1.0), order=2),), "
+     "residues=(EvenElement(u=0.0, v=1.0),), warnings=('w',))",
+     (-6.25, 0.125, (_POLE,), (EvenElement(0.0, 1.0),), ("w",), "upper")),
+    (QuadratureSpec(1e-8), "QuadratureSpec(tol=1e-08)", (1e-8,)),
+    (DifferentialReport(True, 1.0, 1.5, 0.5, 0.0, -0.0, 0.0, 1e-8),
+     "DifferentialReport(passed=True, symbolic=1.0, quadrature=1.5, "
+     "difference=0.5, defect_symbolic=0.0, defect_quadrature=-0.0, "
+     "defect_difference=0.0, tol=1e-08)",
+     (True, 1.0, 1.5, 0.5, 0.0, -0.0, 0.0, 1e-8)),
+    (ResidueReport(_POLE, EvenElement(0.0, -0.5), EvenElement(1.0, 0.0),
+                   "order_reduction", ((-2, EvenElement(1.0, 0.0)),)),
+     "ResidueReport(pole=Pole(location=EvenElement(u=0.0, v=1.0), order=2), "
+     "a_minus_1=EvenElement(u=0.0, v=-0.5), "
+     "leading=EvenElement(u=1.0, v=0.0), method='order_reduction', "
+     "extracted=((-2, EvenElement(u=1.0, v=0.0)),))",
+     (_POLE, EvenElement(0.0, -0.5), EvenElement(1.0, 0.0),
+      "order_reduction", ((-2, EvenElement(1.0, 0.0)),))),
+    (CheckResult("name", True, "detail"),
+     "CheckResult(name='name', passed=True, detail='detail')",
+     ("name", True, "detail")),
 ]
 each_value_type = pytest.mark.parametrize(
     "value, text, fields", VALUE_TYPES,
     ids=[type(value).__name__ for value, _, _ in VALUE_TYPES])
+
+# constructors that check their arguments or root a denominator
+_VALIDATING = (CircleContour, QuadratureSpec, MeromorphicFunction)
 
 
 @each_value_type
@@ -253,7 +341,10 @@ def test_value_types_repr_eq_and_hash(value, text, fields):
     assert value.__eq__(fields) is NotImplemented
     assert value != fields
     for other, _, other_fields in VALUE_TYPES:
-        if type(other) is not type(value) and len(other_fields) == len(fields):
+        if type(other) is type(value):
+            continue
+        assert value != other
+        if len(other_fields) == len(fields) and type(other) not in _VALIDATING:
             assert value != type(other)(*fields)
 
 
@@ -278,10 +369,89 @@ def test_value_types_copy_and_pickle(value, text, fields):
         assert twin == value and repr(twin) == text
 
 
+@each_value_type
+def test_value_types_take_their_fields_as_keywords(value, text, fields):
+    names = type(value).__slots__[:len(fields)]
+    assert type(value)(**dict(zip(names, fields))) == value
+
+
 def test_multivector_keeps_its_defaults_and_keywords():
     assert Multivector() == Multivector(0.0, 0.0, 0.0, 0.0)
     assert repr(Multivector(p=2.0, a=1.0)) == (
         "Multivector(s=0.0, a=1.0, b=0.0, p=2.0)")
+
+
+def test_value_types_keep_their_defaults():
+    assert _Token("end", "", 3) == _Token("end", "", 3, 0.0)
+    assert MeromorphicFunction(num=_ONE, den=_Z).factor is None
+    assert OneForm(k=math.hypot, g=math.atan2).both is None
+    contour = CircleContour(center=EvenElement(0.0, 0.0), radius=1.0)
+    assert (contour.orientation, contour.clearance) == (COUNTERCLOCKWISE,
+                                                         None)
+    result = IntegralResult(real_value=0.0, imaginary_defect=0.0, enclosed=())
+    assert (result.residues, result.warnings, result.half_plane) == (
+        (), (), None)
+    assert repr(result) == ("IntegralResult(real_value=0.0, "
+                            "imaginary_defect=0.0, enclosed=(), residues=(), "
+                            "warnings=())")
+    assert QuadratureSpec() == QuadratureSpec(tol=1e-10)
+    report = ResidueReport(_POLE, E_ZERO, E_ZERO, "derivative_formula")
+    assert report.extracted == ()
+
+
+def test_den_roots_stay_out_of_eq_hash_and_repr():
+    f = MeromorphicFunction(_ONE, _Z2_PLUS_1)
+    assert f.den_roots == ((-1j, 1), (1j, 1))
+    given = MeromorphicFunction(_ONE, _Z2_PLUS_1, None, ((5j, 2),))
+    assert given.den_roots == ((5j, 2),)  # taken as given, not found
+    assert given == f and hash(given) == hash(f) and repr(given) == repr(f)
+    for twin in (copy.copy(given), pickle.loads(pickle.dumps(given))):
+        assert twin.den_roots == ((5j, 2),)
+    assert MeromorphicFunction(_ONE, _Z) != _Rational(_ONE, _Z, None)
+
+
+def test_half_plane_is_compared_but_not_shown():
+    upper, lower = (IntegralResult(1.0, 0.0, (), half_plane=side)
+                    for side in ("upper", "lower"))
+    assert upper != lower and repr(upper) == repr(lower)
+    assert hash(upper) == hash((1.0, 0.0, (), (), (), "upper"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CircleContour(E_ZERO, 0.0), "radius must be positive"),
+    (lambda: CircleContour(E_ZERO, -1.0), "radius must be positive"),
+    (lambda: CircleContour(E_ZERO, math.nan), "radius must be positive"),
+    (lambda: CircleContour(E_ZERO, 1.0, "sideways"),
+     "unknown orientation 'sideways'"),
+    (lambda: CircleContour(E_ZERO, 1.0, clearance=0.0),
+     "clearance must be positive"),
+    (lambda: CircleContour(E_ZERO, 1.0, CLOCKWISE, math.nan),
+     "clearance must be positive"),
+    (lambda: QuadratureSpec(0.0), "tol must be positive"),
+    (lambda: QuadratureSpec(tol=-1e-8), "tol must be positive"),
+    (lambda: QuadratureSpec(math.nan), "tol must be positive"),
+])
+def test_contour_and_spec_constructors_check_their_arguments(build, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_importing_the_package_builds_no_dataclass():
+    # each frozen dataclass costs about 1 ms of import time, which every
+    # CLI call pays; the value classes are slotted on algebra._Frozen
+    modules = ", ".join(f"dxdy.{m.name}"
+                        for m in pkgutil.iter_modules(dxdy.__path__)
+                        if m.name != "__main__")
+    code = ("import dataclasses\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('dataclass built at import')\n"
+            "dataclasses.dataclass = refuse\n"
+            f"import dxdy, {modules}\n")
+    src = os.path.dirname(os.path.dirname(dxdy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _binary_power(x, m):
