@@ -26,7 +26,6 @@ part.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 from .errors import RangeError, UsageError
@@ -43,7 +42,9 @@ class _Frozen:
     its ``__init__`` sets them through the slots' ``__set__``, bound once
     at module level.  Class keywords leave fields out: ``uncompared`` of eq
     and hash, ``unshown`` of repr.  Copy and pickle rebuild from every
-    field.
+    field.  Assignment and deletion raise dataclasses.FrozenInstanceError,
+    imported where it is raised: dataclasses loads inspect, so importing
+    it at the top would add both to every CLI call's start.
     """
 
     __slots__ = ()
@@ -58,9 +59,11 @@ class _Frozen:
         cls._shown = tuple(f for f in cls.__slots__ if f not in unshown)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):

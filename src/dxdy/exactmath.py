@@ -2,12 +2,18 @@
 
 Every double is m * 2**e, so a polynomial with double coefficients and a
 double point are exactly Gaussian integers over one common power of two.
-The root finder's kernel works in that form: repeated synthetic division
-(homogeneous Horner) over plain Python ``int`` gives the Taylor
-coefficients t_j at x, p(x) and p'(x) among them, with no rounding and no
-gcd.  Each result converts back through one ``int / int`` true division,
-which CPython rounds correctly, so a value or a ratio of two values is the
-nearest double to the exact rational, as ``float(Fraction)`` gives it.
+The root finder's kernels work in that form: homogeneous Horner passes
+over plain Python ``int`` give the Taylor coefficients t_j at x with no
+rounding and no gcd.  Newton's p(x) and p'(x) come from one pass
+(``dyadic_value_and_slope``), any single t_j from one pass of its own, and
+the full shift from repeated synthetic division.  The single passes read
+the nonzero coefficients only: a run of m zeros is one step by the exact
+Gaussian power X**m, so z**n + c costs two steps however large n is.
+Exactness makes the skipping free of rounding: every kernel ends on the
+shift's integers.  Each result converts back through one ``int / int``
+true division, which CPython rounds correctly, so a value or a ratio of
+two values is the nearest double to the exact rational, as
+``float(Fraction)`` gives it.
 
 Exactness sidesteps the noise floor that plain float arithmetic cannot
 beat: evaluating a polynomial near a root of multiplicity m loses all
@@ -77,7 +83,7 @@ def _dyadic_parts(z: complex) -> tuple[int, int, int]:
 
 def dyadic_poly(coeffs: Sequence[complex]) -> DyadicPoly:
     """The exact dyadic form of a complex coefficient list (ascending)."""
-    parts = [_dyadic_parts(complex(c)) for c in coeffs]
+    parts = [_dyadic_parts(complex(c)) if c else (0, 0, 0) for c in coeffs]
     exp = max((e for _, _, e in parts), default=0)
     return DyadicPoly(tuple(r << (exp - e) for r, _, e in parts),
                       tuple(i << (exp - e) for _, i, e in parts), exp)
@@ -112,6 +118,61 @@ def dyadic_taylor_shift(poly: DyadicPoly, center: complex,
     return out
 
 
+def dyadic_value_and_slope(poly: DyadicPoly,
+                           x: complex) -> tuple[Dyadic, Dyadic]:
+    """Exact p(x) and p'(x): dyadic_taylor_shift(poly, x, 2), integer for
+    integer, from one homogeneous Horner pass over the nonzero coefficients.
+
+    The pass carries P and D, p and p' of the coefficients read so far, as
+    in (P, D) <- (P*X + c_k, D*X + P), each product in three as in the
+    shift.  m steps with no coefficient between are
+    (P*X**m, D*X**m + m*P*X**(m-1)), so a run of zeros costs one binary
+    powering.  P ends on p(x) * 2**(exp + s*n) and D on
+    p'(x) * 2**(exp + s*(n-1)), the shift's integers.  Needs degree >= 1.
+    """
+    re, im = poly.re, poly.im
+    n = len(re) - 1
+    xr, xi, s = _dyadic_parts(x)
+    xsum, xdiff = xr + xi, xi - xr
+    pr = pi = dr = di = 0
+    top = n  # index of the last coefficient read
+    for k in range(n, -1, -1):
+        cr, ci = re[k], im[k]
+        if not (cr or ci) and k:
+            continue  # c_0 is read even when zero: it ends the last run
+        if top - k == 1:
+            k1 = xr * (dr + di)
+            k2 = xr * (pr + pi)
+            pr, pi, dr, di = (k2 - pi * xsum, k2 + pr * xdiff,
+                              k1 - di * xsum + pr, k1 + dr * xdiff + pi)
+        elif top > k:
+            # m steps: P*X**m and (D*X + m*P) * X**(m-1)
+            m = top - k
+            yr, yi = _gaussian_power(xr, xi, m - 1)
+            tr, ti = dr * xr - di * xi + m * pr, dr * xi + di * xr + m * pi
+            pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+            pr, pi, dr, di = (pr * yr - pi * yi, pr * yi + pi * yr,
+                              tr * yr - ti * yi, tr * yi + ti * yr)
+        shift = s * (n - k)
+        pr += cr << shift
+        pi += ci << shift
+        top = k
+    return (Dyadic(pr, pi, poly.exp + s * n),
+            Dyadic(dr, di, poly.exp + s * (n - 1)))
+
+
+def _gaussian_power(xr: int, xi: int, m: int) -> tuple[int, int]:
+    """(xr + i*xi)**m for m >= 0, by binary powering."""
+    rr, ri = 1, 0
+    while m:
+        if m & 1:
+            rr, ri = rr * xr - ri * xi, rr * xi + ri * xr
+        m >>= 1
+        if m:
+            xr, xi = (xr + xi) * (xr - xi), 2 * xr * xi
+    return rr, ri
+
+
 def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
                               j: int) -> Dyadic:
     """Exact t_j alone: dyadic_taylor_shift(poly, center, j + 1)[j].
@@ -119,20 +180,30 @@ def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
     t_j = sum_{i >= j} C(i, j) c_i center**(i - j), one Horner pass over
     i = n .. j in the shift's homogeneous form (coefficient i held as
     C(i, j) c_i * 2**(exp + s*(n-i))), so it ends on the same integers
-    over the same power of two.  Needs 0 <= j <= degree.
+    over the same power of two.  A run of zero c_i is one multiplication
+    by a power of X = center * 2**s.  Needs 0 <= j <= degree.
     """
-    n = len(poly.re) - 1
+    re, im = poly.re, poly.im
+    n = len(re) - 1
     xr, xi, s = _dyadic_parts(center)
     xsum, xdiff = xr + xi, xi - xr
-    binom = math.comb(n, j)
     ar = ai = 0
+    top = n  # index of the last coefficient read
     for i in range(n, j - 1, -1):
-        k1 = xr * (ar + ai)
+        cr, ci = re[i], im[i]
+        if not (cr or ci) and i > j:
+            continue  # c_j is read even when zero: it ends the last run
+        if top - i == 1:
+            k1 = xr * (ar + ai)
+            ar, ai = k1 - ai * xsum, k1 + ar * xdiff
+        elif top > i:
+            yr, yi = _gaussian_power(xr, xi, top - i)
+            ar, ai = ar * yr - ai * yi, ar * yi + ai * yr
+        binom = math.comb(i, j)
         shift = s * (n - i)
-        ar, ai = (k1 - ai * xsum + (binom * poly.re[i] << shift),
-                  k1 + ar * xdiff + (binom * poly.im[i] << shift))
-        if i > j:
-            binom = binom * (i - j) // i  # C(i - 1, j)
+        ar += binom * cr << shift
+        ai += binom * ci << shift
+        top = i
     return Dyadic(ar, ai, poly.exp + s * (n - j))
 
 

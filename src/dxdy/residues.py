@@ -26,8 +26,8 @@ from .exactmath import (Dyadic, DyadicPoly, dyadic_poly,
 from .functions import (RESIDUAL_TOL, EntireFactor, MeromorphicFunction,
                         Pole, _den_valuation, local_expansion)
 from .polynomials import Polynomial, vanishes_at
-from .series import (DEFAULT_WINDOW, LaurentSeries, WindowError,
-                     _zero_order, derivative_cycle)
+from .series import (LaurentSeries, WindowError, _zero_order,
+                     derivative_cycle)
 
 #: widest coefficient window laurent_expand will produce
 MAX_LAURENT_WINDOW = 64
@@ -209,7 +209,8 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
     if n > 170:  # 171! exceeds the largest double
         raise RangeError(f"{n}! lies beyond the double range")
     _require_regular(f, z0)
-    s = local_expansion(f, z0, max(DEFAULT_WINDOW, n + 2))
+    # coefficient n of each shift, product and inverse reads inputs 0..n
+    s = local_expansion(f, z0, n + 1)
     if s.is_zero() or n < s.valuation:
         return E_ZERO
     return s.coefficient(n) * float(math.factorial(n))

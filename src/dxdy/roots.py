@@ -35,12 +35,16 @@ multiplicities.  The pipeline is therefore:
 Centers of accepted groups start from the group mean (first-order scatter
 cancels around a multiple root) and are refined with a Newton step on
 t_{k-1}, so reported locations do not inherit the scatter; simple roots get
-plain Newton steps, and a simple root whose |p'| is below the rounding of
-the coefficients raises RootFindingError, since it may as well be multiple
-(a multiple root that no hypothesis accepted shows up so).  The monic
-coefficients and every iterate are doubles, hence dyadic: p, p' and the
-t_j come exact from ``exactmath``'s Gaussian integer Horner passes, and
-each step or test value is rounded once from the exact rational.
+plain Newton steps, each from p and p' of one exact pass, until the step
+is below 1e-16 * (1 + |x|) or x no longer moves (far from 0, half an ulp
+can exceed that bound, and further steps would repeat the last one).  A
+simple root whose |p'| is below the rounding of the coefficients raises
+RootFindingError, since it may as well be multiple (a multiple root that
+no hypothesis accepted shows up so).  The monic coefficients and every
+iterate are doubles, hence dyadic: p, p' and the t_j come exact from
+``exactmath``'s Gaussian integer Horner passes, which step over zero
+coefficients, and each step or test value is rounded once from the exact
+rational.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import sys
 from .algebra import EvenElement
 from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
-                        dyadic_taylor_coefficient, dyadic_taylor_shift)
+                        dyadic_taylor_coefficient, dyadic_value_and_slope)
 from .polynomials import Polynomial, vanishes_at
 
 #: two polished roots closer than this (times 1 + |root|) are the same root
@@ -281,18 +285,21 @@ def _newton_polish(mags: list[float], exact: DyadicPoly,
                    x0: complex) -> complex:
     """Plain Newton with exact evaluation; quadratic for simple roots.
 
-    Raises RootFindingError if |p'(x)| is within eps of its scale
-    sum k |a_k| |x|**(k-1): a change of the coefficients below their
-    rounding then makes x a double root, so x may as well be multiple.
+    Each step takes p and p' from one exact pass.  It stops once the step
+    is below 1e-16 * (1 + |x|), or once x - step rounds back to x: then
+    every further step would be the same one.  Raises RootFindingError if
+    |p'(x)| is within eps of its scale sum k |a_k| |x|**(k-1): a change of
+    the coefficients below their rounding then makes x a double root, so
+    x may as well be multiple.
     """
     x = x0
     for _ in range(_NEWTON_MAX_ITER):
-        p, dp = dyadic_taylor_shift(exact, x, 2)
+        p, dp = dyadic_value_and_slope(exact, x)
         if p.is_zero() or dp.is_zero():
             break
         step = dyadic_ratio(p, dp)
-        x = x - step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+        x, last = x - step, x
+        if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
     if (abs(dp.to_complex())
             <= sys.float_info.epsilon * _coefficient_scale(mags, abs(x), 1)):

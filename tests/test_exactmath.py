@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxdy.exactmath import (dyadic_poly, dyadic_ratio,
+from dxdy.exactmath import (Dyadic, dyadic_poly, dyadic_ratio,
                             dyadic_series_quotient, dyadic_taylor_coefficient,
-                            dyadic_taylor_shift)
+                            dyadic_taylor_shift, dyadic_value_and_slope)
 
 from exact_reference import EXACT_ZERO, ExactEven, exact_series_quotient
 
@@ -79,6 +79,18 @@ _parts = st.one_of(
 _complex = st.builds(complex, _parts, _parts)
 _coeffs = st.lists(_complex, min_size=1, max_size=7)
 
+# sparse polynomials up to degree 20: each coefficient zero (of either
+# sign) about half the time, with leading and trailing zero runs
+_zero = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                         complex(-0.0, -0.0)])
+_sparse = st.builds(
+    lambda lead, body, trail: ([0j] * lead + body + [0j] * trail)[:21],
+    st.integers(0, 4), st.lists(st.one_of(_zero, _complex), max_size=21),
+    st.integers(0, 4)).filter(lambda cs: len(cs) >= 2)
+# centres at 0, on either axis and anywhere
+_center = st.one_of(st.just(0j), st.builds(complex, _parts),
+                    st.builds(lambda v: complex(0.0, v), _parts), _complex)
+
 
 @settings(max_examples=100, deadline=None)
 @given(_coeffs.filter(lambda cs: len(cs) >= 2), _complex)
@@ -93,6 +105,50 @@ def test_value_and_derivative_match_reference(coeffs, x):
     if not is_zero(ref_dp):
         assert (outcome(lambda: dyadic_ratio(p, dp))
                 == outcome(lambda: rounded(ref_p / ref_dp)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse, _center)
+def test_one_pass_value_and_slope_on_sparse_polynomials(coeffs, x):
+    poly = dyadic_poly(coeffs)
+    got = dyadic_value_and_slope(poly, x)
+    assert got == tuple(dyadic_taylor_shift(poly, x, 2))
+    ref = reference_eval_with_derivative([exact(c) for c in coeffs],
+                                         exact(x))
+    assert [exact_value(d) for d in got] == list(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse, _center)
+def test_single_taylor_coefficient_on_sparse_polynomials(coeffs, center):
+    poly = dyadic_poly(coeffs)
+    assert ([dyadic_taylor_coefficient(poly, center, j)
+             for j in range(len(coeffs))]
+            == dyadic_taylor_shift(poly, center, len(coeffs)))
+
+
+def test_one_pass_steps_over_a_zero_coefficient_run():
+    # z^9 + c at a root of it and at 0, where the run of eight zeros ends
+    # the pass
+    poly = dyadic_poly([0.7 - 0.2j] + [0j] * 8 + [1 + 0j])
+    for x in (0.8706 + 0.2894j, 0j, -1.5, 2.25j):
+        assert (dyadic_value_and_slope(poly, x)
+                == tuple(dyadic_taylor_shift(poly, x, 2)))
+    # p = 0 with p' != 0 before a run: z^2 - z at 1 is a simple zero
+    poly = dyadic_poly([0j, 0j, -1, 1, 0j, 0j])
+    assert (dyadic_value_and_slope(poly, 1.0)
+            == tuple(dyadic_taylor_shift(poly, 1.0, 2)))
+
+
+def test_signed_zero_coefficients_are_exact_zeros():
+    poly = dyadic_poly([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                        complex(-0.0, -0.0), 0.75 - 0.5j])
+    assert poly.re == (0, 0, 0, 0, 0, 3)
+    assert poly.im == (0, 0, 0, 0, 0, -2)
+    assert poly.exp == 2
+    assert dyadic_poly([-0.0, 0.0]) == dyadic_poly([0j, 0j])
+    assert dyadic_value_and_slope(poly, 2.0) == (Dyadic(96, -64, 2),
+                                                 Dyadic(240, -160, 2))
 
 
 @settings(max_examples=100, deadline=None)

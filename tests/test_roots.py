@@ -223,23 +223,64 @@ def test_failing_double_root_hypothesis_costs_at_most_17_passes(monkeypatch):
     near = min(found[1:], key=lambda x: abs(x - found[0]))
     passes = [0]
     coefficient = roots.dyadic_taylor_coefficient
-    shift = roots.dyadic_taylor_shift
+    value_and_slope = roots.dyadic_value_and_slope
 
     def one_pass(poly, center, j):
         passes[0] += 1
         return coefficient(poly, center, j)
 
-    def many_passes(poly, center, terms):
-        passes[0] += terms
-        return shift(poly, center, terms)
+    def newton_pass(poly, x):
+        passes[0] += 1
+        return value_and_slope(poly, x)
 
     monkeypatch.setattr(roots, "dyadic_taylor_coefficient", one_pass)
-    monkeypatch.setattr(roots, "dyadic_taylor_shift", many_passes)
+    monkeypatch.setattr(roots, "dyadic_value_and_slope", newton_pass)
     center = roots._refine_and_verify([abs(c) for c in monic],
                                       roots.dyadic_poly(monic),
                                       (found[0] + near) / 2, 2)
     assert center is None
     assert 0 < passes[0] <= 17
+
+
+def _counted_newton_passes(monkeypatch) -> list[complex]:
+    """The points of every dyadic_value_and_slope call find_roots makes."""
+    points = []
+    value_and_slope = roots.dyadic_value_and_slope
+
+    def counted(poly, x):
+        points.append(x)
+        return value_and_slope(poly, x)
+
+    monkeypatch.setattr(roots, "dyadic_value_and_slope", counted)
+    return points
+
+
+def test_binomial_roots_take_one_exact_pass_each(monkeypatch):
+    # the degree ladder 1/(z^n + c), n = 3..15, |c| in [0.5, 2], any
+    # phase: Aberth's roots are polished by the first Newton step
+    rng = random.Random(24)
+    points = _counted_newton_passes(monkeypatch)
+    for n in range(3, 16):
+        for _ in range(15):
+            c = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+            points.clear()
+            found = find_roots([c] + [0j] * (n - 1) + [1 + 0j])
+            assert [m for _, m in found] == [1] * n
+            assert len(points) == n
+
+
+def test_newton_stops_once_the_iterate_no_longer_moves(monkeypatch):
+    # at the root near -16.7+67.3i, x - step rounds back to x while |step|
+    # is above 1e-16 * (1 + |x|): the second pass repeats the first step
+    coeffs = [-646701.0609233306 - 36186.01895417756j,
+              -9615.781538731793 - 19466.964108416032j,
+              133.35048161431143 - 213.2951346045234j, 1 + 0j]
+    points = _counted_newton_passes(monkeypatch)
+    found = find_roots(coeffs)
+    stuck = -16.687438619546217 + 67.2553863187335j
+    assert (stuck, 1) in found
+    assert 0 < points.count(stuck) <= 2
+    assert len(points) <= 6
 
 
 @pytest.mark.parametrize("n", range(15, 33))
