@@ -8,12 +8,14 @@ all outputs in order; an operation that raises contributes
 same bits for every operation.  ``--workload all`` prints one such line
 per workload.  ``--against CHECKOUT`` also runs CHECKOUT's own bitcheck on
 the same workloads, seeds and rounds, prints ``match`` or ``mismatch`` per
-workload and exits 1 on any mismatch.  Before those verdicts it prints,
-for each mismatching workload, the first operation whose output differs:
-seed, round, kind, params and both reprs.  Those come from this script
-run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source CHECKOUT
---outcomes``, one JSON line per operation), since CHECKOUT's own bitcheck
-may print only hashes.
+workload and exits 1 on any mismatch.  Before those verdicts it lists,
+for each mismatching workload, every operation whose output differs:
+seed, round, kind, params, both reprs, and the size of the change over
+the numbers in the reprs (how many differ, the largest absolute and the
+largest relative change, relative to CHECKOUT's value).  Those come from
+this script run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source
+CHECKOUT --outcomes``, one JSON line per operation), since CHECKOUT's own
+bitcheck may print only hashes.
 
     python3 scripts/bitcheck.py --workload verify --seeds 1-4 --rounds 3
     python3 scripts/bitcheck.py --workload all --seeds 1-4 --rounds 3
@@ -30,6 +32,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,27 +109,69 @@ def their_lines(checkout: Path, workload: str, seed_list: list[int],
             if line.strip()}
 
 
-def first_difference(checkout: Path, workload: str, seed_list: list[int],
-                     rounds: int) -> list[str]:
-    """The first operation whose output differs in CHECKOUT, as lines."""
+#: a decimal number in a repr, with its sign if it has one; the digits
+#: that end a name, as in gap4, are none
+NUMBER = re.compile(r"((?:[-+]|(?<![\w.]))"
+                    r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|inf(?![a-ik-z])|nan(?![a-ik-z])))")
+
+
+def change(here: str, there: str) -> tuple[str, float, float]:
+    """How the numbers in here differ from those in there: a description,
+    the largest absolute and the largest relative change (to there)."""
+    ours, theirs = NUMBER.split(here), NUMBER.split(there)
+    if ours[::2] != theirs[::2]:  # no size to give
+        return "the text around the numbers differs", 0.0, 0.0
+    pairs = [(float(a), float(b))
+             for a, b in zip(ours[1::2], theirs[1::2]) if a != b]
+    largest = relative = 0.0
+    for a, b in pairs:
+        size = abs(a - b)
+        if not size <= math.inf:  # a nan on either side, or inf - inf
+            size = math.inf
+        largest = max(largest, size)
+        relative = max(relative, size / abs(b) if 0.0 < abs(b) < math.inf
+                       else math.inf if size else 0.0)
+    return (f"{len(pairs)} of {len(ours) // 2} numbers differ, largest "
+            f"change {largest:.3g} absolute, {relative:.3g} relative",
+            largest, relative)
+
+
+def differences(checkout: Path, workload: str, seed_list: list[int],
+                rounds: int) -> list[str]:
+    """Every operation whose output differs in CHECKOUT, as lines."""
     out = _run([str(SCRIPT), "--source", str(checkout), "--outcomes",
                 "--workload", workload, "--seeds",
                 ",".join(map(str, seed_list)), "--rounds", str(rounds)],
                checkout)
     theirs = [tuple(json.loads(line)) for line in out.splitlines()]
     ours = list(outcomes(workload, seed_list, rounds))
+    lines = []
+    count = 0
+    largest = relative = 0.0
     for here, there in zip(ours, theirs):
-        if here != there:
-            seed, number, kind, params, output = here
-            return [f"{workload}: first difference at seed {seed} round "
-                    f"{number}, {kind} {params}",
-                    f"    here:  {output}",
-                    f"    there: {there[4]}" if here[:4] == there[:4]
-                    else f"    there: {there}"]
+        if here == there:
+            continue
+        count += 1
+        seed, number, kind, params, output = here
+        if here[:4] == there[:4]:
+            size, absolute, rel = change(output, there[4])
+            largest, relative = max(largest, absolute), max(relative, rel)
+            shown = f"    there: {there[4]}"
+        else:
+            size, shown = "another operation there", f"    there: {there}"
+        lines += [f"{workload}: {'first' if count == 1 else 'next'} "
+                  f"difference at seed {seed} round {number}, {kind} "
+                  f"{params}: {size}",
+                  f"    here:  {output}", shown]
     if len(ours) != len(theirs):
-        return [f"{workload}: {len(ours)} operations here, {len(theirs)} "
-                f"there"]
-    return [f"{workload}: no operation differs on a rerun"]
+        lines.append(f"{workload}: {len(ours)} operations here, "
+                     f"{len(theirs)} there")
+    if not lines:
+        return [f"{workload}: no operation differs on a rerun"]
+    return [f"{workload}: {count} of {len(ours)} operations differ, largest "
+            f"change {largest:.3g} absolute, {relative:.3g} relative",
+            *lines]
 
 
 def main(argv=None) -> int:
@@ -169,8 +215,8 @@ def main(argv=None) -> int:
         same = theirs.get(workload) == line
         status |= not same
         if not same:
-            print("\n".join(first_difference(checkout, workload, args.seeds,
-                                             args.rounds)), flush=True)
+            print("\n".join(differences(checkout, workload, args.seeds,
+                                        args.rounds)), flush=True)
         verdicts.append(f"{workload}: {'match' if same else 'mismatch'} "
                         f"against {args.against}")
     # the verdicts come last, one line per workload

@@ -107,12 +107,21 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
     level's new samples are summed exactly rounded (fsum), so an estimate
     is within a few ulps of n * max|sample| * step of the fixed-n rule.
     Each part stops at its own limit, bit for bit where a run on it alone
-    would, and nodes are sampled only while some part needs them.
+    would, and nodes are sampled only while some part needs them.  A level
+    is sampled and checked finite in one pass; one with a bad sample is
+    walked again through ``_checked``, which names its first bad node.
     """
     origin = start + shift * period / MIN_POINTS
 
     def sums(nodes):
-        samples = [_checked(sample, t) for t in nodes]
+        nodes = list(nodes)
+        try:
+            samples = list(map(sample, nodes))
+            finite = all(map(cmath.isfinite, samples))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            finite = False
+        if not finite:  # again node by node, to name the first bad one
+            samples = [_checked(sample, t) for t in nodes]
         try:
             return [math.fsum(map(part, samples)) for part in _PARTS[:parts]]
         except OverflowError:  # finite samples, but their sum is not

@@ -15,7 +15,9 @@ multiplicities.  The pipeline is therefore:
    entering a sweep is within DK_FLOOR times Horner's rounding bound,
    the noise floor where a multiple root's cloud sits (the stopping rule
    of Bini and Fiorentino, Numer. Algorithms 23, 2000); iterating past
-   it only spreads the cloud, so a start already there gets no sweep;
+   it only spreads the cloud, so a start already there gets no sweep.
+   Each sweep's Horner pass takes one step per run of zero coefficients,
+   and one step per coefficient where there is no zero;
 2. single-linkage grouping with a radius that follows the eps**(1/k)
    scatter law for k = k*, the most raw roots a cluster obeying that law
    can hold: the largest k such that some raw root has k raw roots,
@@ -53,7 +55,7 @@ import cmath
 import math
 import sys
 
-from .algebra import EvenElement
+from .algebra import EvenElement, complex_int_pow
 from .errors import ComputationError, UsageError
 from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_coefficient, dyadic_value_and_slope)
@@ -72,7 +74,8 @@ VERIFY_TOL = 1e-5
 KAPPA = 1e-10
 
 #: Aberth stops once every |p(x)| entering a sweep is within this many
-#: Horner rounding bounds
+#: Horner rounding bounds (the name, and the JSON key root_dk_floor, date
+#: from the Durand-Kerner iteration that Aberth replaced)
 DK_FLOOR = 8.0
 
 _MAX_SWEEPS = 600
@@ -150,7 +153,12 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
     Gauss-Seidel Aberth sweeps from the centroid start: each x_i
     moves by N/(1 - N*sum_{j != i} 1/(x_i - x_j)) with N = p/p', and one
     Horner pass gives p, p' and Higham's rounding bound sum |a_k| |x|^k
-    (Accuracy and Stability, 5.1).  The sweeps stop once the steps
+    (Accuracy and Stability, 5.1).  The pass reads the nonzero
+    coefficients and c_0 only: a run of g coefficients, all zero but the
+    last one c, is one step p x^g + c, (p' x + g p) x^(g-1) and
+    bound |x|^g + |c|, with x^(g-1) by binary powering.  A run of one is
+    the plain Horner step, so dense coefficients give the iterates of one
+    step per coefficient, bit for bit.  The sweeps stop once the steps
     converge, or once every |p(x)| entering a sweep is within DK_FLOOR
     times (n+1)*eps times that bound: the noise floor where a multiple
     root's cloud sits (Bini and Fiorentino, Numer. Algorithms 23, 2000).
@@ -163,7 +171,15 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
     slack = DK_FLOOR * (n + 1) * sys.float_info.epsilon
     if all(vanishes_at(coeffs, x, slack) for x in xs):
         return xs
-    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    lead, lead_mag = coeffs[n], abs(coeffs[n])
+    # (g, c, |c|): a run of g coefficients, all zero but its last, c;
+    # c_0 always ends one
+    runs = []
+    top = n
+    for k in range(n - 1, -1, -1):
+        if coeffs[k] or not k:
+            runs.append((top - k, coeffs[k], abs(coeffs[k])))
+            top = k
     for _ in range(_MAX_SWEEPS):
         delta = 0.0
         scale = 1.0
@@ -171,12 +187,21 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
         for i in range(n):
             xi = xs[i]
             r = abs(xi)
-            p = dp = 0j
-            bound = 0.0
-            for c, mag in terms:
-                dp = dp * xi + p
-                p = p * xi + c
-                bound = bound * r + mag
+            p = lead
+            dp = 0j
+            bound = lead_mag
+            for g, c, mag in runs:
+                if g == 1:
+                    dp = dp * xi + p
+                    p = p * xi + c
+                    bound = bound * r + mag
+                    continue
+                # CPython's complex ** is binary powering up to 100 only
+                xg = (xi ** (g - 1) if g <= 101
+                      else complex_int_pow(xi, g - 1))
+                dp = (dp * xi + g * p) * xg
+                p = p * (xg * xi) + c
+                bound = bound * r ** g + mag
             if not bound < math.inf:
                 raise _out_of_range(n)
             if abs(p) > slack * bound:

@@ -1,6 +1,8 @@
 """Smoke test of scripts/bitcheck.py: one hash line per benchmark workload."""
 
+import ast
 import importlib.util
+import json
 import re
 import shutil
 import subprocess
@@ -81,3 +83,39 @@ def test_bitcheck_names_the_first_operation_that_differs(tmp_path):
     assert report[2].startswith("    there: (0, ")
     assert '"verb": "Laurent"' in report[2]
     assert report[3].startswith("session: mismatch")
+
+
+def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
+    # a checkout whose residues verb prints each residue part doubled, and
+    # whose laurent verb prints another verb name
+    for part in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    cli = tmp_path / "src" / "dxdy" / "cli.py"
+    text = cli.read_text()
+    residue = '"residue": _pair(residue(f, p))}'
+    assert text.count(residue) == 1 and text.count('"verb": "laurent"') == 1
+    cli.write_text(text.replace(residue, '"residue": [2 * part for part in '
+                                         '_pair(residue(f, p))]}')
+                   .replace('"verb": "laurent"', '"verb": "Laurent"'))
+    done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
+                    "--against", str(tmp_path))
+    assert done.returncode == 1, done.stderr
+    summary, residues, here, there, laurent, *_ = done.stdout.splitlines()[1:]
+    # x here, 2x there: each change is |x|, relative to 2x a half
+    parts = [part for pole in json.loads(ast.literal_eval(here[11:])[1])
+             ["poles"] for part in pole["residue"] if part]
+    largest = f"{max(map(abs, parts)):.3g}"
+    count = len(_perfbench_inputs().make_rounds("session", 1, 1)[0])
+    assert summary == (f"session: 2 of {count} operations differ, largest "
+                       f"change {largest} absolute, 0.5 relative")
+    assert residues.startswith(
+        "session: first difference at seed 1 round 1, residues ")
+    assert re.search(f": {len(parts)} of \\d+ numbers differ, largest change "
+                     f"{largest} absolute, 0.5 relative$", residues)
+    assert here.startswith("    here:  (0, ")
+    assert there.startswith("    there: (0, ")
+    assert laurent.startswith(
+        "session: next difference at seed 1 round 1, laurent ")
+    assert laurent.endswith(": the text around the numbers differs")
+    assert done.stdout.splitlines()[-1].startswith("session: mismatch")

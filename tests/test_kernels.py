@@ -8,9 +8,11 @@ the hex digits of both parts.  The inverse, integer power and exp/sin/cos
 kernels, the entire series, and the value f(z) of a meromorphic function
 are checked against the EvenElement bodies in ``helpers``.  The Aberth
 iteration is checked against a plainly written one (the centroid rule and
-its guard, Bini's start by gift wrapping, a loop over j != i); it must
-also stop at the rounding floor of a multiple root, and not before
-convergence anywhere else.  A last group checks that `local_expansion`
+its guard, Bini's start by gift wrapping, one Horner step per run of zero
+coefficients, a loop over j != i), and on coefficients with no zero
+against the same loop with one step per coefficient; it must also stop
+at the rounding floor of a multiple root, and not before convergence
+anywhere else.  A last group checks that `local_expansion`
 gives the same bits as the wider window it used to build.
 """
 
@@ -232,28 +234,61 @@ def reference_centroid_start(coeffs):
     return reference_start(coeffs)
 
 
-def reference_aberth(coeffs):
-    """_aberth written plainly: p, p' and the rounding bound each from a
-    function of their own, the pull a loop over j != i."""
+def dense_horner(coeffs):
+    """p, p' and Higham's rounding bound sum |a_k| |x|^k at x, one Horner
+    step per coefficient: what _aberth must reproduce, bit for bit, on
+    coefficients with no zero."""
     def horner(x):
-        # p and p' by the two-row Horner scheme
         p = dp = 0j
+        bound = 0.0
         for c in reversed(coeffs):
             dp = dp * x + p
             p = p * x + c
-        return p, dp
-
-    def rounding_bound(x):
-        bound = 0.0
-        for c in reversed(coeffs):
             bound = bound * abs(x) + abs(c)
-        return bound
+        return p, dp, bound
+    return horner
 
+
+def zero_run_horner(coeffs):
+    """The same three values, one step per run of g coefficients that are
+    all zero but the last one c (c_0 always ends a run): p x^g + c,
+    (p' x + g p) x^(g-1) and bound |x|^g + |c|, with x^(g-1) by binary
+    powering.  A run of one is the dense step."""
+    n = len(coeffs) - 1
+    stops = [k for k in range(n - 1, -1, -1) if coeffs[k] != 0 or k == 0]
+
+    def horner(x):
+        p, dp, bound = coeffs[n], 0j, abs(coeffs[n])
+        top = n
+        for k in stops:
+            g, c = top - k, coeffs[k]
+            if g == 1:
+                dp = dp * x + p
+                p = p * x + c
+            else:
+                power = complex_int_pow(x, g - 1)
+                dp = (dp * x + g * p) * power
+                p = p * (power * x) + c
+            bound = bound * abs(x) ** g + abs(c)
+            top = k
+        return p, dp, bound
+    return horner
+
+
+def reference_aberth(coeffs, make_horner=zero_run_horner):
+    """_aberth written plainly: p, p' and the rounding bound from
+    ``make_horner(coeffs)``, the pull a loop over j != i."""
+    horner = make_horner(coeffs)
     n = len(coeffs) - 1
     slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
+
+    def at_floor_start(x):
+        # vanishes_at's dense Horner, as in _aberth
+        p, _, bound = dense_horner(coeffs)(x)
+        return abs(p) <= slack * bound and math.isfinite(bound)
+
     xs = reference_centroid_start(coeffs)
-    if all(abs(horner(x)[0]) <= slack * rounding_bound(x)
-           and math.isfinite(rounding_bound(x)) for x in xs):
+    if all(map(at_floor_start, xs)):
         return xs  # a start at the rounding floor gets no sweep
     for _ in range(roots._MAX_SWEEPS):
         delta = 0.0
@@ -261,12 +296,14 @@ def reference_aberth(coeffs):
         at_floor = True
         for i in range(n):
             xi = xs[i]
-            p, dp = horner(xi)
-            if abs(p) > slack * rounding_bound(xi):
+            p, dp, bound = horner(xi)
+            if not math.isfinite(bound):
+                raise roots.RootFindingError("left the double range")
+            if abs(p) > slack * bound:
                 at_floor = False
             if p == 0:
                 continue
-            # no nudge for coincident iterates: these ladders never meet one
+            # no nudge for coincident iterates: these inputs never meet one
             pull = 0j
             for j in range(n):
                 if j != i:
@@ -531,26 +568,124 @@ def test_cached_coefficients_leave_equality_alone():
     assert p == q and hash(p) == hash(q)
 
 
-def _dk_bits(xs):
+def _hex_bits(xs):
     return [(x.real.hex(), x.imag.hex()) for x in xs]
 
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_durand_kerner_iterates_on_multiple_roots(m):
-    # the Aberth iteration that replaced Durand-Kerner, on (z-1)^m
+    # Aberth on (z-1)^m (the name is older than the iteration)
     monic = [complex(math.comb(m, k) * (-1) ** (m - k)) for k in range(m + 1)]
-    assert (_dk_bits(roots._aberth(monic))
-            == _dk_bits(reference_aberth(monic)))
+    assert (_hex_bits(roots._aberth(monic))
+            == _hex_bits(reference_aberth(monic)))
 
 
-def test_durand_kerner_iterates_on_binomials():
+def test_aberth_iterates_on_binomials():
     rng = random.Random(20)
     for n in range(3, 16):
         for _ in range(3):
             c = cmath.rect(rng.uniform(0.5, 1.4), rng.uniform(-math.pi, math.pi))
             monic = [c] + [0j] * (n - 1) + [1 + 0j]
-            assert (_dk_bits(roots._aberth(monic))
-                    == _dk_bits(reference_aberth(monic)))
+            assert (_hex_bits(roots._aberth(monic))
+                    == _hex_bits(reference_aberth(monic)))
+
+
+def _random_monic(rng, n, sparse=False):
+    """n random coefficients and a leading 1; with sparse, each is zero
+    with probability 1/2."""
+    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+              if not sparse or rng.random() < 0.5 else 0j
+              for _ in range(n)]
+    return coeffs + [1 + 0j]
+
+
+def test_dense_polynomials_keep_the_dense_iterates():
+    # with no zero coefficient every run has length 1: the iterates are
+    # those of one Horner step per coefficient, bit for bit
+    rng = random.Random(25)
+    cases = [_random_monic(rng, rng.randint(1, 16)) for _ in range(60)]
+    # dividing by a negative lead makes the leading 1 carry -0.0
+    cases += [[c / -2.0 for c in _random_monic(rng, rng.randint(1, 16))]
+              for _ in range(20)]
+    cases += [[complex(math.comb(m, k) * (-1) ** (m - k))
+               for k in range(m + 1)] for m in range(2, 14)]
+    for monic in cases:
+        assert all(monic)
+        assert (_hex_bits(roots._aberth(monic))
+                == _hex_bits(reference_aberth(monic, dense_horner)))
+
+
+def _interior_run(n, k, a, b):
+    # z^n + a z^k + b: runs of n - k and k
+    return [b] + [0j] * (k - 1) + [a] + [0j] * (n - k - 1) + [1 + 0j]
+
+
+_ZERO_RUN_CASES = [
+    # a run at the top
+    *([0.8 - 0.3j] + [0j] * (n - 1) + [1 + 0j] for n in (2, 7, 40, 130)),
+    # interior runs, and runs of one beside longer ones
+    _interior_run(9, 4, 0.5 + 1j, -2 + 0.1j),
+    _interior_run(12, 1, -3j, 0.25),
+    _interior_run(12, 11, 1.5, 0.7 + 0.7j),
+    [1j, 0j, 0j, 2 + 0j, -1 + 0j, 0j, 0j, 0j, 0.5 + 0.5j, 0j, 1 + 0j],
+    # zeros at the bottom: roots at 0
+    [0j, 0j, 0j, -1 + 2j, 0j, 0j, 1 + 0j],
+    [0j, 0j, 4 + 0j, 0j, 1 + 0j],
+    [0j, 0.3 + 0j, 0j, 0j, 0j, 1 + 0j],
+    # (x^2 + a^2)^2 and x^4 + a^4, a = 1.7
+    [1.7 ** 4 + 0j, 0j, 2 * 1.7 ** 2 + 0j, 0j, 1 + 0j],
+    [1.7 ** 4 + 0j, 0j, 0j, 0j, 1 + 0j],
+]
+
+
+@pytest.mark.parametrize("monic", _ZERO_RUN_CASES)
+def test_zero_runs_take_one_step_each(monic):
+    xs = roots._aberth(monic)
+    assert _hex_bits(xs) == _hex_bits(reference_aberth(monic))
+    # the raw iterates sit where the dense pass puts them, up to the
+    # scatter of a multiple root
+    n = len(monic) - 1
+    dense = reference_aberth(monic, dense_horner)
+    for x in xs:
+        assert min(abs(x - y) for y in dense) <= 1e-4 * (1 + abs(x)), n
+
+
+def test_zero_run_power_overflow_leaves_the_double_range(monkeypatch):
+    # iterates far beyond the roots, where x^(g-1) or |x|^g overflows in
+    # one step, stop the search as the dense pass's infinite bound did
+    for modulus in (1e100, 1e200):
+        start = [modulus * cmath.exp(1j * k) for k in range(4)]
+        monkeypatch.setattr(roots, "_centroid_start",
+                            lambda coeffs, start=start: list(start))
+        for monic in ([2j, 0j, 0j, 0j, 1 + 0j], [2j, 1 + 0j, 0j, 0j, 1 + 0j]):
+            with pytest.raises(roots.RootFindingError,
+                               match="left the double range"):
+                roots.find_roots(monic)
+
+
+def _outcome_bits(call):
+    try:
+        return [(_hex_bits([x]), m) for x, m in call()]
+    except ComputationError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_sparse_simple_roots_polish_to_the_dense_bits(monkeypatch):
+    # the exact polish lands each simple root on the double it reached
+    # from the dense iterates
+    rng = random.Random(2025)
+    dense_aberth = lambda coeffs: reference_aberth(coeffs, dense_horner)
+    simple = 0
+    while simple < 2000:
+        monic = _random_monic(rng, rng.randint(2, 12), sparse=True)
+        if not any(monic[1:-1]):
+            continue
+        got = _outcome_bits(lambda: roots.find_roots(monic))
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "_aberth", dense_aberth)
+            want = _outcome_bits(lambda: roots.find_roots(monic))
+        assert got == want, monic
+        simple += isinstance(got, list) and all(m == 1 for _, m in got)
 
 
 def _monic_power(a, m):
@@ -582,10 +717,10 @@ _CENTROID_KEPT = [
 def test_centroid_start_matches_reference(monic):
     shifted = monic in _CENTROID_SHIFTED
     xs = roots._centroid_start(monic)
-    assert _dk_bits(xs) == _dk_bits(reference_centroid_start(monic))
-    assert (_dk_bits(xs) != _dk_bits(roots._start_points(monic))) == shifted
-    assert (_dk_bits(roots._aberth(monic))
-            == _dk_bits(reference_aberth(monic)))
+    assert _hex_bits(xs) == _hex_bits(reference_centroid_start(monic))
+    assert (_hex_bits(xs) != _hex_bits(roots._start_points(monic))) == shifted
+    assert (_hex_bits(roots._aberth(monic))
+            == _hex_bits(reference_aberth(monic)))
 
 
 @pytest.mark.parametrize("a", [1 + 0j, 0.5j, -2 + 1j])
@@ -607,19 +742,19 @@ def test_rounded_power_keeps_its_centroid_ring():
     low = Polynomial(tuple(monic)).taylor_shift(a)[:11]
     assert 1e-11 < max(map(abs, low)) < 1e-9
     xs = roots._aberth(monic)
-    assert _dk_bits(xs) == _dk_bits(roots._centroid_start(monic))
-    assert _dk_bits(xs) == _dk_bits(reference_aberth(monic))
+    assert _hex_bits(xs) == _hex_bits(roots._centroid_start(monic))
+    assert _hex_bits(xs) == _hex_bits(reference_aberth(monic))
     ((root, mult),) = roots.find_roots(monic)
     assert mult == 11 and abs(root - a) <= 1e-9
 
 
-def test_durand_kerner_stalls_out_on_multiple_roots(monkeypatch):
+def test_aberth_stalls_out_on_multiple_roots(monkeypatch):
     # the rounding-floor exit stops (z-1)^m well before the sweep cap
     ladder = [[complex(math.comb(m, k) * (-1) ** (m - k))
                for k in range(m + 1)] for m in range(2, 14)]
-    want = [_dk_bits(roots._aberth(monic)) for monic in ladder]
+    want = [_hex_bits(roots._aberth(monic)) for monic in ladder]
     monkeypatch.setattr(roots, "_MAX_SWEEPS", 40)
-    assert [_dk_bits(roots._aberth(monic)) for monic in ladder] == want
+    assert [_hex_bits(roots._aberth(monic)) for monic in ladder] == want
 
 
 def test_start_circle_of_a_binomial_has_the_root_modulus():
@@ -632,7 +767,7 @@ def test_start_circle_of_a_binomial_has_the_root_modulus():
         radius = abs(c) ** (1.0 / n)
         assert len(xs) == n
         assert all(abs(abs(x) - radius) <= 1e-14 * radius for x in xs), n
-        assert _dk_bits(xs) == _dk_bits(reference_start(monic))
+        assert _hex_bits(xs) == _hex_bits(reference_start(monic))
 
 
 def test_zero_roots_start_and_stay_at_zero():

@@ -100,6 +100,33 @@ def test_singular_samples_rejected():
         circle_quadrature(f, CircleContour(even(1, 0), 1.0), TIGHT)
 
 
+@pytest.mark.parametrize("bad, worse, message", [
+    (math.inf, ZeroDivisionError, "non-finite"),
+    (ZeroDivisionError, complex(math.nan, 0.0), "singular"),
+    (OverflowError, ValueError, "singular"),
+])
+def test_a_bad_level_names_its_first_bad_node(bad, worse, message):
+    # a level is sampled in one pass; a bad one is walked again in node
+    # order, so the error names the first bad node, whatever comes later
+    def value(v):
+        if isinstance(v, type):
+            raise v
+        return v
+
+    def sample(t):
+        return value(worse) if t > 4.0 else value(bad) if t > 2.0 else 1.0
+
+    step = 2.0 * math.pi / dxdy.oracle.MIN_POINTS
+    first = min(i * step for i in range(dxdy.oracle.MIN_POINTS)
+                if i * step > 2.0)
+    with pytest.raises(QuadratureError,
+                       match=f"^{message} integrand sample at "
+                             f"t={first:.6g}$") as err:
+        dxdy.oracle._periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0,
+                                        1e-9)
+    assert (err.value.__cause__ is None) == (message == "non-finite")
+
+
 def test_noisy_integrand_hits_the_point_cap():
     # every level runs, and each node is sampled once: MAX_POINTS in all
     noise = lambda x, y: math.sin(3.7e7 * x * y)  # noqa: E731
