@@ -26,7 +26,9 @@ part.
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 from .errors import RangeError, UsageError
 
@@ -39,18 +41,24 @@ class _Frozen:
     """Immutable slotted value with a frozen dataclass's eq, hash and repr.
 
     A subclass names its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` sets them through the slots' ``__set__``, bound once
-    at module level.  Class keywords leave fields out: ``uncompared`` of eq
-    and hash, ``unshown`` of repr.  Copy and pickle rebuild from every
-    field.  Assignment and deletion raise dataclasses.FrozenInstanceError,
-    imported where it is raised: dataclasses loads inspect, so importing
-    it at the top would add both to every CLI call's start.
+    gets an ``__init__`` built from them, from one compiled template per
+    field count (``_slot_filler``); the class keyword ``defaults`` maps
+    trailing fields to their defaults.  A class that checks its arguments
+    writes its own ``__init__``, which ends by calling the built one as
+    ``self._fill_slots``.  Class keywords leave fields out: ``uncompared``
+    of eq and hash, ``unshown`` of repr.  Copy and pickle rebuild from
+    every field.  Assignment and deletion raise
+    dataclasses.FrozenInstanceError, imported where it is raised:
+    dataclasses loads inspect, so importing it at the top would add both
+    to every CLI call's start.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, uncompared=(), unshown=()):
+    def __init_subclass__(cls, uncompared=(), unshown=(), defaults=None):
         super().__init_subclass__()
+        name = "_fill_slots" if "__init__" in vars(cls) else "__init__"
+        setattr(cls, name, _slot_filler(cls, name, defaults))
         compared = [f for f in cls.__slots__ if f not in uncompared]
         # eq and hash read the compared fields as one tuple
         cls._key = staticmethod(
@@ -82,22 +90,39 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each of cls's slots, in order: far cheaper in an
-    ``__init__`` than a frozen dataclass's ``object.__setattr__``."""
-    return tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+@cache
+def _filler_code(n: int) -> CodeType:
+    """``__init__(self, a0, ..)`` calling ``set0(self, a0)``, ..: compiled
+    once per field count, since a compile costs about 0.1 ms of import."""
+    params = ", ".join(f"a{i}" for i in range(n))
+    body = "".join(f"\n    set{i}(self, a{i})" for i in range(n))
+    namespace = {}
+    exec(f"def __init__(self, {params}):{body}", namespace)
+    return namespace["__init__"].__code__
 
 
-class Multivector(_Frozen):
+def _slot_filler(cls, name: str, defaults) -> FunctionType:
+    """An ``__init__`` whose parameters are cls's slots, in order, and which
+    sets each through its slot descriptor's bound setter: far cheaper than
+    a frozen dataclass's ``object.__setattr__``.  It is the template for
+    its field count with the fields' names, reading the setters as
+    globals, so its bytecode is that of the hand-written ``__init__``."""
+    fields = cls.__slots__
+    fill = FunctionType(
+        _filler_code(len(fields)).replace(co_varnames=("self", *fields)),
+        {f"set{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)},
+        name)
+    fill.__qualname__ = f"{cls.__qualname__}.{name}"
+    if defaults:
+        fill.__defaults__ = tuple(defaults[f] for f in fields[-len(defaults):])
+    return fill
+
+
+class Multivector(_Frozen,
+                  defaults={"s": 0.0, "a": 0.0, "b": 0.0, "p": 0.0}):
     """Element s + a*dx + b*dy + p*dxdy of the full plane algebra."""
 
     __slots__ = ("s", "a", "b", "p")
-
-    def __init__(self, s=0.0, a=0.0, b=0.0, p=0.0) -> None:
-        _set_s(self, s)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_p(self, p)
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(self.s + other.s, self.a + other.a,
@@ -120,8 +145,6 @@ class Multivector(_Frozen):
         return Multivector(other * self.s, other * self.a,
                            other * self.b, other * self.p)
 
-
-_set_s, _set_a, _set_b, _set_p = _slot_setters(Multivector)
 
 DX = Multivector(a=1.0)
 DY = Multivector(b=1.0)
@@ -156,10 +179,6 @@ class EvenElement(_Frozen):
     """Element u + v*dxdy of the commutative even subalgebra."""
 
     __slots__ = ("u", "v")
-
-    def __init__(self, u: float, v: float) -> None:
-        _set_u(self, u)
-        _set_v(self, v)
 
     def __add__(self, other: "EvenElement") -> "EvenElement":
         return EvenElement(self.u + other.u, self.v + other.v)
@@ -203,8 +222,6 @@ class EvenElement(_Frozen):
     def to_multivector(self) -> Multivector:
         return Multivector(s=self.u, p=self.v)
 
-
-_set_u, _set_v = _slot_setters(EvenElement)
 
 E_ZERO = EvenElement(0.0, 0.0)
 
@@ -257,13 +274,6 @@ class PolarForm(_Frozen):
     """Polar pair (rho, phi) with rho >= 0 and phi in (-pi, pi]."""
 
     __slots__ = ("rho", "phi")
-
-    def __init__(self, rho: float, phi: float) -> None:
-        _set_rho(self, rho)
-        _set_phi(self, phi)
-
-
-_set_rho, _set_phi = _slot_setters(PolarForm)
 
 
 def to_polar(x: EvenElement) -> PolarForm:

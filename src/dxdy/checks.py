@@ -14,8 +14,7 @@ import math
 from typing import Callable
 
 from .algebra import (DX, DXDY, DY, EvenElement, Multivector, _Frozen,
-                      _slot_setters, even, even_int_pow, even_mul,
-                      mv_product, to_polar)
+                      even, even_int_pow, even_mul, mv_product, to_polar)
 from .contours import CircleContour, integrate_closed, integrate_real_line
 from .functions import find_poles, meromorphic_from_text
 from .residues import (cauchy_integral_value, laurent_expand,
@@ -26,14 +25,6 @@ class CheckResult(_Frozen):
     """One row of the suite: its name, verdict and what it compared."""
 
     __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str) -> None:
-        _set_name(self, name)
-        _set_passed(self, passed)
-        _set_detail(self, detail)
-
-
-_set_name, _set_passed, _set_detail = _slot_setters(CheckResult)
 
 
 def _row(name: str):

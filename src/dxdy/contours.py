@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import EvenElement, _Frozen, _slot_setters
+from .algebra import EvenElement, _Frozen
 from .errors import ComputationError, UsageError
 from .functions import MeromorphicFunction, Pole, find_poles
 from .residues import residue
@@ -63,10 +63,7 @@ class CircleContour(_Frozen):
             raise UsageError(f"unknown orientation {orientation!r}")
         if clearance is not None and not clearance > 0:
             raise UsageError("clearance must be positive")
-        _set_center(self, center)
-        _set_radius(self, radius)
-        _set_orientation(self, orientation)
-        _set_clearance(self, clearance)
+        self._fill_slots(center, radius, orientation, clearance)
 
     @property
     def band(self) -> float:
@@ -75,7 +72,9 @@ class CircleContour(_Frozen):
         return DEFAULT_CLEARANCE * self.radius
 
 
-class IntegralResult(_Frozen, unshown=("half_plane",)):
+class IntegralResult(_Frozen, unshown=("half_plane",),
+                     defaults={"residues": (), "warnings": (),
+                               "half_plane": None}):
     """A contour or real-line value with the residues behind it.
 
     ``half_plane`` is the half-plane a real-line integral closed through;
@@ -84,24 +83,6 @@ class IntegralResult(_Frozen, unshown=("half_plane",)):
 
     __slots__ = ("real_value", "imaginary_defect", "enclosed", "residues",
                  "warnings", "half_plane")
-
-    def __init__(self, real_value: float, imaginary_defect: float,
-                 enclosed: tuple[Pole, ...],
-                 residues: tuple[EvenElement, ...] = (),
-                 warnings: tuple[str, ...] = (),
-                 half_plane: str | None = None) -> None:
-        _set_real_value(self, real_value)
-        _set_imaginary_defect(self, imaginary_defect)
-        _set_enclosed(self, enclosed)
-        _set_residues(self, residues)
-        _set_warnings(self, warnings)
-        _set_half_plane(self, half_plane)
-
-
-_set_center, _set_radius, _set_orientation, _set_clearance = _slot_setters(
-    CircleContour)
-(_set_real_value, _set_imaginary_defect, _set_enclosed, _set_residues,
- _set_warnings, _set_half_plane) = _slot_setters(IntegralResult)
 
 
 def enclosed_poles(contour: CircleContour,

@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Union
 
-from .algebra import (EvenElement, _Frozen, _slot_setters, complex_cos,
-                      complex_exp, complex_int_pow, complex_inv, complex_sin,
-                      even)
+from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
+                      complex_int_pow, complex_inv, complex_sin, even)
 from .errors import UsageError
 
 
@@ -42,17 +41,11 @@ class Num(_Frozen):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: float) -> None:
-        _set_num_value(self, value)
-
 
 class Sym(_Frozen):
     """A name: z, x, I, pi or a caller's binding."""
 
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set_sym_name(self, name)
 
 
 class Neg(_Frozen):
@@ -60,19 +53,11 @@ class Neg(_Frozen):
 
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "Expr") -> None:
-        _set_neg_operand(self, operand)
-
 
 class BinOp(_Frozen):
     """A binary operation: op is '+', '-', '*' or '/'."""
 
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
-        _set_binop_op(self, op)
-        _set_binop_left(self, left)
-        _set_binop_right(self, right)
 
 
 class Pow(_Frozen):
@@ -80,48 +65,22 @@ class Pow(_Frozen):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: "Expr", exponent: int) -> None:
-        _set_pow_base(self, base)
-        _set_pow_exponent(self, exponent)
-
 
 class Call(_Frozen):
     """An entire call: func is 'exp', 'sin' or 'cos'."""
 
     __slots__ = ("func", "arg")
 
-    def __init__(self, func: str, arg: "Expr") -> None:
-        _set_call_func(self, func)
-        _set_call_arg(self, arg)
-
-
-_set_num_value, = _slot_setters(Num)
-_set_sym_name, = _slot_setters(Sym)
-_set_neg_operand, = _slot_setters(Neg)
-_set_binop_op, _set_binop_left, _set_binop_right = _slot_setters(BinOp)
-_set_pow_base, _set_pow_exponent = _slot_setters(Pow)
-_set_call_func, _set_call_arg = _slot_setters(Call)
 
 Expr = Union[Num, Sym, Neg, BinOp, Pow, Call]
 
 CALLS = ("exp", "sin", "cos")
 
 
-class _Token(_Frozen):
+class _Token(_Frozen, defaults={"value": 0.0}):
     """A lexeme: kind is 'num', 'name', 'op' or 'end'."""
 
     __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int,
-                 value: float = 0.0) -> None:
-        _set_token_kind(self, kind)
-        _set_token_text(self, text)
-        _set_token_pos(self, pos)
-        _set_token_value(self, value)
-
-
-_set_token_kind, _set_token_text, _set_token_pos, _set_token_value = (
-    _slot_setters(_Token))
 
 
 def _tokenize(source: str) -> list[_Token]:

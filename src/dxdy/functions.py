@@ -17,9 +17,8 @@ import math
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .algebra import (EvenElement, _Frozen, _slot_setters, complex_cos,
-                      complex_exp, complex_inv, complex_sin, even,
-                      format_even)
+from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
+                      complex_inv, complex_sin, even, format_even)
 from .errors import ComputationError, RangeError, UsageError
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
@@ -52,10 +51,6 @@ class EntireFactor(_Frozen):
 
     __slots__ = ("kind", "scale")
 
-    def __init__(self, kind: str, scale: EvenElement) -> None:
-        _set_kind(self, kind)
-        _set_scale(self, scale)
-
     def at(self, x: complex) -> complex:
         """The factor at the float pair x = complex(u, v)."""
         return _ENTIRE[self.kind](complex(self.scale) * x)
@@ -66,13 +61,6 @@ class Pole(_Frozen):
 
     __slots__ = ("location", "order")
 
-    def __init__(self, location: EvenElement, order: int) -> None:
-        _set_location(self, location)
-        _set_order(self, order)
-
-
-_set_kind, _set_scale = _slot_setters(EntireFactor)
-_set_location, _set_order = _slot_setters(Pole)
 
 #: (location, multiplicity) pairs of a polynomial's roots
 _Roots = tuple[tuple[complex, int], ...]
@@ -95,10 +83,7 @@ class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
         if den_roots is None:
             den_roots = (tuple(find_roots(den.coeffs)) if den.degree >= 1
                          else ())
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_factor(self, factor)
-        _set_den_roots(self, den_roots)
+        self._fill_slots(num, den, factor, den_roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
         """num/den times the factor, on float pairs; one conversion out."""
@@ -116,10 +101,6 @@ class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
         return self.den.degree - self.num.degree
 
 
-_set_num, _set_den, _set_factor, _set_den_roots = _slot_setters(
-    MeromorphicFunction)
-
-
 # ---------------------------------------------------------------------------
 # expression -> meromorphic function
 
@@ -127,16 +108,6 @@ class _Rational(_Frozen):
     """num/den times the factor, as folded: nothing normalized or rooted."""
 
     __slots__ = ("num", "den", "factor")
-
-    def __init__(self, num: Polynomial, den: Polynomial,
-                 factor: EntireFactor | None) -> None:
-        _set_rational_num(self, num)
-        _set_rational_den(self, den)
-        _set_rational_factor(self, factor)
-
-
-_set_rational_num, _set_rational_den, _set_rational_factor = _slot_setters(
-    _Rational)
 
 
 def _constant(value: float) -> _Rational:
@@ -360,18 +331,10 @@ class FormClass(enum.Enum):
     CLOSED_AND_CR = "closed_and_CR"
 
 
-class OneForm(_Frozen):
+class OneForm(_Frozen, defaults={"both": None}):
     """alpha = k dx + g dy; ``both``, if set, gives (k, g) in one call."""
 
     __slots__ = ("k", "g", "both")
-
-    def __init__(self, k: Callable[[float, float], float],
-                 g: Callable[[float, float], float],
-                 both: Callable[[float, float], tuple[float, float]]
-                 | None = None) -> None:
-        _set_k(self, k)
-        _set_g(self, g)
-        _set_both(self, both)
 
     def at(self, x: float, y: float) -> tuple[float, float]:
         return self.both(x, y) if self.both else (self.k(x, y), self.g(x, y))
@@ -397,9 +360,6 @@ class OneForm(_Frozen):
 
         return OneForm(lambda x, y: both(x, y)[0],
                        lambda x, y: both(x, y)[1], both)
-
-
-_set_k, _set_g, _set_both = _slot_setters(OneForm)
 
 
 def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],

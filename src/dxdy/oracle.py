@@ -27,7 +27,7 @@ import math
 import operator
 from typing import Callable, Iterable
 
-from .algebra import EvenElement, _Frozen, _slot_setters
+from .algebra import EvenElement, _Frozen
 from .contours import (AXIS_DIRECTION_TOL, AXIS_TOL, CircleContour,
                        COUNTERCLOCKWISE, integrate_closed)
 from .errors import ComputationError, UsageError
@@ -57,10 +57,7 @@ class QuadratureSpec(_Frozen):
     def __init__(self, tol: float = 1e-10) -> None:
         if not tol > 0:
             raise UsageError("tol must be positive")
-        _set_tol(self, tol)
-
-
-_set_tol, = _slot_setters(QuadratureSpec)
+        self._fill_slots(tol)
 
 
 def _checked(sample: Callable[[float], complex], t: float) -> complex:
@@ -378,24 +375,6 @@ class DifferentialReport(_Frozen):
     __slots__ = ("passed", "symbolic", "quadrature", "difference",
                  "defect_symbolic", "defect_quadrature", "defect_difference",
                  "tol")
-
-    def __init__(self, passed: bool, symbolic: float, quadrature: float,
-                 difference: float, defect_symbolic: float,
-                 defect_quadrature: float, defect_difference: float,
-                 tol: float) -> None:
-        _set_passed(self, passed)
-        _set_symbolic(self, symbolic)
-        _set_quadrature(self, quadrature)
-        _set_difference(self, difference)
-        _set_defect_symbolic(self, defect_symbolic)
-        _set_defect_quadrature(self, defect_quadrature)
-        _set_defect_difference(self, defect_difference)
-        _set_report_tol(self, tol)
-
-
-(_set_passed, _set_symbolic, _set_quadrature, _set_difference,
- _set_defect_symbolic, _set_defect_quadrature, _set_defect_difference,
- _set_report_tol) = _slot_setters(DifferentialReport)
 
 
 def differential_quad_tol(tol: float) -> float:

@@ -10,16 +10,13 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from .algebra import EvenElement, _Frozen, _slot_setters, complex_inv
+from .algebra import EvenElement, _Frozen, complex_inv
 
 
 class Polynomial(_Frozen):
     """p(z) = sum coeffs[k] * z**k, coefficients ascending."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[complex, ...]) -> None:
-        _set_coeffs(self, coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "Polynomial":
@@ -123,9 +120,6 @@ class Polynomial(_Frozen):
             out.append(quotient.pop())
             work = quotient
         return tuple(out)
-
-
-_set_coeffs, = _slot_setters(Polynomial)
 
 
 def vanishes_at(coeffs, x: complex, tol: float) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import E_ZERO, EvenElement, _Frozen, _slot_setters
+from .algebra import E_ZERO, EvenElement, _Frozen
 from .errors import ComputationError, RangeError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, dyadic_poly,
                         dyadic_series_quotient, dyadic_taylor_shift)
@@ -45,24 +45,11 @@ def is_two_form(x: EvenElement) -> bool:
     return abs(x.u) <= TWO_FORM_TOL * (abs(x.u) + abs(x.v) + 1e-300)
 
 
-class ResidueReport(_Frozen):
+class ResidueReport(_Frozen, defaults={"extracted": ()}):
     """A residue with the route that found it: method is
     'order_reduction' or 'derivative_formula'."""
 
     __slots__ = ("pole", "a_minus_1", "leading", "method", "extracted")
-
-    def __init__(self, pole: Pole, a_minus_1: EvenElement,
-                 leading: EvenElement, method: str,
-                 extracted: tuple[tuple[int, EvenElement], ...] = ()) -> None:
-        _set_pole(self, pole)
-        _set_a_minus_1(self, a_minus_1)
-        _set_leading(self, leading)
-        _set_method(self, method)
-        _set_extracted(self, extracted)
-
-
-(_set_pole, _set_a_minus_1, _set_leading, _set_method,
- _set_extracted) = _slot_setters(ResidueReport)
 
 
 def _expansion_at_pole(f: MeromorphicFunction, p: Pole) -> LaurentSeries:

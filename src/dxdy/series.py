@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .algebra import (E_ZERO, EvenElement, _Frozen, _slot_setters,
-                      complex_cos, complex_exp, complex_int_pow, complex_inv,
-                      complex_sin)
+from .algebra import (E_ZERO, EvenElement, _Frozen, complex_cos,
+                      complex_exp, complex_int_pow, complex_inv, complex_sin)
 from .errors import ComputationError, UsageError
 
 #: default number of retained coefficients
@@ -43,12 +42,6 @@ class LaurentSeries(_Frozen):
     """
 
     __slots__ = ("center", "valuation", "coeffs")
-
-    def __init__(self, center: complex, valuation: int,
-                 coeffs: tuple[complex, ...]) -> None:
-        _set_center(self, center)
-        _set_valuation(self, valuation)
-        _set_coeffs(self, coeffs)
 
     @property
     def truncation_order(self) -> int:
@@ -104,9 +97,6 @@ class LaurentSeries(_Frozen):
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_mul(self, other)
-
-
-_set_center, _set_valuation, _set_coeffs = _slot_setters(LaurentSeries)
 
 
 def zero_series(center: complex, truncation_order: int) -> LaurentSeries:

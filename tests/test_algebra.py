@@ -1,6 +1,7 @@
 """Algebra kernel: basis relations, even arithmetic, polar decomposition."""
 
 import copy
+import inspect
 import itertools
 import math
 import os
@@ -331,6 +332,19 @@ each_value_type = pytest.mark.parametrize(
 # constructors that check their arguments or root a denominator
 _VALIDATING = (CircleContour, QuadratureSpec, MeromorphicFunction)
 
+# the defaults each constructor declares, which
+# test_value_types_keep_their_defaults relies on
+_DEFAULTS = {
+    Multivector: {"s": 0.0, "a": 0.0, "b": 0.0, "p": 0.0},
+    _Token: {"value": 0.0},
+    MeromorphicFunction: {"factor": None, "den_roots": None},
+    OneForm: {"both": None},
+    CircleContour: {"orientation": COUNTERCLOCKWISE, "clearance": None},
+    IntegralResult: {"residues": (), "warnings": (), "half_plane": None},
+    QuadratureSpec: {"tol": 1e-10},
+    ResidueReport: {"extracted": ()},
+}
+
 
 @each_value_type
 def test_value_types_repr_eq_and_hash(value, text, fields):
@@ -373,6 +387,11 @@ def test_value_types_copy_and_pickle(value, text, fields):
 def test_value_types_take_their_fields_as_keywords(value, text, fields):
     names = type(value).__slots__[:len(fields)]
     assert type(value)(**dict(zip(names, fields))) == value
+    defaults = _DEFAULTS.get(type(value), {})
+    assert [(p.name, p.default) for p in
+            inspect.signature(type(value)).parameters.values()] == [
+        (f, defaults.get(f, inspect.Parameter.empty))
+        for f in type(value).__slots__]
 
 
 def test_multivector_keeps_its_defaults_and_keywords():
