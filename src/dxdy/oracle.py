@@ -11,12 +11,22 @@ clusters the nodes at the cuts, where narrow peaks sit; past the outer
 cuts, each exp part of the factor leaves the axis on a 45 degree ray into
 the half-plane where it decays, under r = exp(pi/2 sinh s).  No pole lies
 beyond the outer cuts, so by Cauchy's theorem the rays give the axis
-integral: like the axis checks, they rely on the pole list.  On a circle f
-is evaluated once per node, and the scalar and dxdy parts of f dz, the
-1-form and its dual form, are summed side by side.  Integrands are
-evaluated by the oracle's own complex Horner evaluator from the
-coefficient lists; the oracle shares only pole location with the rest of
-the package, never even-element evaluation, series or residue code.
+integral: like the axis checks, they rely on the pole list.  On a circle
+about c, f is evaluated once per node w = z - c, and f dz = f(c + w) i w dt
+carries the scalar and dxdy parts, the 1-form and its dual form, side by
+side.  Integrands are evaluated by the oracle's own complex Horner
+evaluator from the coefficient lists.  On a circle the lists are first
+Taylor-shifted to its center, exactly, by exactmath's dyadic shift, and
+each shifted coefficient is rounded once, so Horner runs in w without
+the cancellation of the expanded form in z: Horner's rounding bound
+eps * sum |a_k| |z|^k is 4^m times |(z-1)^m| on |z - 1| = 1/2, noise that
+the stopping test would have to outlast.  The oracle shares two
+things with the rest of the package: pole location, and that exact shift
+kernel, which the derivative-formula residue route also uses.  It shares
+no even-element evaluation, series or residue code.  integrate_closed
+reads its residues from local_expansion's float series and the float
+Polynomial.taylor_shift, and the oracle uses neither, so
+differential_check still referees that route independently.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .algebra import EvenElement, _Frozen
 from .contours import (AXIS_DIRECTION_TOL, AXIS_TOL, CircleContour,
                        COUNTERCLOCKWISE, integrate_closed)
 from .errors import ComputationError, UsageError
+from .exactmath import dyadic_poly, dyadic_taylor_shift
 from .functions import MeromorphicFunction, find_poles
 
 #: points of the first trapezoid estimate
@@ -143,19 +154,15 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
 
 def _contour_integral(F: Callable[[complex], complex], contour: CircleContour,
                       spec: QuadratureSpec, parts: int) -> list[float]:
-    """The circle integral of F dz by the periodic trapezoid rule, evaluating
-    F once per node: its scalar part, the integral of the 1-form F dx, and
-    with parts=2 its dxdy part, the integral of the dual form."""
-    cx, cy = contour.center.u, contour.center.v
+    """The circle integral of F(w) dz, w = z - center, by the periodic
+    trapezoid rule, evaluating F once per node: its scalar part, the
+    integral of the 1-form F dx, and with parts=2 its dxdy part, the
+    integral of the dual form."""
     r = contour.radius
 
     def sample(t: float) -> complex:
-        ct, st = math.cos(t), math.sin(t)
-        w = F(complex(cx + r * ct, cy + r * st))
-        # k dx + g dy sampled as -k*r*sin + g*r*cos, for (k, g) the form
-        # (w.real, -w.imag) and the dual form (w.imag, w.real)
-        return complex(-w.real * r * st + -w.imag * r * ct,
-                       -w.imag * r * st + w.real * r * ct)
+        w = cmath.rect(r, t)
+        return F(w) * complex(-w.imag, w.real)  # dz = i w dt
 
     values = _periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0, spec.tol,
                                  parts)
@@ -169,9 +176,11 @@ def quad_circle(k: Callable[[float, float], float],
                 spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of k dx + g dy over the circle by the periodic trapezoid
     rule: the scalar part of the integral of (k - g dxdy) dz."""
+    cx, cy = contour.center.u, contour.center.v
 
-    def F(z: complex) -> complex:
-        return complex(k(z.real, z.imag), -g(z.real, z.imag))
+    def F(w: complex) -> complex:
+        x, y = cx + w.real, cy + w.imag
+        return complex(k(x, y), -g(x, y))
 
     return _contour_integral(F, contour, spec, 1)[0]
 
@@ -227,39 +236,61 @@ _EXP_PARTS = {"exp": ((1.0, 1.0),), "cos": ((0.5, 1j), (0.5, -1j)),
               "sin": ((-0.5j, 1j), (0.5j, -1j))}
 
 
-def _rational_evaluator(f: MeromorphicFunction
-                        ) -> Callable[[complex], complex]:
-    """The rational part of f by complex Horner evaluation of its
-    coefficient lists, u + v*dxdy read as u + v*1j."""
-    num = f.num.coeffs[::-1]
-    den = f.den.coeffs[::-1]
+def _shifted(coeffs: tuple[complex, ...], center: complex) -> list[complex]:
+    """Coefficients of p(center + w) in w: the exact Taylor shift, each
+    coefficient rounded once; QuadratureError past the double range."""
+    try:
+        return [t.to_complex() for t in dyadic_taylor_shift(
+            dyadic_poly(coeffs), center, len(coeffs))]
+    except OverflowError:
+        raise QuadratureError(
+            f"coefficients shifted to the center {center} leave the double "
+            f"range") from None
 
-    def R(z: complex) -> complex:
+
+def _rational_evaluator(f: MeromorphicFunction, center: complex = 0j
+                        ) -> Callable[[complex], complex]:
+    """The rational part of f at center + w as a function of w, by complex
+    Horner evaluation in w of its coefficient lists, Taylor-shifted to a
+    nonzero center; u + v*dxdy read as u + v*1j."""
+    num, den = f.num.coeffs, f.den.coeffs
+    if center:
+        num, den = _shifted(num, center), _shifted(den, center)
+    num = num[::-1]
+    den = den[::-1]
+
+    def R(w: complex) -> complex:
         p = 0j
         for c in num:
-            p = p * z + c
+            p = p * w + c
         q = 0j
         for c in den:
-            q = q * z + c
+            q = q * w + c
         return p / q
 
     return R
 
 
-def _complex_evaluator(f: MeromorphicFunction) -> Callable[[complex], complex]:
-    """f as a plain-complex closure, u + v*dxdy read as u + v*1j.
+def _complex_evaluator(f: MeromorphicFunction, center: complex = 0j
+                       ) -> Callable[[complex], complex]:
+    """f at center + w as a plain-complex closure of w, u + v*dxdy read as
+    u + v*1j.
 
     Built on the rational evaluator and cmath's exp, sin and cos, so the
     quadrature path shares no arithmetic with the algebra/series stack.
+    The factor is evaluated at center + w, unshifted.
     """
-    R = _rational_evaluator(f)
+    R = _rational_evaluator(f, center)
     if f.factor is None:
         return R
     factor = _FACTORS[f.factor.kind]
     scale = complex(f.factor.scale)
-
-    def F(z: complex) -> complex:
-        return R(z) * factor(scale * z)
+    if center:
+        def F(w: complex) -> complex:
+            return R(w) * factor(scale * (center + w))
+    else:
+        def F(w: complex) -> complex:
+            return R(w) * factor(scale * w)
 
     return F
 
@@ -293,7 +324,8 @@ def dual_form_components(f: MeromorphicFunction):
 
 def circle_quadrature(f: MeromorphicFunction, contour: CircleContour,
                       spec: QuadratureSpec = QuadratureSpec()) -> float:
-    return _contour_integral(_complex_evaluator(f), contour, spec, 1)[0]
+    F = _complex_evaluator(f, complex(contour.center))
+    return _contour_integral(F, contour, spec, 1)[0]
 
 
 def _axis_oscillation(f: MeromorphicFunction) -> float:
@@ -394,7 +426,8 @@ def differential_check(f: MeromorphicFunction, contour: CircleContour,
     """
     result = integrate_closed(f, contour)
     spec = QuadratureSpec(tol=differential_quad_tol(tol))
-    quad, dual = _contour_integral(_complex_evaluator(f), contour, spec, 2)
+    quad, dual = _contour_integral(
+        _complex_evaluator(f, complex(contour.center)), contour, spec, 2)
     difference = abs(result.real_value - quad)
     defect_difference = abs(result.imaginary_defect - dual)
     passed = (difference <= tol * (1.0 + abs(result.real_value))

@@ -77,6 +77,14 @@ def test_contour_verify_flag(run):
     assert abs(doc["value"] - math.pi / 2) <= 1e-10
 
 
+def test_contour_verify_passes_at_an_order_9_pole(run):
+    # the oracle samples about the center, where (z-1)^9 is w^9 exactly
+    doc = run_json(run, "integrate-contour", "z^8/(z-1)^9",
+                   "--center", "1,0", "--radius", "0.5", "--verify")
+    assert doc["verification"]["passed"] is True
+    assert abs(doc["imaginary_defect"] - 2 * math.pi) <= 1e-9
+
+
 def test_contour_verify_explains_a_defect_failure(run, monkeypatch):
     # the oracle's symbolic side is shifted by 2 pi in the defect only: the
     # verification block says the defect is what failed, and which

@@ -1,8 +1,10 @@
 """Quadrature oracle: circle rule, real-line rule, differential checks."""
 
+import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +16,11 @@ from dxdy.contours import (CLOCKWISE, COUNTERCLOCKWISE, CircleContour,
 from dxdy.functions import EntireFactor, MeromorphicFunction, meromorphic_from_text
 from dxdy.oracle import (QuadratureError, QuadratureSpec, _limit,
                          circle_quadrature, differential_check,
-                         dual_form_components, one_form_components,
-                         quad_circle, real_line_quadrature)
+                         dual_form_components, quad_circle,
+                         real_line_quadrature)
 from dxdy.polynomials import Polynomial
 
+from exact_reference import ExactEven, exact_eval, exact_poly
 from helpers import poly_from_roots, random_even, random_planted_rational
 
 UNIT = CircleContour(even(0, 0), 1.0)
@@ -191,13 +194,13 @@ def test_nested_circle_estimates_match_the_fixed_rule(monkeypatch):
         estimates = _first_estimates(
             monkeypatch, NESTED_LEVELS,
             lambda: circle_quadrature(f, contour, TIGHT))
-        k, g = one_form_components(f)
-        cx, cy, r = contour.center.u, contour.center.v, contour.radius
+        # f at center + w, evaluated in the circle's own coordinate w
+        F = dxdy.oracle._complex_evaluator(f, complex(center))
+        r = contour.radius
 
         def sample(t):
-            ct, st = math.cos(t), math.sin(t)
-            x, y = cx + r * ct, cy + r * st
-            return -k(x, y) * r * st + g(x, y) * r * ct
+            w = cmath.rect(r, t)
+            return (F(w) * complex(-w.imag, w.real)).real
 
         _assert_nested_matches_fixed(estimates, sample, 2 * math.pi, 0.0)
 
@@ -254,8 +257,8 @@ def _count_evaluations(monkeypatch):
     calls = [0]
     make = dxdy.oracle._complex_evaluator
 
-    def counting(f):
-        F = make(f)
+    def counting(f, *center):
+        F = make(f, *center)
 
         def counted(z):
             calls[0] += 1
@@ -298,9 +301,9 @@ def _reference_quad_circle(k, g, contour, tol):
     cx, cy, r = contour.center.u, contour.center.v, contour.radius
 
     def sample(t):
-        ct, st = math.cos(t), math.sin(t)
-        x, y = cx + r * ct, cy + r * st
-        return -k(x, y) * r * st + g(x, y) * r * ct
+        w = cmath.rect(r, t)
+        x, y = cx + w.real, cy + w.imag
+        return -k(x, y) * w.imag + g(x, y) * w.real
 
     def estimates():
         n = dxdy.oracle.MIN_POINTS
@@ -318,12 +321,21 @@ def _reference_quad_circle(k, g, contour, tol):
 
 def _separate_runs(f, contour, tol):
     """The form and the dual form, each run alone by the reference rule, as
-    float.hex; quad_circle must give the same bits."""
+    float.hex; quad_circle must give the same bits.  Both are forms of
+    F(w) = f(center + w), evaluated in the circle's own coordinate as
+    differential_check evaluates f, so they run on the same circle about
+    the origin, where x + i*y is w itself."""
     quad_tol = dxdy.oracle.differential_quad_tol(tol)
+    F = dxdy.oracle._complex_evaluator(f, complex(contour.center))
+    own = CircleContour(even(0, 0), contour.radius, contour.orientation)
+    form = (lambda x, y: F(complex(x, y)).real,
+            lambda x, y: -F(complex(x, y)).imag)
+    dual = (lambda x, y: F(complex(x, y)).imag,
+            lambda x, y: F(complex(x, y)).real)
     runs = []
-    for k, g in (one_form_components(f), dual_form_components(f)):
-        want = _reference_quad_circle(k, g, contour, quad_tol).hex()
-        got = quad_circle(k, g, contour, QuadratureSpec(tol=quad_tol)).hex()
+    for k, g in (form, dual):
+        want = _reference_quad_circle(k, g, own, quad_tol).hex()
+        got = quad_circle(k, g, own, QuadratureSpec(tol=quad_tol)).hex()
         assert got == want
         runs.append(want)
     return tuple(runs)
@@ -715,3 +727,51 @@ def test_overflowing_samples_raise_quadrature_error():
         circle_quadrature(f, contour)
     with pytest.raises(QuadratureError, match="non-finite"):
         differential_check(f, contour)
+
+
+def test_order_ladder_converges_at_128_evaluations(monkeypatch):
+    # sampled about the center 1, z^(m-1)/(z-1)^m is (1+w)^(m-1)/w^m with
+    # exact coefficients, so Horner carries no noise from the expanded
+    # (z-1)^m: the geometric convergence of the rule alone sets the nodes
+    calls = _count_evaluations(monkeypatch)
+    contour = CircleContour(even(1, 0), 0.5)
+    for m in range(1, 14):
+        calls[0] = 0
+        report = differential_check(
+            meromorphic_from_text(f"z^{m - 1}/(z-1)^{m}"), contour)
+        assert report.passed, (m, report)
+        assert calls[0] <= 128, (m, calls[0])
+
+
+def test_shifted_evaluator_agrees_with_f_at_the_shifted_point():
+    # F(w) against the exact f(center + w), the point itself unrounded
+    rng = random.Random(2701)
+    for _ in range(40):
+        f, poles = random_planted_rational(rng, max_poles=3, max_order=3)
+        center = complex(random_even(rng))
+        F = dxdy.oracle._complex_evaluator(f, center)
+        num = exact_poly([(c.real, c.imag) for c in f.num.coeffs])
+        den = exact_poly([(c.real, c.imag) for c in f.den.coeffs])
+        checked = 0
+        while checked < 5:
+            w = cmath.rect(rng.uniform(0.1, 1.0),
+                           rng.uniform(-math.pi, math.pi))
+            z = ExactEven(Fraction(center.real) + Fraction(w.real),
+                          Fraction(center.imag) + Fraction(w.imag))
+            if min(abs(complex(float(z.u), float(z.v)) - complex(p.location))
+                   for p in poles) < 0.5:
+                continue
+            checked += 1
+            value = exact_eval(num, z) / exact_eval(den, z)
+            want = complex(float(value.u), float(value.v))
+            assert abs(F(w) - want) <= 1e-12 * abs(want), (f, center, w)
+
+
+def test_a_shift_beyond_the_double_range_raises_quadrature_error():
+    # the exact t_0 = 1e310 of 1e300*z^2 about 1e5 has no double, as its
+    # samples have none
+    f = meromorphic_from_text("1e300*z^2")
+    contour = CircleContour(even(1e5, 0), 1.0)
+    with pytest.raises(QuadratureError, match="leave the double range") as err:
+        circle_quadrature(f, contour)
+    assert err.value.__cause__ is None
