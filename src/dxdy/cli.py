@@ -209,6 +209,8 @@ def _cmd_integrate_line(args) -> int:
                                "difference": difference,
                                "tol": args.verify_tol}
         tolerances["quad_tol"] = quad_tol
+        tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
+        tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
         status = 0 if passed else 1
     _emit(doc, args.json)
     return status

@@ -8,14 +8,18 @@ period, on which a rational integrand with degree gap >= 2 and no axis
 pole is analytic, so nothing is truncated.  An oscillatory axis integrand
 is cut at its pole abscissae.  Between cuts, x = tanh(pi/2 sinh s)
 clusters the nodes at the cuts, where narrow peaks sit; past the outer
-cuts, each exp part of the factor leaves the axis on a 45 degree ray into
-the half-plane where it decays, under r = exp(pi/2 sinh s).  No pole lies
-beyond the outer cuts, so by Cauchy's theorem the rays give the axis
-integral: like the axis checks, they rely on the pole list.  On a circle
-about c, f is evaluated once per node w = z - c, and f dz = f(c + w) i w dt
-carries the scalar and dxdy parts, the 1-form and its dual form, side by
-side.  Integrands are evaluated by the oracle's own complex Horner
-evaluator from the coefficient lists.  On a circle the lists are first
+cuts, each exp part of the factor leaves the axis on two 45 degree rays
+into the half-plane where it decays, under r = exp(pi/2 sinh s), as the
+two parts of one run that computes r and its weight once per node.  No
+pole lies beyond the outer cuts, so by Cauchy's theorem the rays give the
+axis integral: like the axis checks, they rely on the pole list.  On a
+circle about c, f is evaluated once per node w = z - c, and f dz =
+f(c + w) i w dt carries the scalar and dxdy parts, the 1-form and its dual
+form, side by side.  Integrands are evaluated by the oracle's own complex
+Horner evaluator from the coefficient lists.  It, the maps and the
+samplers take a whole level's nodes as one list, so the rule makes one
+Python call per level, not a chain of them per node, and each node's
+arithmetic is what it would be alone.  On a circle the lists are first
 Taylor-shifted to its center, exactly, by exactmath's dyadic shift, and
 each shifted coefficient is rounded once, so Horner runs in w without
 the cancellation of the expanded form in z: Horner's rounding bound
@@ -71,10 +75,11 @@ class QuadratureSpec(_Frozen):
         self._fill_slots(tol)
 
 
-def _checked(sample: Callable[[float], complex], t: float) -> complex:
-    """sample(t), with singular and non-finite values as QuadratureError."""
+def _checked(level: Callable[[list[float]], list], t: float) -> complex:
+    """The sample at t, as a level of one node, with singular and
+    non-finite values as QuadratureError."""
     try:
-        value = sample(t)
+        value = level([t])[0]
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         raise QuadratureError(  # ValueError: cmath's domain error at inf
             f"singular integrand sample at t={t:.6g}") from err
@@ -102,16 +107,18 @@ def _limit(estimates: Iterable[float], tol: float, what: str) -> float:
 _PARTS = (operator.attrgetter("real"), operator.attrgetter("imag"))
 
 
-def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
+def _periodic_trapezoid(level: Callable[[list[float]], list], period: float,
                         start: float, shift: float, tol: float,
                         parts: int = 1) -> list[float]:
     """Trapezoid rule over one period with n doubling from MIN_POINTS to
     MAX_POINTS, nodes at origin + i * period / n, for each of the first
     ``parts`` parts (real, imag) of the samples.
 
-    The origin, start + shift * period / MIN_POINTS, is the same at every
-    level, so each level's nodes are the previous level's plus the
-    midpoints between them, and only the midpoints are sampled.  Each
+    ``level`` maps the list of a level's new nodes to the list of their
+    samples, in node order, so the integrand runs once per level, not once
+    per node.  The origin, start + shift * period / MIN_POINTS, is the same
+    at every level, so each level's nodes are the previous level's plus
+    the midpoints between them, and only the midpoints are sampled.  Each
     level's new samples are summed exactly rounded (fsum), so an estimate
     is within a few ulps of n * max|sample| * step of the fixed-n rule.
     Each part stops at its own limit, bit for bit where a run on it alone
@@ -122,14 +129,13 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
     origin = start + shift * period / MIN_POINTS
 
     def sums(nodes):
-        nodes = list(nodes)
         try:
-            samples = list(map(sample, nodes))
+            samples = level(nodes)
             finite = all(map(cmath.isfinite, samples))
         except (ZeroDivisionError, OverflowError, ValueError):
             finite = False
         if not finite:  # again node by node, to name the first bad one
-            samples = [_checked(sample, t) for t in nodes]
+            samples = [_checked(level, t) for t in nodes]
         try:
             return [math.fsum(map(part, samples)) for part in _PARTS[:parts]]
         except OverflowError:  # finite samples, but their sum is not
@@ -139,11 +145,11 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
     def estimates():
         n = MIN_POINTS
         step = period / n
-        totals = sums(origin + i * step for i in range(n))
+        totals = sums([origin + i * step for i in range(n)])
         yield [total * step for total in totals]
         while n < MAX_POINTS:
             totals = [total + new for total, new in zip(
-                totals, sums(origin + (i + 0.5) * step for i in range(n)))]
+                totals, sums([origin + (i + 0.5) * step for i in range(n)]))]
             n, step = 2 * n, 0.5 * step
             yield [total * step for total in totals]
 
@@ -152,19 +158,22 @@ def _periodic_trapezoid(sample: Callable[[float], complex], period: float,
             for j, levels in enumerate(itertools.tee(estimates(), parts))]
 
 
-def _contour_integral(F: Callable[[complex], complex], contour: CircleContour,
-                      spec: QuadratureSpec, parts: int) -> list[float]:
+def _contour_integral(F: Callable[[list[complex]], list[complex]],
+                      contour: CircleContour, spec: QuadratureSpec,
+                      parts: int) -> list[float]:
     """The circle integral of F(w) dz, w = z - center, by the periodic
-    trapezoid rule, evaluating F once per node: its scalar part, the
-    integral of the 1-form F dx, and with parts=2 its dxdy part, the
-    integral of the dual form."""
+    trapezoid rule, evaluating F once per level on the list of its nodes:
+    its scalar part, the integral of the 1-form F dx, and with parts=2 its
+    dxdy part, the integral of the dual form."""
     r = contour.radius
 
-    def sample(t: float) -> complex:
-        w = cmath.rect(r, t)
-        return F(w) * complex(-w.imag, w.real)  # dz = i w dt
+    def level(ts: list[float]) -> list[complex]:
+        ws = [cmath.rect(r, t) for t in ts]
+        # dz = i w dt; 1j * w is complex(-w.imag, w.real) but for the sign
+        # of its zero real part at t = 0, which fsum does not see
+        return [v * (1j * w) for v, w in zip(F(ws), ws)]
 
-    values = _periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0, spec.tol,
+    values = _periodic_trapezoid(level, 2.0 * math.pi, 0.0, 0.0, spec.tol,
                                  parts)
     return (values if contour.orientation == COUNTERCLOCKWISE
             else [-value for value in values])
@@ -178,52 +187,66 @@ def quad_circle(k: Callable[[float, float], float],
     rule: the scalar part of the integral of (k - g dxdy) dz."""
     cx, cy = contour.center.u, contour.center.v
 
-    def F(w: complex) -> complex:
-        x, y = cx + w.real, cy + w.imag
-        return complex(k(x, y), -g(x, y))
+    def F(ws: list[complex]) -> list[complex]:
+        values = []
+        for w in ws:
+            x, y = cx + w.real, cy + w.imag
+            values.append(complex(k(x, y), -g(x, y)))
+        return values
 
     return _contour_integral(F, contour, spec, 1)[0]
 
 
-def _tanh_sinh(H: Callable[[float], float], a: float, b: float,
+def _tanh_sinh(H: Callable[[list[float]], list[float]], a: float, b: float,
                tol: float) -> float:
     """Integral of H over [a, b] under x = mid + half * tanh(pi/2 sinh s):
     the nodes cluster double-exponentially at both ends."""
     half = 0.5 * (b - a)
 
-    def sample(s: float) -> float:
-        w = _HALF_PI * math.sinh(s)
+    def level(ss: list[float]) -> list[float]:
+        ws = [_HALF_PI * math.sinh(s) for s in ss]
         # half * (1 - tanh|w|), the distance to the nearer end, without the
         # cancellation of 1 - tanh near the ends
-        d = half / (math.exp(abs(w)) * math.cosh(w))
-        return (H(a + d if w < 0.0 else b - d)
-                * (half * _HALF_PI * math.cosh(s) / math.cosh(w) ** 2))
+        ds = [half / (math.exp(abs(w)) * math.cosh(w)) for w in ws]
+        xs = [a + d if w < 0.0 else b - d for w, d in zip(ws, ds)]
+        return [h * (half * _HALF_PI * math.cosh(s) / math.cosh(w) ** 2)
+                for h, s, w in zip(H(xs), ss, ws)]
 
-    return _periodic_trapezoid(sample, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
+    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
 
 
-def _exp_sinh_ray(R: Callable[[complex], complex], c: complex, a: complex,
-                  start: float, sense: float, tol: float) -> float:
-    """Real part of the integral of c R(x) exp(a x) over the axis from start
-    to sense * infinity, taken on the 45 degree ray z = start + r * omega
-    into the half-plane where exp(a z) decays, under r = exp(pi/2 sinh s).
+def _exp_sinh_rays(R: Callable[[list[complex]], list[complex]], c: complex,
+                   a: complex, first: float, last: float,
+                   tol: float) -> list[float]:
+    """Real parts of the integrals of c R(x) exp(a x) over the axis from
+    last to infinity and from -infinity to first, as the two parts of one
+    run.  Each is taken on the 45 degree ray z = cut + r * omega into the
+    half-plane where exp(a z) decays, under r = exp(pi/2 sinh s), so the
+    two rays share r and its weight r cosh s at every node.
 
     Cauchy's theorem keeps the value when no pole of R lies between the
-    axis and the ray, as no pole does past the outermost pole abscissa.
+    axis and the ray, as no pole does past the outermost pole abscissae.
     """
-    omega = complex(sense, math.copysign(1.0, a.imag)) / math.sqrt(2.0)
-    weight = sense * omega * c * _HALF_PI
+    rays = []
+    for start, sense in ((last, 1.0), (first, -1.0)):
+        omega = complex(sense, math.copysign(1.0, a.imag)) / math.sqrt(2.0)
+        rays.append((start, omega, sense * omega * c * _HALF_PI))
 
-    def sample(s: float) -> float:
-        r = math.exp(_HALF_PI * math.sinh(s))
-        z = start + r * omega
-        e = cmath.exp(a * z)
-        if not e:
-            # underflowed far out on the ray, where R(z) may overflow
-            return 0.0
-        return (R(z) * e * weight * (r * math.cosh(s))).real
+    def level(ss: list[float]) -> list[complex]:
+        rs = [math.exp(_HALF_PI * math.sinh(s)) for s in ss]
+        weights = [r * math.cosh(s) for r, s in zip(rs, ss)]
+        parts = []
+        for start, omega, scale in rays:
+            zs = [start + r * omega for r in rs]
+            es = [cmath.exp(a * z) for z in zs]
+            # an e that underflowed far out on the ray, where R(z) may
+            # overflow, leaves the sample 0
+            values = iter(R([z for z, e in zip(zs, es) if e]))
+            parts.append([(next(values) * e * scale * weight).real if e
+                          else 0.0 for e, weight in zip(es, weights)])
+        return list(map(complex, *parts))
 
-    return _periodic_trapezoid(sample, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
+    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, 0.0, tol, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +272,35 @@ def _shifted(coeffs: tuple[complex, ...], center: complex) -> list[complex]:
 
 
 def _rational_evaluator(f: MeromorphicFunction, center: complex = 0j
-                        ) -> Callable[[complex], complex]:
-    """The rational part of f at center + w as a function of w, by complex
-    Horner evaluation in w of its coefficient lists, Taylor-shifted to a
-    nonzero center; u + v*dxdy read as u + v*1j."""
+                        ) -> Callable[[list[complex]], list[complex]]:
+    """The rational part of f at center + w as a function of a list of w,
+    by complex Horner evaluation in w of its coefficient lists, run over
+    the whole list and Taylor-shifted to a nonzero center; u + v*dxdy read
+    as u + v*1j."""
     num, den = f.num.coeffs, f.den.coeffs
     if center:
         num, den = _shifted(num, center), _shifted(den, center)
     num = num[::-1]
     den = den[::-1]
 
-    def R(w: complex) -> complex:
-        p = 0j
-        for c in num:
-            p = p * w + c
-        q = 0j
-        for c in den:
-            q = q * w + c
-        return p / q
+    def R(ws: list[complex]) -> list[complex]:
+        values = []
+        for w in ws:
+            p = q = 0j
+            for c in num:
+                p = p * w + c
+            for c in den:
+                q = q * w + c
+            values.append(p / q)
+        return values
 
     return R
 
 
 def _complex_evaluator(f: MeromorphicFunction, center: complex = 0j
-                       ) -> Callable[[complex], complex]:
-    """f at center + w as a plain-complex closure of w, u + v*dxdy read as
-    u + v*1j.
+                       ) -> Callable[[list[complex]], list[complex]]:
+    """f at center + w as a plain-complex function of a list of w, u +
+    v*dxdy read as u + v*1j.
 
     Built on the rational evaluator and cmath's exp, sin and cos, so the
     quadrature path shares no arithmetic with the algebra/series stack.
@@ -286,11 +312,12 @@ def _complex_evaluator(f: MeromorphicFunction, center: complex = 0j
     factor = _FACTORS[f.factor.kind]
     scale = complex(f.factor.scale)
     if center:
-        def F(w: complex) -> complex:
-            return R(w) * factor(scale * (center + w))
+        def F(ws: list[complex]) -> list[complex]:
+            return [p * factor(scale * (center + w))
+                    for p, w in zip(R(ws), ws)]
     else:
-        def F(w: complex) -> complex:
-            return R(w) * factor(scale * w)
+        def F(ws: list[complex]) -> list[complex]:
+            return [p * factor(scale * w) for p, w in zip(R(ws), ws)]
 
     return F
 
@@ -300,10 +327,10 @@ def one_form_components(f: MeromorphicFunction):
     F = _complex_evaluator(f)
 
     def k(x: float, y: float) -> float:
-        return F(complex(x, y)).real
+        return F([complex(x, y)])[0].real
 
     def g(x: float, y: float) -> float:
-        return -F(complex(x, y)).imag
+        return -F([complex(x, y)])[0].imag
 
     return k, g
 
@@ -314,10 +341,10 @@ def dual_form_components(f: MeromorphicFunction):
     F = _complex_evaluator(f)
 
     def k(x: float, y: float) -> float:
-        return F(complex(x, y)).imag
+        return F([complex(x, y)])[0].imag
 
     def g(x: float, y: float) -> float:
-        return F(complex(x, y)).real
+        return F([complex(x, y)])[0].real
 
     return k, g
 
@@ -347,12 +374,13 @@ def _axis_oscillation(f: MeromorphicFunction) -> float:
     return abs(scale.u)
 
 
-def axis_evaluator(f: MeromorphicFunction) -> Callable[[float], float]:
-    """u-part of f on the axis as a plain-float closure."""
+def axis_evaluator(f: MeromorphicFunction
+                   ) -> Callable[[list[float]], list[float]]:
+    """u-part of f on the axis, as a function of a list of plain floats."""
     F = _complex_evaluator(f)
 
-    def H(x: float) -> float:
-        return F(x).real
+    def H(xs: list[float]) -> list[float]:
+        return [value.real for value in F(xs)]
 
     return H
 
@@ -388,12 +416,12 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
         scale = complex(f.factor.scale)
         pieces = [_tanh_sinh(H, a, b, tol) for a, b in zip(cuts, cuts[1:])]
         for c, b in _EXP_PARTS[f.factor.kind]:
-            pieces.append(_exp_sinh_ray(R, c, b * scale, cuts[-1], 1.0, tol))
-            pieces.append(_exp_sinh_ray(R, c, b * scale, cuts[0], -1.0, tol))
+            pieces += _exp_sinh_rays(R, c, b * scale, cuts[0], cuts[-1], tol)
         return math.fsum(pieces)
 
-    def mapped(theta: float) -> float:
-        return H(math.tan(theta)) / math.cos(theta) ** 2
+    def mapped(thetas: list[float]) -> list[float]:
+        return [h / math.cos(theta) ** 2 for h, theta
+                in zip(H(list(map(math.tan, thetas))), thetas)]
 
     # a non-dyadic shift keeps every level's nodes off theta = +-pi/2, the
     # image of x = inf, by at least a third of the finest step

@@ -137,8 +137,13 @@ def test_integrate_line_verify_flag(run, text, want):
     assert check["difference"] == abs(doc["value"] - check["quadrature"])
     assert doc["tolerances"]["quad_tol"] == dxdy.oracle.differential_quad_tol(
         1e-8)
+    # the axis oracle runs the same doubling rule as the circle one
+    assert doc["tolerances"]["quad_min_points"] == dxdy.oracle.MIN_POINTS
+    assert doc["tolerances"]["quad_max_points"] == dxdy.oracle.MAX_POINTS
     assert {k: v for k, v in doc.items() if k != "verification"} == {
-        **base, "tolerances": doc["tolerances"]}
+        **base, "tolerances": {**base["tolerances"],
+                               "quad_tol": 1e-10, "quad_min_points": 32,
+                               "quad_max_points": 2 ** 21}}
 
 
 def test_integrate_line_verify_failure_and_oracle_error(run, monkeypatch):

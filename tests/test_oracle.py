@@ -116,8 +116,9 @@ def test_a_bad_level_names_its_first_bad_node(bad, worse, message):
             raise v
         return v
 
-    def sample(t):
-        return value(worse) if t > 4.0 else value(bad) if t > 2.0 else 1.0
+    def level(ts):
+        return [value(worse) if t > 4.0 else value(bad) if t > 2.0 else 1.0
+                for t in ts]
 
     step = 2.0 * math.pi / dxdy.oracle.MIN_POINTS
     first = min(i * step for i in range(dxdy.oracle.MIN_POINTS)
@@ -125,7 +126,7 @@ def test_a_bad_level_names_its_first_bad_node(bad, worse, message):
     with pytest.raises(QuadratureError,
                        match=f"^{message} integrand sample at "
                              f"t={first:.6g}$") as err:
-        dxdy.oracle._periodic_trapezoid(sample, 2.0 * math.pi, 0.0, 0.0,
+        dxdy.oracle._periodic_trapezoid(level, 2.0 * math.pi, 0.0, 0.0,
                                         1e-9)
     assert (err.value.__cause__ is None) == (message == "non-finite")
 
@@ -162,18 +163,19 @@ def _first_estimates(monkeypatch, levels, run):
     return seen
 
 
-def _fixed_trapezoid(sample, period, origin, n):
+def _fixed_trapezoid(level, period, origin, n):
     """The n-point periodic trapezoid rule with nodes origin + i*period/n,
-    summed exactly rounded, and the largest |sample|."""
+    all sampled by one call of level and summed exactly rounded, and the
+    largest |sample|."""
     step = period / n
-    values = [sample(origin + i * step) for i in range(n)]
+    values = level([origin + i * step for i in range(n)])
     return math.fsum(values) * step, max(abs(v) for v in values)
 
 
-def _assert_nested_matches_fixed(estimates, sample, period, origin):
+def _assert_nested_matches_fixed(estimates, level, period, origin):
     n = dxdy.oracle.MIN_POINTS
     for estimate in estimates:
-        want, peak = _fixed_trapezoid(sample, period, origin, n)
+        want, peak = _fixed_trapezoid(level, period, origin, n)
         step = period / n
         assert abs(estimate - want) <= (
             8 * sys.float_info.epsilon * n * peak * step), (n, estimate, want)
@@ -198,11 +200,12 @@ def test_nested_circle_estimates_match_the_fixed_rule(monkeypatch):
         F = dxdy.oracle._complex_evaluator(f, complex(center))
         r = contour.radius
 
-        def sample(t):
-            w = cmath.rect(r, t)
-            return (F(w) * complex(-w.imag, w.real)).real
+        def level(ts):
+            ws = [cmath.rect(r, t) for t in ts]
+            return [(v * complex(-w.imag, w.real)).real
+                    for v, w in zip(F(ws), ws)]
 
-        _assert_nested_matches_fixed(estimates, sample, 2 * math.pi, 0.0)
+        _assert_nested_matches_fixed(estimates, level, 2 * math.pi, 0.0)
 
 
 def test_nested_axis_estimates_match_the_fixed_rule(monkeypatch):
@@ -222,14 +225,15 @@ def test_nested_axis_estimates_match_the_fixed_rule(monkeypatch):
             lambda: real_line_quadrature(f, tol=REAL_LINE_TOL))
         H = dxdy.oracle.axis_evaluator(f)
 
-        def sample(theta):
-            return H(math.tan(theta)) / math.cos(theta) ** 2
+        def level(thetas):
+            return [h / math.cos(theta) ** 2 for h, theta
+                    in zip(H([math.tan(theta) for theta in thetas]), thetas)]
 
-        _assert_nested_matches_fixed(estimates, sample, period, origin)
+        _assert_nested_matches_fixed(estimates, level, period, origin)
         if f is cases[0]:
             n = 2 * dxdy.oracle.MIN_POINTS
             drifted, _ = _fixed_trapezoid(
-                sample, period, start + (1.0 / 3.0) * period / n, n)
+                level, period, start + (1.0 / 3.0) * period / n, n)
             assert abs(drifted - estimates[1]) > 1e-8
 
 
@@ -252,33 +256,36 @@ def _count_levels(monkeypatch):
     return levels
 
 
-def _count_evaluations(monkeypatch):
-    """Patch _complex_evaluator so its closures count their calls."""
-    calls = [0]
+def _count_nodes(monkeypatch):
+    """Patch _complex_evaluator so its level functions count the nodes
+    they are given, in [0], and their calls, in [1]."""
+    nodes = [0, 0]
     make = dxdy.oracle._complex_evaluator
 
     def counting(f, *center):
         F = make(f, *center)
 
-        def counted(z):
-            calls[0] += 1
-            return F(z)
+        def counted(ws):
+            nodes[0] += len(ws)
+            nodes[1] += 1
+            return F(ws)
         return counted
 
     monkeypatch.setattr(dxdy.oracle, "_complex_evaluator", counting)
-    return calls
+    return nodes
 
 
 def test_circle_sample_budget(monkeypatch):
-    # f is evaluated once per node, and every level only adds the
-    # midpoints of the one before: the final level's nodes in all
+    # f is evaluated once per node, in one call per level, and every level
+    # only adds the midpoints of the one before: the final level's nodes in
+    # all
     levels = _count_levels(monkeypatch)
-    calls = _count_evaluations(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     f = meromorphic_from_text("1/(z^2+1)^2")
     got = circle_quadrature(f, CircleContour(even(0, 1), 0.5), TIGHT)
     assert abs(got - math.pi / 2) <= 1e-10
     assert len(levels) == 1 and levels[0] >= 3
-    assert calls[0] == dxdy.oracle.MIN_POINTS << (levels[0] - 1)
+    assert nodes == [dxdy.oracle.MIN_POINTS << (levels[0] - 1), levels[0]]
 
 
 @pytest.mark.parametrize("text", ["1/(z-0.9)", "I/(z-0.9)",
@@ -287,11 +294,11 @@ def test_differential_check_evaluates_f_once_per_node(text, monkeypatch):
     # the form and the dual form share each evaluation of f; the part that
     # stops later sets the nodes
     levels = _count_levels(monkeypatch)
-    calls = _count_evaluations(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     report = differential_check(meromorphic_from_text(text), UNIT)
     assert report.passed, report
     assert len(levels) == 2
-    assert calls[0] == dxdy.oracle.MIN_POINTS << (max(levels) - 1)
+    assert nodes[0] == dxdy.oracle.MIN_POINTS << (max(levels) - 1)
 
 
 def _reference_quad_circle(k, g, contour, tol):
@@ -328,10 +335,10 @@ def _separate_runs(f, contour, tol):
     quad_tol = dxdy.oracle.differential_quad_tol(tol)
     F = dxdy.oracle._complex_evaluator(f, complex(contour.center))
     own = CircleContour(even(0, 0), contour.radius, contour.orientation)
-    form = (lambda x, y: F(complex(x, y)).real,
-            lambda x, y: -F(complex(x, y)).imag)
-    dual = (lambda x, y: F(complex(x, y)).imag,
-            lambda x, y: F(complex(x, y)).real)
+    form = (lambda x, y: F([complex(x, y)])[0].real,
+            lambda x, y: -F([complex(x, y)])[0].imag)
+    dual = (lambda x, y: F([complex(x, y)])[0].imag,
+            lambda x, y: F([complex(x, y)])[0].real)
     runs = []
     for k, g in (form, dual):
         want = _reference_quad_circle(k, g, own, quad_tol).hex()
@@ -384,9 +391,9 @@ def test_axis_nodes_stay_off_the_image_of_infinity(monkeypatch):
     xs = []
 
     def noisy(f):
-        def H(x):
-            xs.append(x)
-            return math.sin(3.7e7 * x)
+        def H(level):
+            xs.extend(level)
+            return [math.sin(3.7e7 * x) for x in level]
         return H
 
     monkeypatch.setattr(dxdy.oracle, "axis_evaluator", noisy)
@@ -460,10 +467,10 @@ def test_real_line_sample_budget(monkeypatch):
     def counting(f):
         H = make(f)
 
-        def sample(x):
+        def sample(xs):
             nonlocal samples
-            samples += 1
-            return H(x)
+            samples += len(xs)
+            return H(xs)
         return sample
 
     monkeypatch.setattr(dxdy.oracle, "axis_evaluator", counting)
@@ -537,6 +544,57 @@ def test_oscillatory_sum_stops_at_the_sample_cap(monkeypatch):
     f = meromorphic_from_text("exp(I*x)/(x^2+1)", real_line=True)
     with pytest.raises(QuadratureError, match="within 64 points"):
         real_line_quadrature(f, tol=REAL_LINE_TOL)
+
+
+def _reference_ray(R, c, a, start, sense, tol):
+    """One exp-sinh ray run alone, node by node, as the oracle ran each ray
+    of an exp part before the two shared a run: the real part of the
+    integral of c R(x) exp(a x) from start to sense * infinity."""
+    omega = complex(sense, math.copysign(1.0, a.imag)) / math.sqrt(2.0)
+    weight = sense * omega * c * (0.5 * math.pi)
+
+    def sample(s):
+        r = math.exp(0.5 * math.pi * math.sinh(s))
+        z = start + r * omega
+        e = cmath.exp(a * z)
+        if not e:
+            return 0.0
+        return (R([z])[0] * e * weight * (r * math.cosh(s))).real
+
+    window = dxdy.oracle.WINDOW
+    return dxdy.oracle._periodic_trapezoid(
+        lambda ss: [sample(s) for s in ss], 2.0 * window, -window, 0.0,
+        tol)[0]
+
+
+@pytest.mark.parametrize("text, rays, tol", [
+    # at these tolerances the two rays of each exp part stop at different
+    # levels, and the one that stops first has not settled to its last bit,
+    # so a paired run that stopped it with the other would change its bits
+    ("exp(I*0.3*x)/(((x-5)^2+0.25)*((x+1)^2+9))", 2, 3e-7),
+    # two exp parts, so two paired runs
+    ("cos(x)/((x-0.5)^2+1)", 4, 1e-5),
+])
+def test_paired_rays_are_bit_identical_to_separate_runs(text, rays, tol,
+                                                         monkeypatch):
+    levels = _count_levels(monkeypatch)
+    paired = dxdy.oracle._exp_sinh_rays
+    runs = []
+
+    def recorded(*args):
+        before = len(levels)
+        values = paired(*args)
+        runs.append((args, values, levels[before:]))
+        return values
+
+    monkeypatch.setattr(dxdy.oracle, "_exp_sinh_rays", recorded)
+    real_line_quadrature(meromorphic_from_text(text, real_line=True), tol)
+    assert 2 * len(runs) == rays
+    for (R, c, a, first, last, run_tol), values, stops in runs:
+        want = [_reference_ray(R, c, a, last, 1.0, run_tol),
+                _reference_ray(R, c, a, first, -1.0, run_tol)]
+        assert [v.hex() for v in values] == [v.hex() for v in want]
+        assert len(stops) == 2 and stops[0] != stops[1]
 
 
 def _random_axis_integrand(rng):
@@ -694,6 +752,10 @@ def test_dual_form_matches_defect():
     assert abs(got - result.imaginary_defect) <= 1e-9
 
 
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
 @pytest.mark.parametrize("text", [
     "(z^3-2*z+I)/(z^4+3*z^2-z+2)",
     "(2*z-1)/((z-0.3)^3*(z+1+I))",
@@ -702,14 +764,19 @@ def test_dual_form_matches_defect():
     "z*cos(0.4*I*z)/(z^3-1)",
 ])
 def test_complex_evaluator_matches_meromorphic_call(text):
+    # one call on 200 points gives, bit for bit, what 200 calls on one
+    # point give, and each agrees with f's own evaluation
     f = meromorphic_from_text(text)
     F = dxdy.oracle._complex_evaluator(f)
     rng = random.Random(text)
-    for _ in range(200):
-        z = random_even(rng, 3.0)
+    zs = [random_even(rng, 3.0) for _ in range(200)]
+    values = F([complex(z.u, z.v) for z in zs])
+    assert len(values) == len(zs)
+    for z, got in zip(zs, values):
+        assert _hex(got) == _hex(F([complex(z.u, z.v)])[0])
         w = f(z)
         want = complex(w.u, w.v)
-        assert abs(F(complex(z.u, z.v)) - want) <= 1e-13 * abs(want), z
+        assert abs(got - want) <= 1e-13 * abs(want), z
 
 
 def test_overflowing_samples_raise_quadrature_error():
@@ -733,14 +800,14 @@ def test_order_ladder_converges_at_128_evaluations(monkeypatch):
     # sampled about the center 1, z^(m-1)/(z-1)^m is (1+w)^(m-1)/w^m with
     # exact coefficients, so Horner carries no noise from the expanded
     # (z-1)^m: the geometric convergence of the rule alone sets the nodes
-    calls = _count_evaluations(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     contour = CircleContour(even(1, 0), 0.5)
     for m in range(1, 14):
-        calls[0] = 0
+        nodes[0] = 0
         report = differential_check(
             meromorphic_from_text(f"z^{m - 1}/(z-1)^{m}"), contour)
         assert report.passed, (m, report)
-        assert calls[0] <= 128, (m, calls[0])
+        assert nodes[0] <= 128, (m, nodes[0])
 
 
 def test_shifted_evaluator_agrees_with_f_at_the_shifted_point():
@@ -752,8 +819,8 @@ def test_shifted_evaluator_agrees_with_f_at_the_shifted_point():
         F = dxdy.oracle._complex_evaluator(f, center)
         num = exact_poly([(c.real, c.imag) for c in f.num.coeffs])
         den = exact_poly([(c.real, c.imag) for c in f.den.coeffs])
-        checked = 0
-        while checked < 5:
+        ws, zs = [], []
+        while len(ws) < 5:
             w = cmath.rect(rng.uniform(0.1, 1.0),
                            rng.uniform(-math.pi, math.pi))
             z = ExactEven(Fraction(center.real) + Fraction(w.real),
@@ -761,10 +828,12 @@ def test_shifted_evaluator_agrees_with_f_at_the_shifted_point():
             if min(abs(complex(float(z.u), float(z.v)) - complex(p.location))
                    for p in poles) < 0.5:
                 continue
-            checked += 1
+            ws.append(w)
+            zs.append(z)
+        for w, z, got in zip(ws, zs, F(ws)):
             value = exact_eval(num, z) / exact_eval(den, z)
             want = complex(float(value.u), float(value.v))
-            assert abs(F(w) - want) <= 1e-12 * abs(want), (f, center, w)
+            assert abs(got - want) <= 1e-12 * abs(want), (f, center, w)
 
 
 def test_a_shift_beyond_the_double_range_raises_quadrature_error():
