@@ -14,16 +14,27 @@ entire calls.  ``x`` is accepted only where a caller binds it to z
 (real-line integrands) or evaluates over the plane (1-form classification).
 Exponents must fold to integer constants; anything fractional is rejected
 because fractional powers are not single-valued around a circle.
+
+A parsed tree compiles to a level function, which evaluates it at a whole
+list of points per call: each node runs once, over the list, and gives
+each point the bits it would get alone; a subtree that names no point is
+computed once, when compiled.  ``evaluate`` runs a level of one point.
+1-form classification runs the e/w/n/s stencils of up to 256 samples as
+one level; a level that raises is walked again sample by sample, and each
+sample point by point, so the error is the first one that order meets
+(see functions.classify_one_form).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, Union
 
 from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
-                      complex_int_pow, complex_inv, complex_sin, even)
-from .errors import UsageError
+                      complex_inv, complex_sin, even)
+from .errors import RangeError, UsageError
 
 
 class ParseError(UsageError):
@@ -250,62 +261,124 @@ def parse(text: str) -> Expr:
     return node
 
 
-_CALL_EVAL = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
-
 _CONSTANTS = {"I": complex(0.0, 1.0), "pi": complex(math.pi, 0.0)}
-# closure factories: complex +, - and * are the even-element operations
+
+Level = Callable[[dict[str, list[complex]], int], list[complex]]
+
+
+def _mapped(func: Callable[[complex], complex]
+            ) -> Callable[[Level], Level]:
+    """The level factory that applies func to each value of its operand."""
+    return lambda operand: lambda env, n: list(map(func, operand(env, n)))
+
+
+def _zipped(op: Callable[[complex, complex], complex]
+            ) -> Callable[[Level, Level], Level]:
+    """The level factory that applies op to each pair of values."""
+    return lambda left, right: lambda env, n: list(map(
+        op, left(env, n), right(env, n)))
+
+
+_NEGATE = _mapped(operator.neg)
+_CALL_LEVEL = {"exp": _mapped(complex_exp), "sin": _mapped(complex_sin),
+               "cos": _mapped(complex_cos)}
+# complex +, - and * are the even-element operations
 _BINARY = {
-    "+": lambda left, right: lambda env: left(env) + right(env),
-    "-": lambda left, right: lambda env: left(env) - right(env),
-    "*": lambda left, right: lambda env: left(env) * right(env),
-    "/": lambda left, right: lambda env: left(env) * complex_inv(right(env)),
+    "+": _zipped(operator.add),
+    "-": _zipped(operator.sub),
+    "*": _zipped(operator.mul),
+    "/": lambda left, right: lambda env, n: list(map(
+        operator.mul, left(env, n), map(complex_inv, right(env, n)))),
 }
 
 
-def compile_expression(e: Expr) -> Callable[[dict[str, complex]], complex]:
-    """Walk the tree once into closures that evaluate it pointwise.
+def compile_expression(e: Expr) -> Level:
+    """Walk the tree once into a level function: given an environment that
+    binds each name to a list of n points and the count n, it returns the
+    list of the n values.
 
-    The closures compute on float pairs: each value u + v*dxdy is
-    complex(u, v), a number c is complex(c, 0.0), and the environment
-    binds names to such pairs.  They run the even-element operations of a
-    tree walk in the same order, so the values are the same bits as that
-    walk's.  ``I`` and ``pi`` are predefined; an unbound name raises
-    ParseError when the closure runs.
+    The points and values are float pairs: each value u + v*dxdy is
+    complex(u, v) and a number c is complex(c, 0.0).  Each node runs once
+    per call, over the whole list, and gives each point the even-element
+    operations of a tree walk at that point alone, in the same order, so
+    the values are the same bits as that walk's.  A subtree that names no
+    point is computed once, here, by those same operations, unless that
+    raises; then it raises each time the level runs.  Nodes run one after
+    another, so when several points fail, the error raised need not be the
+    one a point-by-point walk meets first.  ``I`` and ``pi`` are
+    predefined; an unbound name raises ParseError when the level runs.
     """
-    if isinstance(e, Num):
-        value = complex(e.value, 0.0)
-        return lambda env: value
-    if isinstance(e, Sym) and e.name in _CONSTANTS:
-        value = _CONSTANTS[e.name]
-        return lambda env: value
-    if isinstance(e, Sym):
-        def symbol(env, name=e.name):
+    node = _compile(e)
+    return node if callable(node) else _constant_level(node)
+
+
+def _constant_level(value: complex) -> Level:
+    return lambda env, n: [value] * n
+
+
+def _compile(e: Expr) -> complex | Level:
+    """The value of a subtree that names no point and computes without
+    error, else its level function."""
+    if isinstance(e, BinOp):
+        parts = (_compile(e.left), _compile(e.right))
+        make = _BINARY[e.op]
+    elif isinstance(e, Num):
+        return complex(e.value, 0.0)
+    elif isinstance(e, Sym):
+        if e.name in _CONSTANTS:
+            return _CONSTANTS[e.name]
+
+        def symbol(env, n, name=e.name):
             try:
                 return env[name]
             except KeyError:
                 raise ParseError(f"unbound symbol {name!r}") from None
         return symbol
-    if isinstance(e, Neg):
-        operand = compile_expression(e.operand)
-        return lambda env: -operand(env)
-    if isinstance(e, BinOp):
-        return _BINARY[e.op](compile_expression(e.left),
-                             compile_expression(e.right))
-    if isinstance(e, Pow):
-        base = compile_expression(e.base)
-        exponent = e.exponent
-        return lambda env: complex_int_pow(base(env), exponent)
-    if isinstance(e, Call):
-        func = _CALL_EVAL[e.func]
-        arg = compile_expression(e.arg)
-        return lambda env: func(arg(env))
-    raise TypeError(f"not an expression node: {e!r}")
+    elif isinstance(e, Neg):
+        parts = (_compile(e.operand),)
+        make = _NEGATE
+    elif isinstance(e, Pow):
+        parts = (_compile(e.base),)
+        make = functools.partial(_power, exponent=e.exponent)
+    elif isinstance(e, Call):
+        parts = (_compile(e.arg),)
+        make = _CALL_LEVEL[e.func]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if any(map(callable, parts)):
+        return make(*[p if callable(p) else _constant_level(p)
+                      for p in parts])
+    run = make(*map(_constant_level, parts))
+    try:
+        [value] = run({}, 1)
+    except (ZeroDivisionError, RangeError):
+        return run  # raises again each time the level runs
+    return value
+
+
+def _power(base: Level, exponent: int) -> Level:
+    """``complex_int_pow``'s binary powering, run over the level."""
+    def power(env, n):
+        squares = base(env, n)
+        m = exponent
+        if m < 0:
+            squares, m = list(map(complex_inv, squares)), -m
+        result = [1 + 0j] * n
+        while True:
+            if m & 1:
+                result = list(map(operator.mul, result, squares))
+            m >>= 1
+            if not m:  # the next square would go unused
+                return result
+            squares = [b * b for b in squares]
+    return power
 
 
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:
-    """Evaluate once; the pairs are converted only on the way in and out
-    (see compile_expression)."""
-    z = compile_expression(e)({name: complex(x) for name, x in env.items()})
+    """Evaluate once, as a level of one point; the pairs are converted
+    only on the way in and out (see compile_expression)."""
+    [z] = compile_expression(e)({name: [complex(x)]
+                                 for name, x in env.items()}, 1)
     return EvenElement(z.real, z.imag)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import expressions as ex
 from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
@@ -331,45 +331,112 @@ class FormClass(enum.Enum):
     CLOSED_AND_CR = "closed_and_CR"
 
 
-class OneForm(_Frozen, defaults={"both": None}):
-    """alpha = k dx + g dy; ``both``, if set, gives (k, g) in one call."""
+#: a 1-form's level: lists xs, ys of points to the lists (ks, gs) there
+FormLevel = Callable[[list[float], list[float]],
+                     tuple[list[float], list[float]]]
+Sample = tuple[float, float]
 
-    __slots__ = ("k", "g", "both")
 
-    def at(self, x: float, y: float) -> tuple[float, float]:
-        return self.both(x, y) if self.both else (self.k(x, y), self.g(x, y))
+class OneForm(_Frozen, defaults={"level": None}):
+    """alpha = k dx + g dy; ``level``, if set, maps lists xs, ys of points
+    to the lists (ks, gs) of k and g there, in one call."""
+
+    __slots__ = ("k", "g", "level")
 
     @staticmethod
     def from_function(f: Callable[[EvenElement], EvenElement]) -> "OneForm":
         """The form w dx with w = f(z): k = u-part, g = -v-part."""
-        def both(x: float, y: float) -> tuple[float, float]:
-            w = f(even(x, y))
-            return w.u, -w.v
+        def level(xs: list[float], ys: list[float]
+                  ) -> tuple[list[float], list[float]]:
+            ws = [f(even(x, y)) for x, y in zip(xs, ys)]
+            return [w.u for w in ws], [-w.v for w in ws]
 
-        return OneForm(lambda x, y: both(x, y)[0],
-                       lambda x, y: both(x, y)[1], both)
+        return _level_form(level)
 
     @staticmethod
     def from_expressions(k_text: str, g_text: str) -> "OneForm":
         """Components given as expressions in x and y (real-valued)."""
         run_k, run_g = (ex.compile_expression(ex.parse(text))
                         for text in (k_text, g_text))
-        def both(x: float, y: float) -> tuple[float, float]:
-            env = {"x": complex(x, 0.0), "y": complex(y, 0.0)}
-            return run_k(env).real, run_g(env).real
 
-        return OneForm(lambda x, y: both(x, y)[0],
-                       lambda x, y: both(x, y)[1], both)
+        def level(xs: list[float], ys: list[float]
+                  ) -> tuple[list[float], list[float]]:
+            env = {"x": list(map(complex, xs)), "y": list(map(complex, ys))}
+            n = len(xs)
+            return ([v.real for v in run_k(env, n)],
+                    [v.real for v in run_g(env, n)])
+
+        return _level_form(level)
 
 
-def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
+def _level_form(level: FormLevel) -> OneForm:
+    """The form that level evaluates; its k and g run it on one point."""
+    return OneForm(lambda x, y: level([x], [y])[0][0],
+                   lambda x, y: level([x], [y])[1][0], level)
+
+
+#: samples whose stencils one level call evaluates: 4 points each
+_BLOCK = 256
+
+
+def _stencil_derivatives(level: FormLevel, samples: Sequence[Sample],
+                         step: float) -> list[tuple[float, ...]]:
+    """(k_x, k_y, g_x, g_y) at each sample by central differences, from one
+    level call on the east, west, north and south points of every
+    sample, in that order."""
+    xs = [v for x, _ in samples for v in (x + step, x - step, x, x)]
+    ys = [v for _, y in samples for v in (y, y, y + step, y - step)]
+    ks, gs = level(xs, ys)
+    h = 2 * step
+    k_x = [(e - w) / h for e, w in zip(ks[0::4], ks[1::4])]
+    k_y = [(n - s) / h for n, s in zip(ks[2::4], ks[3::4])]
+    g_x = [(e - w) / h for e, w in zip(gs[0::4], gs[1::4])]
+    g_y = [(n - s) / h for n, s in zip(gs[2::4], gs[3::4])]
+    return list(zip(k_x, k_y, g_x, g_y))
+
+
+def _sample_derivatives(level: FormLevel, samples: Sequence[Sample],
+                        step: float
+                        ) -> Iterator[tuple[Sample, tuple[float, ...]]]:
+    """Each sample with its (k_x, k_y, g_x, g_y), in order.
+
+    The stencils of a block of up to _BLOCK samples are evaluated in one
+    level call.  A block that raises is walked again sample by sample, and
+    each sample point by point, so that the error raised is the first one
+    met in that order; a zero division there names its sample."""
+    def point_by_point(xs, ys):
+        pairs = [level([x], [y]) for x, y in zip(xs, ys)]
+        return [k for (k,), _ in pairs], [g for _, (g,) in pairs]
+
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start:start + _BLOCK]
+        try:
+            rows = _stencil_derivatives(level, block, step)
+        except Exception:  # any error: the walk below raises the first one
+            rows = None
+        if rows is not None:
+            yield from zip(block, rows)
+            continue
+        for x, y in block:
+            try:
+                [row] = _stencil_derivatives(point_by_point, [(x, y)], step)
+            except ZeroDivisionError as err:
+                raise SingularSampleError(
+                    f"sample ({x}, {y}) is too close to a singularity"
+                ) from err
+            yield (x, y), row
+
+
+def classify_one_form(form: OneForm, samples: Sequence[Sample],
                       step: float = 1e-6, tol: float = 1e-5) -> FormClass:
     """Test closedness (k_y = g_x) and the extra CR condition (k_x = -g_y).
 
     Central differences with the given step; each sample must satisfy the
     conditions within tol scaled by the local derivative magnitude, and every
-    sample must agree for the stronger verdicts.  No samples, step <= 0 or
-    tol < 0 raise UsageError, as the verdict would be untested.
+    sample must agree for the stronger verdicts.  The form's level, or its
+    k and g point by point, runs on the stencils of many samples per call
+    (see _sample_derivatives).  No samples, step <= 0 or tol < 0 raise
+    UsageError, as the verdict would be untested.
     """
     if not samples:
         raise UsageError("classification needs at least one sample")
@@ -377,22 +444,16 @@ def classify_one_form(form: OneForm, samples: Sequence[tuple[float, float]],
         raise UsageError(f"step must be positive, got {step}")
     if not tol >= 0:
         raise UsageError(f"tol must be non-negative, got {tol}")
+    level = form.level or (lambda xs, ys: (list(map(form.k, xs, ys)),
+                                           list(map(form.g, xs, ys))))
     closed = True
     cauchy_riemann = True
-    for x, y in samples:
-        try:
-            (k_e, g_e), (k_w, g_w) = form.at(x + step, y), form.at(x - step, y)
-            (k_n, g_n), (k_s, g_s) = form.at(x, y + step), form.at(x, y - step)
-            k_x, g_x = (k_e - k_w) / (2 * step), (g_e - g_w) / (2 * step)
-            k_y, g_y = (k_n - k_s) / (2 * step), (g_n - g_s) / (2 * step)
-        except ZeroDivisionError as err:
-            raise SingularSampleError(
-                f"sample ({x}, {y}) is too close to a singularity") from err
-        derivs = (k_x, k_y, g_x, g_y)
-        if not all(math.isfinite(d) for d in derivs):
+    for (x, y), derivs in _sample_derivatives(level, samples, step):
+        if not all(map(math.isfinite, derivs)):
             raise SingularSampleError(
                 f"sample ({x}, {y}) is too close to a singularity")
-        local = tol * (1.0 + max(abs(d) for d in derivs))
+        k_x, k_y, g_x, g_y = derivs
+        local = tol * (1.0 + max(map(abs, derivs)))
         if abs(k_y - g_x) > local:
             closed = False
         if abs(k_x + g_y) > local:

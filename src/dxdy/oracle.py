@@ -280,13 +280,14 @@ def _rational_evaluator(f: MeromorphicFunction, center: complex = 0j
     num, den = f.num.coeffs, f.den.coeffs
     if center:
         num, den = _shifted(num, center), _shifted(den, center)
-    num = num[::-1]
-    den = den[::-1]
+    # Horner starts at the leading coefficient; a zero numerator is [0j]
+    p0, *num = num[::-1] or [0j]
+    q0, *den = den[::-1]
 
     def R(ws: list[complex]) -> list[complex]:
         values = []
         for w in ws:
-            p = q = 0j
+            p, q = p0, q0
             for c in num:
                 p = p * w + c
             for c in den:

@@ -296,7 +296,7 @@ VALUE_TYPES = [
      "den=Polynomial(coeffs=(0j, (1+0j))), factor=None)", (_ONE, _Z, None)),
     (OneForm(math.hypot, math.atan2),
      "OneForm(k=<built-in function hypot>, g=<built-in function atan2>, "
-     "both=None)", (math.hypot, math.atan2, None)),
+     "level=None)", (math.hypot, math.atan2, None)),
     (CircleContour(EvenElement(0.5, 0.0), 1.5),
      "CircleContour(center=EvenElement(u=0.5, v=0.0), radius=1.5, "
      "orientation='counterclockwise', clearance=None)",
@@ -338,7 +338,7 @@ _DEFAULTS = {
     Multivector: {"s": 0.0, "a": 0.0, "b": 0.0, "p": 0.0},
     _Token: {"value": 0.0},
     MeromorphicFunction: {"factor": None, "den_roots": None},
-    OneForm: {"both": None},
+    OneForm: {"level": None},
     CircleContour: {"orientation": COUNTERCLOCKWISE, "clearance": None},
     IntegralResult: {"residues": (), "warnings": (), "half_plane": None},
     QuadratureSpec: {"tol": 1e-10},
@@ -403,7 +403,7 @@ def test_multivector_keeps_its_defaults_and_keywords():
 def test_value_types_keep_their_defaults():
     assert _Token("end", "", 3) == _Token("end", "", 3, 0.0)
     assert MeromorphicFunction(num=_ONE, den=_Z).factor is None
-    assert OneForm(k=math.hypot, g=math.atan2).both is None
+    assert OneForm(k=math.hypot, g=math.atan2).level is None
     contour = CircleContour(center=EvenElement(0.0, 0.0), radius=1.0)
     assert (contour.orientation, contour.clearance) == (COUNTERCLOCKWISE,
                                                          None)

@@ -208,6 +208,16 @@ def test_classify_verb(run):
     assert doc["classification"] == "not_closed"
 
 
+@pytest.mark.parametrize("k, status, message", [
+    ("exp(1000*x)", 1, "lies beyond the double range"),
+    ("z", 2, "unbound symbol 'z'"),
+])
+def test_classify_errors_exit_by_their_kind(run, k, status, message):
+    got, out, err = run("classify", "--k", k, "--g", "0")
+    assert (got, out) == (status, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("option", [
     ["--samples", "0"], ["--samples", "-3"], ["--step", "0"],
     ["--step=-1e-6"], ["--step", "nan"], ["--tol=-1"], ["--step", "inf"],

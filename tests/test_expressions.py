@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxdy.algebra import even
+from dxdy.errors import RangeError
 from dxdy.expressions import (CALLS, BinOp, Call, Neg, Num, ParseError, Pow,
                               Sym, compile_expression, evaluate, parse,
                               parse_point)
@@ -111,9 +112,30 @@ def test_evaluate_even_arithmetic():
 
 def test_unbound_symbol_raises_when_the_compiled_tree_runs():
     run = compile_expression(parse("q+1"))
-    assert _bits(run({"q": complex(1.0, 2.0)})) == _bits(complex(2.0, 2.0))
+    got = run({"q": [complex(1.0, 2.0), complex(-0.5, -0.0)]}, 2)
+    assert list(map(_bits, got)) == [_bits(complex(2.0, 2.0)),
+                                     _bits(complex(0.5, 0.0))]
     with pytest.raises(ParseError, match="unbound symbol 'q'"):
-        run({})
+        run({}, 1)
+
+
+def test_a_level_without_names_has_the_size_it_is_asked_for():
+    run = compile_expression(parse("-pi^2 + I"))
+    [value] = run({}, 1)
+    assert run({}, 3) == [value] * 3
+    assert run({}, 0) == []
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x + 1/(1-1)", ZeroDivisionError),
+    ("x * (1-1)^-2", ZeroDivisionError),
+    ("exp(1000) - x", RangeError),
+])
+def test_a_constant_part_that_fails_raises_when_the_level_runs(text, error):
+    run = compile_expression(parse(text))
+    with pytest.raises(error):
+        run({"x": [complex(1.0, 0.0)]}, 1)
+    assert run({"x": []}, 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +176,33 @@ def _outcome(run, env):
     return _bits(value)
 
 
+_TRIPLES = st.tuples(_POINTS, _POINTS, _POINTS)
+
+
 @settings(max_examples=200, deadline=None)
-@example(parse("1/(x-x)"), even(1.5), even(0.0), even(0.0))
-@example(parse("y^-3 + exp(z)*I"), even(0.0), even(0.0), even(0.5, -0.5))
-@given(_TREES, _POINTS, _POINTS, _POINTS)
-def test_compiled_tree_matches_the_plain_walk_bit_for_bit(tree, x, y, z):
-    # the compiled tree runs on complex pairs, evaluate converts at the edges
-    env = {"x": x, "y": y, "z": z}
-    pairs = {name: complex(p.u, p.v) for name, p in env.items()}
-    expected = _outcome(lambda e: reference_evaluate(tree, e), env)
-    assert _outcome(compile_expression(tree), pairs) == expected
-    assert _outcome(lambda e: evaluate(tree, e), env) == expected
+@example(parse("1/(x-x)"), [(even(1.5), even(0.0), even(0.0))])
+@example(parse("y^-3 + exp(z)*I"), [(even(0.0), even(0.0), even(0.5, -0.5))])
+@example(parse("1/y + x^-2"), [(even(1.0), even(2.0), even(0.0)),
+                               (even(0.0), even(-1.0), even(0.0))])
+@given(_TREES, st.lists(_TRIPLES, min_size=1, max_size=4))
+def test_compiled_tree_matches_the_plain_walk_bit_for_bit(tree, points):
+    # the compiled tree runs on lists of complex pairs, evaluate converts a
+    # one-point level at the edges; a level of several points gives each
+    # the bits it gets alone, and raises exactly when some point does
+    run = compile_expression(tree)
+    alone = []
+    for x, y, z in points:
+        env = {"x": x, "y": y, "z": z}
+        pairs = {name: [complex(p.u, p.v)] for name, p in env.items()}
+        expected = _outcome(lambda e: reference_evaluate(tree, e), env)
+        assert _outcome(lambda e: run(e, 1)[0], pairs) == expected
+        assert _outcome(lambda e: evaluate(tree, e), env) == expected
+        alone.append(expected)
+    level = {name: [complex(p.u, p.v) for p in column]
+             for name, column in zip("xyz", zip(*points))}
+    try:
+        values = run(level, len(points))
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        assert type(err) in alone
+    else:
+        assert list(map(_bits, values)) == alone

@@ -1,24 +1,29 @@
 """Meromorphic model: conversion, cancellation, poles, expansions,
 classification."""
 
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import dxdy.cli
 import dxdy.functions
 from dxdy.algebra import EvenElement, even, even_mul
-from dxdy.expressions import parse
+from dxdy.errors import RangeError
+from dxdy.expressions import ParseError, parse
 from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
-                            UnsupportedExpressionError, classify_one_form,
-                            find_poles, local_expansion, meromorphic_from_text,
-                            to_meromorphic)
+                            SingularSampleError, UnsupportedExpressionError,
+                            classify_one_form, find_poles, local_expansion,
+                            meromorphic_from_text, to_meromorphic)
 from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.residues import laurent_expand, residue
 from dxdy.roots import RootFindingError, find_roots
 
 from helpers import (even_close, gaussian_monic_denominators,
-                     random_planted_rational)
+                     random_planted_rational, reference_evaluate)
 
 
 def test_simple_rational_shape():
@@ -326,6 +331,150 @@ def test_from_function_evaluates_once_per_point():
     assert len(points) == 4 * len(samples) == len(set(points))
     assert form.k(0.5, 2.0) == w(even(0.5, 2.0)).u
     assert form.g(0.5, 2.0) == -w(even(0.5, 2.0)).v
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, which imports nothing of dxdy, loaded without
+    putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("verdict", ["closed_and_CR", "closed_only",
+                                     "not_closed"])
+def test_benchmark_forms_keep_the_plain_walks_bits_at_every_point(
+        verdict, monkeypatch, capsys):
+    # the classify calls of the benchmark, through the command line: one
+    # level call on the 4 * 24 stencil points, each k and g the bits of a
+    # tree walk on EvenElement at that point alone
+    classify = dxdy.cli.classify_one_form
+    calls = []
+
+    def recording(form, samples, **options):
+        def level(xs, ys):
+            ks, gs = form.level(xs, ys)
+            calls.append((xs, ys, ks, gs))
+            return ks, gs
+        return classify(OneForm(form.k, form.g, level), samples, **options)
+
+    monkeypatch.setattr(dxdy.cli, "classify_one_form", recording)
+    inputs = _benchmark_inputs()
+    for seed in range(3):
+        op = inputs._classify(random.Random(seed), verdict)
+        calls.clear()
+        assert dxdy.cli.main([*op["argv"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == verdict
+        k_tree, g_tree = (parse(arg.split("=", 1)[1]) for arg in op["argv"][1:])
+        [(xs, ys, ks, gs)] = calls
+        assert len(xs) == len(ys) == len(ks) == len(gs) == 96
+        for x, y, k, g in zip(xs, ys, ks, gs):
+            env = {"x": even(x), "y": even(y)}
+            assert k.hex() == reference_evaluate(k_tree, env).u.hex()
+            assert g.hex() == reference_evaluate(g_tree, env).u.hex()
+
+
+def _counting(form):
+    """form, with the sizes of its level calls recorded in .calls."""
+    def level(xs, ys):
+        level.calls.append(len(xs))
+        return form.level(xs, ys)
+    level.calls = []
+    return OneForm(form.k, form.g, level)
+
+
+@pytest.mark.parametrize("k, g, verdict", [
+    ("x^2-y^2", "0-2*x*y", FormClass.CLOSED_AND_CR),
+    ("y", "0", FormClass.NOT_CLOSED),
+], ids=["z^2 dx", "shear"])
+def test_stencils_run_in_blocks_of_at_most_256_samples(k, g, verdict):
+    form = _counting(OneForm.from_expressions(k, g))
+    samples = ring_samples(n=1000)
+    assert classify_one_form(form, samples) is verdict
+    assert form.level.calls == [4 * 256] * 3 + [4 * (1000 - 3 * 256)]
+
+
+def test_a_block_that_raises_is_walked_again_to_its_first_bad_sample():
+    # 1/x fails at the west point of sample 900 alone, in the fourth block
+    form = _counting(OneForm.from_expressions("1/x", "0"))
+    samples = ring_samples(n=1000)
+    samples[900] = (1e-6, 0.0)
+    with pytest.raises(SingularSampleError) as err:
+        classify_one_form(form, samples)
+    assert str(err.value) == _SINGULAR.format(1e-6, 0.0)
+    # three clean blocks, the fourth, then one call per point from the
+    # fourth block's start up to the west point of sample 900
+    walked = 4 * (900 - 3 * 256) + 2
+    assert form.level.calls == [4 * 256] * 3 + [4 * 232] + [1] * walked
+
+
+# the error contract: the first error met sample by sample, and within a
+# sample point by point (e, w, n, s; k before g)
+
+_SINGULAR = "sample ({}, {}) is too close to a singularity"
+
+
+@pytest.mark.parametrize("form", [
+    OneForm.from_expressions("1/x", "0"),
+    OneForm(lambda x, y: 1 / x, lambda x, y: 0.0),
+], ids=["expression", "pointwise"])
+def test_a_stencil_point_on_a_pole_names_its_sample(form):
+    # x - step is exactly 0.0 at (1e-6, 0); the sample after it is fine
+    samples = [*ring_samples(), (1e-6, 0.0), (3e-6, 0.0)]
+    with pytest.raises(SingularSampleError) as err:
+        classify_one_form(form, samples)
+    assert str(err.value) == _SINGULAR.format(1e-6, 0.0)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+def test_a_non_finite_derivative_names_the_first_such_sample():
+    # exp(707) is finite, its difference quotient overflows to inf; at
+    # x = 1.5 exp itself overflows, but that sample comes later
+    form = OneForm.from_expressions("exp(700*x)", "0")
+    samples = [(0.0, 0.0), (1.01, 0.0), (1.02, 0.0), (1.5, 0.0)]
+    with pytest.raises(SingularSampleError) as err:
+        classify_one_form(form, samples)
+    assert str(err.value) == _SINGULAR.format(1.01, 0.0)
+    assert err.value.__cause__ is None
+
+
+def test_exp_overflow_keeps_its_range_error():
+    # the first point past the range is the east one, x = 1 + 1e-6
+    form = OneForm.from_expressions("exp(1000*x)", "0")
+    with pytest.raises(RangeError) as err:
+        classify_one_form(form, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    assert str(err.value) == ("exp(1000.0009999999999 + 0.0·dxdy) lies "
+                              "beyond the double range")
+
+
+def test_an_unbound_name_raises_parse_error():
+    form = OneForm.from_expressions("z", "0")
+    with pytest.raises(ParseError, match="unbound symbol 'z'"):
+        classify_one_form(form, ring_samples())
+
+
+@pytest.mark.parametrize("samples, error", [
+    ([(0.5, 1.0), (1e-6, 0.0)], RangeError),
+    ([(1e-6, 0.0), (0.5, 1.0)], SingularSampleError),
+])
+def test_the_first_sample_with_an_error_decides_its_kind(samples, error):
+    # 1/x fails at (1e-6, 0), exp(1000*y) at (0.5, 1); a tree that
+    # evaluated 1/x at every point first would always meet the pole first
+    form = OneForm.from_expressions("1/x + exp(1000*y)", "0")
+    with pytest.raises(error):
+        classify_one_form(form, samples)
+
+
+def test_within_a_point_k_fails_before_g_and_east_before_west():
+    # at (1e-6, 0) k = 1/x is fine at the east point and singular at the
+    # west one, while g = z is unbound at every point: the east point's g
+    # fails first
+    form = OneForm.from_expressions("1/x", "z")
+    with pytest.raises(ParseError, match="unbound symbol 'z'"):
+        classify_one_form(form, [(1e-6, 0.0)])
 
 
 def test_expression_components():
