@@ -15,10 +15,11 @@ entire calls.  ``x`` is accepted only where a caller binds it to z
 Exponents must fold to integer constants; anything fractional is rejected
 because fractional powers are not single-valued around a circle.
 
-A parsed tree compiles to a level function, which evaluates it at a whole
-list of points per call: each node runs once, over the list, and gives
-each point the bits it would get alone; a subtree that names no point is
-computed once, when compiled.  ``evaluate`` runs a level of one point.
+A parsed tree is evaluated at a whole list of points (a level) by one
+recursive walk per call: each node runs once, over the list, and gives
+each point the bits it would get alone; a subtree that names no point
+gives one value, computed once per call.  ``evaluate`` runs a level of
+one point.
 1-form classification runs the e/w/n/s stencils of up to 256 samples as
 one level; a level that raises is walked again sample by sample, and each
 sample point by point, so the error is the first one that order meets
@@ -27,14 +28,13 @@ sample point by point, so the error is the first one that order meets
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Callable, Union
 
 from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
-                      complex_inv, complex_sin, even)
-from .errors import RangeError, UsageError
+                      complex_int_pow, complex_inv, complex_sin, even)
+from .errors import UsageError
 
 
 class ParseError(UsageError):
@@ -212,7 +212,9 @@ _FOLD = {"+": float.__add__, "-": float.__sub__, "*": float.__mul__,
 
 
 def _fold_constant(e: Expr) -> float | None:
-    """Fold pure numeric subtrees (pi included) to a float, else None."""
+    """Fold pure numeric subtrees (pi included) to a float, else None;
+    exponents fold here, not in the level walk's complex arithmetic, which
+    would accept ``z^(I*I)`` and ``z^exp(0)`` and change error messages."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Sym):
@@ -265,113 +267,89 @@ _CONSTANTS = {"I": complex(0.0, 1.0), "pi": complex(math.pi, 0.0)}
 
 Level = Callable[[dict[str, list[complex]], int], list[complex]]
 
-
-def _mapped(func: Callable[[complex], complex]
-            ) -> Callable[[Level], Level]:
-    """The level factory that applies func to each value of its operand."""
-    return lambda operand: lambda env, n: list(map(func, operand(env, n)))
-
-
-def _zipped(op: Callable[[complex, complex], complex]
-            ) -> Callable[[Level, Level], Level]:
-    """The level factory that applies op to each pair of values."""
-    return lambda left, right: lambda env, n: list(map(
-        op, left(env, n), right(env, n)))
-
-
-_NEGATE = _mapped(operator.neg)
-_CALL_LEVEL = {"exp": _mapped(complex_exp), "sin": _mapped(complex_sin),
-               "cos": _mapped(complex_cos)}
-# complex +, - and * are the even-element operations
-_BINARY = {
-    "+": _zipped(operator.add),
-    "-": _zipped(operator.sub),
-    "*": _zipped(operator.mul),
-    "/": lambda left, right: lambda env, n: list(map(
-        operator.mul, left(env, n), map(complex_inv, right(env, n)))),
-}
+# complex +, - and * are the even-element operations; a / b is
+# a * complex_inv(b), and _level inverts b before it multiplies
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.mul}
+_CALL = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
 
 
 def compile_expression(e: Expr) -> Level:
-    """Walk the tree once into a level function: given an environment that
-    binds each name to a list of n points and the count n, it returns the
-    list of the n values.
+    """The level function of the tree: given an environment that binds
+    each name to a list of n points and the count n, it returns the list
+    of the n values from one walk of the tree, ``_level``.
 
     The points and values are float pairs: each value u + v*dxdy is
     complex(u, v) and a number c is complex(c, 0.0).  Each node runs once
     per call, over the whole list, and gives each point the even-element
     operations of a tree walk at that point alone, in the same order, so
-    the values are the same bits as that walk's.  A subtree that names no
-    point is computed once, here, by those same operations, unless that
-    raises; then it raises each time the level runs.  Nodes run one after
+    the values are the same bits as that walk's.  Nodes run one after
     another, so when several points fail, the error raised need not be the
     one a point-by-point walk meets first.  ``I`` and ``pi`` are
-    predefined; an unbound name raises ParseError when the level runs.
+    predefined; an unbound name raises ParseError when the level runs.  A
+    level of no points evaluates nothing.
     """
-    node = _compile(e)
-    return node if callable(node) else _constant_level(node)
+    return lambda env, n: _spread(_level(e, env, n), n) if n else []
 
 
-def _constant_level(value: complex) -> Level:
-    return lambda env, n: [value] * n
-
-
-def _compile(e: Expr) -> complex | Level:
-    """The value of a subtree that names no point and computes without
-    error, else its level function."""
-    if isinstance(e, BinOp):
-        parts = (_compile(e.left), _compile(e.right))
-        make = _BINARY[e.op]
-    elif isinstance(e, Num):
+def _level(e: Expr, env: dict[str, list[complex]], n: int
+           ) -> complex | list[complex]:
+    """The one value of a subtree that names no point, computed once per
+    call, else the list of its n values."""
+    if isinstance(e, Num):
         return complex(e.value, 0.0)
-    elif isinstance(e, Sym):
+    if isinstance(e, Sym):
         if e.name in _CONSTANTS:
             return _CONSTANTS[e.name]
-
-        def symbol(env, n, name=e.name):
-            try:
-                return env[name]
-            except KeyError:
-                raise ParseError(f"unbound symbol {name!r}") from None
-        return symbol
-    elif isinstance(e, Neg):
-        parts = (_compile(e.operand),)
-        make = _NEGATE
-    elif isinstance(e, Pow):
-        parts = (_compile(e.base),)
-        make = functools.partial(_power, exponent=e.exponent)
-    elif isinstance(e, Call):
-        parts = (_compile(e.arg),)
-        make = _CALL_LEVEL[e.func]
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if any(map(callable, parts)):
-        return make(*[p if callable(p) else _constant_level(p)
-                      for p in parts])
-    run = make(*map(_constant_level, parts))
-    try:
-        [value] = run({}, 1)
-    except (ZeroDivisionError, RangeError):
-        return run  # raises again each time the level runs
-    return value
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ParseError(f"unbound symbol {e.name!r}") from None
+    if isinstance(e, BinOp):
+        a = _level(e.left, env, n)
+        b = _level(e.right, env, n)
+        if e.op == "/":
+            b = _each(complex_inv, b)
+        op = _BINARY[e.op]
+        if isinstance(a, complex) and isinstance(b, complex):
+            return op(a, b)
+        return list(map(op, _spread(a, n), _spread(b, n)))
+    if isinstance(e, Neg):
+        return _each(operator.neg, _level(e.operand, env, n))
+    if isinstance(e, Pow):
+        return _power(_level(e.base, env, n), e.exponent, n)
+    if isinstance(e, Call):
+        return _each(_CALL[e.func], _level(e.arg, env, n))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
-def _power(base: Level, exponent: int) -> Level:
-    """``complex_int_pow``'s binary powering, run over the level."""
-    def power(env, n):
-        squares = base(env, n)
-        m = exponent
-        if m < 0:
-            squares, m = list(map(complex_inv, squares)), -m
-        result = [1 + 0j] * n
-        while True:
-            if m & 1:
-                result = list(map(operator.mul, result, squares))
-            m >>= 1
-            if not m:  # the next square would go unused
-                return result
-            squares = [b * b for b in squares]
-    return power
+def _each(func: Callable[[complex], complex], a: complex | list[complex]
+          ) -> complex | list[complex]:
+    """func of one value, or of each value of a list."""
+    return func(a) if isinstance(a, complex) else list(map(func, a))
+
+
+def _spread(a: complex | list[complex], n: int) -> list[complex]:
+    """A list of n values; one value is repeated n times."""
+    return [a] * n if isinstance(a, complex) else a
+
+
+def _power(base: complex | list[complex], m: int, n: int
+           ) -> complex | list[complex]:
+    """``complex_int_pow`` on one value, and its binary powering run over
+    a list of n values."""
+    if isinstance(base, complex):
+        return complex_int_pow(base, m)
+    if m < 0:
+        base, m = list(map(complex_inv, base)), -m
+    result = [1 + 0j] * n
+    while True:
+        if m & 1:
+            result = list(map(operator.mul, result, base))
+        m >>= 1
+        if not m:  # the next square would go unused
+            return result
+        base = [b * b for b in base]
 
 
 def evaluate(e: Expr, env: dict[str, EvenElement]) -> EvenElement:

@@ -323,31 +323,23 @@ def _complex_evaluator(f: MeromorphicFunction, center: complex = 0j
     return F
 
 
+def _components(f: MeromorphicFunction, k_part: Callable[[complex], float],
+                g_part: Callable[[complex], float]):
+    """(k, g) at a point (x, y): k_part and g_part of f's value there."""
+    F = _complex_evaluator(f)
+    return (lambda x, y: k_part(F([complex(x, y)])[0]),
+            lambda x, y: g_part(F([complex(x, y)])[0]))
+
+
 def one_form_components(f: MeromorphicFunction):
     """(k, g) of the 1-form f dx: k = u-part of f, g = -v-part."""
-    F = _complex_evaluator(f)
-
-    def k(x: float, y: float) -> float:
-        return F([complex(x, y)])[0].real
-
-    def g(x: float, y: float) -> float:
-        return -F([complex(x, y)])[0].imag
-
-    return k, g
+    return _components(f, lambda w: w.real, lambda w: -w.imag)
 
 
 def dual_form_components(f: MeromorphicFunction):
     """(k, g) whose circle integral is the imaginary part of the classical
     integral of f dz, i.e. the imaginary defect."""
-    F = _complex_evaluator(f)
-
-    def k(x: float, y: float) -> float:
-        return F([complex(x, y)])[0].imag
-
-    def g(x: float, y: float) -> float:
-        return F([complex(x, y)])[0].real
-
-    return k, g
+    return _components(f, lambda w: w.imag, lambda w: w.real)
 
 
 def circle_quadrature(f: MeromorphicFunction, contour: CircleContour,

@@ -156,6 +156,25 @@ def test_even_inv_rejects_zero():
         even_int_pow(even(0, 0), -2)
 
 
+def test_multivector_operators():
+    x = Multivector(1.0, 2.0, -3.0, 0.5)
+    y = Multivector(-0.25, 4.0, 1.5, 2.0)
+    assert x + y == Multivector(0.75, 6.0, -1.5, 2.5)
+    assert x - y == Multivector(1.25, -2.0, -4.5, -1.5)
+    assert 2.0 * x == x * 2.0 == Multivector(2.0, 4.0, -6.0, 1.0)
+    assert x * y == mv_product(x, y)
+    assert (DX + DY) * (DX - DY) == mv_product(DX + DY, DX - DY)
+    assert (DX + DY) * (DX - DY) == -2.0 * DXDY
+
+
+@given(finite, finite, nonzero, nonzero)
+def test_even_division_multiplies_by_the_inverse(u1, v1, u2, v2):
+    x, y = even(u1, v1), even(u2, v2)
+    want = complex(x) * complex_inv(complex(y))
+    got = x / y
+    assert (got.u.hex(), got.v.hex()) == (want.real.hex(), want.imag.hex())
+
+
 @pytest.mark.parametrize("x", [
     even(1e-170), even(3e-163, -4e-163), even(0.0, 5e-300), even(1e200),
     even(1e308, 1e308), even(-1e300, 1e-300)])

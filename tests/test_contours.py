@@ -11,6 +11,7 @@ from dxdy.contours import (AxisPoleError, CircleContour, DecayError,
                            PoleOnContourError, closure_half_plane,
                            enclosed_poles, integrate_closed,
                            integrate_real_line)
+from dxdy.errors import UsageError
 from dxdy.functions import Pole, meromorphic_from_text
 
 from helpers import random_planted_rational
@@ -197,6 +198,35 @@ def test_oscillatory_factor_forces_half_plane():
     f = meromorphic_from_text("exp(I*x)/(x^2+1)", real_line=True)
     with pytest.raises(DecayError):
         integrate_real_line(f, "lower")
+
+
+@pytest.mark.parametrize("half_plane, chosen", [
+    ("auto", "upper"), ("upper", "upper"), ("lower", "lower")])
+def test_a_zero_integrand_keeps_the_half_plane_asked_for(half_plane, chosen):
+    result = integrate_real_line(meromorphic_from_text("0", real_line=True),
+                                 half_plane)
+    assert result.real_value == 0.0 and result.half_plane == chosen
+
+
+def test_a_zero_scale_exp_falls_through_to_the_rational_rule():
+    f = meromorphic_from_text("exp(0*x)/(x^2+1)", real_line=True)
+    assert f.factor is not None and f.factor.scale == even(0.0)
+    assert abs(integrate_real_line(f).real_value - math.pi) <= 1e-12
+    with pytest.raises(DecayError, match=r"gap is 1\)"):
+        integrate_real_line(
+            meromorphic_from_text("exp(0*x)/(x+2)", real_line=True))
+
+
+def test_an_oscillatory_integrand_needs_a_gap_of_one():
+    f = meromorphic_from_text("x^2*exp(I*x)/(x^2+1)", real_line=True)
+    with pytest.raises(DecayError, match=r"gap is 0\)"):
+        integrate_real_line(f)
+
+
+def test_an_unknown_half_plane_is_a_usage_error():
+    f = meromorphic_from_text("1/(x^2+1)", real_line=True)
+    with pytest.raises(UsageError, match="unknown half plane 'left'"):
+        integrate_real_line(f, "left")
 
 
 def test_sin_cos_factors_rejected_with_guidance():

@@ -79,6 +79,30 @@ def test_syntax_errors_carry_positions():
         parse("tan(z)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1.2.3", "bad number '1.2.3' (at position 0)"),
+    (")", "unexpected ')' (at position 0)"),
+])
+def test_malformed_atoms_name_their_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_a_negative_power_folds_like_its_reciprocal():
+    assert (meromorphic_from_text("(z-1)^-2")
+            == meromorphic_from_text("1/(z-1)^2"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exp(sin(z))", "entire factors cannot be composed"),
+    ("exp(z^2)", "must be a constant multiple of z"),
+])
+def test_entire_factor_arguments_stay_linear(text, message):
+    with pytest.raises(UnsupportedExpressionError, match=message):
+        meromorphic_from_text(text)
+
+
 def test_x_rewrites_only_on_request():
     assert (meromorphic_from_text("1/(x^2+1)", real_line=True)
             == meromorphic_from_text("1/(z^2+1)"))
@@ -117,6 +141,11 @@ def test_unbound_symbol_raises_when_the_compiled_tree_runs():
                                      _bits(complex(0.5, 0.0))]
     with pytest.raises(ParseError, match="unbound symbol 'q'"):
         run({}, 1)
+
+
+def test_a_level_of_no_points_evaluates_nothing():
+    # the names are not looked up either, so an unbound one does not raise
+    assert compile_expression(parse("q+1"))({}, 0) == []
 
 
 def test_a_level_without_names_has_the_size_it_is_asked_for():

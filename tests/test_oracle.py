@@ -16,8 +16,8 @@ from dxdy.contours import (CLOCKWISE, COUNTERCLOCKWISE, CircleContour,
 from dxdy.functions import EntireFactor, MeromorphicFunction, meromorphic_from_text
 from dxdy.oracle import (QuadratureError, QuadratureSpec, _limit,
                          circle_quadrature, differential_check,
-                         dual_form_components, quad_circle,
-                         real_line_quadrature)
+                         dual_form_components, one_form_components,
+                         quad_circle, real_line_quadrature)
 from dxdy.polynomials import Polynomial
 
 from exact_reference import ExactEven, exact_eval, exact_poly
@@ -750,6 +750,21 @@ def test_dual_form_matches_defect():
     result = integrate_closed(f, UNIT)
     got = quad_circle(*dual_form_components(f), UNIT, TIGHT)
     assert abs(got - result.imaginary_defect) <= 1e-9
+
+
+@pytest.mark.parametrize("text", [
+    "1/(z-0.3)", "(z+2)/((z-0.2*I)*(z+0.5))^2", "exp(z)/(z-0.1)",
+    "sin(2*z)/z^2"])
+def test_one_form_components_match_circle_quadrature_about_zero(text):
+    # about 0 both sample the same unshifted points; off center they differ
+    f = meromorphic_from_text(text)
+    got = quad_circle(*one_form_components(f), UNIT, TIGHT)
+    assert got.hex() == circle_quadrature(f, UNIT, TIGHT).hex()
+
+
+def test_real_line_quadrature_of_zero_is_zero():
+    assert real_line_quadrature(
+        meromorphic_from_text("0", real_line=True)) == 0.0
 
 
 def _hex(z):
