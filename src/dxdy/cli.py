@@ -56,6 +56,7 @@ def _base_tolerances() -> dict[str, float]:
         "root_verify_tol": roots_mod.VERIFY_TOL,
         "root_kappa": roots_mod.KAPPA,
         "root_dk_floor": roots_mod.DK_FLOOR,
+        "root_certify_gap": roots_mod.CERTIFY_GAP,
     }
 
 

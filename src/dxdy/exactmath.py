@@ -29,6 +29,8 @@ once, so no finite difference and no step enter that route.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import compress
 from typing import Sequence
 
 from .algebra import _Frozen
@@ -51,10 +53,17 @@ class Dyadic(_Frozen):
         return complex(self.re / scale, self.im / scale)
 
 
-class DyadicPoly(_Frozen):
-    """Ascending coefficients (re[k] + i*im[k]) / 2**exp, one common exp."""
+class DyadicPoly(_Frozen, uncompared=("reads",), unshown=("reads",),
+                 defaults={"reads": None}):
+    """Ascending coefficients (re[k] + i*im[k]) / 2**exp, one common exp.
 
-    __slots__ = ("re", "im", "exp")
+    ``reads``, which ``dyadic_poly`` fills, lists 0 and the exponents of
+    the nonzero coefficients in ascending order: the coefficients a Horner
+    pass that steps over zero runs reads.  It follows from re and im, so
+    eq, hash and repr leave it out.
+    """
+
+    __slots__ = ("re", "im", "exp", "reads")
 
 
 def _dyadic_parts(z: complex) -> tuple[int, int, int]:
@@ -71,7 +80,8 @@ def dyadic_poly(coeffs: Sequence[complex]) -> DyadicPoly:
     parts = [_dyadic_parts(complex(c)) if c else (0, 0, 0) for c in coeffs]
     exp = max((e for _, _, e in parts), default=0)
     return DyadicPoly(tuple(r << (exp - e) for r, _, e in parts),
-                      tuple(i << (exp - e) for _, i, e in parts), exp)
+                      tuple(i << (exp - e) for _, i, e in parts), exp,
+                      (0, *compress(range(1, len(coeffs)), coeffs[1:])))
 
 
 def dyadic_taylor_shift(poly: DyadicPoly, center: complex,
@@ -113,7 +123,9 @@ def dyadic_value_and_slope(poly: DyadicPoly,
     shift.  m steps with no coefficient between are
     (P*X**m, D*X**m + m*P*X**(m-1)), so a run of zeros costs one binary
     powering.  P ends on p(x) * 2**(exp + s*n) and D on
-    p'(x) * 2**(exp + s*(n-1)), the shift's integers.  Needs degree >= 1.
+    p'(x) * 2**(exp + s*(n-1)), the shift's integers.  The pass reads the
+    coefficients ``poly.reads`` lists, so poly comes from ``dyadic_poly``.
+    Needs degree >= 1.
     """
     re, im = poly.re, poly.im
     n = len(re) - 1
@@ -121,10 +133,9 @@ def dyadic_value_and_slope(poly: DyadicPoly,
     xsum, xdiff = xr + xi, xi - xr
     pr = pi = dr = di = 0
     top = n  # index of the last coefficient read
-    for k in range(n, -1, -1):
+    # c_0 is read even when zero: it ends the last run
+    for k in reversed(poly.reads):
         cr, ci = re[k], im[k]
-        if not (cr or ci) and k:
-            continue  # c_0 is read even when zero: it ends the last run
         if top - k == 1:
             k1 = xr * (dr + di)
             k2 = xr * (pr + pi)
@@ -166,7 +177,9 @@ def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
     i = n .. j in the shift's homogeneous form (coefficient i held as
     C(i, j) c_i * 2**(exp + s*(n-i))), so it ends on the same integers
     over the same power of two.  A run of zero c_i is one multiplication
-    by a power of X = center * 2**s.  Needs 0 <= j <= degree.
+    by a power of X = center * 2**s.  The pass reads the coefficients
+    above c_j that ``poly.reads`` lists, so poly comes from ``dyadic_poly``.
+    Needs 0 <= j <= degree.
     """
     re, im = poly.re, poly.im
     n = len(re) - 1
@@ -174,10 +187,10 @@ def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
     xsum, xdiff = xr + xi, xi - xr
     ar = ai = 0
     top = n  # index of the last coefficient read
-    for i in range(n, j - 1, -1):
+    # c_j is read even when zero: it ends the last run
+    above = poly.reads[bisect_right(poly.reads, j):]
+    for i in (*reversed(above), j):
         cr, ci = re[i], im[i]
-        if not (cr or ci) and i > j:
-            continue  # c_j is read even when zero: it ends the last run
         if top - i == 1:
             k1 = xr * (ar + ai)
             ar, ai = k1 - ai * xsum, k1 + ar * xdiff

@@ -18,14 +18,20 @@ multiplicities.  The pipeline is therefore:
    it only spreads the cloud, so a start already there gets no sweep.
    Each sweep's Horner pass takes one step per run of zero coefficients,
    and one step per coefficient where there is no zero;
-2. single-linkage grouping with a radius that follows the eps**(1/k)
+2. a certificate that every root is simple: n pairwise disjoint Newton
+   disks, of radius n |p(x)/p'(x)| about each raw x, hold one simple root
+   each.  A float gate on the separation of the raw roots (CERTIFY_GAP)
+   comes before the exact passes, and each pass's step is the first step
+   of that root's Newton polish.  A certified table is polished and
+   returned; the tables the certificate refuses go on to steps 3 and 4;
+3. single-linkage grouping with a radius that follows the eps**(1/k)
    scatter law for k = k*, the most raw roots a cluster obeying that law
    can hold: the largest k such that some raw root has k raw roots,
    itself included, within twice the law's radius for k.  A ring of n
    simple roots about |x| = 1 keeps k* = 1 for n <= 32; from n = 33 on,
-   4 * KAPPA**(1/n) >= 2 spans the ring, so it is linked as one group
-   and step 3 splits it;
-3. per group, a structural hypothesis test on the exact Taylor
+   4 * KAPPA**(1/n) >= 2 spans the ring, so it would be linked as one
+   group and step 4 would split it, but step 2 certifies such rings;
+4. per group, a structural hypothesis test on the exact Taylor
    coefficients t_j at the refined center: the group of k approximations is
    accepted as one multiplicity-k root iff the polynomial is,
    coefficient-relatively, close to one with an exact multiplicity-k root
@@ -54,10 +60,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from operator import attrgetter
 
 from .algebra import EvenElement, complex_int_pow
 from .errors import ComputationError, UsageError
-from .exactmath import (DyadicPoly, dyadic_poly, dyadic_ratio,
+from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_taylor_coefficient, dyadic_value_and_slope)
 from .polynomials import Polynomial, vanishes_at
 
@@ -73,6 +80,13 @@ VERIFY_TOL = 1e-5
 #: that some raw root has k raw roots within twice its k-group radius
 KAPPA = 1e-10
 
+#: raw roots are offered to the simple-root certificate only when every
+#: pair lies farther apart than this, times 1 + the largest modulus:
+#: twice the scatter of a 4-fold root, 2 * _scatter(4).  Closer pairs may
+#: form a cluster that the multiplicity test would accept as one root, so
+#: their tables keep the clustering stage
+CERTIFY_GAP = 2.0 * max(CLUSTER_TOL, KAPPA ** 0.25)
+
 #: Aberth stops once every |p(x)| entering a sweep is within this many
 #: Horner rounding bounds (the name, and the JSON key root_dk_floor, date
 #: from the Durand-Kerner iteration that Aberth replaced)
@@ -80,6 +94,10 @@ DK_FLOOR = 8.0
 
 _MAX_SWEEPS = 600
 _NEWTON_MAX_ITER = 24
+
+#: widens a sum of two Newton disk radii for the roundings of the step,
+#: its modulus, the radii, their sum and the distance it is compared with
+_ROUNDING = 1.0 + 8.0 * sys.float_info.epsilon
 
 #: start-angle offset on every circle, irrational to dodge symmetry traps
 _PHASE = 0.3923
@@ -306,26 +324,72 @@ def _mean(points: list[complex]) -> complex:
     return sum(points) / len(points)
 
 
-def _newton_polish(mags: list[float], exact: DyadicPoly,
-                   x0: complex) -> complex:
+def _certify(exact: DyadicPoly,
+             raw: list[complex]) -> list[tuple[Dyadic, complex]] | None:
+    """Each raw root's _newton_pass when they prove every root simple,
+    else None.
+
+    The float gate first: every pair of raw roots must lie farther apart
+    than CERTIFY_GAP * (1 + max |x|).  Then the exact passes.  Since
+    p'/p(x) = sum_j 1/(x - z_j), a root lies within n |p(x)/p'(x)| =
+    n |step| of each raw x, so n pairwise disjoint such disks hold one
+    simple root each.  They are disjoint when the two largest radii,
+    widened by _ROUNDING, sum below the closest distance between raw
+    roots.  A disk of radius 0 is x itself, a root; p'(x) = 0 refuses.
+    """
+    n = len(raw)
+    gap = CERTIFY_GAP * (1.0 + max(map(abs, raw)))
+    # the closest pair by a sweep in the real part: a pair whose real
+    # parts differ by at least the closest distance so far is no closer
+    by_real = sorted(raw, key=attrgetter("real"))
+    closest = math.inf
+    for i, x in enumerate(by_real):
+        xr = x.real
+        for y in by_real[i + 1:]:
+            if y.real - xr >= closest:
+                break
+            d = abs(y - x)
+            if d < closest:
+                closest = d
+        if not closest > gap:
+            return None
+    firsts = [_newton_pass(exact, x) for x in raw]
+    if any(dp.is_zero() for dp, _ in firsts):
+        return None
+    radii = sorted(abs(step) for _, step in firsts)[-2:]
+    if not n * sum(radii) * _ROUNDING < closest:
+        return None
+    return firsts
+
+
+def _newton_pass(exact: DyadicPoly, x: complex) -> tuple[Dyadic, complex]:
+    """Exact p'(x), and the Newton step p(x)/p'(x) rounded once from the
+    same pass; the step is 0 where p or p' vanishes."""
+    p, dp = dyadic_value_and_slope(exact, x)
+    if p.is_zero() or dp.is_zero():
+        return dp, 0j
+    return dp, dyadic_ratio(p, dp)
+
+
+def _newton_polish(mags: list[float], exact: DyadicPoly, x0: complex,
+                   first: tuple[Dyadic, complex] | None = None) -> complex:
     """Plain Newton with exact evaluation; quadratic for simple roots.
 
-    Each step takes p and p' from one exact pass.  It stops once the step
-    is below 1e-16 * (1 + |x|), or once x - step rounds back to x: then
-    every further step would be the same one.  Raises RootFindingError if
+    Each step takes p and p' from one exact pass; first, when given, is
+    _newton_pass at x0, taken already.  It stops once the step is below
+    1e-16 * (1 + |x|), or once x - step rounds back to x: then every
+    further step would be the same one.  Raises RootFindingError if
     |p'(x)| is within eps of its scale sum k |a_k| |x|**(k-1): a change of
     the coefficients below their rounding then makes x a double root, so
     x may as well be multiple.
     """
     x = x0
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = dyadic_value_and_slope(exact, x)
-        if p.is_zero() or dp.is_zero():
-            break
-        step = dyadic_ratio(p, dp)
+    dp, step = first or _newton_pass(exact, x)
+    for left in range(_NEWTON_MAX_ITER - 1, -1, -1):
         x, last = x - step, x
-        if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)):
+        if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)) or not left:
             break
+        dp, step = _newton_pass(exact, x)
     if (abs(dp.to_complex())
             <= sys.float_info.epsilon * _coefficient_scale(mags, abs(x), 1)):
         raise RootFindingError(
@@ -412,7 +476,7 @@ def _merge(mags: list[float], exact: DyadicPoly,
     """
     merged: list[tuple[complex, int]] = []
     far: set[int] = set()
-    for loc, mult in sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)):
+    for loc, mult in sorted(found, key=_by_location):
         for idx, (mloc, mmult) in enumerate(merged):
             gap = abs(loc - mloc)
             if gap <= CLUSTER_TOL * (1.0 + abs(mloc)):
@@ -430,6 +494,10 @@ def _merge(mags: list[float], exact: DyadicPoly,
                 f"roots near {EvenElement(loc.real, loc.imag)} merge into "
                 f"one of multiplicity {mult}, which the coefficients reject")
     return merged
+
+
+def _by_location(found: tuple[complex, int]) -> tuple[float, float]:
+    return found[0].real, found[0].imag
 
 
 def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
@@ -455,6 +523,11 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     exact = dyadic_poly(monic)
     mags = [abs(c) for c in monic]
     try:
+        firsts = _certify(exact, raw)
+        if firsts is not None:
+            return sorted(((_newton_polish(mags, exact, x, first), 1)
+                           for x, first in zip(raw, firsts)),
+                          key=_by_location)
         found: list[tuple[complex, int]] = []
         for group in _single_linkage(raw):
             found.extend(_resolve_group(mags, exact, group))

@@ -5,14 +5,28 @@ EvenElement, and a plain tree walk over them for compiled expressions."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 from dxdy import expressions as ex
 from dxdy.algebra import EvenElement, even, even_mul, format_even
 from dxdy.errors import RangeError
 from dxdy.functions import MeromorphicFunction, Pole
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
+
+SWEEP_SCRIPT = (Path(__file__).resolve().parent.parent
+                / "scripts" / "random_sweep.py")
+
+
+def sweep_module():
+    """scripts/random_sweep.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location("random_sweep",
+                                                  SWEEP_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def even_close(a: EvenElement, b: EvenElement, rel: float = 0.0,

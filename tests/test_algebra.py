@@ -356,6 +356,7 @@ _VALIDATING = (CircleContour, QuadratureSpec, MeromorphicFunction)
 _DEFAULTS = {
     Multivector: {"s": 0.0, "a": 0.0, "b": 0.0, "p": 0.0},
     _Token: {"value": 0.0},
+    DyadicPoly: {"reads": None},
     MeromorphicFunction: {"factor": None, "den_roots": None},
     OneForm: {"level": None},
     CircleContour: {"orientation": COUNTERCLOCKWISE, "clearance": None},

@@ -55,6 +55,7 @@ def test_tolerances_list_the_root_finder_constants(run):
         "root_verify_tol": roots.VERIFY_TOL,
         "root_kappa": roots.KAPPA,
         "root_dk_floor": roots.DK_FLOOR,
+        "root_certify_gap": roots.CERTIFY_GAP,
     }
 
 

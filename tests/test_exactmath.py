@@ -140,6 +140,14 @@ def test_one_pass_steps_over_a_zero_coefficient_run():
             == tuple(dyadic_taylor_shift(poly, 1.0, 2)))
 
 
+def test_dyadic_poly_records_the_coefficients_a_pass_reads():
+    # c_0 in any case, and the exponents of the nonzero coefficients
+    assert dyadic_poly([0j, 0j, -1, 1, 0j, 0j]).reads == (0, 2, 3)
+    assert dyadic_poly([0.7 - 0.2j] + [0j] * 8 + [1 + 0j]).reads == (0, 9)
+    assert dyadic_poly([-0.0, 0.0, 2.5]).reads == (0, 2)
+    assert dyadic_poly([1.0]).reads == (0,)
+
+
 def test_signed_zero_coefficients_are_exact_zeros():
     poly = dyadic_poly([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
                         complex(-0.0, -0.0), 0.75 - 0.5j])

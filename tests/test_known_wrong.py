@@ -14,7 +14,7 @@ import pytest
 
 from dxdy.cli import main
 
-from test_random_sweep import _sweep_module
+from helpers import sweep_module
 
 #: random_sweep.py --count 200 contour cases that fail, by (seed, case): in
 #: each the planted multiple roots come back as clusters of simple roots
@@ -31,7 +31,7 @@ TOL = 1e-7
 
 @pytest.mark.parametrize("seed", sorted({seed for seed, _ in SWEEP_LEDGER}))
 def test_sweep_fails_exactly_the_ledger(seed, capsys):
-    _sweep_module().main(["--count", "200", "--seed", str(seed)])
+    sweep_module().main(["--count", "200", "--seed", str(seed)])
     out = capsys.readouterr().out
     failed = {int(n) for n in re.findall(r"^FAIL case (\d+):", out, re.M)}
     assert failed == {case for s, case in SWEEP_LEDGER if s == seed}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dxdy import roots
 from dxdy.roots import CLUSTER_TOL, find_roots
+from helpers import sweep_module
 
 
 def expand(roots_mults):
@@ -283,14 +284,20 @@ def test_newton_stops_once_the_iterate_no_longer_moves(monkeypatch):
     assert len(points) <= 6
 
 
-@pytest.mark.parametrize("n", range(15, 33))
+@pytest.mark.parametrize("n", [*range(15, 34), 40, 60, 100])
 def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
-    # up to n = 32 no root of the ring has k roots within twice the
-    # scatter of a k-fold root for any k > 1, so k* = 1: nothing links
-    # and no hypothesis runs
+    # the certificate proves every root of the ring simple, so nothing is
+    # linked and no hypothesis runs.  Up to n = 32 the linkage would link
+    # nothing either (k* = 1); from n = 33 on it would link the whole ring
+    # and try dozens of multiplicities that all fail
     tried = []
+    linkage = roots._single_linkage
     refine = roots._refine_and_verify
     coefficient = roots.dyadic_taylor_coefficient
+
+    def counted_linkage(*args):
+        tried.append("linkage")
+        return linkage(*args)
 
     def counted_refine(*args):
         tried.append("refine")
@@ -300,6 +307,7 @@ def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
         tried.append("t_j")
         return coefficient(*args)
 
+    monkeypatch.setattr(roots, "_single_linkage", counted_linkage)
     monkeypatch.setattr(roots, "_refine_and_verify", counted_refine)
     monkeypatch.setattr(roots, "dyadic_taylor_coefficient",
                         counted_coefficient)
@@ -307,3 +315,80 @@ def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
         found = find_roots([c] + [0j] * (n - 1) + [1 + 0j])
         assert [m for _, m in found] == [1] * n
     assert tried == []
+
+
+# ---------------------------------------------------------------------------
+# the simple-root certificate
+
+def _certificate_cases():
+    """Random monic polynomials, near pairs, planted multiple roots and the
+    denominators of random_sweep.py's first 200 contour cases at seed 1."""
+    rng = random.Random(31)
+    for _ in range(60):
+        yield [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+               for _ in range(rng.randint(1, 20))] + [1 + 0j]
+    for d in (1e-4, 1e-6):
+        yield expand([(1 + 0j, 1), (1 + d + 0j, 1)])
+    for _ in range(40):
+        planted = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                    rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        yield expand(planted)
+    sweep = sweep_module()
+    rng = random.Random(1)
+    for _ in range(200):
+        _, den, poles = sweep.planted_rational(rng, 3, 4)
+        rng.randrange(len(poles))  # the sweep's pick of a pole to circle
+        yield list(den.coeffs)
+
+
+def _table(coeffs) -> str:
+    """find_roots's table, or its error, in every bit."""
+    try:
+        return repr(find_roots(coeffs))
+    except roots.RootFindingError as err:
+        return f"RootFindingError: {err}"
+
+
+def test_certified_tables_keep_the_bits_of_the_clustering_stage(monkeypatch):
+    cases = list(_certificate_cases())
+    certify = roots._certify
+    verdicts = []
+
+    def spied(exact, raw):
+        firsts = certify(exact, raw)
+        verdicts.append(firsts is not None)
+        return firsts
+
+    monkeypatch.setattr(roots, "_certify", spied)
+    tables = [_table(coeffs) for coeffs in cases]
+    monkeypatch.setattr(roots, "_certify", lambda exact, raw: None)
+    for coeffs, table in zip(cases, tables):
+        assert _table(coeffs) == table, coeffs
+    # both outcomes of the certificate are covered
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_certificate_refuses_two_disks_about_a_double_root():
+    # (z-1)^2: the step at x is (x - 1)/2, exactly, so the Newton disk
+    # about x has radius 2 |x - 1|/2 and holds the double root 1 on its
+    # rim.  The two points lie nearly in line with 1, so their rounded
+    # radii sum to 2 ulps less than their rounded distance: dropping the
+    # widening for rounding, or the factor n, would certify two simple roots
+    exact = roots.dyadic_poly([1 + 0j, -2 + 0j, 1 + 0j])
+    raw = [1.022766274335173 + 0.25752213457201j,
+           0.9944826816556722 - 0.06240949117218894j]
+    steps = [roots._newton_pass(exact, x)[1] for x in raw]
+    assert steps == [complex((x.real - 1) / 2, x.imag / 2) for x in raw]
+    assert 2 * (abs(steps[0]) + abs(steps[1])) < abs(raw[0] - raw[1])
+    assert roots._certify(exact, raw) is None
+    assert find_roots([1 + 0j, -2 + 0j, 1 + 0j]) == [(1 + 0j, 2)]
+
+
+def test_certificate_takes_no_exact_pass_when_the_gate_fails(monkeypatch):
+    # (z-1)(z-1-1e-6): the raw pair lies within CERTIFY_GAP, so the
+    # clustering stage takes the table before any exact pass is spent
+    monic = expand([(1 + 0j, 1), (1 + 1e-6 + 0j, 1)])
+    raw = roots._aberth(monic)
+    points = _counted_newton_passes(monkeypatch)
+    assert roots._certify(roots.dyadic_poly(monic), raw) is None
+    assert points == []
