@@ -17,9 +17,15 @@ this script run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source
 CHECKOUT --outcomes``, one JSON line per operation), since CHECKOUT's own
 bitcheck may print only hashes.
 
+``--workload roots`` is not a benchmark workload and ``all`` leaves it
+out: it hashes the root tables of ``find_roots``, errors included, over a
+corpus that each seed draws (``root_cases``; ``--rounds`` does not apply),
+and ``--against`` runs this script on CHECKOUT's ``src/`` for it.
+
     python3 scripts/bitcheck.py --workload verify --seeds 1-4 --rounds 3
     python3 scripts/bitcheck.py --workload all --seeds 1-4 --rounds 3
     python3 scripts/bitcheck.py --workload all --seeds 1-4 --against ../parent
+    python3 scripts/bitcheck.py --workload roots --seeds 1 --against ../parent
 
 Run it from the root of a source checkout; dxdy is imported from ``src/``,
 or from CHECKOUT's with ``--source CHECKOUT``.
@@ -28,11 +34,13 @@ or from CHECKOUT's with ``--source CHECKOUT``.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -40,6 +48,9 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parent.parent
+
+#: the root-table workload, outside perfbench's
+ROOTS = "roots"
 
 
 def load(root: Path) -> tuple[str, ...]:
@@ -71,8 +82,60 @@ def outcome(op) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def decimal_poles(seed: int, count: int):
+    """(u, v, k, m) of count functions z^k/(z-a)^m, a = u + v*I at
+    three-decimal u, v in [-2.5, 2.5], m in 2..16 and k in 0..m+1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = rng.randint(-2500, 2500) / 1000
+        v = rng.randint(-2500, 2500) / 1000
+        m = rng.randint(2, 16)
+        yield u, v, rng.randint(0, m + 1), m
+
+
+def root_cases(seed: int):
+    """(label, monic coefficients) of the roots workload at seed:
+    z^n + c for n = 1..100 with |c| in [0.5, 2]; (z-1)^m for m = 1..30;
+    near pairs (z-a)(z-a-d), d = 1e-1 .. 1e-12; 100 dense polynomials of
+    degree 1..20 with Gaussian coefficients; and the folded denominators
+    (z-a)^m of decimal_poles(seed, 1500)."""
+    from dxdy.functions import meromorphic_from_text
+    rng = random.Random(seed)
+    for n in range(1, 101):
+        c = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        yield f"z^{n}+{c!r}", [c, *[0j] * (n - 1), 1 + 0j]
+    for m in range(1, 31):
+        yield f"(z-1)^{m}", [complex(math.comb(m, k) * (-1) ** (m - k))
+                             for k in range(m + 1)]
+    for e in range(1, 13):
+        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        b = a + 10.0 ** -e
+        yield f"(z-{a!r})(z-{b!r})", [a * b, -(a + b), 1 + 0j]
+    for _ in range(100):
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                  for _ in range(rng.randint(1, 20))]
+        yield repr(coeffs), [*coeffs, 1 + 0j]
+    for u, v, _, m in decimal_poles(seed, 1500):
+        text = f"(z-({u!r}+{v!r}*I))^{m}"
+        yield text, list(meromorphic_from_text(text).num.coeffs)
+
+
+def root_table(coeffs: list[complex]) -> str:
+    """find_roots's table as its repr, or its error."""
+    from dxdy.roots import RootFindingError, find_roots
+    try:
+        return repr(find_roots(coeffs))
+    except RootFindingError as err:
+        return f"RootFindingError: {err}"
+
+
 def outcomes(workload: str, seed_list: list[int], rounds: int):
     """(seed, round, kind, params, output) of each operation, in order."""
+    if workload == ROOTS:
+        for seed in seed_list:
+            for label, coeffs in root_cases(seed):
+                yield seed, 1, "find_roots", label, root_table(coeffs)
+        return
     for seed in seed_list:
         for number, ops in enumerate(
                 inputs.make_rounds(workload, seed, rounds), 1):
@@ -100,9 +163,11 @@ def _run(argv: list[str], checkout: Path) -> str:
 
 def their_lines(checkout: Path, workload: str, seed_list: list[int],
                 rounds: int) -> dict[str, str]:
-    """The hash lines of another checkout's bitcheck, by workload."""
-    out = _run([str(checkout / "scripts" / "bitcheck.py"),
-                "--workload", workload, "--seeds",
+    """The hash lines of another checkout's bitcheck, by workload; for
+    roots, of this script on the checkout's source."""
+    script = ([str(SCRIPT), "--source", str(checkout)] if workload == ROOTS
+              else [str(checkout / "scripts" / "bitcheck.py")])
+    out = _run([*script, "--workload", workload, "--seeds",
                 ",".join(map(str, seed_list)), "--rounds", str(rounds)],
                checkout)
     return {line.split()[0]: line for line in out.splitlines()
@@ -177,7 +242,8 @@ def differences(checkout: Path, workload: str, seed_list: list[int],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        help="a perfbench workload, or all")
+                        help=f"a perfbench workload, all of them, or "
+                             f"{ROOTS}")
     parser.add_argument("--seeds", type=seeds, required=True,
                         help="seeds as '1-4' or '1,3,5'")
     parser.add_argument("--rounds", type=int, default=3)
@@ -193,8 +259,8 @@ def main(argv=None) -> int:
                              "of the hashes")
     args = parser.parse_args(argv)
     names = load(args.source.resolve())
-    if args.workload not in names + ("all",):
-        parser.error(f"--workload must be one of {names} or all")
+    if args.workload not in names + ("all", ROOTS):
+        parser.error(f"--workload must be one of {names}, all or {ROOTS}")
     chosen = names if args.workload == "all" else (args.workload,)
     if args.outcomes:
         for workload in chosen:

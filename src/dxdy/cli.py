@@ -21,7 +21,7 @@ from . import oracle as oracle_mod
 from . import roots as roots_mod
 from .algebra import EvenElement, format_even
 from .contours import (AXIS_TOL, CircleContour, CLOCKWISE, COUNTERCLOCKWISE,
-                       IntegralResult, integrate_closed, integrate_real_line)
+                       integrate_closed, integrate_real_line)
 from .errors import ComputationError, UsageError
 from .expressions import ParseError, parse_point
 from .functions import (OneForm, classify_one_form, find_poles,
@@ -87,12 +87,19 @@ def _emit(doc: dict, as_json: bool) -> None:
         print("\n".join(lines))
 
 
-def _pole_entries(result: IntegralResult) -> list[dict]:
+def _pole_entries(poles, residues) -> list[dict]:
     return [
         {"location": _pair(p.location), "order": p.order,
          "residue": _pair(r)}
-        for p, r in zip(result.enclosed, result.residues)
+        for p, r in zip(poles, residues)
     ]
+
+
+def _add_quad_tolerances(tolerances: dict, quad_tol: float) -> None:
+    """The oracle's settings that a --verify run used."""
+    tolerances["quad_tol"] = quad_tol
+    tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
+    tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +108,11 @@ def _pole_entries(result: IntegralResult) -> list[dict]:
 def _cmd_residues(args) -> int:
     f = meromorphic_from_text(args.expression, _bindings(args))
     poles = find_poles(f)
-    entries = [
-        {"location": _pair(p.location), "order": p.order,
-         "residue": _pair(residue(f, p))}
-        for p in poles
-    ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "verb": "residues",
         "expression": args.expression,
-        "poles": entries,
+        "poles": _pole_entries(poles, [residue(f, p) for p in poles]),
         "warnings": [],
         "tolerances": _base_tolerances(),
     }
@@ -157,7 +159,7 @@ def _cmd_integrate_contour(args) -> int:
         "center": _pair(contour.center),
         "radius": contour.radius,
         "orientation": orientation,
-        "poles": _pole_entries(result),
+        "poles": _pole_entries(result.enclosed, result.residues),
         "value": result.real_value,
         "imaginary_defect": result.imaginary_defect,
         "warnings": list(result.warnings),
@@ -174,9 +176,7 @@ def _cmd_integrate_contour(args) -> int:
             "defect_difference": report.defect_difference,
             "tol": report.tol,
         }
-        tolerances["quad_tol"] = differential_quad_tol(report.tol)
-        tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
-        tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
+        _add_quad_tolerances(tolerances, differential_quad_tol(report.tol))
         if not report.passed:
             status = 1
     _emit(doc, args.json)
@@ -194,7 +194,7 @@ def _cmd_integrate_line(args) -> int:
         "verb": "integrate-line",
         "expression": args.expression,
         "half_plane": result.half_plane,
-        "poles": _pole_entries(result),
+        "poles": _pole_entries(result.enclosed, result.residues),
         "value": result.real_value,
         "imaginary_defect": result.imaginary_defect,
         "warnings": list(result.warnings),
@@ -209,9 +209,7 @@ def _cmd_integrate_line(args) -> int:
         doc["verification"] = {"passed": passed, "quadrature": quadrature,
                                "difference": difference,
                                "tol": args.verify_tol}
-        tolerances["quad_tol"] = quad_tol
-        tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
-        tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
+        _add_quad_tolerances(tolerances, quad_tol)
         status = 0 if passed else 1
     _emit(doc, args.json)
     return status

@@ -4,11 +4,11 @@ Every double is m * 2**e, so a polynomial with double coefficients and a
 double point are exactly Gaussian integers over one common power of two.
 The root finder's kernels work in that form: homogeneous Horner passes
 over plain Python ``int`` give the Taylor coefficients t_j at x with no
-rounding and no gcd.  Newton's p(x) and p'(x) come from one pass
-(``dyadic_value_and_slope``), any single t_j from one pass of its own, and
-the full shift from repeated synthetic division.  The single passes read
-the nonzero coefficients only: a run of m zeros is one step by the exact
-Gaussian power X**m, so z**n + c costs two steps however large n is.
+rounding and no gcd.  Any pair t_j and (j+1)*t_{j+1} comes from one pass
+(``dyadic_value_and_slope``; at j = 0 that is Newton's p(x) and p'(x)),
+and the full shift from repeated synthetic division.  The single pass
+reads the nonzero coefficients only: a run of m zeros is one step by the
+exact Gaussian power X**m, so z**n + c costs two steps however large n is.
 Exactness makes the skipping free of rounding: every kernel ends on the
 shift's integers.  Each result converts back through one ``int / int``
 true division, which CPython rounds correctly, so a value or a ratio of
@@ -113,19 +113,20 @@ def dyadic_taylor_shift(poly: DyadicPoly, center: complex,
     return out
 
 
-def dyadic_value_and_slope(poly: DyadicPoly,
-                           x: complex) -> tuple[Dyadic, Dyadic]:
-    """Exact p(x) and p'(x): dyadic_taylor_shift(poly, x, 2), integer for
-    integer, from one homogeneous Horner pass over the nonzero coefficients.
+def dyadic_value_and_slope(poly: DyadicPoly, x: complex,
+                           j: int = 0) -> tuple[Dyadic, Dyadic]:
+    """Exact t_j and (j+1)*t_{j+1} at x, integer for integer those of
+    dyadic_taylor_shift(poly, x, j + 2), from one homogeneous Horner pass
+    over the coefficients ``poly.reads`` lists from c_j up, so poly comes
+    from ``dyadic_poly``.  At j = 0 they are p(x) and p'(x).  Needs
+    0 <= j <= degree.
 
-    The pass carries P and D, p and p' of the coefficients read so far, as
-    in (P, D) <- (P*X + c_k, D*X + P), each product in three as in the
-    shift.  m steps with no coefficient between are
-    (P*X**m, D*X**m + m*P*X**(m-1)), so a run of zeros costs one binary
-    powering.  P ends on p(x) * 2**(exp + s*n) and D on
-    p'(x) * 2**(exp + s*(n-1)), the shift's integers.  The pass reads the
-    coefficients ``poly.reads`` lists, so poly comes from ``dyadic_poly``.
-    Needs degree >= 1.
+    The pass is Horner on g(y) = sum_{i >= j} C(i, j) c_i y**(i - j), with
+    g(x) = t_j and g'(x) = (j+1)*t_{j+1}.  It carries P and D, g and g' of
+    the coefficients read so far, as in (P, D) <- (P*X + c, D*X + P), each
+    product in three as in the shift.  m steps with no coefficient between
+    are (P*X**m, D*X**m + m*P*X**(m-1)), one binary powering.  P ends on
+    t_j * 2**(exp + s*(n-j)) and D on (j+1)*t_{j+1} * 2**(exp + s*(n-j-1)).
     """
     re, im = poly.re, poly.im
     n = len(re) - 1
@@ -133,8 +134,13 @@ def dyadic_value_and_slope(poly: DyadicPoly,
     xsum, xdiff = xr + xi, xi - xr
     pr = pi = dr = di = 0
     top = n  # index of the last coefficient read
-    # c_0 is read even when zero: it ends the last run
-    for k in reversed(poly.reads):
+    # c_j is read even when zero: it ends the last run
+    order = reversed(poly.reads)
+    if j:  # c_k scaled by C(k, j)
+        order = (*reversed(poly.reads[bisect_right(poly.reads, j):]), j)
+        re = {k: math.comb(k, j) * re[k] for k in order}
+        im = {k: math.comb(k, j) * im[k] for k in order}
+    for k in order:
         cr, ci = re[k], im[k]
         if top - k == 1:
             k1 = xr * (dr + di)
@@ -153,8 +159,8 @@ def dyadic_value_and_slope(poly: DyadicPoly,
         pr += cr << shift
         pi += ci << shift
         top = k
-    return (Dyadic(pr, pi, poly.exp + s * n),
-            Dyadic(dr, di, poly.exp + s * (n - 1)))
+    return (Dyadic(pr, pi, poly.exp + s * (n - j)),
+            Dyadic(dr, di, poly.exp + s * (n - j - 1)))
 
 
 def _gaussian_power(xr: int, xi: int, m: int) -> tuple[int, int]:
@@ -167,42 +173,6 @@ def _gaussian_power(xr: int, xi: int, m: int) -> tuple[int, int]:
         if m:
             xr, xi = (xr + xi) * (xr - xi), 2 * xr * xi
     return rr, ri
-
-
-def dyadic_taylor_coefficient(poly: DyadicPoly, center: complex,
-                              j: int) -> Dyadic:
-    """Exact t_j alone: dyadic_taylor_shift(poly, center, j + 1)[j].
-
-    t_j = sum_{i >= j} C(i, j) c_i center**(i - j), one Horner pass over
-    i = n .. j in the shift's homogeneous form (coefficient i held as
-    C(i, j) c_i * 2**(exp + s*(n-i))), so it ends on the same integers
-    over the same power of two.  A run of zero c_i is one multiplication
-    by a power of X = center * 2**s.  The pass reads the coefficients
-    above c_j that ``poly.reads`` lists, so poly comes from ``dyadic_poly``.
-    Needs 0 <= j <= degree.
-    """
-    re, im = poly.re, poly.im
-    n = len(re) - 1
-    xr, xi, s = _dyadic_parts(center)
-    xsum, xdiff = xr + xi, xi - xr
-    ar = ai = 0
-    top = n  # index of the last coefficient read
-    # c_j is read even when zero: it ends the last run
-    above = poly.reads[bisect_right(poly.reads, j):]
-    for i in (*reversed(above), j):
-        cr, ci = re[i], im[i]
-        if top - i == 1:
-            k1 = xr * (ar + ai)
-            ar, ai = k1 - ai * xsum, k1 + ar * xdiff
-        elif top > i:
-            yr, yi = _gaussian_power(xr, xi, top - i)
-            ar, ai = ar * yr - ai * yi, ar * yi + ai * yr
-        binom = math.comb(i, j)
-        shift = s * (n - i)
-        ar += binom * cr << shift
-        ai += binom * ci << shift
-        top = i
-    return Dyadic(ar, ai, poly.exp + s * (n - j))
 
 
 def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:

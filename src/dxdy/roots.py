@@ -23,7 +23,9 @@ multiplicities.  The pipeline is therefore:
    each.  A float gate on the separation of the raw roots (CERTIFY_GAP)
    comes before the exact passes, and each pass's step is the first step
    of that root's Newton polish.  A certified table is polished and
-   returned; the tables the certificate refuses go on to steps 3 and 4;
+   returned, unless a polished root has |p'| within VERIFY_TOL of its
+   scale: the multiplicity test could merge that root, so such a table
+   goes on to steps 3 and 4 with those the certificate refuses;
 3. single-linkage grouping with a radius that follows the eps**(1/k)
    scatter law for k = k*, the most raw roots a cluster obeying that law
    can hold: the largest k such that some raw root has k raw roots,
@@ -35,24 +37,24 @@ multiplicities.  The pipeline is therefore:
    coefficients t_j at the refined center: the group of k approximations is
    accepted as one multiplicity-k root iff the polynomial is,
    coefficient-relatively, close to one with an exact multiplicity-k root
-   there.  The test is lazy: it computes t_j and its scale for
-   j = 0, 1, .. in order, each t_j in one exact pass of its own, and stops
-   at the first that fails; t_k is one more pass.  Failed groups are split
-   and retried with tighter radii.
+   there.  The test is lazy: it reads t_j and its scale for
+   j = 0, 1, .. k in order, t_j and t_{j+1} from one exact pass, and stops
+   at the first that fails.  Failed groups are split and retried with
+   tighter radii.
 
 Centers of accepted groups start from the group mean (first-order scatter
-cancels around a multiple root) and are refined with a Newton step on
-t_{k-1}, so reported locations do not inherit the scatter; simple roots get
+cancels around a multiple root) and are refined by Newton on p^(k-1),
+so reported locations do not inherit the scatter; simple roots get
 plain Newton steps, each from p and p' of one exact pass, until the step
 is below 1e-16 * (1 + |x|) or x no longer moves (far from 0, half an ulp
 can exceed that bound, and further steps would repeat the last one).  A
 simple root whose |p'| is below the rounding of the coefficients raises
 RootFindingError, since it may as well be multiple (a multiple root that
 no hypothesis accepted shows up so).  The monic coefficients and every
-iterate are doubles, hence dyadic: p, p' and the t_j come exact from
-``exactmath``'s Gaussian integer Horner passes, which step over zero
-coefficients, and each step or test value is rounded once from the exact
-rational.
+iterate are doubles, hence dyadic: each exact pass of ``exactmath``'s
+``dyadic_value_and_slope`` gives a pair t_j, (j+1)*t_{j+1} (p and p' at
+j = 0) from Gaussian integer Horner steps over the nonzero coefficients,
+and each step or test value is rounded once from the exact rational.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from operator import attrgetter
 from .algebra import EvenElement, complex_int_pow
 from .errors import ComputationError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
-                        dyadic_taylor_coefficient, dyadic_value_and_slope)
+                        dyadic_value_and_slope)
 from .polynomials import Polynomial, vanishes_at
 
 #: two polished roots closer than this (times 1 + |root|) are the same root
@@ -260,18 +262,12 @@ def _single_linkage(points: list[complex]) -> list[list[complex]]:
 
     The radius for a pair is (1 + |merged mean|) * _link_factor(points),
     the scatter of a k*-fold root, k* the most points a cluster obeying
-    the scatter law can hold here.  When no pair of points lies within
-    the radius for k = len(points), the widest k* can give, they stay
-    singletons and k* is not counted.  A ring of n >= 33 simple roots
-    about |x| = 1 has all n within 4 * KAPPA**(1/n) >= 2 of each, so
-    k* = n and the ring is linked.
+    the scatter law can hold here.  A ring of n >= 33 simple roots about
+    |x| = 1 has all n within 4 * KAPPA**(1/n) >= 2 of each, so k* = n and
+    the ring is linked.
     """
     groups = [[p] for p in points]
     if len(groups) < 2:
-        return groups
-    widest = _scatter(len(points))
-    if not any(abs(a - b) <= (1.0 + abs((a + b) / 2)) * widest
-               for i, a in enumerate(points) for b in points[i + 1:]):
         return groups
     factor = _link_factor(points)
     while len(groups) > 1:
@@ -362,26 +358,30 @@ def _certify(exact: DyadicPoly,
     return firsts
 
 
-def _newton_pass(exact: DyadicPoly, x: complex) -> tuple[Dyadic, complex]:
-    """Exact p'(x), and the Newton step p(x)/p'(x) rounded once from the
-    same pass; the step is 0 where p or p' vanishes."""
-    p, dp = dyadic_value_and_slope(exact, x)
+def _newton_pass(exact: DyadicPoly, x: complex,
+                 j: int = 0) -> tuple[Dyadic, complex]:
+    """Exact (j+1)*t_{j+1} at x, and the Newton step of p^(j) there,
+    t_j / ((j+1)*t_{j+1}), rounded once from the same pass; the step is 0
+    where either vanishes.  At j = 0 they are p'(x) and p(x)/p'(x)."""
+    p, dp = dyadic_value_and_slope(exact, x, j)
     if p.is_zero() or dp.is_zero():
         return dp, 0j
     return dp, dyadic_ratio(p, dp)
 
 
 def _newton_polish(mags: list[float], exact: DyadicPoly, x0: complex,
-                   first: tuple[Dyadic, complex] | None = None) -> complex:
+                   first: tuple[Dyadic, complex] | None = None,
+                   floor: float = sys.float_info.epsilon) -> complex:
     """Plain Newton with exact evaluation; quadratic for simple roots.
 
     Each step takes p and p' from one exact pass; first, when given, is
     _newton_pass at x0, taken already.  It stops once the step is below
     1e-16 * (1 + |x|), or once x - step rounds back to x: then every
     further step would be the same one.  Raises RootFindingError if
-    |p'(x)| is within eps of its scale sum k |a_k| |x|**(k-1): a change of
-    the coefficients below their rounding then makes x a double root, so
-    x may as well be multiple.
+    |p'(x)| is at most floor times its scale sum k |a_k| |x|**(k-1): at
+    eps a change of the coefficients below their rounding then makes x a
+    double root, so x may as well be multiple; at VERIFY_TOL the
+    multiplicity test could merge x with its neighbours.
     """
     x = x0
     dp, step = first or _newton_pass(exact, x)
@@ -390,8 +390,7 @@ def _newton_polish(mags: list[float], exact: DyadicPoly, x0: complex,
         if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)) or not left:
             break
         dp, step = _newton_pass(exact, x)
-    if (abs(dp.to_complex())
-            <= sys.float_info.epsilon * _coefficient_scale(mags, abs(x), 1)):
+    if abs(dp.to_complex()) <= floor * _coefficient_scale(mags, abs(x), 1):
         raise RootFindingError(
             f"no simple root at {EvenElement(x.real, x.imag)}: |p'| there is "
             f"below the coefficients' rounding, so the root may be multiple")
@@ -416,34 +415,31 @@ def _refine_and_verify(mags: list[float], exact: DyadicPoly,
                        seed: complex, k: int) -> complex | None:
     """Refine a multiplicity-k root near seed; None if the hypothesis fails.
 
-    The center update zeroes the Taylor coefficient t_{k-1}, which is the
-    first-order condition for the nearest polynomial with an exact
-    multiplicity-k root at c; acceptance requires every t_j below the
-    hypothesised order to be coefficient-relatively negligible.  Each
-    exact t_j is one Horner pass of its own, so a step computes t_k and
-    t_{k-1} only, and the test stops at the first t_j that fails.
+    The center update is Newton on p^(k-1), one exact pass each: it zeroes
+    t_{k-1}, the first-order condition for the nearest polynomial with an
+    exact multiplicity-k root at c.  Acceptance requires t_0 .. t_{k-1} to
+    be coefficient-relatively negligible and t_k not (a deeper root than
+    the group accounts for).  One pass gives t_j and (j+1)*t_{j+1}, so the
+    test reads them two per pass and stops at the first that fails.
     """
     c = seed
     for _ in range(8):
-        t_k = dyadic_taylor_coefficient(exact, c, k)
-        if t_k.is_zero():
-            return None
-        correction = dyadic_ratio(
-            dyadic_taylor_coefficient(exact, c, k - 1), t_k, k)
-        if not (math.isfinite(correction.real) and math.isfinite(correction.imag)):
+        slope, correction = _newton_pass(exact, c, k - 1)
+        if slope.is_zero():
             return None
         c = c - correction
         if abs(correction) <= 1e-16 * (1.0 + abs(c)):
             break
     ac = abs(c)
-    for j in range(k):
-        t_j = dyadic_taylor_coefficient(exact, c, j).to_complex()
-        if abs(t_j) > VERIFY_TOL * _coefficient_scale(mags, ac, j):
+    for j in range(k + 1):
+        if j % 2 == 0:
+            t_j, slope = dyadic_value_and_slope(exact, c, j)
+        else:  # (j*t_j) / j, exact
+            t_j = Dyadic(slope.re // j, slope.im // j, slope.exp)
+        small = (abs(t_j.to_complex())
+                 <= VERIFY_TOL * _coefficient_scale(mags, ac, j))
+        if small != (j < k):
             return None
-    t_k = dyadic_taylor_coefficient(exact, c, k).to_complex()
-    if abs(t_k) <= VERIFY_TOL * _coefficient_scale(mags, ac, k):
-        # would be a deeper multiple root than the group accounts for
-        return None
     return c
 
 
@@ -525,9 +521,13 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     try:
         firsts = _certify(exact, raw)
         if firsts is not None:
-            return sorted(((_newton_polish(mags, exact, x, first), 1)
-                           for x, first in zip(raw, firsts)),
-                          key=_by_location)
+            try:
+                return sorted(((_newton_polish(mags, exact, x, first,
+                                               VERIFY_TOL), 1)
+                               for x, first in zip(raw, firsts)),
+                              key=_by_location)
+            except RootFindingError:
+                pass  # a root the multiplicity test could merge
         found: list[tuple[complex, int]] = []
         for group in _single_linkage(raw):
             found.extend(_resolve_group(mags, exact, group))

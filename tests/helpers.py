@@ -16,17 +16,22 @@ from dxdy.errors import RangeError
 from dxdy.functions import MeromorphicFunction, Pole
 from dxdy.polynomials import ONE_POLY, Polynomial, Z_POLY
 
-SWEEP_SCRIPT = (Path(__file__).resolve().parent.parent
-                / "scripts" / "random_sweep.py")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SWEEP_SCRIPT = SCRIPTS / "random_sweep.py"
+
+
+def script_module(name: str):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name,
+                                                  SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sweep_module():
     """scripts/random_sweep.py, imported as a module."""
-    spec = importlib.util.spec_from_file_location("random_sweep",
-                                                  SWEEP_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return script_module(SWEEP_SCRIPT.stem)
 
 
 def even_close(a: EvenElement, b: EvenElement, rel: float = 0.0,

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import script_module
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -93,10 +95,10 @@ def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     cli = tmp_path / "src" / "dxdy" / "cli.py"
     text = cli.read_text()
-    residue = '"residue": _pair(residue(f, p))}'
+    residue = "[residue(f, p) for p in poles]"
     assert text.count(residue) == 1 and text.count('"verb": "laurent"') == 1
-    cli.write_text(text.replace(residue, '"residue": [2 * part for part in '
-                                         '_pair(residue(f, p))]}')
+    cli.write_text(text.replace(residue, "[residue(f, p) + residue(f, p) "
+                                         "for p in poles]")
                    .replace('"verb": "laurent"', '"verb": "Laurent"'))
     done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
                     "--against", str(tmp_path))
@@ -119,3 +121,24 @@ def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
         "session: next difference at seed 1 round 1, laurent ")
     assert laurent.endswith(": the text around the numbers differs")
     assert done.stdout.splitlines()[-1].startswith("session: mismatch")
+
+
+def test_roots_workload_corpus_and_its_comparison(monkeypatch):
+    # in process: the corpus each seed draws, and --against running this
+    # script on the other checkout's source, whose own bitcheck may not
+    # know the workload
+    module = script_module("bitcheck")
+    cases = list(module.root_cases(1))
+    assert len(cases) == 100 + 30 + 12 + 100 + 1500
+    assert all(coeffs[-1] == 1 for _, coeffs in cases)
+    labels = [label for label, _ in cases]
+    assert labels[99].startswith("z^100+") and labels[129] == "(z-1)^30"
+    u, v, _, m = list(module.decimal_poles(1, 1500))[-1]
+    assert labels[-1] == f"(z-({u!r}+{v!r}*I))^{m}"
+    calls = []
+    monkeypatch.setattr(module, "_run",
+                        lambda argv, checkout: calls.append(argv) or "")
+    module.their_lines(ROOT, "roots", [1], 1)
+    module.their_lines(ROOT, "poles", [1], 1)
+    assert calls[0][:3] == [str(module.SCRIPT), "--source", str(ROOT)]
+    assert calls[1][0] == str(ROOT / "scripts" / "bitcheck.py")

@@ -86,6 +86,20 @@ def test_contour_verify_passes_at_an_order_9_pole(run):
     assert abs(doc["imaginary_defect"] - 2 * math.pi) <= 1e-9
 
 
+def test_contour_verify_passes_at_a_rounded_order_8_pole(run):
+    # the folded (z-a)^8 at a decimal center: its rounded ring of roots
+    # once passed the simple-root certificate as 8 simple poles, whose
+    # residues of about 1e8 gave value 1.375e8 where the truth is 0
+    status, out, err = run("integrate-contour", "1/(z-(0.61-2.1*I))^8",
+                           "--center", "0.61,-2.1", "--radius", "0.5",
+                           "--verify", "--json")
+    assert status == 0, err
+    doc = json.loads(out)
+    assert doc["verification"]["passed"] is True
+    assert doc["value"] == 0.0
+    assert [p["order"] for p in doc["poles"]] == [8]
+
+
 def test_contour_verify_explains_a_defect_failure(run, monkeypatch):
     # the oracle's symbolic side is shifted by 2 pi in the defect only: the
     # verification block says the defect is what failed, and which

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.exactmath import (Dyadic, dyadic_poly, dyadic_ratio,
-                            dyadic_series_quotient, dyadic_taylor_coefficient,
-                            dyadic_taylor_shift, dyadic_value_and_slope)
+                            dyadic_series_quotient, dyadic_taylor_shift,
+                            dyadic_value_and_slope)
 
 from exact_reference import EXACT_ZERO, ExactEven, exact_series_quotient
 
@@ -118,13 +118,25 @@ def test_one_pass_value_and_slope_on_sparse_polynomials(coeffs, x):
     assert [exact_value(d) for d in got] == list(ref)
 
 
+def check_taylor_pairs(coeffs, center):
+    """The pass at each j gives the shift's t_j and (j+1) times its
+    t_{j+1}, integer for integer; the second is 0 at j = degree."""
+    poly = dyadic_poly(coeffs)
+    full = dyadic_taylor_shift(poly, center, len(coeffs))
+    for j, t in enumerate(full):
+        value, slope = dyadic_value_and_slope(poly, center, j)
+        assert value == t
+        if j + 1 < len(full):
+            u = full[j + 1]
+            assert slope == Dyadic((j + 1) * u.re, (j + 1) * u.im, u.exp)
+        else:
+            assert slope.is_zero()
+
+
 @settings(max_examples=100, deadline=None)
 @given(_sparse, _center)
-def test_single_taylor_coefficient_on_sparse_polynomials(coeffs, center):
-    poly = dyadic_poly(coeffs)
-    assert ([dyadic_taylor_coefficient(poly, center, j)
-             for j in range(len(coeffs))]
-            == dyadic_taylor_shift(poly, center, len(coeffs)))
+def test_taylor_pair_on_sparse_polynomials(coeffs, center):
+    check_taylor_pairs(coeffs, center)
 
 
 def test_one_pass_steps_over_a_zero_coefficient_run():
@@ -167,20 +179,20 @@ def test_taylor_shift_matches_reference(coeffs, center):
     assert [exact_value(t) for t in got] == ref
     for t, r in zip(got, ref):
         assert outcome(t.to_complex) == outcome(lambda: rounded(r))
-    # the multiplicity test's Newton correction t_{k-1} / (k t_k)
+    # the multiplicity test's Newton correction t_{k-1} / (k t_k), with k
+    # as a scale or inside k*t_k as the pass gives it
     for k in range(1, len(ref)):
         if not is_zero(ref[k]):
-            assert (outcome(lambda: dyadic_ratio(got[k - 1], got[k], k))
-                    == outcome(lambda: rounded(ref[k - 1] / (ref[k] * k))))
+            want = outcome(lambda: rounded(ref[k - 1] / (ref[k] * k)))
+            k_t_k = Dyadic(k * got[k].re, k * got[k].im, got[k].exp)
+            assert outcome(lambda: dyadic_ratio(got[k - 1], got[k], k)) == want
+            assert outcome(lambda: dyadic_ratio(got[k - 1], k_t_k)) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(_coeffs, _complex)
-def test_single_taylor_coefficient_matches_the_shift(coeffs, center):
-    poly = dyadic_poly(coeffs)
-    full = dyadic_taylor_shift(poly, center, len(coeffs))
-    assert [dyadic_taylor_coefficient(poly, center, j)
-            for j in range(len(coeffs))] == full
+def test_taylor_pair_matches_the_shift(coeffs, center):
+    check_taylor_pairs(coeffs, center)
 
 
 def test_truncated_taylor_shift_is_a_prefix():

@@ -21,7 +21,7 @@ from dxdy.series import WindowError
 
 from exact_reference import reference_derivative_formula
 from helpers import (even_close, gaussian_monic_denominators,
-                     random_planted_rational)
+                     random_planted_rational, script_module)
 
 
 def upper_pole(f):
@@ -165,6 +165,7 @@ _dyadic = st.integers(0, 10).flatmap(
 @settings(max_examples=150, deadline=None)
 @example(0.0, -0.125, 11)  # z^10 at the pole is 1e-9-small: not cancelled
 @example(-1.140625, -1.796875, 11)  # a rounded fold: a cloud about a
+@example(-1.78125, 1.5, 10)  # a rounded ring the certificate once took
 @given(_dyadic, _dyadic, st.integers(1, 12))
 def test_order_ladder_at_dyadic_gaussian_poles(u, v, m):
     # z^(m-1)/(z-a)^m: one pole at a of order m, residue 1, by every
@@ -177,6 +178,45 @@ def test_order_ladder_at_dyadic_gaussian_poles(u, v, m):
     for got in (residue(f, p), residue_by_order_reduction(f, p).a_minus_1,
                 residue_by_derivative_formula(f, p).a_minus_1):
         assert even_close(got, even(1.0), abs_tol=1e-9)
+
+
+def decimal_pole_failures(u, v, k, m):
+    """How z^k/(z-a)^m at a = u + v*I misses its one pole of order m at a,
+    within 1e-12 (1 + |a|), with residue C(k, m-1) a^(k-m+1) within 1e-9;
+    empty when it does not."""
+    a = complex(u, v)
+    f = meromorphic_from_text(f"z^{k}/(z-({u!r}+{v!r}*I))^{m}")
+    poles = find_poles(f)
+    if [p.order for p in poles] != [m]:
+        return [f"orders {[p.order for p in poles]}"]
+    got = complex(poles[0].location)
+    res = complex(residue(f, poles[0]))
+    truth = math.comb(k, m - 1) * a ** (k - m + 1) if k >= m - 1 else 0
+    return ([f"location {got}"] * (abs(got - a) > 1e-12 * (1 + abs(a)))
+            + [f"residue {res}"] * (abs(res - truth) > 1e-9))
+
+
+#: (u, v, k, m) whose rounded ring of m roots the simple-root certificate
+#: once took for m simple poles: three seen on the command line, then the
+#: eight of decimal_poles(7, 1500)
+SPLIT_POLES = [
+    (0.597, 0.894, 3, 8), (0.61, -2.1, 0, 8), (-1.78125, 1.5, 9, 10),
+    (1.853, -0.497, 4, 9), (-0.026, -0.987, 0, 8), (-2.38, -1.848, 4, 8),
+    (-0.318, 0.926, 3, 8), (-2.146, 0.137, 5, 8), (-1.535, 0.808, 5, 8),
+    (-1.705, -2.032, 4, 8), (-0.383, 1.606, 8, 8),
+]
+
+
+@pytest.mark.parametrize("u, v, k, m", SPLIT_POLES)
+def test_rounded_ring_is_one_pole(u, v, k, m):
+    assert decimal_pole_failures(u, v, k, m) == []
+
+
+def test_decimal_center_poles_keep_order_and_residue():
+    # 1500 seeded cases, m = 2..16, from scripts/bitcheck.py's roots corpus
+    cases = script_module("bitcheck").decimal_poles(7, 1500)
+    failures = {case: decimal_pole_failures(*case) for case in cases}
+    assert {case: f for case, f in failures.items() if f} == {}
 
 
 DERIVATIVE_CORPUS = [

@@ -215,32 +215,27 @@ def test_linkage_matches_reference_at_the_n15_spacing(c):
 # ---------------------------------------------------------------------------
 # cost guards: multiplicity hypotheses and exact Horner passes, counted
 
-def test_failing_double_root_hypothesis_costs_at_most_17_passes(monkeypatch):
+def test_failing_double_root_hypothesis_costs_at_most_9_passes(monkeypatch):
     # a double root tried between two neighbouring roots of z^15 + c:
-    # 8 steps of t_1 and t_2, then t_0 fails (27 passes while every step
-    # shifted t_0..t_2)
+    # 8 Newton steps on p', each one pass for t_1 and 2 t_2, then the pass
+    # for t_0 and t_1 fails (17 passes with one per t_j, 27 while every
+    # step shifted t_0..t_2)
     monic = [0.7 - 0.2j] + [0j] * 14 + [1 + 0j]
     found = [x for x, _ in find_roots(monic)]
     near = min(found[1:], key=lambda x: abs(x - found[0]))
     passes = [0]
-    coefficient = roots.dyadic_taylor_coefficient
     value_and_slope = roots.dyadic_value_and_slope
 
-    def one_pass(poly, center, j):
+    def one_pass(*args):
         passes[0] += 1
-        return coefficient(poly, center, j)
+        return value_and_slope(*args)
 
-    def newton_pass(poly, x):
-        passes[0] += 1
-        return value_and_slope(poly, x)
-
-    monkeypatch.setattr(roots, "dyadic_taylor_coefficient", one_pass)
-    monkeypatch.setattr(roots, "dyadic_value_and_slope", newton_pass)
+    monkeypatch.setattr(roots, "dyadic_value_and_slope", one_pass)
     center = roots._refine_and_verify([abs(c) for c in monic],
                                       roots.dyadic_poly(monic),
                                       (found[0] + near) / 2, 2)
     assert center is None
-    assert 0 < passes[0] <= 17
+    assert 0 < passes[0] <= 9
 
 
 def _counted_newton_passes(monkeypatch) -> list[complex]:
@@ -248,9 +243,9 @@ def _counted_newton_passes(monkeypatch) -> list[complex]:
     points = []
     value_and_slope = roots.dyadic_value_and_slope
 
-    def counted(poly, x):
+    def counted(poly, x, *j):
         points.append(x)
-        return value_and_slope(poly, x)
+        return value_and_slope(poly, x, *j)
 
     monkeypatch.setattr(roots, "dyadic_value_and_slope", counted)
     return points
@@ -284,6 +279,16 @@ def test_newton_stops_once_the_iterate_no_longer_moves(monkeypatch):
     assert len(points) <= 6
 
 
+@pytest.mark.parametrize("m", range(2, 31))
+def test_multiple_root_reads_two_taylor_coefficients_per_pass(monkeypatch, m):
+    # (z-1)^m: one Newton step on p^(m-1) lands on 1, then t_0 .. t_m are
+    # read two per pass: 8 passes at m = 13, where one per t_j took 16
+    points = _counted_newton_passes(monkeypatch)
+    binomial = [complex(comb(m, k) * (-1) ** (m - k)) for k in range(m + 1)]
+    assert find_roots(binomial) == [(1 + 0j, m)]
+    assert len(points) == 1 + (m + 2) // 2
+
+
 @pytest.mark.parametrize("n", [*range(15, 34), 40, 60, 100])
 def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
     # the certificate proves every root of the ring simple, so nothing is
@@ -293,7 +298,7 @@ def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
     tried = []
     linkage = roots._single_linkage
     refine = roots._refine_and_verify
-    coefficient = roots.dyadic_taylor_coefficient
+    value_and_slope = roots.dyadic_value_and_slope
 
     def counted_linkage(*args):
         tried.append("linkage")
@@ -303,14 +308,14 @@ def test_rings_of_simple_roots_try_no_multiplicity(monkeypatch, n):
         tried.append("refine")
         return refine(*args)
 
-    def counted_coefficient(*args):
-        tried.append("t_j")
-        return coefficient(*args)
+    def counted_pass(poly, x, j=0):
+        if j:
+            tried.append("t_j")
+        return value_and_slope(poly, x, j)
 
     monkeypatch.setattr(roots, "_single_linkage", counted_linkage)
     monkeypatch.setattr(roots, "_refine_and_verify", counted_refine)
-    monkeypatch.setattr(roots, "dyadic_taylor_coefficient",
-                        counted_coefficient)
+    monkeypatch.setattr(roots, "dyadic_value_and_slope", counted_pass)
     for c in (0.7 - 0.2j, 1.2, 0.5 + 0.3j):
         found = find_roots([c] + [0j] * (n - 1) + [1 + 0j])
         assert [m for _, m in found] == [1] * n
