@@ -12,8 +12,9 @@ workload and exits 1 on any mismatch.  Before those verdicts it lists,
 for each mismatching workload, every operation whose output differs:
 seed, round, kind, params, both reprs, and the size of the change over
 the numbers in the reprs (how many differ, the largest absolute and the
-largest relative change, relative to CHECKOUT's value).  Those come from
-this script run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source
+largest relative change, relative to CHECKOUT's value); an operation
+whose text also changed around its numbers has no such size, and the
+summary counts those apart.  Those come from this script run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source
 CHECKOUT --outcomes``, one JSON line per operation), since CHECKOUT's own
 bitcheck may print only hashes.
 
@@ -181,12 +182,13 @@ NUMBER = re.compile(r"((?:[-+]|(?<![\w.]))"
                     r"|inf(?![a-ik-z])|nan(?![a-ik-z])))")
 
 
-def change(here: str, there: str) -> tuple[str, float, float]:
+def change(here: str, there: str) -> tuple[str, tuple[float, float] | None]:
     """How the numbers in here differ from those in there: a description,
-    the largest absolute and the largest relative change (to there)."""
+    and the largest absolute and the largest relative change (to there),
+    or None when the text around the numbers differs too."""
     ours, theirs = NUMBER.split(here), NUMBER.split(there)
     if ours[::2] != theirs[::2]:  # no size to give
-        return "the text around the numbers differs", 0.0, 0.0
+        return "the text around the numbers differs", None
     pairs = [(float(a), float(b))
              for a, b in zip(ours[1::2], theirs[1::2]) if a != b]
     largest = relative = 0.0
@@ -199,7 +201,7 @@ def change(here: str, there: str) -> tuple[str, float, float]:
                        else math.inf if size else 0.0)
     return (f"{len(pairs)} of {len(ours) // 2} numbers differ, largest "
             f"change {largest:.3g} absolute, {relative:.3g} relative",
-            largest, relative)
+            (largest, relative))
 
 
 def differences(checkout: Path, workload: str, seed_list: list[int],
@@ -212,7 +214,7 @@ def differences(checkout: Path, workload: str, seed_list: list[int],
     theirs = [tuple(json.loads(line)) for line in out.splitlines()]
     ours = list(outcomes(workload, seed_list, rounds))
     lines = []
-    count = 0
+    count = unsized = 0
     largest = relative = 0.0
     for here, there in zip(ours, theirs):
         if here == there:
@@ -220,11 +222,15 @@ def differences(checkout: Path, workload: str, seed_list: list[int],
         count += 1
         seed, number, kind, params, output = here
         if here[:4] == there[:4]:
-            size, absolute, rel = change(output, there[4])
-            largest, relative = max(largest, absolute), max(relative, rel)
+            size, sizes = change(output, there[4])
             shown = f"    there: {there[4]}"
         else:
-            size, shown = "another operation there", f"    there: {there}"
+            size, sizes = "another operation there", None
+            shown = f"    there: {there}"
+        if sizes is None:
+            unsized += 1
+        else:
+            largest, relative = max(largest, sizes[0]), max(relative, sizes[1])
         lines += [f"{workload}: {'first' if count == 1 else 'next'} "
                   f"difference at seed {seed} round {number}, {kind} "
                   f"{params}: {size}",
@@ -234,9 +240,13 @@ def differences(checkout: Path, workload: str, seed_list: list[int],
                      f"{len(theirs)} there")
     if not lines:
         return [f"{workload}: no operation differs on a rerun"]
-    return [f"{workload}: {count} of {len(ours)} operations differ, largest "
-            f"change {largest:.3g} absolute, {relative:.3g} relative",
-            *lines]
+    summary = f"{workload}: {count} of {len(ours)} operations differ"
+    if count > unsized:
+        summary += (f", largest change {largest:.3g} absolute, "
+                    f"{relative:.3g} relative")
+    if unsized:  # counted apart: a change of shape has no size
+        summary += f"; {unsized} changed more than numbers, size unknown"
+    return [summary, *lines]
 
 
 def main(argv=None) -> int:

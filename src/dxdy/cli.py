@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Verbs map one-to-one onto library operations; every command accepts --json
-for a structured document (schema_version 1) carrying the same numeric
-values as the text rendering.  Exit codes: 0 success; 1 a ComputationError
-(pole on contour, decay violation, non-convergence, a value beyond the
-double range) or a failed --verify; 2 a UsageError (bad expression) or a
-bad option value.  Any other exception is a bug and keeps its traceback.
+Verbs map one-to-one onto library operations.  Each verb is a function
+from the parsed arguments to the fields of its document; `main` alone
+puts schema_version 1 and the verb's name in front, prints the document
+(as JSON with --json, else as text carrying the same numeric values) and
+sets the exit status.  Exit codes: 0 success; 1 a ComputationError (pole
+on contour, decay violation, non-convergence, a value beyond the double
+range), a failed --verify or a failed check; 2 a UsageError (bad
+expression) or a bad option value.  Any other exception is a bug and
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .functions import (OneForm, classify_one_form, find_poles,
                         meromorphic_from_text)
 from .oracle import (differential_check, differential_quad_tol,
                      real_line_quadrature)
-from .residues import (cauchy_evaluate, cauchy_integral_value,
-                       laurent_expand, residue)
+from .residues import cauchy_integral_value, laurent_expand, residue
 
 SCHEMA_VERSION = "1"
 
@@ -50,41 +52,47 @@ def _bindings(args) -> dict[str, float]:
     return {"t": args.t} if getattr(args, "t", None) is not None else {}
 
 
-def _base_tolerances() -> dict[str, float]:
+def _base_tolerances(**verb_tolerances: float) -> dict[str, float]:
     return {
         "root_cluster_tol": roots_mod.CLUSTER_TOL,
         "root_verify_tol": roots_mod.VERIFY_TOL,
         "root_kappa": roots_mod.KAPPA,
         "root_dk_floor": roots_mod.DK_FLOOR,
         "root_certify_gap": roots_mod.CERTIFY_GAP,
+        **verb_tolerances,
     }
 
 
-def _render(doc: dict, out: list[str], indent: int = 0) -> None:
+def _render(doc: dict, indent: int = 0) -> list[str]:
+    """A document as indented text lines, one per value."""
     pad = "  " * indent
+    out = []
     for key, value in doc.items():
         if isinstance(value, dict):
             out.append(f"{pad}{key}:")
-            _render(value, out, indent + 1)
+            out += _render(value, indent + 1)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             for item in value:
                 out.append(f"{pad}{key}:")
-                _render(item, out, indent + 1)
+                out += _render(item, indent + 1)
         elif (isinstance(value, list) and len(value) == 2
               and all(isinstance(x, float) for x in value)):
             out.append(f"{pad}{key}: {format_even(complex(*value))}")
         else:
             out.append(f"{pad}{key}: {value!r}" if isinstance(value, float)
                        else f"{pad}{key}: {value}")
+    return out
 
 
-def _emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        lines: list[str] = []
-        _render(doc, lines)
-        print("\n".join(lines))
+def _render_checks(doc: dict) -> list[str]:
+    """The check verb's text: PASS or FAIL per row, then the tally."""
+    out = []
+    for r in doc["checks"]:
+        out.append(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
+        if not r["passed"]:
+            out.append(f"      {r['detail']}")
+    total = sum(r["passed"] for r in doc["checks"])
+    return out + [f"{total}/{len(doc['checks'])} checks passed"]
 
 
 def _pole_entries(poles, residues) -> list[dict]:
@@ -95,66 +103,57 @@ def _pole_entries(poles, residues) -> list[dict]:
     ]
 
 
-def _add_quad_tolerances(tolerances: dict, quad_tol: float) -> None:
-    """The oracle's settings that a --verify run used."""
-    tolerances["quad_tol"] = quad_tol
-    tolerances["quad_min_points"] = oracle_mod.MIN_POINTS
-    tolerances["quad_max_points"] = oracle_mod.MAX_POINTS
+def _add_verification(doc: dict, verification: dict,
+                      quad_tol: float) -> None:
+    """A --verify block, and the oracle's settings that the run used."""
+    doc["verification"] = verification
+    doc["tolerances"].update(
+        quad_tol=quad_tol,
+        quad_min_points=oracle_mod.MIN_POINTS,
+        quad_max_points=oracle_mod.MAX_POINTS,
+    )
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its document's fields, in order
 
-def _cmd_residues(args) -> int:
+def _cmd_residues(args) -> dict:
     f = meromorphic_from_text(args.expression, _bindings(args))
     poles = find_poles(f)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "residues",
+    return {
         "expression": args.expression,
         "poles": _pole_entries(poles, [residue(f, p) for p in poles]),
         "warnings": [],
         "tolerances": _base_tolerances(),
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def _cmd_laurent(args) -> int:
+def _cmd_laurent(args) -> dict:
     if args.low > args.high:
         args.parser.error("--from must not exceed --to")
     f = meromorphic_from_text(args.expression, _bindings(args))
     window = laurent_expand(f, args.center, args.low, args.high)
-    coefficients = [
-        {"exponent": n, "coefficient": _pair(c)}
-        for n, c in zip(range(args.low, args.high + 1),
-                        window.window_coefficients(args.low, args.high))
-    ]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "laurent",
+    return {
         "expression": args.expression,
         "center": _pair(args.center),
         "window": [args.low, args.high],
-        "coefficients": coefficients,
+        "coefficients": [
+            {"exponent": n, "coefficient": _pair(c)}
+            for n, c in zip(range(args.low, args.high + 1),
+                            window.window_coefficients(args.low, args.high))
+        ],
         "warnings": [],
         "tolerances": _base_tolerances(),
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def _cmd_integrate_contour(args) -> int:
+def _cmd_integrate_contour(args) -> dict:
     f = meromorphic_from_text(args.expression, _bindings(args))
     orientation = CLOCKWISE if args.clockwise else COUNTERCLOCKWISE
     contour = CircleContour(args.center, args.radius,
                             orientation, clearance=args.clearance)
     result = integrate_closed(f, contour)
-    tolerances = _base_tolerances()
-    tolerances["pole_clearance"] = contour.band
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "integrate-contour",
         "expression": args.expression,
         "center": _pair(contour.center),
         "radius": contour.radius,
@@ -163,88 +162,69 @@ def _cmd_integrate_contour(args) -> int:
         "value": result.real_value,
         "imaginary_defect": result.imaginary_defect,
         "warnings": list(result.warnings),
-        "tolerances": tolerances,
+        "tolerances": _base_tolerances(pole_clearance=contour.band),
     }
-    status = 0
     if args.verify:
         report = differential_check(f, contour, tol=args.verify_tol)
-        doc["verification"] = {
+        _add_verification(doc, {
             "passed": report.passed,
             "quadrature": report.quadrature,
             "difference": report.difference,
             "defect_quadrature": report.defect_quadrature,
             "defect_difference": report.defect_difference,
             "tol": report.tol,
-        }
-        _add_quad_tolerances(tolerances, differential_quad_tol(report.tol))
-        if not report.passed:
-            status = 1
-    _emit(doc, args.json)
-    return status
+        }, differential_quad_tol(report.tol))
+    return doc
 
 
-def _cmd_integrate_line(args) -> int:
+def _cmd_integrate_line(args) -> dict:
     f = meromorphic_from_text(args.expression, _bindings(args),
                               real_line=True)
     result = integrate_real_line(f, args.half_plane)
-    tolerances = _base_tolerances()
-    tolerances["axis_tol"] = AXIS_TOL
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "integrate-line",
         "expression": args.expression,
         "half_plane": result.half_plane,
         "poles": _pole_entries(result.enclosed, result.residues),
         "value": result.real_value,
         "imaginary_defect": result.imaginary_defect,
         "warnings": list(result.warnings),
-        "tolerances": tolerances,
+        "tolerances": _base_tolerances(axis_tol=AXIS_TOL),
     }
-    status = 0
     if args.verify:
         quad_tol = differential_quad_tol(args.verify_tol)
         quadrature = real_line_quadrature(f, quad_tol)
         difference = abs(result.real_value - quadrature)
-        passed = difference <= args.verify_tol * (1.0 + abs(result.real_value))
-        doc["verification"] = {"passed": passed, "quadrature": quadrature,
-                               "difference": difference,
-                               "tol": args.verify_tol}
-        _add_quad_tolerances(tolerances, quad_tol)
-        status = 0 if passed else 1
-    _emit(doc, args.json)
-    return status
+        _add_verification(doc, {
+            "passed": (difference
+                       <= args.verify_tol * (1.0 + abs(result.real_value))),
+            "quadrature": quadrature,
+            "difference": difference,
+            "tol": args.verify_tol,
+        }, quad_tol)
+    return doc
 
 
-def _cmd_cauchy(args) -> int:
+def _cmd_cauchy(args) -> dict:
     f = meromorphic_from_text(args.expression, _bindings(args))
-    z0 = args.at
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "cauchy",
+    contour_value, deriv, applicable = cauchy_integral_value(f, args.at,
+                                                             args.n)
+    return {
         "expression": args.expression,
-        "at": _pair(z0),
+        "at": _pair(args.at),
         "n": args.n,
-        "warnings": [],
-        "tolerances": _base_tolerances(),
-    }
-    if args.n == 0:
-        value, applicable = cauchy_evaluate(f, z0)
-        doc["value"] = _pair(value)
-        contour_value = -2.0 * math.pi * value.v
-    else:
-        contour_value, deriv, applicable = cauchy_integral_value(f, z0, args.n)
-        doc["derivative"] = _pair(deriv)
-    doc["applicable"] = applicable
-    doc["contour_integral"] = contour_value
-    if not applicable:
-        doc["warnings"].append(
+        "warnings": [] if applicable else [
             "the value is not a 2-form; the special integral formula does "
-            "not apply and the contour integral shown is only the real part")
-    _emit(doc, args.json)
-    return 0
+            "not apply and the contour integral shown is only the real "
+            "part"],
+        "tolerances": _base_tolerances(),
+        # f itself at n = 0: the same coefficient read, another name
+        "value" if args.n == 0 else "derivative": _pair(deriv),
+        "applicable": applicable,
+        "contour_integral": contour_value,
+    }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     form = OneForm.from_expressions(args.k, args.g)
     samples = []
     count = args.samples
@@ -254,9 +234,7 @@ def _cmd_classify(args) -> int:
         samples.append((r * math.cos(angle) + 0.05,
                         r * math.sin(angle) - 0.05))
     verdict = classify_one_form(form, samples, step=args.step, tol=args.tol)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "classify",
+    return {
         "k": args.k,
         "g": args.g,
         "samples": len(samples),
@@ -264,31 +242,17 @@ def _cmd_classify(args) -> int:
         "warnings": [],
         "tolerances": {"step": args.step, "tol": args.tol},
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     results = checks_mod.run_all()
-    if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "verb": "check",
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        _emit(doc, True)
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
-            if not r.passed:
-                print(f"      {r.detail}")
-        total = sum(r.passed for r in results)
-        print(f"{total}/{len(results)} checks passed")
-    return 0 if all(r.passed for r in results) else 1
+    return {
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Residues, Laurent expansions and contour integrals in "
                     "the real plane algebra where dxdy plays the imaginary "
                     "unit.")
+    parser.set_defaults(render=_render)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     finite = _bounded(float, math.isfinite, "must be finite")
@@ -394,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the built-in regression suite")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, render=_render_checks)
 
     return parser
 
@@ -402,10 +367,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = {"schema_version": SCHEMA_VERSION, "verb": args.verb,
+               **args.func(args)}
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    print(json.dumps(doc, indent=2) if args.json
+          else "\n".join(args.render(doc)))
+    # a failed --verify or a failed check row
+    return 0 if doc.get("verification", doc).get("passed", True) else 1

@@ -23,8 +23,8 @@ from .errors import ComputationError, RangeError, UsageError
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
-from .series import (DEFAULT_WINDOW, LaurentSeries, entire_series,
-                     entire_zero_order, series_inv, series_mul)
+from .series import (LaurentSeries, entire_series, entire_zero_order,
+                     series_inv, series_mul)
 
 #: a numerator value this small (relative to Horner's bound on its
 #: rounding) at a denominator root counts as a shared root and is cancelled
@@ -297,7 +297,7 @@ def _taylor_window(p: Polynomial, center: complex, valuation: int,
 
 
 def local_expansion(f: MeromorphicFunction, center: EvenElement,
-                    window: int = DEFAULT_WINDOW) -> LaurentSeries:
+                    window: int) -> LaurentSeries:
     """Laurent series of f about center covering `window` coefficients.
 
     Each factor's valuation is structural.  The denominator's is the

@@ -181,10 +181,10 @@ def cauchy_evaluate(f: MeromorphicFunction,
 
     The formula reads the contour integral of f/(z - z0) dx around z0 as
     2*pi*dxdy*f(z0), which is only meaningful when f(z0) is a 2-form (its
-    u-part vanishes); the flag reports that applicability.
+    u-part vanishes); the flag reports that applicability.  f(z0) is the
+    expansion's coefficient 0, the n = 0 case of cauchy_derivative.
     """
-    _require_regular(f, z0)
-    value = f(z0)
+    value = cauchy_derivative(f, z0, 0)
     return value, is_two_form(value)
 
 

@@ -17,9 +17,6 @@ from .algebra import (E_ZERO, EvenElement, _Frozen, complex_cos,
                       complex_exp, complex_int_pow, complex_inv, complex_sin)
 from .errors import ComputationError, UsageError
 
-#: default number of retained coefficients
-DEFAULT_WINDOW = 16
-
 #: a sin/cos argument w != 0 is the zero k*pi (cos: (k + 1/2)*pi) only
 #: within this many ulps of it, about the rounding w carries
 ZERO_ULPS = 8
@@ -92,12 +89,6 @@ class LaurentSeries(_Frozen):
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_add(self, other)
 
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return series_add(self, other, negate=True)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return series_mul(self, other)
-
 
 def zero_series(center: complex, truncation_order: int) -> LaurentSeries:
     return LaurentSeries(center, truncation_order + 1, ())
@@ -111,8 +102,7 @@ def _require_same_center(a: LaurentSeries, b: LaurentSeries) -> None:
             f"combined")
 
 
-def series_add(a: LaurentSeries, b: LaurentSeries,
-               negate: bool = False) -> LaurentSeries:
+def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     _require_same_center(a, b)
     trunc = min(a.truncation_order, b.truncation_order)
     lo = min(a.valuation, b.valuation)
@@ -122,7 +112,7 @@ def series_add(a: LaurentSeries, b: LaurentSeries,
     for n in range(lo, trunc + 1):
         ca = a.coeffs[n - a.valuation] if a.valuation <= n <= a.truncation_order else 0j
         cb = b.coeffs[n - b.valuation] if b.valuation <= n <= b.truncation_order else 0j
-        out.append(ca - cb if negate else ca + cb)
+        out.append(ca + cb)
     return LaurentSeries(a.center, lo, tuple(out))
 
 

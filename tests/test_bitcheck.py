@@ -71,8 +71,8 @@ def test_bitcheck_names_the_first_operation_that_differs(tmp_path):
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     cli = tmp_path / "src" / "dxdy" / "cli.py"
     text = cli.read_text()
-    assert text.count('"verb": "laurent"') == 1
-    cli.write_text(text.replace('"verb": "laurent"', '"verb": "Laurent"'))
+    assert text.count('"window": ') == 1
+    cli.write_text(text.replace('"window": ', '"Window": '))
     done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
                     "--against", str(tmp_path))
     assert done.returncode == 1, done.stderr
@@ -81,25 +81,25 @@ def test_bitcheck_names_the_first_operation_that_differs(tmp_path):
         "session: first difference at seed 1 round 1, laurent "
         "{'argv': ['laurent',")
     assert report[1].startswith("    here:  (0, ")
-    assert '"verb": "laurent"' in report[1]
+    assert '"window": ' in report[1]
     assert report[2].startswith("    there: (0, ")
-    assert '"verb": "Laurent"' in report[2]
+    assert '"Window": ' in report[2]
     assert report[3].startswith("session: mismatch")
 
 
 def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
     # a checkout whose residues verb prints each residue part doubled, and
-    # whose laurent verb prints another verb name
+    # whose laurent verb names its window another way
     for part in ("src", "perfbench", "scripts"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     cli = tmp_path / "src" / "dxdy" / "cli.py"
     text = cli.read_text()
     residue = "[residue(f, p) for p in poles]"
-    assert text.count(residue) == 1 and text.count('"verb": "laurent"') == 1
+    assert text.count(residue) == 1 and text.count('"window": ') == 1
     cli.write_text(text.replace(residue, "[residue(f, p) + residue(f, p) "
                                          "for p in poles]")
-                   .replace('"verb": "laurent"', '"verb": "Laurent"'))
+                   .replace('"window": ', '"Window": '))
     done = bitcheck("--workload", "session", "--seeds", "1", "--rounds", "1",
                     "--against", str(tmp_path))
     assert done.returncode == 1, done.stderr
@@ -110,7 +110,8 @@ def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
     largest = f"{max(map(abs, parts)):.3g}"
     count = len(_perfbench_inputs().make_rounds("session", 1, 1)[0])
     assert summary == (f"session: 2 of {count} operations differ, largest "
-                       f"change {largest} absolute, 0.5 relative")
+                       f"change {largest} absolute, 0.5 relative; 1 changed "
+                       f"more than numbers, size unknown")
     assert residues.startswith(
         "session: first difference at seed 1 round 1, residues ")
     assert re.search(f": {len(parts)} of \\d+ numbers differ, largest change "
@@ -142,3 +143,22 @@ def test_roots_workload_corpus_and_its_comparison(monkeypatch):
     module.their_lines(ROOT, "poles", [1], 1)
     assert calls[0][:3] == [str(module.SCRIPT), "--source", str(ROOT)]
     assert calls[1][0] == str(ROOT / "scripts" / "bitcheck.py")
+
+
+def test_bitcheck_counts_changes_of_shape_apart(monkeypatch):
+    # in process: each differing root table changed its shape (three
+    # simple roots there, one triple root here), so no change has a size
+    # and the summary must not read "largest change 0"
+    module = script_module("bitcheck")
+    ours = [(1, 1, "find_roots", "(z-1)^3", "[((1+0j), 3)]"),
+            (1, 1, "find_roots", "(z-2)^3", "[((2+0j), 3)]"),
+            (1, 1, "find_roots", "z-3", "[((3+0j), 1)]")]
+    theirs = [(*case[:4], "[((0.99+0j), 1), ((1.01+0j), 1), "
+                          "((1+0.01j), 1)]") for case in ours[:2]]
+    monkeypatch.setattr(module, "outcomes", lambda *_: iter(ours))
+    monkeypatch.setattr(module, "_run", lambda argv, checkout: "\n".join(
+        json.dumps(case) for case in [*theirs, ours[2]]))
+    summary, first, *_ = module.differences(ROOT, "roots", [1], 1)
+    assert summary == ("roots: 2 of 3 operations differ; 2 changed more "
+                       "than numbers, size unknown")
+    assert first.endswith("(z-1)^3: the text around the numbers differs")

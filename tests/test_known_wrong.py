@@ -65,6 +65,32 @@ def _pole_pair(capsys, text, d, orders):
                for p, r in zip(poles, (-truth, truth)))
 
 
+def _pole_beside(capsys, text, a, m, b):
+    """An order-m pole at a and a simple pole at b, with residues
+    -+1/(b-a)**m."""
+    poles = sorted(_run(capsys, "residues", text)["poles"],
+                   key=lambda p: p["location"])
+    truth = 1.0 / (b - a) ** m
+    assert [p["order"] for p in poles] == [m, 1]
+    for p, x, r in zip(poles, (a, b), (-truth, truth)):
+        assert _close(p["location"][0], x) and _close(p["location"][1], 0.0)
+        assert _close(p["residue"][0], r) and _close(p["residue"][1], 0.0)
+
+
+@known_wrong("item 1: the group's leftover raw point is a cloud point; its "
+             "polish runs all 24 passes and lists a simple pole at "
+             "0.3110+0.0076i with residue 1.40e14-3.13e13i")
+def test_residues_of_a_simple_pole_beside_an_order_8_pole(capsys):
+    _pole_beside(capsys, "1/((z-0.3)^8*(z-0.32))", 0.3, 8, 0.32)
+
+
+@known_wrong("item 1: the group's leftover raw point is a cloud point; its "
+             "polish runs all 24 passes and lists a simple pole at "
+             "1.3928-0.0274i")
+def test_residues_of_a_simple_pole_beside_an_order_10_pole(capsys):
+    _pole_beside(capsys, "1/((z-1.3)^10*(z-1.4))", 1.3, 10, 1.4)
+
+
 @known_wrong("item 1: the triple roots split as [1, 1, 1] per half-plane; "
              "gives 2.855e7")
 def test_integrate_line_of_a_triple_pair(capsys):

@@ -397,3 +397,32 @@ def test_certificate_takes_no_exact_pass_when_the_gate_fails(monkeypatch):
     points = _counted_newton_passes(monkeypatch)
     assert roots._certify(roots.dyadic_poly(monic), raw) is None
     assert points == []
+
+
+@pytest.mark.parametrize("text, planted", [
+    ("1/((z-0.3)^8*(z-0.35))", [(0.3, 8), (0.35, 1)]),
+    ("1/((z-0.31)^6*(z-0.33))", [(0.31, 6), (0.33, 1)]),
+    ("1/((z-0.3)^5*(z-0.31)*(z+1))", [(-1.0, 1), (0.3, 5), (0.31, 1)]),
+])
+def test_group_accepts_a_multiple_root_and_links_the_rest_again(
+        monkeypatch, text, planted):
+    # one group holds the m-fold root's ring and the simple root beside
+    # it: the m-fold hypothesis is accepted for part of the group, and
+    # the leftover points are linked and resolved again
+    from dxdy.functions import meromorphic_from_text
+    coeffs = list(meromorphic_from_text(text).den.coeffs)
+    resolve = roots._resolve_group
+    accepted = []
+
+    def spied(mags, exact, group):
+        out = resolve(mags, exact, group)
+        accepted.append((len(group), out[0][1]))
+        return out
+
+    monkeypatch.setattr(roots, "_resolve_group", spied)
+    table = find_roots(coeffs)
+    assert any(1 < k < size for size, k in accepted)
+    assert [m for _, m in table] == [m for _, m in planted]
+    # the rounded coefficients move the simple root by up to about 2e-8
+    assert all(abs(x - a) <= 1e-6 * (1 + abs(a))
+               for (x, _), (a, _) in zip(table, planted))
