@@ -38,6 +38,7 @@ import argparse
 import cmath
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -98,8 +99,9 @@ def root_cases(seed: int):
     """(label, monic coefficients) of the roots workload at seed:
     z^n + c for n = 1..100 with |c| in [0.5, 2]; (z-1)^m for m = 1..30;
     near pairs (z-a)(z-a-d), d = 1e-1 .. 1e-12; 100 dense polynomials of
-    degree 1..20 with Gaussian coefficients; and the folded denominators
-    (z-a)^m of decimal_poles(seed, 1500)."""
+    degree 1..20 with Gaussian coefficients; the folded denominators
+    (z-a)^m of decimal_poles(seed, 1500); and the denominators of
+    random_sweep.py --count 200 --seed seed, labelled sweep seed:case."""
     from dxdy.functions import meromorphic_from_text
     rng = random.Random(seed)
     for n in range(1, 101):
@@ -119,6 +121,19 @@ def root_cases(seed: int):
     for u, v, _, m in decimal_poles(seed, 1500):
         text = f"(z-({u!r}+{v!r}*I))^{m}"
         yield text, list(meromorphic_from_text(text).num.coeffs)
+    sweep = _script_module("random_sweep")
+    for case, (_, den, _, _) in enumerate(sweep.contour_cases(seed, 200)):
+        yield f"sweep {seed}:{case}", list(den.coeffs)
+
+
+def _script_module(name: str):
+    """scripts/<name>.py next to this script, imported as a module; dxdy
+    is imported already, from the checkout load() chose."""
+    spec = importlib.util.spec_from_file_location(
+        name, SCRIPT.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def root_table(coeffs: list[complex]) -> str:

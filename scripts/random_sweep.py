@@ -63,6 +63,16 @@ def planted_rational(rng: random.Random, max_poles: int, max_order: int):
         return num, den, poles
 
 
+def contour_cases(seed: int, count: int, max_poles: int = 3,
+                  max_order: int = 4):
+    """Numerator, denominator, planted poles and the pole to circle of
+    each of the first count contour cases at seed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num, den, poles = planted_rational(rng, max_poles, max_order)
+        yield num, den, poles, poles[rng.randrange(len(poles))]
+
+
 def planted_axis_integrand(rng: random.Random, max_poles: int,
                            max_order: int) -> MeromorphicFunction:
     while True:
@@ -131,17 +141,15 @@ def main(argv=None) -> int:
     parser.add_argument("--max-order", type=int, default=4)
     args = parser.parse_args(argv)
 
-    rng = random.Random(args.seed)
     axis_rng = random.Random(f"{args.seed}/axis")
     failures = 0
     worst = 0.0
     worst_case = None
     line_failures = 0
     line_worst = 0.0
-    for index in range(args.count):
-        num, den, poles = planted_rational(rng, args.max_poles,
-                                           args.max_order)
-        pole = poles[rng.randrange(len(poles))]
+    cases = contour_cases(args.seed, args.count, args.max_poles,
+                          args.max_order)
+    for index, (num, den, poles, pole) in enumerate(cases):
         others = [p.location for p in poles if p is not pole]
         nearest = min([abs(pole.location - o) for o in others], default=2.0)
         contour = CircleContour(pole.location, 0.4 * min(nearest, 2.0))

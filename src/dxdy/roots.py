@@ -40,7 +40,8 @@ multiplicities.  The pipeline is therefore:
    there.  The test is lazy: it reads t_j and its scale for
    j = 0, 1, .. k in order, t_j and t_{j+1} from one exact pass, and stops
    at the first that fails.  Failed groups are split and retried with
-   tighter radii.
+   tighter radii.  This test is the one place a multiplicity above 1 is
+   decided: two polished roots, however close, stay two entries.
 
 Centers of accepted groups start from the group mean (first-order scatter
 cancels around a multiple root) and are refined by Newton on p^(k-1),
@@ -48,9 +49,10 @@ so reported locations do not inherit the scatter; simple roots get
 plain Newton steps, each from p and p' of one exact pass, until the step
 is below 1e-16 * (1 + |x|) or x no longer moves (far from 0, half an ulp
 can exceed that bound, and further steps would repeat the last one).  A
-simple root whose |p'| is below the rounding of the coefficients raises
-RootFindingError, since it may as well be multiple (a multiple root that
-no hypothesis accepted shows up so).  The monic coefficients and every
+polish whose steps have not settled after _NEWTON_MAX_ITER passes raises
+RootFindingError, and so does a simple root whose |p'| is below the
+rounding of the coefficients, since it may as well be multiple (a
+multiple root that no hypothesis accepted shows up so).  The monic coefficients and every
 iterate are doubles, hence dyadic: each exact pass of ``exactmath``'s
 ``dyadic_value_and_slope`` gives a pair t_j, (j+1)*t_{j+1} (p and p' at
 j = 0) from Gaussian integer Horner steps over the nonzero coefficients,
@@ -70,7 +72,9 @@ from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_value_and_slope)
 from .polynomials import Polynomial, vanishes_at
 
-#: two polished roots closer than this (times 1 + |root|) are the same root
+#: the floor of the scatter law, _scatter(1): no linkage radius is
+#: smaller, times 1 + |x|; and the radius, times 1 + |center|, within
+#: which functions._den_valuation takes a center for a table root
 CLUSTER_TOL = 1e-7
 
 #: coefficient-relative distance to the nearest polynomial carrying the
@@ -378,17 +382,22 @@ def _newton_polish(mags: list[float], exact: DyadicPoly, x0: complex,
     _newton_pass at x0, taken already.  It stops once the step is below
     1e-16 * (1 + |x|), or once x - step rounds back to x: then every
     further step would be the same one.  Raises RootFindingError if
-    |p'(x)| is at most floor times its scale sum k |a_k| |x|**(k-1): at
-    eps a change of the coefficients below their rounding then makes x a
-    double root, so x may as well be multiple; at VERIFY_TOL the
-    multiplicity test could merge x with its neighbours.
+    _NEWTON_MAX_ITER passes end before that, or if |p'(x)| is at most
+    floor times its scale sum k |a_k| |x|**(k-1): at eps a change of the
+    coefficients below their rounding then makes x a double root, so x
+    may as well be multiple; at VERIFY_TOL the multiplicity test could
+    merge x with its neighbours.
     """
     x = x0
     dp, step = first or _newton_pass(exact, x)
     for left in range(_NEWTON_MAX_ITER - 1, -1, -1):
         x, last = x - step, x
-        if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)) or not left:
+        if x == last or abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
+        if not left:
+            raise RootFindingError(
+                f"no simple root near {EvenElement(x0.real, x0.imag)}: "
+                f"Newton's steps did not settle in {_NEWTON_MAX_ITER} passes")
         dp, step = _newton_pass(exact, x)
     if abs(dp.to_complex()) <= floor * _coefficient_scale(mags, abs(x), 1):
         raise RootFindingError(
@@ -424,9 +433,7 @@ def _refine_and_verify(mags: list[float], exact: DyadicPoly,
     """
     c = seed
     for _ in range(8):
-        slope, correction = _newton_pass(exact, c, k - 1)
-        if slope.is_zero():
-            return None
+        _, correction = _newton_pass(exact, c, k - 1)
         c = c - correction
         if abs(correction) <= 1e-16 * (1.0 + abs(c)):
             break
@@ -460,36 +467,6 @@ def _resolve_group(mags: list[float], exact: DyadicPoly,
             out.extend(_resolve_group(mags, exact, sub))
         return out
     return [(_newton_polish(mags, exact, p), 1) for p in group]
-
-
-def _merge(mags: list[float], exact: DyadicPoly,
-           found: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """Authoritative merge of polished locations within CLUSTER_TOL.
-
-    Two locations farther apart than CLUSTER_TOL times their size are
-    merged only by the absolute part of the tolerance, near 0; the
-    merged root must then pass the multiplicity test a group passes.
-    """
-    merged: list[tuple[complex, int]] = []
-    far: set[int] = set()
-    for loc, mult in sorted(found, key=_by_location):
-        for idx, (mloc, mmult) in enumerate(merged):
-            gap = abs(loc - mloc)
-            if gap <= CLUSTER_TOL * (1.0 + abs(mloc)):
-                total = mmult + mult
-                merged[idx] = ((mloc * mmult + loc * mult) / total, total)
-                if gap > CLUSTER_TOL * max(abs(loc), abs(mloc)):
-                    far.add(idx)
-                break
-        else:
-            merged.append((loc, mult))
-    for idx in far:
-        loc, mult = merged[idx]
-        if _refine_and_verify(mags, exact, loc, mult) is None:
-            raise RootFindingError(
-                f"roots near {EvenElement(loc.real, loc.imag)} merge into "
-                f"one of multiplicity {mult}, which the coefficients reject")
-    return merged
 
 
 def _by_location(found: tuple[complex, int]) -> tuple[float, float]:
@@ -527,18 +504,12 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
                                for x, first in zip(raw, firsts)),
                               key=_by_location)
             except RootFindingError:
-                pass  # a root the multiplicity test could merge
-        found: list[tuple[complex, int]] = []
-        for group in _single_linkage(raw):
-            found.extend(_resolve_group(mags, exact, group))
-        merged = _merge(mags, exact, found)
+                pass  # a root the multiplicity test could merge, or unsettled
+        return sorted((root for group in _single_linkage(raw)
+                       for root in _resolve_group(mags, exact, group)),
+                      key=_by_location)
     except OverflowError as err:  # rounding an exact t_j or step
         raise RootFindingError(
             f"an exact Taylor coefficient of the degree-{degree} "
             f"polynomial at a root lies beyond the double range") from err
-    if sum(m for _, m in merged) != degree:
-        raise RootFindingError(
-            f"recovered multiplicities sum to "
-            f"{sum(m for _, m in merged)}, expected {degree}")
-    return merged
 

@@ -86,9 +86,6 @@ class LaurentSeries(_Frozen):
         value = acc * complex_int_pow(x, self.valuation)
         return EvenElement(value.real, value.imag)
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return series_add(self, other)
-
 
 def zero_series(center: complex, truncation_order: int) -> LaurentSeries:
     return LaurentSeries(center, truncation_order + 1, ())
@@ -100,20 +97,6 @@ def _require_same_center(a: LaurentSeries, b: LaurentSeries) -> None:
             f"series centered at {EvenElement(a.center.real, a.center.imag)} "
             f"and {EvenElement(b.center.real, b.center.imag)} cannot be "
             f"combined")
-
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    _require_same_center(a, b)
-    trunc = min(a.truncation_order, b.truncation_order)
-    lo = min(a.valuation, b.valuation)
-    if lo > trunc:
-        return zero_series(a.center, trunc)
-    out = []
-    for n in range(lo, trunc + 1):
-        ca = a.coeffs[n - a.valuation] if a.valuation <= n <= a.truncation_order else 0j
-        cb = b.coeffs[n - b.valuation] if b.valuation <= n <= b.truncation_order else 0j
-        out.append(ca + cb)
-    return LaurentSeries(a.center, lo, tuple(out))
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import script_module
+from helpers import script_module, sweep_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,12 +130,15 @@ def test_roots_workload_corpus_and_its_comparison(monkeypatch):
     # know the workload
     module = script_module("bitcheck")
     cases = list(module.root_cases(1))
-    assert len(cases) == 100 + 30 + 12 + 100 + 1500
+    assert len(cases) == 100 + 30 + 12 + 100 + 1500 + 200
     assert all(coeffs[-1] == 1 for _, coeffs in cases)
     labels = [label for label, _ in cases]
     assert labels[99].startswith("z^100+") and labels[129] == "(z-1)^30"
     u, v, _, m = list(module.decimal_poles(1, 1500))[-1]
-    assert labels[-1] == f"(z-({u!r}+{v!r}*I))^{m}"
+    assert labels[-201] == f"(z-({u!r}+{v!r}*I))^{m}"
+    # the sweep's denominators, as random_sweep.py --seed 1 draws them
+    _, den, _, _ = list(sweep_module().contour_cases(1, 200))[-1]
+    assert cases[-1] == ("sweep 1:199", list(den.coeffs))
     calls = []
     monkeypatch.setattr(module, "_run",
                         lambda argv, checkout: calls.append(argv) or "")

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy import roots
+from dxdy.cli import main
+from dxdy.functions import MeromorphicFunction, find_poles
+from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.roots import CLUSTER_TOL, find_roots
 from helpers import sweep_module
 
@@ -76,34 +79,48 @@ def test_degree_below_one_rejected():
         find_roots([])
 
 
-def test_merge_across_a_gap_large_for_the_roots_size_is_tested():
-    # z^2 + 1e-300: polished near +-1e-150i, within CLUSTER_TOL of each
-    # other only by the absolute part of the tolerance
-    for coeffs in ([1e-300 + 0j, 0j, 1 + 0j],
-                   # roots near +-4.7e-18 beside one near 4.7e36
-                   [103.22843768735174 - 4.095392554173994j,
-                    -7.83437627339637e-34 - 1.010697633486764e-33j,
-                    1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j]):
+#: tables whose roots find_poles' residual check refuses: z^2 + 1e-300,
+#: whose roots are polished near +-1e-150i but not onto them; roots near
+#: +-4.7e-18 beside one near 4.7e36; and coefficients from 1e-54 to 1e38,
+#: whose table holds a root at 0 where p(0) is 3.7e-44
+ILL_CONDITIONED = (
+    [1e-300 + 0j, 0j, 1 + 0j],
+    [103.22843768735174 - 4.095392554173994j,
+     -7.83437627339637e-34 - 1.010697633486764e-33j,
+     1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j],
+    [3.0677751310322324e-44 + 2.0895160488768345e-44j,
+     5.601302054165971e+37 - 9.930526026349237e+37j,
+     5.587837006293008e-54 - 1.25250425022231e-54j,
+     -6.19914631615057e+36 + 3.510259984944766e+36j,
+     -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j])
+
+
+def test_tables_the_residual_check_refuses_are_loud(capsys):
+    for coeffs in ILL_CONDITIONED:
+        f = MeromorphicFunction(ONE_POLY, Polynomial(tuple(coeffs)))
+        assert sum(m for _, m in f.den_roots) == len(coeffs) - 1
         with pytest.raises(roots.RootFindingError,
-                           match="merge into one of multiplicity 2"):
-            find_roots(coeffs)
-    # two polishes of one root, 1e-9 apart near 1, merge untested
-    exact = roots.dyadic_poly([-1 + 0j, 1 + 0j])
-    found = [(1 + 0j, 1), (1 + 1e-9j, 1)]
-    assert roots._merge([1.0, 1.0], exact, found) == [(1 + 0.5e-9j, 2)]
+                           match="root residual too large"):
+            find_poles(f)
+    assert main(["residues", "1/(z^2+1e-300)"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "root residual too large" in captured.err
 
 
-def test_exact_values_beyond_the_double_range_are_typed():
-    # coefficients from 1e-54 to 1e38: an exact t_j of the multiplicity
-    # test at a linked group overflows when rounded
-    coeffs = [3.0677751310322324e-44 + 2.0895160488768345e-44j,
-              5.601302054165971e+37 - 9.930526026349237e+37j,
-              5.587837006293008e-54 - 1.25250425022231e-54j,
-              -6.19914631615057e+36 + 3.510259984944766e+36j,
-              -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j]
+def test_exact_values_beyond_the_double_range_are_typed(monkeypatch):
+    # rounding an exact t_j or Newton step of the clustering stage can
+    # overflow; find_roots raises its own error for it.  (z-1)^3 fails
+    # the certificate's float gate, so its first exact pass is a
+    # multiplicity hypothesis
+    def overflows(*args):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(roots, "dyadic_value_and_slope", overflows)
     with pytest.raises(roots.RootFindingError,
-                       match="beyond the double range"):
-        find_roots(coeffs)
+                       match="beyond the double range") as got:
+        find_roots([-1 + 0j, 3 + 0j, -3 + 0j, 1 + 0j])
+    assert isinstance(got.value.__cause__, OverflowError)
 
 
 def test_planted_structures_randomized():
@@ -338,11 +355,7 @@ def _certificate_cases():
         planted = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                     rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
         yield expand(planted)
-    sweep = sweep_module()
-    rng = random.Random(1)
-    for _ in range(200):
-        _, den, poles = sweep.planted_rational(rng, 3, 4)
-        rng.randrange(len(poles))  # the sweep's pick of a pole to circle
+    for _, den, _, _ in sweep_module().contour_cases(1, 200):
         yield list(den.coeffs)
 
 
@@ -426,3 +439,34 @@ def test_group_accepts_a_multiple_root_and_links_the_rest_again(
     # the rounded coefficients move the simple root by up to about 2e-8
     assert all(abs(x - a) <= 1e-6 * (1 + abs(a))
                for (x, _), (a, _) in zip(table, planted))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 10])
+def test_every_multiple_root_passes_the_multiplicity_test(seed):
+    # the denominators of random_sweep.py --count 200: an entry of order
+    # m >= 2 is one the multiplicity test accepts at its own location,
+    # never two polished roots glued by their distance
+    checked = 0
+    for _, den, _, _ in sweep_module().contour_cases(seed, 200):
+        try:
+            table = find_roots(den.coeffs)
+        except roots.RootFindingError:
+            continue
+        monic = [c / den.coeffs[-1] for c in den.coeffs]
+        exact = roots.dyadic_poly(monic)
+        mags = [abs(c) for c in monic]
+        for loc, m in table:
+            if m >= 2:
+                checked += 1
+                assert roots._refine_and_verify(mags, exact, loc, m), (loc, m)
+    assert checked
+
+
+def test_a_deeper_root_fails_the_hypothesis_at_a_zero_slope():
+    # z^3 at 0 under the double-root hypothesis: the Newton step on p'
+    # has slope 2 t_2 = 0 and stays put, and t_2 = 0 fails at j = k
+    monic = [0j, 0j, 0j, 1 + 0j]
+    exact = roots.dyadic_poly(monic)
+    mags = [abs(c) for c in monic]
+    assert roots._refine_and_verify(mags, exact, 0j, 2) is None
+    assert roots._refine_and_verify(mags, exact, 0j, 3) == 0j

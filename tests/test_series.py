@@ -202,6 +202,18 @@ def dominant_lead_series(draw, length=9):
                          (lead,) + tuple(complex(*v) for v in vals))
 
 
+def plus(a, b):
+    """a + b over the window both reach, with exact zeros below each
+    valuation: a reference sum for the distributive law."""
+    lo = min(a.valuation, b.valuation)
+    hi = min(a.truncation_order, b.truncation_order)
+    if lo > hi:
+        return zero_series(a.center, hi)
+    return LaurentSeries(a.center, lo, tuple(
+        x + y for x, y in zip(a.window(lo, hi).coeffs,
+                              b.window(lo, hi).coeffs)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(series_strategy(), series_strategy(), series_strategy())
 def test_ring_axioms(a, b, c):
@@ -213,8 +225,8 @@ def test_ring_axioms(a, b, c):
     for n in range(lo, hi + 1):
         delta = abs(left.coefficient(n) - right.coefficient(n))
         assert delta <= 1e-12 * max(1.0, scale)
-    dist_left = series_mul(a, b + c)
-    dist_right = series_mul(a, b) + series_mul(a, c)
+    dist_left = series_mul(a, plus(b, c))
+    dist_right = plus(series_mul(a, b), series_mul(a, c))
     lo = max(dist_left.valuation, dist_right.valuation)
     hi = min(dist_left.truncation_order, dist_right.truncation_order)
     scale = max([abs(x) for x in dist_left.coeffs + dist_right.coeffs],
