@@ -315,6 +315,10 @@ def complex_cos(x: complex) -> complex:
         raise _beyond_range("cos", x) from None
 
 
+#: the entire calls of the expression grammar, by name
+ENTIRE_KERNELS = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
+
+
 def _beyond_range(name: str, x: complex) -> RangeError:
     return RangeError(f"{name}({format_even(x)}) lies beyond the double "
                       f"range")

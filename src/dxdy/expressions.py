@@ -32,8 +32,8 @@ import math
 import operator
 from typing import Callable, Union
 
-from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
-                      complex_int_pow, complex_inv, complex_sin, even)
+from .algebra import (ENTIRE_KERNELS, EvenElement, _Frozen, complex_int_pow,
+                      complex_inv, even)
 from .errors import UsageError
 
 
@@ -84,8 +84,6 @@ class Call(_Frozen):
 
 
 Expr = Union[Num, Sym, Neg, BinOp, Pow, Call]
-
-CALLS = ("exp", "sin", "cos")
 
 
 class _Token(_Frozen, defaults={"value": 0.0}):
@@ -193,7 +191,7 @@ class _Parser:
             return Num(tok.value)
         if tok.kind == "name":
             if self.peek().kind == "op" and self.peek().text == "(":
-                if tok.text not in CALLS:
+                if tok.text not in ENTIRE_KERNELS:
                     raise ParseError(f"unknown function {tok.text!r}", tok.pos)
                 self.advance()
                 arg = self.parse_expr()
@@ -271,7 +269,6 @@ Level = Callable[[dict[str, list[complex]], int], list[complex]]
 # a * complex_inv(b), and _level inverts b before it multiplies
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.mul}
-_CALL = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
 
 
 def compile_expression(e: Expr) -> Level:
@@ -319,7 +316,7 @@ def _level(e: Expr, env: dict[str, list[complex]], n: int
     if isinstance(e, Pow):
         return _power(_level(e.base, env, n), e.exponent, n)
     if isinstance(e, Call):
-        return _each(_CALL[e.func], _level(e.arg, env, n))
+        return _each(ENTIRE_KERNELS[e.func], _level(e.arg, env, n))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -17,14 +17,14 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from . import expressions as ex
-from .algebra import (EvenElement, _Frozen, complex_cos, complex_exp,
-                      complex_inv, complex_sin, even, format_even)
+from .algebra import (ENTIRE_KERNELS, EvenElement, _Frozen, complex_inv,
+                      even, format_even)
 from .errors import ComputationError, RangeError, UsageError
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
 from .roots import CLUSTER_TOL, RootFindingError, find_roots
 from .series import (LaurentSeries, entire_series, entire_zero_order,
-                     series_inv, series_mul)
+                     series_inv, series_mul, zero_series)
 
 #: a numerator value this small (relative to Horner's bound on its
 #: rounding) at a denominator root counts as a shared root and is cancelled
@@ -43,7 +43,8 @@ class SingularSampleError(ComputationError, ValueError):
     """A classification sample sits on or too close to a singularity."""
 
 
-_ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
+class PoleExpansionError(ComputationError, ValueError):
+    """The function is singular where a regular point was required."""
 
 
 class EntireFactor(_Frozen):
@@ -53,7 +54,7 @@ class EntireFactor(_Frozen):
 
     def at(self, x: complex) -> complex:
         """The factor at the float pair x = complex(u, v)."""
-        return _ENTIRE[self.kind](complex(self.scale) * x)
+        return ENTIRE_KERNELS[self.kind](complex(self.scale) * x)
 
 
 class Pole(_Frozen):
@@ -221,8 +222,6 @@ def normalize_rational(num: Polynomial, den: Polynomial
             num = num.deflate(loc)
             den = den.deflate(loc)
             mult -= 1
-        if num.is_zero():
-            return ZERO_POLY, ONE_POLY, ()
         if mult:
             roots.append((loc, mult))
     # deflation keeps den monic up to rounding; retighten the lead
@@ -280,12 +279,28 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
 # local expansion
 
 def _den_valuation(f: MeromorphicFunction, center: complex) -> int:
-    """Multiplicity of the table root at center; 0 if none is that close."""
+    """Multiplicity of the table root at center, 0 at a regular point.
+
+    The center is a table root when one lies within CLUSTER_TOL·(1+|center|)
+    (the root at center itself, if the table has one) and the denominator
+    vanishes there to RESIDUAL_TOL of Horner's bound; regular when neither
+    holds; and refused with PoleExpansionError when only one does."""
     radius = CLUSTER_TOL * (1.0 + abs(center))
+    near = None
     for loc, mult in f.den_roots:
-        if abs(loc - center) <= radius:
-            return mult
-    return 0
+        if loc == center:
+            near = loc, mult
+            break
+        if near is None and abs(loc - center) <= radius:
+            near = loc, mult
+    if (near is not None) == vanishes_at(f.den.coeffs, center, RESIDUAL_TOL):
+        return near[1] if near else 0
+    why = ("the denominator vanishes there, but no table root lies within "
+           f"{radius:.3g}" if near is None else
+           f"the table root {EvenElement(near[0].real, near[0].imag)} lies "
+           f"within {radius:.3g}, but the denominator does not vanish there")
+    raise PoleExpansionError(f"{EvenElement(center.real, center.imag)} is "
+                             f"too close to tell from a pole: {why}")
 
 
 def _taylor_window(p: Polynomial, center: complex, valuation: int,
@@ -301,18 +316,19 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     """Laurent series of f about center covering `window` coefficients.
 
     Each factor's valuation is structural.  The denominator's is the
-    multiplicity m of its table root at center: the computed t_0..t_{m-1}
-    there are root error and are dropped by index.  The numerator's is 0,
-    since normalizing cancelled the shared roots, and the entire factor's
-    is its zero order at center.  The k-th coefficient of a Cauchy product
-    or an inverse depends on the first k + 1 inputs alone, so every factor
-    is cut to `window` coefficients.
+    multiplicity m of its table root at center (_den_valuation): the
+    computed t_0..t_{m-1} there are root error and are dropped by index.
+    The numerator's is 0, since normalizing cancelled the shared roots,
+    and the entire factor's is its zero order at center.  The k-th
+    coefficient of a Cauchy product or an inverse depends on the first
+    k + 1 inputs alone, so every factor is cut to `window` coefficients;
+    the zero function is the zero series over the window.
     """
     if window < 1:
         raise UsageError("window must be >= 1")
     x = complex(center)
     if f.is_zero():
-        return LaurentSeries(x, 0, ())
+        return zero_series(x, window - 1)
     den = _taylor_window(f.den, x, _den_valuation(f, x), window)
     result = series_mul(_taylor_window(f.num, x, 0, window), series_inv(den))
     if f.factor is not None:

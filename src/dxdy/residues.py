@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 
 from .algebra import E_ZERO, EvenElement, _Frozen
-from .errors import ComputationError, RangeError, UsageError
+from .errors import RangeError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, dyadic_poly,
                         dyadic_series_quotient, dyadic_taylor_shift)
-from .functions import (RESIDUAL_TOL, EntireFactor, MeromorphicFunction,
-                        Pole, _den_valuation, local_expansion)
-from .polynomials import Polynomial, vanishes_at
+from .functions import (EntireFactor, MeromorphicFunction, Pole,
+                        PoleExpansionError, _den_valuation, local_expansion)
+from .polynomials import Polynomial
 from .series import (LaurentSeries, WindowError, _zero_order,
                      derivative_cycle)
 
@@ -34,10 +34,6 @@ MAX_LAURENT_WINDOW = 64
 
 #: u-part this small relative to the element magnitude counts as a 2-form
 TWO_FORM_TOL = 1e-10
-
-
-class PoleExpansionError(ComputationError, ValueError):
-    """The function is singular where a regular point was required."""
 
 
 def is_two_form(x: EvenElement) -> bool:
@@ -52,17 +48,11 @@ class ResidueReport(_Frozen, defaults={"extracted": ()}):
     __slots__ = ("pole", "a_minus_1", "leading", "method", "extracted")
 
 
-def _expansion_at_pole(f: MeromorphicFunction, p: Pole) -> LaurentSeries:
-    """The principal part a_{-order}..a_{-1}, and no more."""
-    return local_expansion(f, p.location, p.order)
-
-
 def residue(f: MeromorphicFunction, p: Pole) -> EvenElement:
-    """a_{-1} of the local expansion about the pole."""
-    s = _expansion_at_pole(f, p)
-    if s.is_zero() or s.valuation > -1:
-        return E_ZERO
-    return s.coefficient(-1)
+    """a_{-1} of the local expansion about the pole, which is read over
+    the principal part a_{-order}..a_{-1} and no more."""
+    s = local_expansion(f, p.location, p.order)
+    return s.window_coefficients(-1, -1)[0]
 
 
 def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport:
@@ -74,7 +64,7 @@ def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport
     next order at once.  a_{-1} is the coefficient extracted at order one,
     or zero when the constant term arrives first.
     """
-    s = _expansion_at_pole(f, p)
+    s = local_expansion(f, p.location, p.order)
     extracted = tuple((-n, EvenElement(c.real, c.imag))
                       for n, c in zip(range(s.valuation, 0), s.coeffs) if c)
     if not extracted:
@@ -165,16 +155,6 @@ def _with_factor(num: DyadicPoly, factor: EntireFactor,
 # ---------------------------------------------------------------------------
 # special integral formulas
 
-def _require_regular(f: MeromorphicFunction, z0: EvenElement) -> None:
-    """Refuse a pole, and a point the root table places on one: there the
-    expansion read would be the pole's."""
-    x = complex(z0)
-    if vanishes_at(f.den.coeffs, x, RESIDUAL_TOL):
-        raise PoleExpansionError(f"{z0} is a pole of the function")
-    if _den_valuation(f, x) > 0:
-        raise PoleExpansionError(f"{z0} is a pole of the root table")
-
-
 def cauchy_evaluate(f: MeromorphicFunction,
                     z0: EvenElement) -> tuple[EvenElement, bool]:
     """f(z0) and whether the special integral formula applies there.
@@ -190,17 +170,18 @@ def cauchy_evaluate(f: MeromorphicFunction,
 
 def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
                       n: int) -> EvenElement:
-    """n-th x-derivative of f off the local expansion, away from poles."""
+    """n-th x-derivative of f off the local expansion, away from poles:
+    a center whose expansion starts below z'^0 is a pole of f."""
     if n < 0:
         raise UsageError("derivative order must be >= 0")
     if n > 170:  # 171! exceeds the largest double
         raise RangeError(f"{n}! lies beyond the double range")
-    _require_regular(f, z0)
     # coefficient n of each shift, product and inverse reads inputs 0..n
     s = local_expansion(f, z0, n + 1)
-    if s.is_zero() or n < s.valuation:
-        return E_ZERO
-    return s.coefficient(n) * float(math.factorial(n))
+    if s.valuation < 0:
+        raise PoleExpansionError(f"{z0} is a pole of the function")
+    return s.window_coefficients(n, n)[0] * float(math.factorial(n))
+
 
 def cauchy_integral_value(f: MeromorphicFunction, z0: EvenElement,
                           n: int = 0) -> tuple[float, EvenElement, bool]:
@@ -228,12 +209,5 @@ def laurent_expand(f: MeromorphicFunction, z0: EvenElement, lo: int,
         raise WindowError(
             f"window of {hi - lo + 1} coefficients exceeds the configured "
             f"maximum {MAX_LAURENT_WINDOW}")
-    x = complex(z0)
-    if (_den_valuation(f, x) > 0
-            and not vanishes_at(f.den.coeffs, x, RESIDUAL_TOL)):
-        raise PoleExpansionError(
-            f"{z0} is within the root table's radius of a pole, not on it")
-    s = local_expansion(f, z0, max(1, hi + f.den.degree + 2))
-    if s.is_zero():
-        return LaurentSeries(x, lo, (0j,) * (hi - lo + 1))
-    return s.window(lo, hi)
+    window = max(1, hi + f.den.degree + 2)
+    return local_expansion(f, z0, window).window(lo, hi)

@@ -469,8 +469,15 @@ def _resolve_group(mags: list[float], exact: DyadicPoly,
     return [(_newton_polish(mags, exact, p), 1) for p in group]
 
 
-def _by_location(found: tuple[complex, int]) -> tuple[float, float]:
-    return found[0].real, found[0].imag
+def _table(roots: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
+    """roots by location; a location listed twice, its multiplicity never
+    tested, raises RootFindingError."""
+    table = sorted(roots, key=lambda found: (found[0].real, found[0].imag))
+    for (x, _), (y, _) in zip(table, table[1:]):
+        if x == y:
+            raise RootFindingError(
+                f"the root table lists {EvenElement(x.real, x.imag)} twice")
+    return table
 
 
 def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
@@ -497,19 +504,19 @@ def find_roots(coeffs: list[complex]) -> list[tuple[complex, int]]:
     mags = [abs(c) for c in monic]
     try:
         firsts = _certify(exact, raw)
+        roots = None
         if firsts is not None:
             try:
-                return sorted(((_newton_polish(mags, exact, x, first,
-                                               VERIFY_TOL), 1)
-                               for x, first in zip(raw, firsts)),
-                              key=_by_location)
+                roots = [(_newton_polish(mags, exact, x, first, VERIFY_TOL), 1)
+                         for x, first in zip(raw, firsts)]
             except RootFindingError:
                 pass  # a root the multiplicity test could merge, or unsettled
-        return sorted((root for group in _single_linkage(raw)
-                       for root in _resolve_group(mags, exact, group)),
-                      key=_by_location)
+        if roots is None:
+            roots = [root for group in _single_linkage(raw)
+                     for root in _resolve_group(mags, exact, group)]
     except OverflowError as err:  # rounding an exact t_j or step
         raise RootFindingError(
             f"an exact Taylor coefficient of the degree-{degree} "
             f"polynomial at a root lies beyond the double range") from err
+    return _table(roots)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import (E_ZERO, EvenElement, _Frozen, complex_cos,
-                      complex_exp, complex_int_pow, complex_inv, complex_sin)
+from .algebra import (E_ZERO, ENTIRE_KERNELS, EvenElement, _Frozen,
+                      complex_cos, complex_exp, complex_int_pow, complex_inv,
+                      complex_sin)
 from .errors import ComputationError, UsageError
 
 #: a sin/cos argument w != 0 is the zero k*pi (cos: (k + 1/2)*pi) only
@@ -133,9 +134,6 @@ def series_inv(a: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(a.center, -a.valuation, tuple(out))
 
 
-ENTIRE_KINDS = ("exp", "sin", "cos")
-
-
 def derivative_cycle(kind: str, w0: complex) -> list[complex]:
     """F(w0), F'(w0), ... for F = exp/sin/cos, one period of the cycle."""
     if kind == "exp":
@@ -146,7 +144,7 @@ def derivative_cycle(kind: str, w0: complex) -> list[complex]:
     if kind == "cos":
         return [c0, -s0, -c0, s0]
     raise UsageError(f"unknown entire kind {kind!r}; "
-                     f"expected one of {ENTIRE_KINDS}")
+                     f"expected one of {tuple(ENTIRE_KERNELS)}")
 
 
 def _zero_order(kind: str, w0: complex, cycle: list[complex]) -> int:

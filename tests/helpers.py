@@ -197,3 +197,19 @@ def reference_evaluate(e: ex.Expr, env: dict[str, EvenElement]) -> EvenElement:
     if isinstance(e, ex.Call):
         return REFERENCE_CALLS[e.func](reference_evaluate(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+#: tables whose roots find_poles' residual check refuses: z^2 + 1e-300,
+#: whose roots are polished near +-1e-150i but not onto them; roots near
+#: +-4.7e-18 beside one near 4.7e36; and coefficients from 1e-54 to 1e38,
+#: whose table holds a root at 0 where p(0) is 3.7e-44
+ILL_CONDITIONED = (
+    [1e-300 + 0j, 0j, 1 + 0j],
+    [103.22843768735174 - 4.095392554173994j,
+     -7.83437627339637e-34 - 1.010697633486764e-33j,
+     1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j],
+    [3.0677751310322324e-44 + 2.0895160488768345e-44j,
+     5.601302054165971e+37 - 9.930526026349237e+37j,
+     5.587837006293008e-54 - 1.25250425022231e-54j,
+     -6.19914631615057e+36 + 3.510259984944766e+36j,
+     -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j])

@@ -12,6 +12,7 @@ import dxdy
 import dxdy.cli
 from dxdy.cli import main
 from dxdy.errors import ComputationError, DxdyError, RangeError, UsageError
+from dxdy.polynomials import Polynomial
 from dxdy.roots import RootFindingError, find_roots
 
 SRC = pathlib.Path(dxdy.__file__).parent
@@ -104,6 +105,12 @@ def test_builtin_raises_are_only_the_allowed_ones():
         found |= visitor.found
     assert found == set(ALLOWED_RAISES)
     assert all(ALLOWED_RAISES.values())
+
+
+def test_the_negative_power_invariant_raises_value_error():
+    # the fold inverts before it powers, so no expression reaches this
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        Polynomial.from_coeffs([1, 2]).int_pow(-1)
 
 
 @pytest.mark.parametrize("name,argv", [

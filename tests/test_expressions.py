@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dxdy.algebra import even
+from dxdy.algebra import ENTIRE_KERNELS, even
 from dxdy.errors import RangeError
-from dxdy.expressions import (CALLS, BinOp, Call, Neg, Num, ParseError, Pow,
-                              Sym, compile_expression, evaluate, parse,
+from dxdy.expressions import (BinOp, Call, Neg, Num, ParseError, Pow, Sym,
+                              compile_expression, evaluate, parse,
                               parse_point)
 from dxdy.functions import (UnsupportedExpressionError,
                             meromorphic_from_text)
@@ -63,6 +63,10 @@ def test_fractional_power_rejected_with_periodicity_message():
 def test_symbolic_exponent_rejected():
     with pytest.raises(ParseError, match="integer constant"):
         parse("z^t")
+    # a call folds to no constant, though exp(0) would be 1
+    with pytest.raises(ParseError,
+                       match="exponent must be an integer constant"):
+        parse("z^exp(0)")
 
 
 def test_syntax_errors_carry_positions():
@@ -181,7 +185,7 @@ def _extend(children):
         children.map(Neg),
         st.builds(BinOp, st.sampled_from("+-*/"), children, children),
         st.builds(Pow, children, st.integers(-3, 5)),
-        st.builds(Call, st.sampled_from(CALLS), children))
+        st.builds(Call, st.sampled_from(tuple(ENTIRE_KERNELS)), children))
 
 
 _TREES = st.recursive(_LEAVES, _extend, max_leaves=16)

@@ -26,9 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxdy import roots
-from dxdy.algebra import (E_ZERO, EvenElement, complex_cos, complex_exp,
-                          complex_int_pow, complex_inv, complex_sin, even,
-                          even_int_pow, even_mul)
+from dxdy.algebra import (E_ZERO, ENTIRE_KERNELS, EvenElement,
+                          complex_int_pow, complex_inv, even, even_int_pow,
+                          even_mul)
 from dxdy.errors import ComputationError
 from dxdy.functions import (EntireFactor, MeromorphicFunction, find_poles,
                             local_expansion, meromorphic_from_text)
@@ -446,18 +446,15 @@ def test_inverse_and_power_kernels_match_the_even_element_bodies(x, m):
     assert outcome(lambda: even_int_pow(x, m), bits) == want
 
 
-_ENTIRE = {"exp": complex_exp, "sin": complex_sin, "cos": complex_cos}
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_ENTIRE)), _kernel_even)
+@given(st.sampled_from(sorted(ENTIRE_KERNELS)), _kernel_even)
 def test_entire_kernels_match_the_even_element_bodies(kind, x):
-    assert (outcome(lambda: _ENTIRE[kind](complex(x)), bits)
+    assert (outcome(lambda: ENTIRE_KERNELS[kind](complex(x)), bits)
             == outcome(lambda: REFERENCE_CALLS[kind](x), bits))
 
 
 _factor = st.one_of(st.none(), st.builds(
-    EntireFactor, st.sampled_from(sorted(_ENTIRE)), _even))
+    EntireFactor, st.sampled_from(sorted(ENTIRE_KERNELS)), _even))
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,7 +547,8 @@ def test_truncated_taylor_shift_is_the_head_of_the_full_shift(p, center,
 @example("sin", even(1.0, 0.0), even(1e-10, 0.0), 3)  # no zero beside 0
 @example("sin", even(math.pi, 0.0), even(3.0, 0.0), 3)  # on 3*pi
 @example("sin", even(1.0, 0.0), even(3.1415926535, 0.0), 3)  # undecided
-@given(st.sampled_from(sorted(_ENTIRE)), _even, _even, st.integers(0, 12))
+@given(st.sampled_from(sorted(ENTIRE_KERNELS)), _even, _even,
+       st.integers(0, 12))
 def test_entire_series_matches_reference(kind, scale, center, order):
     # the k! division scales each part: complex / k would turn -0.0 to +0.0
     assert (outcome(lambda: entire_series(kind, complex(scale),

@@ -22,8 +22,11 @@ from helpers import sweep_module
 #: each the planted multiple roots come back as clusters of simple roots,
 #: or as an error
 SWEEP_LEDGER = {
-    (0, 4): "items 1 and 2: planted [3, 4×2], found [3, 1×8]",
+    (0, 4): "items 1 and 2: planted [3, 4×2]; two simple roots of the "
+            "table share a location (RootFindingError)",
     (1, 11): "items 1 and 2: planted [3×3], found [3×2, 1×3]",
+    (2, 169): "items 1 and 2: planted [3, 4×2]; two locations are each "
+              "listed twice (RootFindingError)",
     (3, 41): "items 1 and 2: planted [4×3], found [4×2, 1×4]",
     (10, 71): "item 1: planted [4, 3, 4]; a cloud point's Newton polish "
               "does not settle (RootFindingError)",

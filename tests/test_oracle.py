@@ -492,6 +492,14 @@ def test_real_line_rejects_axis_poles_and_slow_decay(text):
         real_line_quadrature(f, tol=REAL_LINE_TOL)
 
 
+def test_real_line_refuses_a_factor_that_grows_along_the_axis():
+    # cos(I*x) = cosh(x): no half-plane closes it
+    f = meromorphic_from_text("cos(I*x)/(x^2+1)", real_line=True)
+    with pytest.raises(QuadratureError,
+                       match="cos factor grows along the axis"):
+        real_line_quadrature(f, tol=REAL_LINE_TOL)
+
+
 def test_axis_root_error_names_the_root_as_an_even_element():
     f = meromorphic_from_text("sin(x)/(x*(x^2+1))", real_line=True)
     with pytest.raises(QuadratureError) as err:

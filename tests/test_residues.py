@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from dxdy.algebra import even
 from dxdy.contours import CircleContour, integrate_closed
-from dxdy.functions import MeromorphicFunction, Pole, find_poles, meromorphic_from_text
-from dxdy.polynomials import Polynomial
+from dxdy.errors import UsageError
+from dxdy.functions import (RESIDUAL_TOL, MeromorphicFunction, Pole,
+                            find_poles, meromorphic_from_text)
+from dxdy.polynomials import ONE_POLY, Polynomial, vanishes_at
 from dxdy.residues import (MAX_LAURENT_WINDOW, PoleExpansionError,
                            cauchy_derivative, cauchy_evaluate,
                            cauchy_integral_value, is_two_form, laurent_expand,
@@ -20,8 +22,9 @@ from dxdy.roots import find_roots
 from dxdy.series import WindowError
 
 from exact_reference import reference_derivative_formula
-from helpers import (even_close, gaussian_monic_denominators,
-                     random_planted_rational, script_module)
+from helpers import (ILL_CONDITIONED, even_close,
+                     gaussian_monic_denominators, random_planted_rational,
+                     script_module)
 
 
 def upper_pole(f):
@@ -442,7 +445,8 @@ def test_cauchy_derivative_rejects_points_the_root_table_calls_a_pole(offset):
 def test_cauchy_evaluate_rejects_points_the_root_table_calls_a_pole(offset):
     # the table places the pole there, as for the derivative: no 1/offset
     f = meromorphic_from_text("1/(z-1)")
-    with pytest.raises(PoleExpansionError, match="root table"):
+    with pytest.raises(PoleExpansionError,
+                       match="denominator does not vanish there"):
         cauchy_evaluate(f, even(1 + offset, 0))
 
 
@@ -496,6 +500,105 @@ def test_laurent_expand_refuses_points_beside_a_pole():
     assert beside[0] == even(0, 0)
     assert even_close(beside[1], even(1 / d, 0), rel=1e-9)
     assert even_close(beside[2], even(-1 / d ** 2, 0), rel=1e-9)
+
+
+#: functions whose table roots the center rule is tried about: multiple
+#: poles, a pole a sin zero cancels, a folded cancellation, an entire factor
+CENTER_RULE_CASES = ["1/(z-1)^8", "sin(z)/z", "(z-1)/(z-1)^3", "1/(z^2+1)",
+                     "exp(z)/(z-0.5)^3", "sin(pi*z)/(z*(z-1)^2)",
+                     "z/((z-1)*(z+2)^2)"]
+
+
+def _refusal(call):
+    """None when call returns, else the PoleExpansionError's message."""
+    try:
+        call()
+    except PoleExpansionError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("text", CENTER_RULE_CASES)
+def test_laurent_and_cauchy_refuse_the_same_centers(text):
+    # one rule, functions._den_valuation, tells a center from a pole: each
+    # verb refuses where the table and the denominator disagree, and at a
+    # pole of f the Laurent window is read while a derivative is refused
+    f = meromorphic_from_text(text)
+    poles = {complex(p.location) for p in find_poles(f)}
+    seen = set()
+    for loc, _ in f.den_roots:
+        for offset in (0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-3, 1e-2, 0.1,
+                       0.5):
+            center = even(loc.real + offset, loc.imag)
+            window = _refusal(lambda: laurent_expand(f, center, -8, 2))
+            cauchy = _refusal(lambda: cauchy_derivative(f, center, 0))
+            if offset == 0 and loc in poles:
+                assert window is None
+                assert cauchy.endswith("is a pole of the function")
+                seen.add("pole")
+            elif window is not None:
+                assert cauchy == window
+                assert "too close to tell from a pole" in window
+                seen.add("refused")
+            else:
+                assert (cauchy is None
+                        or cauchy.endswith("is a pole of the function"))
+                seen.add("read")
+    assert seen >= {"refused", "read"}
+
+
+def test_a_table_root_the_denominator_does_not_vanish_at_is_refused():
+    # laurent and cauchy never call find_poles, whose residual check refuses
+    # these roots; the center rule refuses them itself, even at a center
+    # that is exactly the table location, such as the quintic's root at 0,
+    # where p(0) = 3.7e-44 and f is regular
+    refused = []
+    for coeffs in ILL_CONDITIONED:
+        f = MeromorphicFunction(ONE_POLY, Polynomial(tuple(coeffs)))
+        for loc, _ in f.den_roots:
+            if vanishes_at(f.den.coeffs, loc, RESIDUAL_TOL):
+                continue
+            center = even(loc.real, loc.imag)
+            window = _refusal(lambda: laurent_expand(f, center, -2, 0))
+            assert "the denominator does not vanish there" in window
+            assert _refusal(lambda: cauchy_derivative(f, center, 0)) == window
+            refused.append(loc)
+    assert len(refused) == 5 and 0j in refused
+
+
+def test_a_zero_cancelled_pole_is_a_regular_point():
+    # sin(z)/z = 1 - z^2/6 + ...: the denominator's root at 0 is no pole
+    f = meromorphic_from_text("sin(z)/z")
+    assert find_poles(f) == ()
+    assert cauchy_derivative(f, even(0, 0), 0) == even(1, 0)
+    assert even_close(cauchy_derivative(f, even(0, 0), 2), even(-1 / 3, 0),
+                      rel=1e-15)
+
+
+def test_a_point_the_denominator_puts_on_a_multiple_pole_is_refused():
+    # (z-1)^8 vanishes at 1.001 to Horner's bound, but no table root is
+    # that close: the float window there gave a_0 = 1.2e14, not 1e24
+    f = meromorphic_from_text("1/(z-1)^8")
+    for call in (lambda: laurent_expand(f, even(1.001, 0), 0, 0),
+                 lambda: cauchy_derivative(f, even(1.001, 0), 0)):
+        with pytest.raises(PoleExpansionError,
+                           match="no table root lies within"):
+            call()
+
+
+def test_the_zero_function_expands_to_zeros_everywhere():
+    f = meromorphic_from_text("0")
+    z0 = even(0.5, -0.25)
+    window = laurent_expand(f, z0, -2, 2).window_coefficients(-2, 2)
+    assert window == [even(0, 0)] * 5
+    for n in range(3):
+        assert cauchy_derivative(f, z0, n) == even(0, 0)
+    assert residue(f, Pole(z0, 2)) == even(0, 0)
+
+
+def test_cauchy_derivative_refuses_a_negative_order():
+    with pytest.raises(UsageError, match="derivative order must be >= 0"):
+        cauchy_derivative(meromorphic_from_text("1/(z-1)"), even(0, 0), -1)
 
 
 def test_laurent_expand_reads_every_pole_find_poles_returns():

@@ -14,7 +14,7 @@ from dxdy.cli import main
 from dxdy.functions import MeromorphicFunction, find_poles
 from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.roots import CLUSTER_TOL, find_roots
-from helpers import sweep_module
+from helpers import ILL_CONDITIONED, sweep_module
 
 
 def expand(roots_mults):
@@ -77,22 +77,6 @@ def test_degree_below_one_rejected():
         find_roots([3.0])
     with pytest.raises(ValueError):
         find_roots([])
-
-
-#: tables whose roots find_poles' residual check refuses: z^2 + 1e-300,
-#: whose roots are polished near +-1e-150i but not onto them; roots near
-#: +-4.7e-18 beside one near 4.7e36; and coefficients from 1e-54 to 1e38,
-#: whose table holds a root at 0 where p(0) is 3.7e-44
-ILL_CONDITIONED = (
-    [1e-300 + 0j, 0j, 1 + 0j],
-    [103.22843768735174 - 4.095392554173994j,
-     -7.83437627339637e-34 - 1.010697633486764e-33j,
-     1.44057372466962e+36 - 4.443394519571875e+36j, 1 + 0j],
-    [3.0677751310322324e-44 + 2.0895160488768345e-44j,
-     5.601302054165971e+37 - 9.930526026349237e+37j,
-     5.587837006293008e-54 - 1.25250425022231e-54j,
-     -6.19914631615057e+36 + 3.510259984944766e+36j,
-     -3.495313525892368e+35 - 2.4326436561467153e+35j, 1 + 0j])
 
 
 def test_tables_the_residual_check_refuses_are_loud(capsys):
@@ -460,6 +444,17 @@ def test_every_multiple_root_passes_the_multiplicity_test(seed):
                 checked += 1
                 assert roots._refine_and_verify(mags, exact, loc, m), (loc, m)
     assert checked
+
+
+@pytest.mark.parametrize("seed, case", [(0, 4), (2, 169)])
+def test_a_table_that_lists_a_location_twice_is_refused(seed, case):
+    # two raw points of a cluster that no hypothesis accepts polish to the
+    # same bits; listed twice at order 1, that location's multiplicity
+    # would never have been tested
+    *_, (_, den, _, _) = sweep_module().contour_cases(seed, case + 1)
+    with pytest.raises(roots.RootFindingError,
+                       match=r"the root table lists EvenElement\(.*\) twice"):
+        find_roots(den.coeffs)
 
 
 def test_a_deeper_root_fails_the_hypothesis_at_a_zero_slope():

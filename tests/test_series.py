@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxdy.algebra import even, even_mul
-from dxdy.errors import ComputationError
+from dxdy.errors import ComputationError, UsageError
 from dxdy.series import (ZERO_ULPS, CenterMismatchError, LaurentSeries,
                          WindowError, entire_series, entire_zero_order,
                          series_inv, series_mul, zero_series)
@@ -144,6 +144,11 @@ def test_entire_zero_order_decides_zeros_by_ulps():
 def test_entire_series_rejects_unknown_kind():
     with pytest.raises(ValueError):
         entire_series("tan", 1 + 0j, ORIGIN, 4)
+
+
+def test_entire_series_rejects_a_negative_order():
+    with pytest.raises(UsageError, match="order must be >= 0"):
+        entire_series("exp", 1j, 0j, -1)
 
 
 def test_coefficient_window_errors():
