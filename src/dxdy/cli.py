@@ -27,8 +27,8 @@ from .contours import (AXIS_TOL, CircleContour, CLOCKWISE, COUNTERCLOCKWISE,
                        integrate_closed, integrate_real_line)
 from .errors import ComputationError, UsageError
 from .expressions import ParseError, parse_point
-from .functions import (OneForm, classify_one_form, find_poles,
-                        meromorphic_from_text)
+from .functions import (WINDOW_TRUST, OneForm, beside_a_pole,
+                        classify_one_form, find_poles, meromorphic_from_text)
 from .oracle import (differential_check, differential_quad_tol,
                      real_line_quadrature)
 from .residues import cauchy_integral_value, laurent_expand, residue
@@ -142,8 +142,8 @@ def _cmd_laurent(args) -> dict:
             for n, c in zip(range(args.low, args.high + 1),
                             window.window_coefficients(args.low, args.high))
         ],
-        "warnings": [],
-        "tolerances": _base_tolerances(),
+        "warnings": beside_a_pole(f, args.center),
+        "tolerances": _base_tolerances(window_trust=WINDOW_TRUST),
     }
 
 
@@ -212,11 +212,11 @@ def _cmd_cauchy(args) -> dict:
         "expression": args.expression,
         "at": _pair(args.at),
         "n": args.n,
-        "warnings": [] if applicable else [
+        "warnings": beside_a_pole(f, args.at) + ([] if applicable else [
             "the value is not a 2-form; the special integral formula does "
             "not apply and the contour integral shown is only the real "
-            "part"],
-        "tolerances": _base_tolerances(),
+            "part"]),
+        "tolerances": _base_tolerances(window_trust=WINDOW_TRUST),
         # f itself at n = 0: the same coefficient read, another name
         "value" if args.n == 0 else "derivative": _pair(deriv),
         "applicable": applicable,

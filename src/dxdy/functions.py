@@ -5,8 +5,7 @@ coefficients, denominator monic, shared roots cancelled) times at most one
 entire factor exp/sin/cos(scale*z).  Poles come from denominator roots; a
 simple zero of a sin/cos factor sitting on a denominator root lowers the
 pole order by one.  Every function roots its denominator once, when it is
-built, and that root table is the only place a pole order or a Laurent
-valuation is decided.
+built, and a center is a pole only when it is a location of that table.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ from . import expressions as ex
 from .algebra import (ENTIRE_KERNELS, EvenElement, _Frozen, complex_inv,
                       even, format_even)
 from .errors import ComputationError, RangeError, UsageError
+from .exactmath import dyadic_poly, dyadic_taylor_shift
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
-from .roots import CLUSTER_TOL, RootFindingError, find_roots
+from .roots import RootFindingError, find_roots
 from .series import (LaurentSeries, entire_series, entire_zero_order,
                      series_inv, series_mul, zero_series)
 
@@ -30,9 +30,13 @@ from .series import (LaurentSeries, entire_series, entire_zero_order,
 #: rounding) at a denominator root counts as a shared root and is cancelled
 CANCEL_TOL = 1e-9
 
-#: reported pole locations must satisfy |den(loc)| <= RESIDUAL_TOL times
+#: every root table location must satisfy |den(loc)| <= RESIDUAL_TOL times
 #: Horner's bound sum |a_k| |loc|**k on its rounding
 RESIDUAL_TOL = 1e-9
+
+#: the float window at a regular point is kept when the error bound of its
+#: t_0, 4·deg·eps times Horner's bound, is within this fraction of |t_0|
+WINDOW_TRUST = 1e-8
 
 
 class UnsupportedExpressionError(UsageError):
@@ -73,7 +77,8 @@ class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
 
     ``den_roots`` holds the (location, multiplicity) roots of ``den``;
     given when already known (``to_meromorphic`` keeps those found while
-    normalizing), found here when ``None``.
+    normalizing), found here when ``None``; either way, RootFindingError
+    if ``den`` does not vanish at a location to RESIDUAL_TOL.
     """
 
     __slots__ = ("num", "den", "factor", "den_roots")
@@ -84,6 +89,11 @@ class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
         if den_roots is None:
             den_roots = (tuple(find_roots(den.coeffs)) if den.degree >= 1
                          else ())
+        for loc, _ in den_roots:
+            if not vanishes_at(den.coeffs, loc, RESIDUAL_TOL):
+                raise RootFindingError(f"root residual too large at "
+                                       f"{EvenElement(loc.real, loc.imag)}; "
+                                       f"denominator is ill-conditioned")
         self._fill_slots(num, den, factor, den_roots)
 
     def __call__(self, z: EvenElement) -> EvenElement:
@@ -263,10 +273,6 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
     factor = f.factor
     poles = []
     for loc, mult in f.den_roots:
-        if not vanishes_at(f.den.coeffs, loc, RESIDUAL_TOL):
-            raise RootFindingError(
-                f"root residual too large at {EvenElement(loc.real, loc.imag)}"
-                f"; denominator is ill-conditioned")
         order = mult
         if factor is not None:
             order -= entire_zero_order(factor.kind, complex(factor.scale), loc)
@@ -279,36 +285,27 @@ def find_poles(f: MeromorphicFunction) -> tuple[Pole, ...]:
 # local expansion
 
 def _den_valuation(f: MeromorphicFunction, center: complex) -> int:
-    """Multiplicity of the table root at center, 0 at a regular point.
-
-    The center is a table root when one lies within CLUSTER_TOL·(1+|center|)
-    (the root at center itself, if the table has one) and the denominator
-    vanishes there to RESIDUAL_TOL of Horner's bound; regular when neither
-    holds; and refused with PoleExpansionError when only one does."""
-    radius = CLUSTER_TOL * (1.0 + abs(center))
-    near = None
-    for loc, mult in f.den_roots:
-        if loc == center:
-            near = loc, mult
-            break
-        if near is None and abs(loc - center) <= radius:
-            near = loc, mult
-    if (near is not None) == vanishes_at(f.den.coeffs, center, RESIDUAL_TOL):
-        return near[1] if near else 0
-    why = ("the denominator vanishes there, but no table root lies within "
-           f"{radius:.3g}" if near is None else
-           f"the table root {EvenElement(near[0].real, near[0].imag)} lies "
-           f"within {radius:.3g}, but the denominator does not vanish there")
-    raise PoleExpansionError(f"{EvenElement(center.real, center.imag)} is "
-                             f"too close to tell from a pole: {why}")
+    """Multiplicity of the table root at center, 0 at any other point."""
+    return next((m for loc, m in f.den_roots if loc == center), 0)
 
 
 def _taylor_window(p: Polynomial, center: complex, valuation: int,
-                   window: int) -> LaurentSeries:
-    """t_valuation.. of p's Taylor shift to center, zero-padded to window."""
-    shifted = p.taylor_shift(center, valuation + window)[valuation:]
+                   window: int, exact: bool = False) -> LaurentSeries:
+    """t_valuation.. of p's Taylor shift to center, zero-padded to window;
+    if exact, the dyadic shift with each t_j rounded once."""
+    terms = min(valuation + window, len(p.coeffs))
+    if exact:
+        shifted = tuple(t.to_complex() for t in dyadic_taylor_shift(
+            dyadic_poly(p.coeffs), center, terms))[valuation:]
+    else:
+        shifted = p.taylor_shift(center, terms)[valuation:]
     return LaurentSeries(center, valuation,
                          shifted + (0j,) * (window - len(shifted)))
+
+
+def _untrusted(p: Polynomial, x: complex) -> bool:
+    """Whether WINDOW_TRUST rejects p's float t_0 at x."""
+    return vanishes_at(p.coeffs, x, 4 * p.degree * 2.0 ** -52 / WINDOW_TRUST)
 
 
 def local_expansion(f: MeromorphicFunction, center: EvenElement,
@@ -316,26 +313,47 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     """Laurent series of f about center covering `window` coefficients.
 
     Each factor's valuation is structural.  The denominator's is the
-    multiplicity m of its table root at center (_den_valuation): the
-    computed t_0..t_{m-1} there are root error and are dropped by index.
-    The numerator's is 0, since normalizing cancelled the shared roots,
-    and the entire factor's is its zero order at center.  The k-th
-    coefficient of a Cauchy product or an inverse depends on the first
-    k + 1 inputs alone, so every factor is cut to `window` coefficients;
-    the zero function is the zero series over the window.
+    multiplicity m of the table root located at center (_den_valuation):
+    the computed t_0..t_{m-1} there are root error and are dropped by
+    index.  Elsewhere it is 0, and the numerator's is 0 (normalizing
+    cancelled shared roots); off the table, each keeps its float window
+    unless WINDOW_TRUST rejects its t_0, as near a multiple root, and
+    then shifts exactly, and an exact denominator t_0 of 0 is refused.
+    The entire factor's is its zero order at center.  Coefficient k of a
+    product or an inverse reads inputs 0..k alone, so every factor is cut
+    to `window` coefficients; the zero function is the zero series.
     """
     if window < 1:
         raise UsageError("window must be >= 1")
     x = complex(center)
     if f.is_zero():
         return zero_series(x, window - 1)
-    den = _taylor_window(f.den, x, _den_valuation(f, x), window)
-    result = series_mul(_taylor_window(f.num, x, 0, window), series_inv(den))
+    valuation = _den_valuation(f, x)
+    exact = not valuation and _untrusted(f.den, x)
+    den = _taylor_window(f.den, x, valuation, window, exact)
+    if exact and not den.coeffs[0]:
+        raise PoleExpansionError(f"{center} is a zero of the denominator "
+                                 f"that its root table does not list")
+    num = _taylor_window(f.num, x, 0, window,
+                         not valuation and _untrusted(f.num, x))
+    result = series_mul(num, series_inv(den))
     if f.factor is not None:
         # the factor's valuation is 0 or 1: up to z'^window covers the window
         result = series_mul(result, entire_series(
             f.factor.kind, complex(f.factor.scale), x, window))
     return result
+
+
+def beside_a_pole(f: MeromorphicFunction, center: EvenElement) -> list[str]:
+    """Where local_expansion shifts the denominator exactly, a warning
+    naming the nearest table root, where a pole typed at center may sit."""
+    x = complex(center)
+    if f.is_zero() or _den_valuation(f, x) or not _untrusted(f.den, x):
+        return []
+    loc, m = min(f.den_roots, key=lambda r: abs(r[0] - x))
+    return [f"the denominator nearly vanishes at {format_even(x)}, which "
+            f"is no root table location; for the pole, pass the nearest, "
+            f"{format_even(loc)} (multiplicity {m})"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ Taylor-shifted to its center, exactly, by exactmath's dyadic shift, and
 each shifted coefficient is rounded once, so Horner runs in w without
 the cancellation of the expanded form in z: Horner's rounding bound
 eps * sum |a_k| |z|^k is 4^m times |(z-1)^m| on |z - 1| = 1/2, noise that
-the stopping test would have to outlast.  The oracle shares two
-things with the rest of the package: pole location, and that exact shift
-kernel, which the derivative-formula residue route also uses.  It shares
-no even-element evaluation, series or residue code.  integrate_closed
-reads its residues from local_expansion's float series and the float
-Polynomial.taylor_shift, and the oracle uses neither, so
-differential_check still referees that route independently.
+the stopping test would have to outlast.  The oracle shares two things
+with the rest of the package: pole location, and that exact shift kernel,
+which the derivative-formula residue route and local_expansion's untrusted
+regular-point windows also use.  It shares no series or residue code.
+integrate_closed reads its residues from local_expansion's float series
+at table roots and the float Polynomial.taylor_shift, and the oracle uses
+neither, so differential_check still referees that route independently.
 """
 
 from __future__ import annotations

@@ -73,8 +73,7 @@ from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
 from .polynomials import Polynomial, vanishes_at
 
 #: the floor of the scatter law, _scatter(1): no linkage radius is
-#: smaller, times 1 + |x|; and the radius, times 1 + |center|, within
-#: which functions._den_valuation takes a center for a table root
+#: smaller, times 1 + |x|
 CLUSTER_TOL = 1e-7
 
 #: coefficient-relative distance to the nearest polynomial carrying the

@@ -441,11 +441,13 @@ def test_value_types_keep_their_defaults():
 def test_den_roots_stay_out_of_eq_hash_and_repr():
     f = MeromorphicFunction(_ONE, _Z2_PLUS_1)
     assert f.den_roots == ((-1j, 1), (1j, 1))
-    given = MeromorphicFunction(_ONE, _Z2_PLUS_1, None, ((5j, 2),))
-    assert given.den_roots == ((5j, 2),)  # taken as given, not found
+    # a given table is taken as given, not found; the build checks only
+    # that the denominator vanishes at each location, as it does at i
+    given = MeromorphicFunction(_ONE, _Z2_PLUS_1, None, ((1j, 2),))
+    assert given.den_roots == ((1j, 2),)
     assert given == f and hash(given) == hash(f) and repr(given) == repr(f)
     for twin in (copy.copy(given), pickle.loads(pickle.dumps(given))):
-        assert twin.den_roots == ((5j, 2),)
+        assert twin.den_roots == ((1j, 2),)
     assert MeromorphicFunction(_ONE, _Z) != _Rational(_ONE, _Z, None)
 
 

@@ -6,13 +6,15 @@ import re
 import runpy
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dxdy.cli
 import dxdy.oracle
-from dxdy import roots
+from dxdy import functions, roots
+from dxdy.algebra import format_even
 from dxdy.cli import _build_parser, main
 from dxdy.contours import IntegralResult
 
@@ -215,20 +217,74 @@ def test_laurent_verb(run):
 
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_cauchy_verb_refuses_a_point_the_root_table_calls_a_pole(run, n):
-    # n = 0 used to print 1e8 there while n = 1 refused the point
-    status, out, err = run("cauchy", "1/(z-1)", "--at", "1.00000001,0",
-                           "--n", n)
+    # the table location 1 is the pole; 1e-8 beside it is a regular point,
+    # read as 1/d or -1/d^2 for the double d, not as the pole's expansion
+    status, out, err = run("cauchy", "1/(z-1)", "--at", "1,0", "--n", n)
     assert status == 1 and not out
-    assert "too close to tell from a pole" in err
-    assert "the denominator does not vanish there" in err
+    assert "is a pole of the function" in err
+    doc = run_json(run, "cauchy", "1/(z-1)", "--at", "1.00000001,0",
+                   "--n", n)
+    d = float(1.00000001) - 1
+    want = 1 / d if n == "0" else -1 / d ** 2
+    got = doc["value" if n == "0" else "derivative"]
+    assert got == [pytest.approx(want, rel=1e-15), 0.0]
+    assert doc["tolerances"]["window_trust"] == functions.WINDOW_TRUST
 
 
 def test_laurent_verb_refuses_a_point_beside_a_pole(run):
-    status, out, err = run("laurent", "1/(z-1)", "--center", "1.00000001,0",
-                           "--from", "-1", "--to", "1")
+    # the denominator (z-1)(z-1-2^-20) vanishes exactly at 1, but its table
+    # lists one double root between the two, so 1 is a zero that it does
+    # not list
+    status, out, err = run("laurent", "1/((z-1)*(z-(1+2^(-20))))",
+                           "--center", "1,0", "--from", "-1", "--to", "1")
     assert status == 1 and not out
-    assert "too close to tell from a pole" in err
-    assert "the denominator does not vanish there" in err
+    assert "a zero of the denominator that its root table does not list" in err
+
+
+@pytest.mark.parametrize("center", ["1.00000001", "1.001", "1.1"])
+def test_laurent_verb_reads_regular_points_beside_an_order_8_pole(run,
+                                                                  center):
+    # the float t_0 of (z-1)^8 there is mostly rounding: the window is
+    # shifted exactly, and a_0 is 1/d^8 for the double d = center - 1
+    doc = run_json(run, "laurent", "1/(z-1)^8", "--center", f"{center},0",
+                   "--from", "0", "--to", "0")
+    want = float(1 / (Fraction(float(center)) - 1) ** 8)
+    [a_0] = doc["coefficients"]
+    assert a_0["coefficient"] == [pytest.approx(want, rel=1e-15), 0.0]
+    assert doc["tolerances"]["window_trust"] == functions.WINDOW_TRUST
+    [warning] = doc["warnings"]
+    assert warning.endswith("pass the nearest, 1.0 + 0.0·dxdy "
+                            "(multiplicity 8)")
+
+
+@pytest.mark.parametrize("text, order, lead",
+                         [("1/(z-0.1)^3", 3, 1.0),
+                          ("1/((z-0.1)*(z-0.3))", 1, -5.0)])
+def test_a_pole_typed_off_its_table_location_is_named_in_a_warning(
+        run, text, order, lead):
+    # the stored denominator, its coefficients rounded, has no root at the
+    # double 0.1, and its table puts the pole an ulp or more away: 0.1 is a
+    # regular point with a huge a_0, and both verbs name the table root
+    [pole] = [p for p in functions.find_poles(
+        functions.meromorphic_from_text(text)) if p.location.u < 0.2]
+    assert complex(pole.location) != 0.1 and pole.order == order
+    window = ("--from", str(-order), "--to", str(-order))
+    for argv in (("laurent", text, "--center", "0.1,0", *window),
+                 ("cauchy", text, "--at", "0.1,0")):
+        [warning, *_] = run_json(run, *argv)["warnings"]
+        assert warning.endswith(f"pass the nearest, "
+                                f"{format_even(complex(pole.location))} "
+                                f"(multiplicity {order})")
+    # passed for the center, the table location reads the pole's window,
+    # without the warning, and cauchy refuses it
+    at = f"{pole.location.u!r},{pole.location.v!r}"
+    doc = run_json(run, "laurent", text, "--center", at, *window)
+    [a_lead] = doc["coefficients"]
+    assert a_lead["coefficient"][0] == pytest.approx(lead, rel=1e-9)
+    assert doc["warnings"] == []
+    status, out, err = run("cauchy", text, "--at", at)
+    assert status == 1 and not out
+    assert "is a pole of the function" in err
 
 
 def test_classify_verb(run):

@@ -279,10 +279,10 @@ def test_poles_and_residues_build_even_elements_only_at_the_edges(
 
 
 def test_root_residual_error_names_the_root_as_an_even_element():
+    # the build checks a given table as it checks a found one
     den = Polynomial.from_coeffs([-1.0, 1.0])  # z - 1
-    f = MeromorphicFunction(ONE_POLY, den, den_roots=((2 + 0j, 1),))
     with pytest.raises(RootFindingError) as err:
-        find_poles(f)
+        MeromorphicFunction(ONE_POLY, den, den_roots=((2 + 0j, 1),))
     assert str(err.value) == ("root residual too large at EvenElement(u=2.0, "
                               "v=0.0); denominator is ill-conditioned")
 
@@ -293,12 +293,11 @@ def test_root_residual_is_measured_against_horners_bound():
     for den in gaussian_monic_denominators():
         f = MeromorphicFunction(ONE_POLY, den)
         assert sum(p.order for p in find_poles(f)) == den.degree
-    # a table location 1e-3 off a root is still refused
+    # a table location 1e-3 off a root is still refused, when it is built
     den = Polynomial.from_coeffs([1.0, 0.0, 1.0])  # z^2 + 1
-    f = MeromorphicFunction(ONE_POLY, den,
-                            den_roots=((1j + 1e-3, 1), (-1j, 1)))
     with pytest.raises(RootFindingError, match="root residual too large"):
-        find_poles(f)
+        MeromorphicFunction(ONE_POLY, den,
+                            den_roots=((1j + 1e-3, 1), (-1j, 1)))
 
 
 def test_integer_power_series_forms_classify_cr():

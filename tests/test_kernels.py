@@ -322,7 +322,9 @@ def reference_local_expansion(f, center, window):
     """local_expansion as it was: every product over the padded length.
 
     The valuations are the structural ones: the denominator starts at the
-    multiplicity of its table root at center, the numerator at 0.
+    multiplicity of the table root located at center, the numerator at 0.
+    Every center here is a pole or far from one, so the float window is
+    the one local_expansion trusts.
     """
     x = complex(center)
 
@@ -333,11 +335,10 @@ def reference_local_expansion(f, center, window):
 
     if f.is_zero():
         return LaurentSeries(x, 0, ())
-    near = [mult for loc, mult in f.den_roots
-            if abs(loc - x) <= roots.CLUSTER_TOL * (1.0 + abs(x))]
+    at = [mult for loc, mult in f.den_roots if loc == x]
     length = window + f.den.degree + 2
     result = series_mul(poly_series(f.num, 0, length),
-                        series_inv(poly_series(f.den, sum(near), length)))
+                        series_inv(poly_series(f.den, sum(at), length)))
     if f.factor is not None:
         result = series_mul(
             result, entire_series(f.factor.kind, complex(f.factor.scale), x,

@@ -1,13 +1,15 @@
 """Residue routes, order reduction, special formulas, Laurent windows."""
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dxdy.algebra import even
+from dxdy.algebra import E_ZERO, even
 from dxdy.contours import CircleContour, integrate_closed
 from dxdy.errors import UsageError
 from dxdy.functions import (RESIDUAL_TOL, MeromorphicFunction, Pole,
@@ -18,10 +20,11 @@ from dxdy.residues import (MAX_LAURENT_WINDOW, PoleExpansionError,
                            cauchy_integral_value, is_two_form, laurent_expand,
                            residue, residue_by_derivative_formula,
                            residue_by_order_reduction)
-from dxdy.roots import find_roots
+from dxdy.roots import RootFindingError, find_roots
 from dxdy.series import WindowError
 
-from exact_reference import reference_derivative_formula
+from exact_reference import (ExactEven, exact_series_quotient, exact_taylor,
+                             reference_derivative_formula)
 from helpers import (ILL_CONDITIONED, even_close,
                      gaussian_monic_denominators, random_planted_rational,
                      script_module)
@@ -435,19 +438,24 @@ def test_cauchy_derivative_cases():
 
 @pytest.mark.parametrize("offset", [1e-8, 1e-7])
 def test_cauchy_derivative_rejects_points_the_root_table_calls_a_pole(offset):
-    # the pole's expansion would be read there: derivative 0, not -1/offset^2
+    # only the table location 1 is the pole: offset beside it the point is
+    # regular, with derivative -1/d^2 for the double d, not the pole's 0
     f = meromorphic_from_text("1/(z-1)")
-    with pytest.raises(PoleExpansionError):
-        cauchy_derivative(f, even(1 + offset, 0), 1)
+    with pytest.raises(PoleExpansionError, match="is a pole of the function"):
+        cauchy_derivative(f, even(1, 0), 1)
+    d = (1 + offset) - 1
+    assert even_close(cauchy_derivative(f, even(1 + offset, 0), 1),
+                      even(-1 / d ** 2, 0), rel=1e-15)
 
 
 @pytest.mark.parametrize("offset", [1e-8, 1e-7])
 def test_cauchy_evaluate_rejects_points_the_root_table_calls_a_pole(offset):
-    # the table places the pole there, as for the derivative: no 1/offset
+    # as for the derivative: the value is 1/d beside the pole, not refused
     f = meromorphic_from_text("1/(z-1)")
-    with pytest.raises(PoleExpansionError,
-                       match="denominator does not vanish there"):
-        cauchy_evaluate(f, even(1 + offset, 0))
+    with pytest.raises(PoleExpansionError, match="is a pole of the function"):
+        cauchy_evaluate(f, even(1, 0))
+    value, _ = cauchy_evaluate(f, even(1 + offset, 0))
+    assert even_close(value, even(1 / ((1 + offset) - 1), 0), rel=1e-15)
 
 
 def test_cauchy_evaluate_just_outside_the_clustering_distance():
@@ -486,20 +494,25 @@ def test_laurent_expand_windows():
 
 
 def test_laurent_expand_refuses_points_beside_a_pole():
-    # within CLUSTER_TOL of the root 1 the table would hand back the pole's
-    # window (a_-1 = 1), though the point is regular
-    f = meromorphic_from_text("1/(z-1)")
-    for center in (1 + 1e-8, 1 + 1e-7):
-        with pytest.raises(PoleExpansionError):
-            laurent_expand(f, even(center, 0), -1, 1)
-    on_pole = laurent_expand(f, even(1, 0), -1, 1).window_coefficients(-1, 1)
+    # a table that leaves out the zero 1 of (z-1)(z-1-2^-20): 1 lies 2^-20
+    # beside the listed pole, and the exact t_0 there is 0
+    den = Polynomial.from_coeffs([1 + 2 ** -20, -(2 + 2 ** -20), 1])
+    f = MeromorphicFunction(ONE_POLY, den, den_roots=((1 + 2 ** -20, 1),))
+    with pytest.raises(PoleExpansionError,
+                       match="a zero of the denominator that its root "
+                             "table does not list"):
+        laurent_expand(f, even(1, 0), -1, 1)
+    g = meromorphic_from_text("1/(z-1)")
+    on_pole = laurent_expand(g, even(1, 0), -1, 1).window_coefficients(-1, 1)
     assert on_pole == [even(1, 0), even(0, 0), even(0, 0)]
-    # 1/(z-1) = 1/d - (z-z0)/d^2 + ... about z0 = 1 + d
-    d = 1e-5
-    beside = laurent_expand(f, even(1 + d, 0), -1, 1).window_coefficients(-1, 1)
-    assert beside[0] == even(0, 0)
-    assert even_close(beside[1], even(1 / d, 0), rel=1e-9)
-    assert even_close(beside[2], even(-1 / d ** 2, 0), rel=1e-9)
+    # 1/(z-1) = 1/d - (z-z0)/d^2 + ... about z0 = 1 + d, however close
+    for offset in (1e-8, 1e-7, 1e-5):
+        d = (1 + offset) - 1
+        beside = laurent_expand(g, even(1 + offset, 0),
+                                -1, 1).window_coefficients(-1, 1)
+        assert beside[0] == even(0, 0)
+        assert even_close(beside[1], even(1 / d, 0), rel=1e-15)
+        assert even_close(beside[2], even(-1 / d ** 2, 0), rel=1e-15)
 
 
 #: functions whose table roots the center rule is tried about: multiple
@@ -509,60 +522,50 @@ CENTER_RULE_CASES = ["1/(z-1)^8", "sin(z)/z", "(z-1)/(z-1)^3", "1/(z^2+1)",
                      "z/((z-1)*(z+2)^2)"]
 
 
-def _refusal(call):
-    """None when call returns, else the PoleExpansionError's message."""
-    try:
-        call()
-    except PoleExpansionError as err:
-        return str(err)
-    return None
-
-
 @pytest.mark.parametrize("text", CENTER_RULE_CASES)
 def test_laurent_and_cauchy_refuse_the_same_centers(text):
-    # one rule, functions._den_valuation, tells a center from a pole: each
-    # verb refuses where the table and the denominator disagree, and at a
-    # pole of f the Laurent window is read while a derivative is refused
+    # one rule, functions._den_valuation, tells a center from a pole: a
+    # pole of f is a table location, where the Laurent window is read and
+    # a derivative is refused; every other center is regular for both
+    # verbs, down to 1e-9 from a multiple pole, and both read one a_0
     f = meromorphic_from_text(text)
     poles = {complex(p.location) for p in find_poles(f)}
-    seen = set()
     for loc, _ in f.den_roots:
         for offset in (0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-3, 1e-2, 0.1,
                        0.5):
             center = even(loc.real + offset, loc.imag)
-            window = _refusal(lambda: laurent_expand(f, center, -8, 2))
-            cauchy = _refusal(lambda: cauchy_derivative(f, center, 0))
+            window = laurent_expand(f, center, -8, 2)
             if offset == 0 and loc in poles:
-                assert window is None
-                assert cauchy.endswith("is a pole of the function")
-                seen.add("pole")
-            elif window is not None:
-                assert cauchy == window
-                assert "too close to tell from a pole" in window
-                seen.add("refused")
+                with pytest.raises(PoleExpansionError,
+                                   match="is a pole of the function"):
+                    cauchy_derivative(f, center, 0)
             else:
-                assert (cauchy is None
-                        or cauchy.endswith("is a pole of the function"))
-                seen.add("read")
-    assert seen >= {"refused", "read"}
+                assert window.window_coefficients(-8, -1) == [E_ZERO] * 8
+                assert (cauchy_derivative(f, center, 0)
+                        == window.coefficient(0))
 
 
 def test_a_table_root_the_denominator_does_not_vanish_at_is_refused():
-    # laurent and cauchy never call find_poles, whose residual check refuses
-    # these roots; the center rule refuses them itself, even at a center
-    # that is exactly the table location, such as the quintic's root at 0,
-    # where p(0) = 3.7e-44 and f is regular
+    # laurent and cauchy never call find_poles, so the build refuses these
+    # tables: identity alone would expand the quintic's root at 0, where
+    # p(0) = 3.7e-44, as a pole.  Left out of a given table, 0 is the
+    # regular point it is, with a_0 = 1/p(0)
     refused = []
     for coeffs in ILL_CONDITIONED:
-        f = MeromorphicFunction(ONE_POLY, Polynomial(tuple(coeffs)))
-        for loc, _ in f.den_roots:
-            if vanishes_at(f.den.coeffs, loc, RESIDUAL_TOL):
-                continue
-            center = even(loc.real, loc.imag)
-            window = _refusal(lambda: laurent_expand(f, center, -2, 0))
-            assert "the denominator does not vanish there" in window
-            assert _refusal(lambda: cauchy_derivative(f, center, 0)) == window
-            refused.append(loc)
+        table = tuple(find_roots(coeffs))
+        den = Polynomial(tuple(coeffs))
+        bad = [loc for loc, _ in table
+               if not vanishes_at(coeffs, loc, RESIDUAL_TOL)]
+        with pytest.raises(RootFindingError, match="root residual too large"):
+            MeromorphicFunction(ONE_POLY, den, den_roots=table)
+        refused += bad
+        good = tuple(root for root in table if root[0] not in bad)
+        f = MeromorphicFunction(ONE_POLY, den, den_roots=good)
+        for loc in bad:
+            window = laurent_expand(f, even(loc.real, loc.imag), -2, 0)
+            a_0 = complex(window.coefficient(0))
+            assert window.window_coefficients(-2, -1) == [E_ZERO] * 2
+            assert a_0 == pytest.approx(1 / den.at(loc), rel=1e-15)
     assert len(refused) == 5 and 0j in refused
 
 
@@ -576,14 +579,68 @@ def test_a_zero_cancelled_pole_is_a_regular_point():
 
 
 def test_a_point_the_denominator_puts_on_a_multiple_pole_is_refused():
-    # (z-1)^8 vanishes at 1.001 to Horner's bound, but no table root is
-    # that close: the float window there gave a_0 = 1.2e14, not 1e24
-    f = meromorphic_from_text("1/(z-1)^8")
-    for call in (lambda: laurent_expand(f, even(1.001, 0), 0, 0),
-                 lambda: cauchy_derivative(f, even(1.001, 0), 0)):
-        with pytest.raises(PoleExpansionError,
-                           match="no table root lies within"):
-            call()
+    # the table merges the exact zeros 1 and 1 + 2^-20 of the denominator
+    # into one double root between them; both verbs refuse either zero
+    f = meromorphic_from_text("1/((z-1)*(z-(1+2^(-20))))")
+    assert [mult for _, mult in f.den_roots] == [2]
+    for x in (1, 1 + 2 ** -20):
+        for call in (lambda: laurent_expand(f, even(x, 0), 0, 0),
+                     lambda: cauchy_derivative(f, even(x, 0), 0)):
+            with pytest.raises(PoleExpansionError,
+                               match="that its root table does not list"):
+                call()
+    # (z-1)^8 vanishes at 1.001 to Horner's bound too, but exactly it does
+    # not: the exact window gives a_0 = 1/d^8 (the float one gave 1.2e14)
+    g = meromorphic_from_text("1/(z-1)^8")
+    d = Fraction(1.001) - 1
+    assert even_close(cauchy_derivative(g, even(1.001, 0), 0),
+                      even(float(1 / d ** 8), 0), rel=1e-15)
+
+
+def _near_pole_family(count):
+    """(f, center) with f = 1/(z-a)^m, m = 1..10, a a dyadic in steps of
+    1/64 with |Re a|, |Im a| <= 2, and center a + d, |d| log-uniform in
+    [1e-12, 1]."""
+    rng = random.Random(2)
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        a = complex(rng.randint(-128, 128), rng.randint(-128, 128)) / 64
+        d = 10 ** rng.uniform(-12, 0) * cmath.exp(2j * math.pi * rng.random())
+        f = meromorphic_from_text(f"1/(z-({a.real}+{a.imag}*I))^{m}")
+        yield f, a + d
+
+
+def _exact_window(f, center, count):
+    """a_0 .. a_{count-1} of the stored f at a regular center, from the
+    exact Taylor shifts of num and den and their exact series quotient,
+    each rounded once."""
+    x = ExactEven.from_floats(center.real, center.imag)
+    num, den = ([ExactEven.from_floats(c.real, c.imag) for c in p.coeffs]
+                for p in (f.num, f.den))
+    quotient = exact_series_quotient(exact_taylor(num, x, count),
+                                     exact_taylor(den, x, count))
+    return [complex(float(q.u), float(q.v)) for q in quotient]
+
+
+def test_regular_points_near_a_multiple_pole_match_the_exact_window():
+    # the float t_0 near a multiple pole is mostly rounding; there the
+    # window is shifted exactly, so no center is refused or read as the pole
+    for f, center in _near_pole_family(600):
+        window = laurent_expand(f, even(center.real, center.imag), 0, 2)
+        got = [complex(c) for c in window.window_coefficients(0, 2)]
+        for g, want in zip(got, _exact_window(f, center, 3)):
+            assert abs(g - want) <= 1e-9 * abs(want), (f, center)
+
+
+def test_regular_points_near_a_multiple_zero_match_the_exact_window():
+    # the same family inverted, (z-a)^m: the numerator's float t_0 near a
+    # multiple zero is mostly rounding too, and is shifted exactly there
+    for f, center in _near_pole_family(200):
+        g = MeromorphicFunction(f.den, ONE_POLY)
+        window = laurent_expand(g, even(center.real, center.imag), 0, 2)
+        got = [complex(c) for c in window.window_coefficients(0, 2)]
+        for h, want in zip(got, _exact_window(g, center, 3)):
+            assert abs(h - want) <= 1e-9 * abs(want), (g, center)
 
 
 def test_the_zero_function_expands_to_zeros_everywhere():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dxdy import roots
 from dxdy.cli import main
-from dxdy.functions import MeromorphicFunction, find_poles
+from dxdy.functions import MeromorphicFunction
 from dxdy.polynomials import ONE_POLY, Polynomial
 from dxdy.roots import CLUSTER_TOL, find_roots
 from helpers import ILL_CONDITIONED, sweep_module
@@ -80,16 +80,21 @@ def test_degree_below_one_rejected():
 
 
 def test_tables_the_residual_check_refuses_are_loud(capsys):
+    # find_roots returns a full table; building a function on it refuses
+    # the table, so every verb refuses it alike
     for coeffs in ILL_CONDITIONED:
-        f = MeromorphicFunction(ONE_POLY, Polynomial(tuple(coeffs)))
-        assert sum(m for _, m in f.den_roots) == len(coeffs) - 1
+        assert sum(m for _, m in find_roots(coeffs)) == len(coeffs) - 1
         with pytest.raises(roots.RootFindingError,
                            match="root residual too large"):
-            find_poles(f)
-    assert main(["residues", "1/(z^2+1e-300)"]) == 1
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert "root residual too large" in captured.err
+            MeromorphicFunction(ONE_POLY, Polynomial(tuple(coeffs)))
+    for argv in (["residues", "1/(z^2+1e-300)"],
+                 ["laurent", "1/(z^2+1e-300)", "--center", "1,0",
+                  "--from", "0", "--to", "0"],
+                 ["cauchy", "1/(z^2+1e-300)", "--at", "1,0"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "root residual too large" in captured.err
 
 
 def test_exact_values_beyond_the_double_range_are_typed(monkeypatch):
