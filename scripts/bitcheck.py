@@ -14,8 +14,12 @@ seed, round, kind, params, both reprs, and the size of the change over
 the numbers in the reprs (how many differ, the largest absolute and the
 largest relative change, relative to CHECKOUT's value); an operation
 whose text also changed around its numbers has no such size, and the
-summary counts those apart.  Those come from this script run on CHECKOUT's ``src/`` and ``perfbench/`` (``--source
-CHECKOUT --outcomes``, one JSON line per operation), since CHECKOUT's own
+summary counts those apart.  Where both outputs are a CLI outcome
+(status, text) whose text is a JSON document, such an operation names
+instead the key paths that were added, removed or changed, as in
+``tolerances.root_kappa removed``.  Those come from this script run on
+CHECKOUT's ``src/`` and ``perfbench/`` (``--source CHECKOUT
+--outcomes``, one JSON line per operation), since CHECKOUT's own
 bitcheck may print only hashes.
 
 ``--workload roots`` is not a benchmark workload and ``all`` leaves it
@@ -35,6 +39,7 @@ or from CHECKOUT's with ``--source CHECKOUT``.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import contextlib
 import hashlib
@@ -197,13 +202,61 @@ NUMBER = re.compile(r"((?:[-+]|(?<![\w.]))"
                     r"|inf(?![a-ik-z])|nan(?![a-ik-z])))")
 
 
+def _document(output: str):
+    """(status, JSON document) of a CLI outcome's repr, else None."""
+    try:
+        status, text = ast.literal_eval(output)
+        return status, json.loads(text)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def _paths(here, there, path: str) -> list[str]:
+    """'<key path> added', 'removed' or 'changed' wherever the JSON
+    values here and there differ."""
+    if isinstance(here, dict) and isinstance(there, dict):
+        keys = [*there, *(key for key in here if key not in there)]
+        steps = [(key, f"{path}.{key}" if path else key) for key in keys]
+    elif isinstance(here, list) and isinstance(there, list):
+        keys = range(max(len(here), len(there)))
+        steps = [(i, f"{path}[{i}]") for i in keys]
+        here, there = dict(enumerate(here)), dict(enumerate(there))
+    else:
+        return ([] if repr(here) == repr(there)
+                else [f"{path or 'the document'} changed"])
+    out = []
+    for key, sub in steps:
+        if key not in here:
+            out.append(f"{sub} removed")
+        elif key not in there:
+            out.append(f"{sub} added")
+        else:
+            out += _paths(here[key], there[key], sub)
+    return out
+
+
+def keys_changed(here: str, there: str) -> str | None:
+    """The key paths a CLI outcome's JSON document added, removed or
+    changed from there to here, joined; None for other outputs, or when
+    the documents differ only in the order of their keys."""
+    ours, theirs = _document(here), _document(there)
+    if ours is None or theirs is None:
+        return None
+    paths = _paths(ours[1], theirs[1], "")
+    if ours[0] != theirs[0]:
+        paths.insert(0, f"exit status {theirs[0]!r} became {ours[0]!r}")
+    return ", ".join(paths) or None
+
+
 def change(here: str, there: str) -> tuple[str, tuple[float, float] | None]:
     """How the numbers in here differ from those in there: a description,
     and the largest absolute and the largest relative change (to there),
-    or None when the text around the numbers differs too."""
+    or None when the text around the numbers differs too; then the key
+    paths of a changed CLI document are the description."""
     ours, theirs = NUMBER.split(here), NUMBER.split(there)
     if ours[::2] != theirs[::2]:  # no size to give
-        return "the text around the numbers differs", None
+        return (keys_changed(here, there)
+                or "the text around the numbers differs"), None
     pairs = [(float(a), float(b))
              for a, b in zip(ours[1::2], theirs[1::2]) if a != b]
     largest = relative = 0.0

@@ -54,7 +54,6 @@ def _bindings(args) -> dict[str, float]:
 
 def _base_tolerances(**verb_tolerances: float) -> dict[str, float]:
     return {
-        "root_cluster_tol": roots_mod.CLUSTER_TOL,
         "root_verify_tol": roots_mod.VERIFY_TOL,
         "root_kappa": roots_mod.KAPPA,
         "root_dk_floor": roots_mod.DK_FLOOR,

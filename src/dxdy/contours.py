@@ -141,24 +141,20 @@ def closure_half_plane(f: MeromorphicFunction, half_plane: str = AUTO) -> str:
             "sin/cos factors grow on every closing semicircle; decompose "
             "the integrand into exp parts and integrate those separately")
     gap = f.degree_gap()
-    if f.factor is None:
+    t = 0.0
+    if f.factor is not None:
+        scale = f.factor.scale
+        size = abs(scale.u) + abs(scale.v) + 1e-300
+        if abs(scale.u) > AXIS_DIRECTION_TOL * size:
+            raise DecayError(
+                "exp factor scale must be a pure dxdy multiple to stay "
+                "bounded on the real axis")
+        t = scale.v
+    if t == 0.0:
         if gap < 2:
             raise DecayError(
                 f"rational integrand needs deg(den) >= deg(num) + 2 for the "
                 f"closing semicircle to vanish (gap is {gap})")
-        return UPPER if half_plane == AUTO else half_plane
-    scale = f.factor.scale
-    size = abs(scale.u) + abs(scale.v) + 1e-300
-    if abs(scale.u) > AXIS_DIRECTION_TOL * size:
-        raise DecayError(
-            "exp factor scale must be a pure dxdy multiple to stay bounded "
-            "on the real axis")
-    t = scale.v
-    if t == 0.0:
-        if gap < 2:
-            raise DecayError(
-                f"rational integrand needs deg(den) >= deg(num) + 2 (gap "
-                f"is {gap})")
         return UPPER if half_plane == AUTO else half_plane
     if gap < 1:
         raise DecayError(

@@ -26,13 +26,14 @@ multiplicities.  The pipeline is therefore:
    returned, unless a polished root has |p'| within VERIFY_TOL of its
    scale: the multiplicity test could merge that root, so such a table
    goes on to steps 3 and 4 with those the certificate refuses;
-3. single-linkage grouping with a radius that follows the eps**(1/k)
-   scatter law for k = k*, the most raw roots a cluster obeying that law
-   can hold: the largest k such that some raw root has k raw roots,
-   itself included, within twice the law's radius for k.  A ring of n
-   simple roots about |x| = 1 keeps k* = 1 for n <= 32; from n = 33 on,
-   4 * KAPPA**(1/n) >= 2 spans the ring, so it would be linked as one
-   group and step 4 would split it, but step 2 certifies such rings;
+3. single-linkage grouping with the radius KAPPA**(1/k*) (1 + |x|), the
+   eps**(1/k) scatter law for k = k*, the most raw roots a cluster
+   obeying that law can hold: the largest k such that some raw root has
+   k raw roots, itself included, within twice the law's radius for k.  A
+   ring of n simple roots about |x| = 1 keeps k* = 1 for n <= 32; from
+   n = 33 on, 4 * KAPPA**(1/n) >= 2 spans the ring, so it would be linked
+   as one group and step 4 would split it, but step 2 certifies such
+   rings;
 4. per group, a structural hypothesis test on the exact Taylor
    coefficients t_j at the refined center: the group of k approximations is
    accepted as one multiplicity-k root iff the polynomial is,
@@ -72,25 +73,25 @@ from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_value_and_slope)
 from .polynomials import Polynomial, vanishes_at
 
-#: the floor of the scatter law, _scatter(1): no linkage radius is
-#: smaller, times 1 + |x|
-CLUSTER_TOL = 1e-7
-
 #: coefficient-relative distance to the nearest polynomial carrying the
 #: hypothesised multiple root; clusters failing this are split
 VERIFY_TOL = 1e-5
 
-#: linkage radius for a k-group is max(CLUSTER_TOL, KAPPA**(1/k)), times
-#: 1 + |x|; raw roots are linked at the radius for k*, the largest k such
-#: that some raw root has k raw roots within twice its k-group radius
+#: the eps**(1/k) scatter law's eps: a k-fold root's raw roots scatter
+#: within KAPPA**(1/k) times 1 + |x| of it; raw roots are linked at the
+#: radius for k*, the largest k such that some raw root has k raw roots
+#: within twice that radius
 KAPPA = 1e-10
 
 #: raw roots are offered to the simple-root certificate only when every
 #: pair lies farther apart than this, times 1 + the largest modulus:
-#: twice the scatter of a 4-fold root, 2 * _scatter(4).  Closer pairs may
-#: form a cluster that the multiplicity test would accept as one root, so
-#: their tables keep the clustering stage
-CERTIFY_GAP = 2.0 * max(CLUSTER_TOL, KAPPA ** 0.25)
+#: twice the scatter of a 4-fold root.  Closer pairs may form a cluster
+#: that the multiplicity test would accept as one root, so their tables
+#: keep the clustering stage.  The gate decides tables near the origin,
+#: where the polish's VERIFY_TOL floor, relative to the coefficients,
+#: passes pairs that the linkage radius, relative to 1 + |x|, merges:
+#: (z - 0.1)(z - 0.10001) is one double root because of it
+CERTIFY_GAP = 2.0 * KAPPA ** 0.25
 
 #: Aberth stops once every |p(x)| entering a sweep is within this many
 #: Horner rounding bounds (the name, and the JSON key root_dk_floor, date
@@ -293,21 +294,16 @@ def _single_linkage(points: list[complex]) -> list[list[complex]]:
     return groups
 
 
-def _scatter(k: int) -> float:
-    """How far a k-fold root's approximations scatter, relative to 1 + its
-    modulus: the eps**(1/k) law with KAPPA for eps."""
-    return max(CLUSTER_TOL, KAPPA ** (1.0 / k))
-
-
 def _link_factor(points: list[complex]) -> float:
-    """_scatter(k*), for k* the largest k such that some point x has k
-    points, itself included, within 2 * (1 + |x|) * _scatter(k).
+    """KAPPA**(1/k*), for k* the largest k such that some point x has k
+    points, itself included, within 2 * (1 + |x|) * KAPPA**(1/k).
 
-    A k-fold root scatters its k approximations within _scatter(k) of it,
-    so each of them has all k within twice that: k* is the most points a
-    cluster obeying the law can hold here.
+    A k-fold root scatters its k approximations within KAPPA**(1/k) times
+    1 + its modulus (the eps**(1/k) law), so each of them has all k within
+    twice that: k* is the most points a cluster obeying the law can hold
+    here.
     """
-    scatter = [_scatter(k) for k in range(1, len(points) + 1)]
+    scatter = [KAPPA ** (1.0 / k) for k in range(1, len(points) + 1)]
     best = 1
     for x in points:
         gaps = sorted(abs(x - y) for y in points)

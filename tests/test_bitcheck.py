@@ -120,7 +120,8 @@ def test_bitcheck_lists_every_difference_with_its_size(tmp_path):
     assert there.startswith("    there: (0, ")
     assert laurent.startswith(
         "session: next difference at seed 1 round 1, laurent ")
-    assert laurent.endswith(": the text around the numbers differs")
+    # the laurent documents differ by the name of one key
+    assert laurent.endswith(": Window removed, window added")
     assert done.stdout.splitlines()[-1].startswith("session: mismatch")
 
 
@@ -165,3 +166,21 @@ def test_bitcheck_counts_changes_of_shape_apart(monkeypatch):
     assert summary == ("roots: 2 of 3 operations differ; 2 changed more "
                        "than numbers, size unknown")
     assert first.endswith("(z-1)^3: the text around the numbers differs")
+
+
+def test_a_changed_cli_document_names_its_key_paths():
+    # two hand-made CLI outcomes (status, JSON text): a key removed from a
+    # nested block, a list item added and a string changed are named, each
+    # by its path; an output that is no CLI document keeps the old words
+    module = script_module("bitcheck")
+    there = repr((0, json.dumps({
+        "verb": "residues", "poles": [{"order": 2}],
+        "tolerances": {"root_kappa": 1e-10, "root_cluster_tol": 1e-7}})))
+    here = repr((0, json.dumps({
+        "verb": "Residues", "poles": [{"order": 2}, {"order": 1}],
+        "tolerances": {"root_kappa": 1e-10}})))
+    assert module.change(here, there) == (
+        "verb changed, poles[1] added, tolerances.root_cluster_tol removed",
+        None)
+    assert module.change("[((1+0j), 3)]", "[((1+0j), 1), ((2+0j), 2)]") == (
+        "the text around the numbers differs", None)

@@ -66,15 +66,15 @@ def test_residues_verb_lists_conjugate_pair(run):
 
 
 def test_tolerances_list_the_root_finder_constants(run):
+    # one key per public upper-case constant of the root finder, named
+    # root_ plus its lower-cased name: a constant added, deleted or
+    # renamed without its key fails here, and so does a key left behind
     doc = run_json(run, "residues", "1/(z^2+1)^2")
     assert doc["schema_version"] == "1"
-    assert doc["tolerances"] == {
-        "root_cluster_tol": roots.CLUSTER_TOL,
-        "root_verify_tol": roots.VERIFY_TOL,
-        "root_kappa": roots.KAPPA,
-        "root_dk_floor": roots.DK_FLOOR,
-        "root_certify_gap": roots.CERTIFY_GAP,
-    }
+    constants = {f"root_{name.lower()}": getattr(roots, name)
+                 for name in vars(roots)
+                 if name.isupper() and not name.startswith("_")}
+    assert doc["tolerances"] == constants
 
 
 def test_contour_verb_surfaces_imaginary_defect(run):

@@ -147,6 +147,12 @@ def test_unbound_symbol_raises_when_the_compiled_tree_runs():
         run({}, 1)
 
 
+def test_a_compiled_tree_refuses_a_value_that_is_no_node():
+    run = compile_expression(BinOp("+", Num(1.0), "z"))
+    with pytest.raises(TypeError, match="not an expression node: 'z'"):
+        run({}, 1)
+
+
 def test_a_level_of_no_points_evaluates_nothing():
     # the names are not looked up either, so an unbound one does not raise
     assert compile_expression(parse("q+1"))({}, 0) == []

@@ -13,7 +13,7 @@ import dxdy.cli
 import dxdy.functions
 from dxdy.algebra import EvenElement, even, even_mul
 from dxdy.errors import RangeError
-from dxdy.expressions import ParseError, parse
+from dxdy.expressions import BinOp, Num, ParseError, parse
 from dxdy.functions import (FormClass, MeromorphicFunction, OneForm,
                             SingularSampleError, UnsupportedExpressionError,
                             classify_one_form, find_poles, local_expansion,
@@ -66,6 +66,11 @@ def test_unsupported_structures_rejected():
         to_meromorphic(parse("sin(z)^2"))
     with pytest.raises(UnsupportedExpressionError):
         to_meromorphic(parse("x+z"))
+
+
+def test_the_fold_refuses_a_value_that_is_no_node():
+    with pytest.raises(TypeError, match="not an expression node: 'z'"):
+        to_meromorphic(BinOp("+", Num(1.0), "z"))
 
 
 def test_same_factor_sums_combine():

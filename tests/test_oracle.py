@@ -131,6 +131,15 @@ def test_a_bad_level_names_its_first_bad_node(bad, worse, message):
     assert (err.value.__cause__ is None) == (message == "non-finite")
 
 
+def test_finite_samples_whose_sum_overflows_are_refused():
+    # every sample is finite, but MIN_POINTS of them sum past the doubles
+    with pytest.raises(QuadratureError,
+                       match="^integrand samples sum beyond the double "
+                             "range$"):
+        dxdy.oracle._periodic_trapezoid(lambda ts: [1e308] * len(ts), 1.0,
+                                        0.0, 0.0, 1e-9)
+
+
 def test_noisy_integrand_hits_the_point_cap():
     # every level runs, and each node is sampled once: MAX_POINTS in all
     noise = lambda x, y: math.sin(3.7e7 * x * y)  # noqa: E731

@@ -13,8 +13,12 @@ from dxdy import roots
 from dxdy.cli import main
 from dxdy.functions import MeromorphicFunction
 from dxdy.polynomials import ONE_POLY, Polynomial
-from dxdy.roots import CLUSTER_TOL, find_roots
+from dxdy.roots import find_roots
 from helpers import ILL_CONDITIONED, sweep_module
+
+#: how far a recovered root may lie from its planted location, times
+#: 1 + its modulus
+LOCATION_TOL = 1e-7
 
 
 def expand(roots_mults):
@@ -34,7 +38,7 @@ def recovered(got, planted):
     planted = sorted(planted, key=lambda rm: (rm[0].real, rm[0].imag))
     if len(got) != len(planted):
         return False
-    return all(gm == pm and abs(gl - pl) <= CLUSTER_TOL * (1 + abs(pl))
+    return all(gm == pm and abs(gl - pl) <= LOCATION_TOL * (1 + abs(pl))
                for (gl, gm), (pl, pm) in zip(got, planted))
 
 
@@ -112,6 +116,25 @@ def test_exact_values_beyond_the_double_range_are_typed(monkeypatch):
     assert isinstance(got.value.__cause__, OverflowError)
 
 
+@pytest.mark.parametrize("start", [
+    [0j, 0j],  # p'(0) = 0 for z^2 + 1: a critical point
+    [1 + 0j, 1 + 0j],  # coincident iterates
+])
+def test_aberth_nudges_a_step_it_cannot_take(monkeypatch, start):
+    # Newton's quotient or the pull of the other iterate divides by zero:
+    # the iterate moves a little and the sweeps go on
+    monkeypatch.setattr(roots, "_centroid_start", lambda coeffs: start)
+    assert find_roots([1 + 0j, 0j, 1 + 0j]) == [(-1j, 1), (1j, 1)]
+
+
+def test_raw_roots_that_are_not_finite_are_refused(monkeypatch):
+    monkeypatch.setattr(roots, "_aberth",
+                        lambda coeffs: [complex(math.nan, 0.0)] * 2)
+    with pytest.raises(roots.RootFindingError,
+                       match="left the double range at degree 2"):
+        find_roots([1 + 0j, 0j, 1 + 0j])
+
+
 def test_planted_structures_randomized():
     rng = random.Random(1729)
     for _ in range(60):
@@ -148,7 +171,7 @@ def reference_single_linkage(points):
     """The linkage pass by its definition: k* counted at every point for
     every k, and every group mean for every pair."""
     def scatter(k):
-        return max(roots.CLUSTER_TOL, roots.KAPPA ** (1.0 / k))
+        return roots.KAPPA ** (1.0 / k)
 
     def crowded(x, k):
         reach = 2.0 * (1.0 + abs(x)) * scatter(k)
@@ -399,6 +422,25 @@ def test_certificate_takes_no_exact_pass_when_the_gate_fails(monkeypatch):
     points = _counted_newton_passes(monkeypatch)
     assert roots._certify(roots.dyadic_poly(monic), raw) is None
     assert points == []
+
+
+@pytest.mark.parametrize("planted, double", [
+    ([0.1, 0.10001], 0.10000500000000001),
+    ([2.0 ** -10, 2.0 ** -10 + 2.0 ** -20], 2.0 ** -10 + 2.0 ** -21),
+])
+def test_the_gate_keeps_a_near_pair_by_the_origin_one_double_root(
+        monkeypatch, planted, double):
+    # the Newton disks about the raw pair are disjoint, and at the polished
+    # roots |p'| lies above the VERIFY_TOL floor, relative to coefficients
+    # that shrink with |x|: the certificate alone would prove two simple
+    # roots.  The gate, relative to 1 + |x|, sends the pair to the
+    # clustering stage, which links it and accepts one double root
+    monic = expand([(complex(x), 1) for x in planted])
+    raw = roots._aberth(monic)
+    assert find_roots(monic) == [(complex(double), 2)]
+    monkeypatch.setattr(roots, "CERTIFY_GAP", 0.0)
+    assert roots._certify(roots.dyadic_poly(monic), raw) is not None
+    assert len(find_roots(monic)) == 2
 
 
 @pytest.mark.parametrize("text, planted", [

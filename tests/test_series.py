@@ -96,6 +96,21 @@ def test_zero_series_conventions():
     assert z.valuation == z.truncation_order + 1
 
 
+def test_the_zero_series_multiplies_reads_and_evaluates_to_zero():
+    z = zero_series(ORIGIN, 5)
+    a = LaurentSeries(ORIGIN, -2, (1 + 0j, 2 + 0j, 3 + 0j))
+    # the product is reliable up to min(5 + (-2), 0 + 6) = 3, both ways
+    for product in (series_mul(z, a), series_mul(a, z)):
+        assert product.is_zero()
+        assert product.truncation_order == 3
+    with pytest.raises(ZeroDivisionError, match="inverse of the zero"):
+        series_inv(z)
+    assert z.coefficient(-7) == even(0) and z.coefficient(5) == even(0)
+    with pytest.raises(WindowError, match="exponent 6 beyond truncation"):
+        z.coefficient(6)
+    assert z.evaluate(even(0.5, 0.25)) == even(0)
+
+
 def test_entire_series_exp():
     e = entire_series("exp", 1 + 0j, ORIGIN, 3)
     assert [c.real for c in e.coeffs] == [1.0, 1.0, 0.5, pytest.approx(1 / 6)]
