@@ -6,9 +6,9 @@ puts schema_version 1 and the verb's name in front, prints the document
 (as JSON with --json, else as text carrying the same numeric values) and
 sets the exit status.  Exit codes: 0 success; 1 a ComputationError (pole
 on contour, decay violation, non-convergence, a value beyond the double
-range), a failed --verify or a failed check; 2 a UsageError (bad
-expression) or a bad option value.  Any other exception is a bug and
-keeps its traceback.
+range, a NaN or infinity in the document, which then is not printed), a
+failed --verify or a failed check; 2 a UsageError (bad expression) or a
+bad option value.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -92,6 +92,25 @@ def _render_checks(doc: dict) -> list[str]:
             out.append(f"      {r['detail']}")
     total = sum(r["passed"] for r in doc["checks"])
     return out + [f"{total}/{len(doc['checks'])} checks passed"]
+
+
+def _non_finite(value) -> list | None:
+    """The keys and indices that lead to the first value of a document with
+    a NaN or an infinity in it, a pair counting as one value, else None."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        items = enumerate(value)
+    else:
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                return []
+        return None
+    for key, child in items:
+        path = _non_finite(child)
+        if path is not None:
+            return [key, *path]
+    return None
 
 
 def _pole_entries(poles, residues) -> list[dict]:
@@ -282,13 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     positive = _bounded(float, lambda x: 0 < x < math.inf,
                         "must be positive and finite")
 
-    def add_common(p, expression=True):
-        if expression:
-            p.add_argument("expression", help="integrand expression in z "
-                           "(x in real-line mode); I denotes dxdy, pi is "
-                           "predefined")
-            p.add_argument("--t", type=finite, default=None,
-                           help="bind the symbol t to a value")
+    def add_common(p):
+        p.add_argument("expression", help="integrand expression in z "
+                       "(x in real-line mode); I denotes dxdy, pi is "
+                       "predefined")
+        p.add_argument("--t", type=finite, default=None,
+                       help="bind the symbol t to a value")
         p.add_argument("--json", action="store_true",
                        help="emit the structured document instead of text")
 
@@ -373,6 +391,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    # NaN or an infinity: no double, and no strict JSON
+    path = _non_finite(doc)
+    if path is not None:
+        where = path[0] + "".join(f"[{key}]" if isinstance(key, int)
+                                  else f".{key}" for key in path[1:])
+        print(f"error: {where} lies beyond the double range", file=sys.stderr)
         return 1
     print(json.dumps(doc, indent=2) if args.json
           else "\n".join(args.render(doc)))

@@ -16,10 +16,10 @@ Exponents must fold to integer constants; anything fractional is rejected
 because fractional powers are not single-valued around a circle.
 
 A parsed tree is evaluated at a whole list of points (a level) by one
-recursive walk per call: each node runs once, over the list, and gives
-each point the bits it would get alone; a subtree that names no point
-gives one value, computed once per call.  ``evaluate`` runs a level of
-one point.
+recursive walk per call: each node runs once and returns the list of its
+values, one per point, each the bits that point would get alone; a
+number is repeated once per point, so a subtree that names no point is
+computed at every point too.  ``evaluate`` runs a level of one point.
 1-form classification runs the e/w/n/s stencils of up to 256 samples as
 one level; a level that raises is walked again sample by sample, and each
 sample point by point, so the error is the first one that order meets
@@ -32,8 +32,7 @@ import math
 import operator
 from typing import Callable, Union
 
-from .algebra import (ENTIRE_KERNELS, EvenElement, _Frozen, complex_int_pow,
-                      complex_inv, even)
+from .algebra import ENTIRE_KERNELS, EvenElement, _Frozen, complex_inv, even
 from .errors import UsageError
 
 
@@ -286,18 +285,16 @@ def compile_expression(e: Expr) -> Level:
     predefined; an unbound name raises ParseError when the level runs.  A
     level of no points evaluates nothing.
     """
-    return lambda env, n: _spread(_level(e, env, n), n) if n else []
+    return lambda env, n: _level(e, env, n) if n else []
 
 
-def _level(e: Expr, env: dict[str, list[complex]], n: int
-           ) -> complex | list[complex]:
-    """The one value of a subtree that names no point, computed once per
-    call, else the list of its n values."""
+def _level(e: Expr, env: dict[str, list[complex]], n: int) -> list[complex]:
+    """The list of the n values of a subtree; a number is n copies."""
     if isinstance(e, Num):
-        return complex(e.value, 0.0)
+        return [complex(e.value, 0.0)] * n
     if isinstance(e, Sym):
         if e.name in _CONSTANTS:
-            return _CONSTANTS[e.name]
+            return [_CONSTANTS[e.name]] * n
         try:
             return env[e.name]
         except KeyError:
@@ -306,37 +303,20 @@ def _level(e: Expr, env: dict[str, list[complex]], n: int
         a = _level(e.left, env, n)
         b = _level(e.right, env, n)
         if e.op == "/":
-            b = _each(complex_inv, b)
-        op = _BINARY[e.op]
-        if isinstance(a, complex) and isinstance(b, complex):
-            return op(a, b)
-        return list(map(op, _spread(a, n), _spread(b, n)))
+            b = list(map(complex_inv, b))
+        return list(map(_BINARY[e.op], a, b))
     if isinstance(e, Neg):
-        return _each(operator.neg, _level(e.operand, env, n))
+        return list(map(operator.neg, _level(e.operand, env, n)))
     if isinstance(e, Pow):
         return _power(_level(e.base, env, n), e.exponent, n)
     if isinstance(e, Call):
-        return _each(ENTIRE_KERNELS[e.func], _level(e.arg, env, n))
+        return list(map(ENTIRE_KERNELS[e.func], _level(e.arg, env, n)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _each(func: Callable[[complex], complex], a: complex | list[complex]
-          ) -> complex | list[complex]:
-    """func of one value, or of each value of a list."""
-    return func(a) if isinstance(a, complex) else list(map(func, a))
-
-
-def _spread(a: complex | list[complex], n: int) -> list[complex]:
-    """A list of n values; one value is repeated n times."""
-    return [a] * n if isinstance(a, complex) else a
-
-
-def _power(base: complex | list[complex], m: int, n: int
-           ) -> complex | list[complex]:
-    """``complex_int_pow`` on one value, and its binary powering run over
-    a list of n values."""
-    if isinstance(base, complex):
-        return complex_int_pow(base, m)
+def _power(base: list[complex], m: int, n: int) -> list[complex]:
+    """``complex_int_pow``'s binary powering, run over a list of n
+    values."""
     if m < 0:
         base, m = list(map(complex_inv, base)), -m
     result = [1 + 0j] * n

@@ -226,6 +226,7 @@ def normalize_rational(num: Polynomial, den: Polynomial
     num = num.scale(inv_lead)
     if num.is_zero():
         return ZERO_POLY, ONE_POLY, ()
+    _require_finite(num.coeffs + den.coeffs, "rescaled")
     roots = []
     for loc, mult in find_roots(den.coeffs) if den.degree >= 1 else ():
         while mult and vanishes_at(num.coeffs, loc, CANCEL_TOL):
@@ -240,10 +241,10 @@ def normalize_rational(num: Polynomial, den: Polynomial
     return num, den, tuple(roots)
 
 
-def _require_finite(coeffs: tuple[complex, ...]) -> None:
+def _require_finite(coeffs: tuple[complex, ...], what="folded") -> None:
     for c in coeffs:
         if not cmath.isfinite(c):
-            raise RangeError(f"folded coefficient {format_even(c)} lies "
+            raise RangeError(f"{what} coefficient {format_even(c)} lies "
                              f"beyond the double range")
 
 

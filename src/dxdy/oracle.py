@@ -108,7 +108,7 @@ _PARTS = (operator.attrgetter("real"), operator.attrgetter("imag"))
 
 
 def _periodic_trapezoid(level: Callable[[list[float]], list], period: float,
-                        start: float, shift: float, tol: float,
+                        origin: float, tol: float,
                         parts: int = 1) -> list[float]:
     """Trapezoid rule over one period with n doubling from MIN_POINTS to
     MAX_POINTS, nodes at origin + i * period / n, for each of the first
@@ -116,18 +116,16 @@ def _periodic_trapezoid(level: Callable[[list[float]], list], period: float,
 
     ``level`` maps the list of a level's new nodes to the list of their
     samples, in node order, so the integrand runs once per level, not once
-    per node.  The origin, start + shift * period / MIN_POINTS, is the same
-    at every level, so each level's nodes are the previous level's plus
-    the midpoints between them, and only the midpoints are sampled.  Each
-    level's new samples are summed exactly rounded (fsum), so an estimate
-    is within a few ulps of n * max|sample| * step of the fixed-n rule.
+    per node.  The origin is the same at every level, so each level's
+    nodes are the previous level's plus the midpoints between them, and
+    only the midpoints are sampled.  Each level's new samples are summed
+    exactly rounded (fsum), so an estimate is within a few ulps of
+    n * max|sample| * step of the fixed-n rule.
     Each part stops at its own limit, bit for bit where a run on it alone
     would, and nodes are sampled only while some part needs them.  A level
     is sampled and checked finite in one pass; one with a bad sample is
     walked again through ``_checked``, which names its first bad node.
     """
-    origin = start + shift * period / MIN_POINTS
-
     def sums(nodes):
         try:
             samples = level(nodes)
@@ -173,8 +171,7 @@ def _contour_integral(F: Callable[[list[complex]], list[complex]],
         # of its zero real part at t = 0, which fsum does not see
         return [v * (1j * w) for v, w in zip(F(ws), ws)]
 
-    values = _periodic_trapezoid(level, 2.0 * math.pi, 0.0, 0.0, spec.tol,
-                                 parts)
+    values = _periodic_trapezoid(level, 2.0 * math.pi, 0.0, spec.tol, parts)
     return (values if contour.orientation == COUNTERCLOCKWISE
             else [-value for value in values])
 
@@ -212,7 +209,7 @@ def _tanh_sinh(H: Callable[[list[float]], list[float]], a: float, b: float,
         return [h * (half * _HALF_PI * math.cosh(s) / math.cosh(w) ** 2)
                 for h, s, w in zip(H(xs), ss, ws)]
 
-    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, 0.0, tol)[0]
+    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, tol)[0]
 
 
 def _exp_sinh_rays(R: Callable[[list[complex]], list[complex]], c: complex,
@@ -246,7 +243,7 @@ def _exp_sinh_rays(R: Callable[[list[complex]], list[complex]], c: complex,
                           else 0.0 for e, weight in zip(es, weights)])
         return list(map(complex, *parts))
 
-    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, 0.0, tol, 2)
+    return _periodic_trapezoid(level, 2.0 * WINDOW, -WINDOW, tol, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +309,9 @@ def _complex_evaluator(f: MeromorphicFunction, center: complex = 0j
         return R
     factor = _FACTORS[f.factor.kind]
     scale = complex(f.factor.scale)
-    if center:
-        def F(ws: list[complex]) -> list[complex]:
-            return [p * factor(scale * (center + w))
-                    for p, w in zip(R(ws), ws)]
-    else:
-        def F(ws: list[complex]) -> list[complex]:
-            return [p * factor(scale * w) for p, w in zip(R(ws), ws)]
+
+    def F(ws: list[complex]) -> list[complex]:
+        return [p * factor(scale * (center + w)) for p, w in zip(R(ws), ws)]
 
     return F
 
@@ -416,10 +409,10 @@ def real_line_quadrature(f: MeromorphicFunction, tol: float = 1e-9) -> float:
         return [h / math.cos(theta) ** 2 for h, theta
                 in zip(H(list(map(math.tan, thetas))), thetas)]
 
-    # a non-dyadic shift keeps every level's nodes off theta = +-pi/2, the
+    # a non-dyadic offset keeps every level's nodes off theta = +-pi/2, the
     # image of x = inf, by at least a third of the finest step
-    return _periodic_trapezoid(mapped, math.pi, -0.5 * math.pi, 1.0 / 3.0,
-                               tol)[0]
+    origin = -0.5 * math.pi + 1.0 / 3.0 * math.pi / MIN_POINTS
+    return _periodic_trapezoid(mapped, math.pi, origin, tol)[0]
 
 
 class DifferentialReport(_Frozen):

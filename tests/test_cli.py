@@ -447,11 +447,24 @@ def test_computation_errors_exit_one(run):
     # grammar error ("no constant term"), reading 0*inf = NaN as a constant
     (["residues", "exp(1e200*1e200*z)/(z-1)"], "folded coefficient"),
     (["integrate-line", "sin(1e200*1e200*x)/(x^2+1)"], "folded coefficient"),
+    # a document value beyond the range; these printed Infinity or NaN and
+    # exited 0
+    (["residues", "1e300/(z*(z-1e-10))"], "poles[0].residue lies beyond"),
+    (["cauchy", "exp(700*z)", "--at", "1,0", "--n", "4"],
+     "derivative lies beyond"),
+    (["cauchy", "1e300*z", "--at", "1e10,0"], "value lies beyond"),
+    # the monic rescale beyond the range; the first two printed NaN, the
+    # last failed in the root finder
+    (["residues", "1e300/(1e-10*z)"], "rescaled coefficient"),
+    (["integrate-line", "1e300/(1e-10*(x^2+1))"], "rescaled coefficient"),
+    (["residues", "1/(1e-320*z)"], "rescaled coefficient"),
 ])
 def test_overflows_exit_one(run, argv, message):
-    status, out, err = run(*argv)
-    assert status == 1 and not out
-    assert message in err
+    # in text and --json mode alike, so no NaN or Infinity is printed
+    for mode in ([], ["--json"]):
+        status, out, err = run(*argv, *mode)
+        assert status == 1 and not out
+        assert message in err
 
 
 def test_poles_near_the_top_of_the_double_range(run):

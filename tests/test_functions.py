@@ -454,6 +454,15 @@ def test_exp_overflow_keeps_its_range_error():
                               "beyond the double range")
 
 
+@pytest.mark.parametrize("text", ["1e300/(1e-10*z)", "1/(1e-320*z)"])
+def test_a_monic_rescale_beyond_the_range_is_refused(text):
+    # 1e300 * 1e10 overflows; so does 1/1e-320, which leaves the
+    # denominator inf + NaN*dxdy, on which the root finder failed
+    with pytest.raises(RangeError, match="^rescaled coefficient .* lies "
+                                         "beyond the double range$"):
+        meromorphic_from_text(text)
+
+
 def test_an_unbound_name_raises_parse_error():
     form = OneForm.from_expressions("z", "0")
     with pytest.raises(ParseError, match="unbound symbol 'z'"):

@@ -126,8 +126,7 @@ def test_a_bad_level_names_its_first_bad_node(bad, worse, message):
     with pytest.raises(QuadratureError,
                        match=f"^{message} integrand sample at "
                              f"t={first:.6g}$") as err:
-        dxdy.oracle._periodic_trapezoid(level, 2.0 * math.pi, 0.0, 0.0,
-                                        1e-9)
+        dxdy.oracle._periodic_trapezoid(level, 2.0 * math.pi, 0.0, 1e-9)
     assert (err.value.__cause__ is None) == (message == "non-finite")
 
 
@@ -137,7 +136,7 @@ def test_finite_samples_whose_sum_overflows_are_refused():
                        match="^integrand samples sum beyond the double "
                              "range$"):
         dxdy.oracle._periodic_trapezoid(lambda ts: [1e308] * len(ts), 1.0,
-                                        0.0, 0.0, 1e-9)
+                                        0.0, 1e-9)
 
 
 def test_noisy_integrand_hits_the_point_cap():
@@ -580,8 +579,7 @@ def _reference_ray(R, c, a, start, sense, tol):
 
     window = dxdy.oracle.WINDOW
     return dxdy.oracle._periodic_trapezoid(
-        lambda ss: [sample(s) for s in ss], 2.0 * window, -window, 0.0,
-        tol)[0]
+        lambda ss: [sample(s) for s in ss], 2.0 * window, -window, tol)[0]
 
 
 @pytest.mark.parametrize("text, rays, tol", [

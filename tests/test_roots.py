@@ -424,6 +424,16 @@ def test_certificate_takes_no_exact_pass_when_the_gate_fails(monkeypatch):
     assert points == []
 
 
+def test_certificate_refuses_a_point_where_the_slope_vanishes():
+    # z^2 - 1: the points lie 5 apart, clear of the gate, and p'(0) = 0
+    # where p(0) = -1 is not.  The step at 0 reads 0, so without the
+    # refusal 0 would get a disk of radius 0, as if it were a root
+    exact = roots.dyadic_poly([-1 + 0j, 0j, 1 + 0j])
+    dp, step = roots._newton_pass(exact, 0j)
+    assert dp.is_zero() and step == 0j
+    assert roots._certify(exact, [0j, 5 + 0j]) is None
+
+
 @pytest.mark.parametrize("planted, double", [
     ([0.1, 0.10001], 0.10000500000000001),
     ([2.0 ** -10, 2.0 ** -10 + 2.0 ** -20], 2.0 ** -10 + 2.0 ** -21),
