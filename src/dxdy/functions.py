@@ -23,8 +23,8 @@ from .exactmath import dyadic_poly, dyadic_taylor_shift
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
                           vanishes_at)
 from .roots import RootFindingError, find_roots
-from .series import (LaurentSeries, entire_series, entire_zero_order,
-                     series_inv, series_mul, zero_series)
+from .series import (LaurentSeries, _inverse, _product, entire_series,
+                     entire_zero_order, zero_series)
 
 #: a numerator value this small (relative to Horner's bound on its
 #: rounding) at a denominator root counts as a shared root and is cancelled
@@ -222,10 +222,13 @@ def normalize_rational(num: Polynomial, den: Polynomial
     lead moves no root, so the denominator is rooted once."""
     if den.is_zero():
         raise UnsupportedExpressionError("zero denominator polynomial")
+    if num.is_zero():
+        return ZERO_POLY, ONE_POLY, ()
     den, inv_lead = den.monic()
     num = num.scale(inv_lead)
     if num.is_zero():
-        return ZERO_POLY, ONE_POLY, ()
+        raise RangeError("rescaled numerator lies below the double range: "
+                         "every coefficient underflows to zero")
     _require_finite(num.coeffs + den.coeffs, "rescaled")
     roots = []
     for loc, mult in find_roots(den.coeffs) if den.degree >= 1 else ():
@@ -291,7 +294,7 @@ def _den_valuation(f: MeromorphicFunction, center: complex) -> int:
 
 
 def _taylor_window(p: Polynomial, center: complex, valuation: int,
-                   window: int, exact: bool = False) -> LaurentSeries:
+                   window: int, exact: bool = False) -> tuple[complex, ...]:
     """t_valuation.. of p's Taylor shift to center, zero-padded to window;
     if exact, the dyadic shift with each t_j rounded once."""
     terms = min(valuation + window, len(p.coeffs))
@@ -300,8 +303,7 @@ def _taylor_window(p: Polynomial, center: complex, valuation: int,
             dyadic_poly(p.coeffs), center, terms))[valuation:]
     else:
         shifted = p.taylor_shift(center, terms)[valuation:]
-    return LaurentSeries(center, valuation,
-                         shifted + (0j,) * (window - len(shifted)))
+    return shifted + (0j,) * (window - len(shifted))
 
 
 def _untrusted(p: Polynomial, x: complex) -> bool:
@@ -322,7 +324,10 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     then shifts exactly, and an exact denominator t_0 of 0 is refused.
     The entire factor's is its zero order at center.  Coefficient k of a
     product or an inverse reads inputs 0..k alone, so every factor is cut
-    to `window` coefficients; the zero function is the zero series.
+    to `window` coefficients, and the inverse and products run on those
+    tuples (series._inverse, series._product), the arithmetic of
+    series_inv and series_mul, into the one series returned; the zero
+    function is the zero series.
     """
     if window < 1:
         raise UsageError("window must be >= 1")
@@ -332,17 +337,19 @@ def local_expansion(f: MeromorphicFunction, center: EvenElement,
     valuation = _den_valuation(f, x)
     exact = not valuation and _untrusted(f.den, x)
     den = _taylor_window(f.den, x, valuation, window, exact)
-    if exact and not den.coeffs[0]:
+    if exact and not den[0]:
         raise PoleExpansionError(f"{center} is a zero of the denominator "
                                  f"that its root table does not list")
     num = _taylor_window(f.num, x, 0, window,
                          not valuation and _untrusted(f.num, x))
-    result = series_mul(num, series_inv(den))
+    coeffs = _product(num, _inverse(den), window)
     if f.factor is not None:
         # the factor's valuation is 0 or 1: up to z'^window covers the window
-        result = series_mul(result, entire_series(
-            f.factor.kind, complex(f.factor.scale), x, window))
-    return result
+        factor = entire_series(f.factor.kind, complex(f.factor.scale), x,
+                               window)
+        coeffs = _product(coeffs, factor.coeffs, window)
+        valuation -= factor.valuation
+    return LaurentSeries(x, -valuation, tuple(coeffs))
 
 
 def beside_a_pole(f: MeromorphicFunction, center: EvenElement) -> list[str]:

@@ -64,6 +64,8 @@ class Polynomial(_Frozen):
             return ZERO_POLY
         out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
+            if not x:  # its ±0 products would leave every entry as it is
+                continue
             for j, y in enumerate(other.coeffs):
                 out[i + j] += x * y
         return _trimmed(out)
@@ -107,11 +109,16 @@ class Polynomial(_Frozen):
         and leaves the quotient for pass k + 1, so the first ``terms``
         coefficients cost ``terms`` passes and are the same bits as the
         head of the full shift.  ``None`` (or more terms than deg + 1)
-        gives all deg + 1 of them.
+        gives all deg + 1 of them.  The last pass keeps no quotient, and
+        the last two share one sweep: pass k + 1's accumulator dp steps on
+        pass k's p one coefficient behind it, the same operations in the
+        same order (its extra first step, 0j * center + 0j, is 0j at a
+        finite center, and NaN where pass k + 1 turns NaN at once).
         """
         work = self.coeffs[::-1]
+        count = len(work) if terms is None else min(terms, len(work))
         out = []
-        for _ in range(len(work) if terms is None else min(terms, len(work))):
+        for _ in range(count - 2):
             acc = 0j
             quotient = []
             for c in work:
@@ -119,6 +126,16 @@ class Polynomial(_Frozen):
                 quotient.append(acc)
             out.append(quotient.pop())
             work = quotient
+        p = dp = 0j
+        if count == 1:
+            for c in work:
+                p = p * center + c
+            out.append(p)
+        elif count:
+            for c in work:
+                dp = dp * center + p
+                p = p * center + c
+            out += (p, dp)
         return tuple(out)
 
 

@@ -52,7 +52,9 @@ def residue(f: MeromorphicFunction, p: Pole) -> EvenElement:
     """a_{-1} of the local expansion about the pole, which is read over
     the principal part a_{-order}..a_{-1} and no more."""
     s = local_expansion(f, p.location, p.order)
-    return s.window_coefficients(-1, -1)[0]
+    # below the valuation, as at a point that is no table location, a_{-1}
+    # is exactly zero
+    return s.coefficient(-1) if s.valuation < 0 else E_ZERO
 
 
 def residue_by_order_reduction(f: MeromorphicFunction, p: Pole) -> ResidueReport:
@@ -106,8 +108,13 @@ def residue_by_derivative_formula(f: MeromorphicFunction,
             f"{p.location} is not a pole of order {m} of the function")
     if cofactor.re[0] == 0 == cofactor.im[0]:
         raise ZeroDivisionError("exact division by zero")
-    value, lead = (EvenElement(q.real, q.imag) for q in (
-        dyadic_series_quotient(num, cofactor, k, divisor) for k in (m - 1, 0)))
+    try:
+        value, lead = (EvenElement(q.real, q.imag) for q in (
+            dyadic_series_quotient(num, cofactor, k, divisor)
+            for k in (m - 1, 0)))
+    except OverflowError as err:  # the rounding of an exact quotient
+        raise RangeError(f"the residue at {p.location} lies beyond the "
+                         f"double range") from err
     return ResidueReport(p, value, lead, "derivative_formula")
 
 
@@ -171,7 +178,8 @@ def cauchy_evaluate(f: MeromorphicFunction,
 def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
                       n: int) -> EvenElement:
     """n-th x-derivative of f off the local expansion, away from poles:
-    a center whose expansion starts below z'^0 is a pole of f."""
+    a center whose expansion starts below z'^0 is a pole of f, and a
+    derivative beyond the double range raises RangeError."""
     if n < 0:
         raise UsageError("derivative order must be >= 0")
     if n > 170:  # 171! exceeds the largest double
@@ -180,7 +188,12 @@ def cauchy_derivative(f: MeromorphicFunction, z0: EvenElement,
     s = local_expansion(f, z0, n + 1)
     if s.valuation < 0:
         raise PoleExpansionError(f"{z0} is a pole of the function")
-    return s.window_coefficients(n, n)[0] * float(math.factorial(n))
+    a_n = s.coefficient(n) if n >= s.valuation else E_ZERO
+    value = a_n * float(math.factorial(n))
+    if not (math.isfinite(value.u) and math.isfinite(value.v)):
+        raise RangeError(f"at {z0} the {'derivative' if n else 'value'} "
+                         f"lies beyond the double range")
+    return value
 
 
 def cauchy_integral_value(f: MeromorphicFunction, z0: EvenElement,

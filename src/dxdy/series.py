@@ -100,6 +100,29 @@ def _require_same_center(a: LaurentSeries, b: LaurentSeries) -> None:
             f"combined")
 
 
+def _product(xs, ys, length: int) -> list[complex]:
+    """Coefficients 0..length-1 of the Cauchy product of the coefficient
+    sequences xs and ys, each at least length long."""
+    out = []
+    for k in range(length):
+        acc = 0j
+        for x, y in zip(xs[:k + 1], reversed(ys[:k + 1])):
+            acc += x * y
+        out.append(acc)
+    return out
+
+
+def _inverse(xs) -> list[complex]:
+    """As many coefficients of 1 / (the series xs) as xs has; xs[0] != 0."""
+    out = [complex_inv(xs[0])]
+    for k in range(1, len(xs)):
+        acc = 0j
+        for x, y in zip(xs[1:k + 1], reversed(out)):
+            acc += x * y
+        out.append(-(acc * out[0]))
+    return out
+
+
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Cauchy product; the window shrinks to where the product is reliable."""
     _require_same_center(a, b)
@@ -108,30 +131,15 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if a.is_zero() or b.is_zero():
         return zero_series(a.center, trunc)
     lo = a.valuation + b.valuation
-    length = trunc - lo + 1
-    xs = a.coeffs[:length]
-    ys = b.coeffs[:length]
-    out = []
-    for k in range(length):
-        acc = 0j
-        for x, y in zip(xs[:k + 1], reversed(ys[:k + 1])):
-            acc += x * y
-        out.append(acc)
-    return LaurentSeries(a.center, lo, tuple(out))
+    return LaurentSeries(a.center, lo,
+                         tuple(_product(a.coeffs, b.coeffs, trunc - lo + 1)))
 
 
 def series_inv(a: LaurentSeries) -> LaurentSeries:
     """Multiplicative inverse: series_mul(a, result) = 1 + O(window)."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
-    xs = a.coeffs
-    out = [complex_inv(xs[0])]
-    for k in range(1, len(xs)):
-        acc = 0j
-        for x, y in zip(xs[1:k + 1], reversed(out)):
-            acc += x * y
-        out.append(-(acc * out[0]))
-    return LaurentSeries(a.center, -a.valuation, tuple(out))
+    return LaurentSeries(a.center, -a.valuation, tuple(_inverse(a.coeffs)))
 
 
 def derivative_cycle(kind: str, w0: complex) -> list[complex]:

@@ -458,6 +458,8 @@ def test_computation_errors_exit_one(run):
     (["residues", "1e300/(1e-10*z)"], "rescaled coefficient"),
     (["integrate-line", "1e300/(1e-10*(x^2+1))"], "rescaled coefficient"),
     (["residues", "1/(1e-320*z)"], "rescaled coefficient"),
+    # a numerator the rescale underflows to zero; this listed no pole
+    (["residues", "1e-300/(1e100*(z-1))"], "rescaled numerator"),
 ])
 def test_overflows_exit_one(run, argv, message):
     # in text and --json mode alike, so no NaN or Infinity is printed

@@ -463,6 +463,18 @@ def test_a_monic_rescale_beyond_the_range_is_refused(text):
         meromorphic_from_text(text)
 
 
+def test_a_numerator_the_monic_rescale_underflows_is_refused():
+    # 1e-300 * 1e-100 underflows to 0: the pole at 1 must not vanish with
+    # the function
+    with pytest.raises(RangeError, match="^rescaled numerator "):
+        meromorphic_from_text("1e-300/(1e100*(z-1))")
+    assert [p.location for p in find_poles(
+        meromorphic_from_text("1e-300/(z-1)"))] == [even(1.0)]
+    for text in ("0/(1e100*(z-1))", "0*z/(1e-300*(z-1))"):
+        f = meromorphic_from_text(text)
+        assert f.is_zero() and find_poles(f) == ()
+
+
 def test_an_unbound_name_raises_parse_error():
     form = OneForm.from_expressions("z", "0")
     with pytest.raises(ParseError, match="unbound symbol 'z'"):

@@ -12,8 +12,13 @@ its guard, Bini's start by gift wrapping, one Horner step per run of zero
 coefficients, a loop over j != i), and on coefficients with no zero
 against the same loop with one step per coefficient; it must also stop
 at the rounding floor of a multiple root, and not before convergence
-anywhere else.  A last group checks that `local_expansion`
-gives the same bits as the wider window it used to build.
+anywhere else.  `taylor_shift` and `Polynomial.__mul__` are also checked
+against their plain complex loops (every synthetic-division pass kept
+whole, every product added) on signed zeros, subnormals, inf and NaN.
+A last group checks that `local_expansion`, which runs the series loops
+on coefficient tuples, gives the bits of `series_mul` and `series_inv` on
+the wider padded window it used to build, at table roots, at regular
+points, and beside multiple poles, where it shifts exactly.
 """
 
 import cmath
@@ -30,8 +35,10 @@ from dxdy.algebra import (E_ZERO, ENTIRE_KERNELS, EvenElement,
                           complex_int_pow, complex_inv, even, even_int_pow,
                           even_mul)
 from dxdy.errors import ComputationError
-from dxdy.functions import (EntireFactor, MeromorphicFunction, find_poles,
-                            local_expansion, meromorphic_from_text)
+from dxdy.exactmath import dyadic_poly, dyadic_taylor_shift
+from dxdy.functions import (EntireFactor, MeromorphicFunction, _untrusted,
+                            find_poles, local_expansion,
+                            meromorphic_from_text)
 from dxdy.polynomials import ZERO_POLY, Polynomial
 from dxdy.series import (ZERO_ULPS, LaurentSeries, entire_series,
                          series_inv, series_mul)
@@ -319,23 +326,28 @@ def reference_aberth(coeffs, make_horner=zero_run_horner):
 
 
 def reference_local_expansion(f, center, window):
-    """local_expansion as it was: every product over the padded length.
+    """local_expansion from the public series functions, every product
+    over the padded length, each factor shifted in full.
 
     The valuations are the structural ones: the denominator starts at the
     multiplicity of the table root located at center, the numerator at 0.
-    Every center here is a pole or far from one, so the float window is
-    the one local_expansion trusts.
+    At a regular point whose float t_0 the trust test rejects, as beside
+    a multiple pole, a polynomial is shifted exactly.
     """
     x = complex(center)
+    at = [mult for loc, mult in f.den_roots if loc == x]
 
     def poly_series(p, valuation, length):
-        shifted = list(p.taylor_shift(x))[valuation:]
-        shifted += [0j] * (length - len(shifted))
+        if not at and _untrusted(p, x):
+            shifted = [t.to_complex() for t in dyadic_taylor_shift(
+                dyadic_poly(p.coeffs), x, len(p.coeffs))]
+        else:
+            shifted = list(p.taylor_shift(x))
+        shifted = shifted[valuation:] + [0j] * length
         return LaurentSeries(x, valuation, tuple(shifted[:length]))
 
     if f.is_zero():
         return LaurentSeries(x, 0, ())
-    at = [mult for loc, mult in f.den_roots if loc == x]
     length = window + f.den.degree + 2
     result = series_mul(poly_series(f.num, 0, length),
                         series_inv(poly_series(f.den, sum(at), length)))
@@ -539,6 +551,80 @@ def test_truncated_taylor_shift_is_the_head_of_the_full_shift(p, center,
     x = complex(center)
     assert ([bits(t) for t in p.taylor_shift(x, terms)]
             == [bits(t) for t in p.taylor_shift(x)][:terms])
+
+
+# taylor_shift's last passes and the product's skipped zeros: the same
+# bits as the plain loops, on parts that include the signed zeros, ±1,
+# subnormals, the top of the range, inf and NaN
+
+_special_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -1e-310, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    _parts)
+_special_coeffs = st.lists(st.builds(complex, _special_parts, _special_parts),
+                           max_size=8)
+
+
+def synthetic_division_shift(coeffs, center, terms):
+    """t_0 .. t_{terms-1} by repeated synthetic division, every pass kept
+    whole, on complex as taylor_shift computes."""
+    work = list(reversed(coeffs))
+    out = []
+    for _ in range(min(terms, len(work))):
+        acc = 0j
+        quotient = []
+        for c in work:
+            acc = acc * center + c
+            quotient.append(acc)
+        out.append(quotient.pop())
+        work = quotient
+    return tuple(out)
+
+
+def dense_product(p, q):
+    """p * q with every pair of coefficients multiplied and added."""
+    if p.is_zero() or q.is_zero():
+        return ()
+    out = [0j] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@example([1e308, -0.0, complex(-1e-310, -0.0)], complex(-1.0, 0.0))
+@example([complex(0.0, -0.0), 1.0], complex(5e-324, -0.0))
+@example([1.0, complex(math.inf, 0.0), 2.0], complex(1.0, -0.0))
+@example([1.0, 2.0, 3.0], complex(math.nan, 0.0))
+@given(_special_coeffs, st.builds(complex, _special_parts, _special_parts))
+def test_taylor_shift_keeps_the_bits_of_repeated_synthetic_division(
+        coeffs, center):
+    p = Polynomial(tuple(coeffs))
+    for terms in [*range(len(coeffs) + 2), None]:
+        want = synthetic_division_shift(
+            coeffs, center, len(coeffs) if terms is None else terms)
+        assert repr(p.taylor_shift(center, terms)) == repr(want), terms
+
+
+@settings(max_examples=300, deadline=None)
+@example([0.0, 1.0], [complex(0.0, -0.0), -0.0, 2.0])
+@example([complex(0.0, -0.0), -0.0, 1.0], [-1.0, -0.0, 1.0])
+@given(_special_coeffs, _special_coeffs)
+def test_polynomial_mul_skips_zeros_with_the_dense_bits(xs, ys):
+    # drop the trailing zeros that from_coeffs would: a polynomial never
+    # ends on one
+    p, q = Polynomial.from_coeffs(xs), Polynomial.from_coeffs(ys)
+    got, want = (p * q).coeffs, dense_product(p, q)
+    if all(map(cmath.isfinite, p.coeffs + q.coeffs)):
+        assert repr(got) == repr(want)
+    else:
+        # a skipped 0 * inf is a NaN the dense loop adds, so only the
+        # verdict of a finiteness check is kept
+        assert (all(map(cmath.isfinite, got))
+                == all(map(cmath.isfinite, want)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -836,10 +922,14 @@ WINDOW_CASES = [
 @pytest.mark.parametrize("text", WINDOW_CASES)
 def test_sized_window_matches_padded_window(text):
     f = meromorphic_from_text(text)
+    poles = find_poles(f)
     centers = [even(0.0), even(0.3, -0.7), even(1.0, 1.0)]
-    centers += [p.location for p in find_poles(f)]
+    centers += [p.location for p in poles]
+    # beside a multiple pole the float t_0 is rejected: an exact window
+    centers += [even(p.location.u + 1e-6, p.location.v) for p in poles]
     for center in centers:
         for window in (1, 16, 40):
             got = local_expansion(f, center, window)
             want = reference_local_expansion(f, center, window)
             assert series_bits(got) == series_bits(want), (center, window)
+

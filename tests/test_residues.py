@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dxdy.algebra import E_ZERO, even
 from dxdy.contours import CircleContour, integrate_closed
-from dxdy.errors import UsageError
+from dxdy.errors import RangeError, UsageError
 from dxdy.functions import (RESIDUAL_TOL, MeromorphicFunction, Pole,
                             find_poles, meromorphic_from_text)
 from dxdy.polynomials import ONE_POLY, Polynomial, vanishes_at
@@ -651,6 +651,53 @@ def test_the_zero_function_expands_to_zeros_everywhere():
     for n in range(3):
         assert cauchy_derivative(f, z0, n) == even(0, 0)
     assert residue(f, Pole(z0, 2)) == even(0, 0)
+
+
+def test_residue_at_no_table_location_is_exactly_zero():
+    # the expansion there starts at z'^0, so a_{-1} lies below its
+    # valuation and is read as +0.0 in both parts, never as an index
+    f = meromorphic_from_text("(z-3)/(z^2+1)")
+    for z0 in (even(0.5, 0.25), even(-0.0, -0.0), even(3.0, 0.0)):
+        r = residue(f, Pole(z0, 1))
+        assert r == even(0.0, 0.0)
+        assert (r.u.hex(), r.v.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    # sin's zero cancels the simple root at 0: valuation 0 at a table root
+    g = meromorphic_from_text("sin(z)/(z*(z-1))")
+    assert residue(g, Pole(even(0.0), 1)) == even(0.0, 0.0)
+
+
+def test_residue_reads_a_minus_1_of_a_wider_window():
+    # an order passed above the pole's own reads the same a_{-1}; one
+    # below it leaves a_{-1} outside the window
+    f = meromorphic_from_text("1/((z-1)*(z+1))")
+    (p,) = [p for p in find_poles(f) if p.location == even(1.0)]
+    assert residue(f, Pole(p.location, 3)) == residue(f, p)
+    g = meromorphic_from_text("1/(z-1)^2")
+    with pytest.raises(WindowError):
+        residue(g, Pole(even(1.0), 1))
+
+
+def test_cauchy_reads_beyond_the_double_range_raise_range_error():
+    # these returned NaN and inf before: exp(700)·700^4/4! overflows
+    f = meromorphic_from_text("exp(700*z)")
+    with pytest.raises(RangeError,
+                       match="derivative lies beyond the double range$"):
+        cauchy_integral_value(f, even(1, 0), 4)
+    g = meromorphic_from_text("1e300*z")
+    with pytest.raises(RangeError,
+                       match="value lies beyond the double range$"):
+        cauchy_evaluate(g, even(1e10, 0))
+    # the largest finite value is still read
+    value, _ = cauchy_evaluate(g, even(1e8, 0))
+    assert value == even(1e308, 0)
+
+
+def test_derivative_formula_overflow_is_a_range_error():
+    # the exact quotient's rounding overflowed as a bare OverflowError
+    f = meromorphic_from_text("exp(700*z)/(z-1)^5")
+    (p,) = find_poles(f)
+    with pytest.raises(RangeError, match="lies beyond the double range$"):
+        residue_by_derivative_formula(f, p)
 
 
 def test_cauchy_derivative_refuses_a_negative_order():
