@@ -10,10 +10,14 @@ and the full shift from repeated synthetic division.  The single pass
 reads the nonzero coefficients only: a run of m zeros is one step by the
 exact Gaussian power X**m, so z**n + c costs two steps however large n is.
 Exactness makes the skipping free of rounding: every kernel ends on the
-shift's integers.  Each result converts back through one ``int / int``
-true division, which CPython rounds correctly, so a value or a ratio of
-two values is the nearest double to the exact rational, as
-``float(Fraction)`` gives it.
+shift's integers.  A value converts back through one ``int / int`` true
+division, which CPython rounds correctly, so it is the nearest double to
+the exact rational, as ``float(Fraction)`` gives it.  A ratio of two
+values gives the same double at the cost of its answer, not of its
+operands: ``dyadic_ratio`` divides the top SHORT_BITS bits of each
+long operand and keeps a part when both ends of its proven error
+interval round to the same nonzero double, and takes the full-width
+quotient where they do not (Ziv's strategy, ACM TOMS 17, 1991).
 
 Exactness sidesteps the noise floor that plain float arithmetic cannot
 beat: evaluating a polynomial near a root of multiplicity m loses all
@@ -175,17 +179,85 @@ def _gaussian_power(xr: int, xi: int, m: int) -> tuple[int, int]:
     return rr, ri
 
 
+#: bits of each operand that dyadic_ratio's short quotient keeps: twice a
+#: double's 53 and some, so the error interval, about 2**-114 of the
+#: quotient, rarely straddles a rounding boundary.  Only operands longer
+#: than three times this take it: below that, the full products cost less
+#: than its four divisions
+SHORT_BITS = 120
+
+
 def dyadic_ratio(a: Dyadic, b: Dyadic, scale: int = 1) -> complex:
-    """a / (scale * b), each component rounded once; b != 0, scale > 0."""
-    num_re = a.re * b.re + a.im * b.im
-    num_im = a.im * b.re - a.re * b.im
+    """a / (scale * b), each component rounded once; b != 0, scale > 0.
+
+    When an operand has more than 3 * SHORT_BITS bits, each is first cut
+    to its top K = SHORT_BITS bits (Ziv's strategy, ACM TOMS 17, 1991).
+    Up to the power of two of the exponents and cuts, a = 2**sa (a' + alpha)
+    and b = 2**sb (b' + beta), each part of alpha and beta in [0, 1), so
+    |alpha|, |beta| < sqrt(2), and with q = a/b and q' = a'/b'
+
+        |q - q'| |b'|**2 = |a' beta - b' alpha| |b'| / |b' + beta|
+                        <= sqrt(2) (|a'| + |b'|) |b'| / |b' + beta|.
+
+    Let nr + i*ni = a' * conj(b') and den = scale * |b'|**2, so that
+    nr/den + i*ni/den = q'/scale and S = |nr| + |ni| + den is at least
+    |a'| |b'| + |b'|**2.  If sb > 0 then |b'| >= 2**(K-1), the last factor
+    is below 2 and |a'| + |b'| <= S / 2**(K-1).  If sb = 0 then beta = 0
+    and |a'| >= 2**(K-1), and the bound is sqrt(2) |b'| <= sqrt(2) S /
+    2**(K-1).  Either way |q - q'| |b'|**2 <= 2**(2.5-K) S, so each part of
+    q/scale lies within err/den of that of q'/scale, for
+    err = (S >> (K - 6)) + 1 > 2**(6-K) S.  A part is rounded from the two
+    ends (nr -/+ err) / den of its interval, each one correctly rounded
+    int / int, and kept when both give the same nonzero double: rounding
+    is monotone, so the exact part gives it too.  Else, or when an end
+    lies beyond the double range, the part is the full-width quotient.
+    """
+    re = im = None
+    cut = 3 * SHORT_BITS
+    if (a.re.bit_length() > cut or a.im.bit_length() > cut
+            or b.re.bit_length() > cut or b.im.bit_length() > cut):
+        sa = max(a.re.bit_length(), a.im.bit_length(), SHORT_BITS) - SHORT_BITS
+        sb = max(b.re.bit_length(), b.im.bit_length(), SHORT_BITS) - SHORT_BITS
+        ar, ai, br, bi = a.re >> sa, a.im >> sa, b.re >> sb, b.im >> sb
+        nr = ar * br + ai * bi
+        ni = ai * br - ar * bi
+        den = scale * (br * br + bi * bi)
+        err = ((abs(nr) + abs(ni) + den) >> (SHORT_BITS - 6)) + 1
+        shift = b.exp - a.exp + sa - sb
+        if shift >= 0:
+            nr <<= shift
+            ni <<= shift
+            err <<= shift
+        else:
+            den <<= -shift
+        re = _short_part(nr, err, den)
+        im = _short_part(ni, err, den)
+        if re is not None and im is not None:
+            return complex(re, im)
+    # the full width, for each part the short quotient left undecided
     den = scale * (b.re * b.re + b.im * b.im)
-    if b.exp >= a.exp:
-        num_re <<= b.exp - a.exp
-        num_im <<= b.exp - a.exp
-    else:
-        den <<= a.exp - b.exp
-    return complex(num_re / den, num_im / den)
+    up = b.exp - a.exp
+    if up < 0:
+        den <<= -up
+        up = 0
+    if re is None:
+        re = ((a.re * b.re + a.im * b.im) << up) / den
+    if im is None:
+        im = ((a.im * b.re - a.re * b.im) << up) / den
+    return complex(re, im)
+
+
+def _short_part(n: int, err: int, den: int) -> float | None:
+    """The double that both (n - err) / den and (n + err) / den round to,
+    when it is the same nonzero one; else None, also where an end lies
+    beyond the double range.  Two nonzero doubles are == only when their
+    bits agree; -0.0 == 0.0 is why zero is refused."""
+    try:
+        lo = (n - err) / den
+        hi = (n + err) / den
+    except OverflowError:
+        return None
+    return lo if lo == hi and lo else None
 
 
 def dyadic_series_quotient(num: DyadicPoly, den: DyadicPoly, k: int,

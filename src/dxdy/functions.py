@@ -21,7 +21,7 @@ from .algebra import (ENTIRE_KERNELS, EvenElement, _Frozen, complex_inv,
 from .errors import ComputationError, RangeError, UsageError
 from .exactmath import dyadic_poly, dyadic_taylor_shift
 from .polynomials import (ONE_POLY, Polynomial, Z_POLY, ZERO_POLY,
-                          vanishes_at)
+                          runs_vanish_at, vanishes_at, zero_runs)
 from .roots import RootFindingError, find_roots
 from .series import (LaurentSeries, _inverse, _product, entire_series,
                      entire_zero_order, zero_series)
@@ -89,8 +89,9 @@ class MeromorphicFunction(_Frozen, uncompared=("den_roots",),
         if den_roots is None:
             den_roots = (tuple(find_roots(den.coeffs)) if den.degree >= 1
                          else ())
+        zeros = zero_runs(den.coeffs)
         for loc, _ in den_roots:
-            if not vanishes_at(den.coeffs, loc, RESIDUAL_TOL):
+            if not runs_vanish_at(zeros, loc, RESIDUAL_TOL):
                 raise RootFindingError(f"root residual too large at "
                                        f"{EvenElement(loc.real, loc.imag)}; "
                                        f"denominator is ill-conditioned")
@@ -231,10 +232,12 @@ def normalize_rational(num: Polynomial, den: Polynomial
                          "every coefficient underflows to zero")
     _require_finite(num.coeffs + den.coeffs, "rescaled")
     roots = []
+    zeros = zero_runs(num.coeffs)
     for loc, mult in find_roots(den.coeffs) if den.degree >= 1 else ():
-        while mult and vanishes_at(num.coeffs, loc, CANCEL_TOL):
+        while mult and runs_vanish_at(zeros, loc, CANCEL_TOL):
             num = num.deflate(loc)
             den = den.deflate(loc)
+            zeros = zero_runs(num.coeffs)
             mult -= 1
         if mult:
             roots.append((loc, mult))

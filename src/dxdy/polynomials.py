@@ -7,10 +7,11 @@ so the zero polynomial has an empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import zip_longest
 
-from .algebra import EvenElement, _Frozen, complex_inv
+from .algebra import EvenElement, _Frozen, complex_int_pow, complex_inv
 
 
 class Polynomial(_Frozen):
@@ -139,19 +140,69 @@ class Polynomial(_Frozen):
         return tuple(out)
 
 
+#: a polynomial's lead, and below it (g, c, |c|) for each run of g
+#: coefficients that are all zero but the last one, c, from the top down;
+#: c_0 always ends one, so z**n + c has one run
+ZeroRuns = tuple[complex, list[tuple[int, complex, float]]]
+
+
+def zero_runs(coeffs) -> ZeroRuns:
+    """The ZeroRuns of the ascending coefficients: built once, they serve
+    every point a caller tests (runs_vanish_at, roots._aberth)."""
+    runs = []
+    g = 1
+    for c in reversed(coeffs[:-1]):
+        if c:
+            runs.append((g, c, abs(c)))
+            g = 1
+        else:
+            g += 1
+    if g > 1:  # zeros down to c_0
+        runs.append((g - 1, coeffs[0], 0.0))
+    return (coeffs[-1] if coeffs else 0j), runs
+
+
 def vanishes_at(coeffs, x: complex, tol: float) -> bool:
+    """runs_vanish_at for a polynomial's ascending coefficients."""
+    return runs_vanish_at(zero_runs(coeffs), x, tol)
+
+
+def runs_vanish_at(runs: ZeroRuns, x: complex, tol: float) -> bool:
     """Whether |p(x)| <= tol times Horner's bound sum |a_k| |x|**k on the
-    rounding of p(x) (Higham, Accuracy and Stability, 5.1), for the
-    ascending coefficients of p: x is a root as far as the rounded
-    coefficients can tell, at any modulus.  A non-finite bound tells
-    nothing, so there the answer is no."""
+    rounding of p(x) (Higham, Accuracy and Stability, 5.1), for p given by
+    its zero runs: x is a root as far as the rounded coefficients can
+    tell, at any modulus.  A non-finite bound tells nothing, so there the
+    answer is no.
+
+    A run of one is the plain Horner step, so coefficients with no zero
+    give the bits of one step per coefficient; a run of g > 1 is one step
+    by x**g and |x|**g.  Where a power overflows, the run takes its g
+    steps, which keep a product that the power alone overflows (a tiny
+    lead) and saturate to inf as one step per coefficient does.
+    """
+    value, steps = runs
     r = abs(x)
-    value = 0j
-    bound = 0.0
-    for c in reversed(coeffs):
+    bound = abs(value)
+    for g, c, mag in steps:
+        if g > 1:
+            try:
+                # CPython's complex ** is binary powering up to 100 only
+                xg = x ** g if g <= 100 else complex_int_pow(x, g)
+                rg = r ** g
+            except OverflowError:
+                rg = math.inf
+            if rg < math.inf and cmath.isfinite(xg):
+                value = value * xg + c
+                bound = bound * rg + mag
+                continue
+            for _ in range(g - 1):
+                value *= x
+                bound *= r
         value = value * x + c
-        bound = bound * r + abs(c)
-    return abs(value) <= tol * bound < math.inf
+        bound = bound * r + mag
+    # a value that is not finite never passes; and abs of a NaN complex
+    # raises when a caught overflow left C's errno set
+    return cmath.isfinite(value) and abs(value) <= tol * bound < math.inf
 
 
 def _trimmed(coeffs: list[complex]) -> Polynomial:

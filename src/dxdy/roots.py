@@ -17,7 +17,9 @@ multiplicities.  The pipeline is therefore:
    of Bini and Fiorentino, Numer. Algorithms 23, 2000); iterating past
    it only spreads the cloud, so a start already there gets no sweep.
    Each sweep's Horner pass takes one step per run of zero coefficients,
-   and one step per coefficient where there is no zero;
+   and one step per coefficient where there is no zero; the runs come
+   from ``polynomials.zero_runs`` once, and the start's floor test reads
+   the same list through ``runs_vanish_at``, as ``vanishes_at`` does;
 2. a certificate that every root is simple: n pairwise disjoint Newton
    disks, of radius n |p(x)/p'(x)| about each raw x, hold one simple root
    each.  A float gate on the separation of the raw roots (CERTIFY_GAP)
@@ -57,7 +59,8 @@ multiple root that no hypothesis accepted shows up so).  The monic coefficients 
 iterate are doubles, hence dyadic: each exact pass of ``exactmath``'s
 ``dyadic_value_and_slope`` gives a pair t_j, (j+1)*t_{j+1} (p and p' at
 j = 0) from Gaussian integer Horner steps over the nonzero coefficients,
-and each step or test value is rounded once from the exact rational.
+and each step or test value is rounded once from the exact rational
+(a step by ``dyadic_ratio``'s short quotient, or its full-width fallback).
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import compress
 from operator import attrgetter
 
 from .algebra import EvenElement, complex_int_pow
 from .errors import ComputationError, UsageError
 from .exactmath import (Dyadic, DyadicPoly, dyadic_poly, dyadic_ratio,
                         dyadic_value_and_slope)
-from .polynomials import Polynomial, vanishes_at
+from .polynomials import Polynomial, runs_vanish_at, zero_runs
 
 #: coefficient-relative distance to the nearest polynomial carrying the
 #: hypothesised multiple root; clusters failing this are split
@@ -180,7 +184,9 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
     (Accuracy and Stability, 5.1).  The pass reads the nonzero
     coefficients and c_0 only: a run of g coefficients, all zero but the
     last one c, is one step p x^g + c, (p' x + g p) x^(g-1) and
-    bound |x|^g + |c|, with x^(g-1) by binary powering.  A run of one is
+    bound |x|^g + |c|, with x^(g-1) by binary powering.  The runs are
+    built once (``zero_runs``) and shared with the start's floor test,
+    the check ``vanishes_at`` makes at one point.  A run of one is
     the plain Horner step, so dense coefficients give the iterates of one
     step per coefficient, bit for bit.  The sweeps stop once the steps
     converge, or once every |p(x)| entering a sweep is within DK_FLOOR
@@ -193,17 +199,11 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
     n = len(coeffs) - 1
     xs = _centroid_start(coeffs)
     slack = DK_FLOOR * (n + 1) * sys.float_info.epsilon
-    if all(vanishes_at(coeffs, x, slack) for x in xs):
+    zeros = zero_runs(coeffs)
+    if all(runs_vanish_at(zeros, x, slack) for x in xs):
         return xs
-    lead, lead_mag = coeffs[n], abs(coeffs[n])
-    # (g, c, |c|): a run of g coefficients, all zero but its last, c;
-    # c_0 always ends one
-    runs = []
-    top = n
-    for k in range(n - 1, -1, -1):
-        if coeffs[k] or not k:
-            runs.append((top - k, coeffs[k], abs(coeffs[k])))
-            top = k
+    lead, runs = zeros
+    lead_mag = abs(lead)
     for _ in range(_MAX_SWEEPS):
         delta = 0.0
         scale = 1.0
@@ -268,17 +268,21 @@ def _single_linkage(points: list[complex]) -> list[list[complex]]:
     the scatter of a k*-fold root, k* the most points a cluster obeying
     the scatter law can hold here.  A ring of n >= 33 simple roots about
     |x| = 1 has all n within 4 * KAPPA**(1/n) >= 2 of each, so k* = n and
-    the ring is linked.
+    the ring is linked.  Each group's mean is kept until the group
+    changes, and a scan stops at a pair 0 apart, since no later pair is
+    strictly closer.
     """
     groups = [[p] for p in points]
     if len(groups) < 2:
         return groups
     factor = _link_factor(points)
+    means = [_mean(g) for g in groups]  # kept until the group changes
     while len(groups) > 1:
-        means = [_mean(g) for g in groups]
         best = None
         best_d = math.inf
         for i, ci in enumerate(means):
+            if not best_d:  # no pair is closer than 0
+                break
             for j in range(i + 1, len(groups)):
                 d = abs(ci - means[j])
                 if d >= best_d:  # no merged mean needed for a losing pair
@@ -286,11 +290,14 @@ def _single_linkage(points: list[complex]) -> list[list[complex]]:
                 if d <= (1.0 + abs(_mean(groups[i] + groups[j]))) * factor:
                     best_d = d
                     best = (i, j)
+                    if not d:
+                        break
         if best is None:
             break
         i, j = best
         groups[i] = groups[i] + groups[j]
-        del groups[j]
+        means[i] = _mean(groups[i])
+        del groups[j], means[j]
     return groups
 
 
@@ -403,16 +410,48 @@ def _newton_polish(mags: list[float], exact: DyadicPoly, x0: complex,
 
 def _coefficient_scale(mags: list[float], ac: float, j: int) -> float:
     """Magnitude scale sum_i C(i, j) |c_i| ac**(i - j) of the shifted
-    Taylor coefficient t_j at a center of modulus ac."""
+    Taylor coefficient t_j at a center of modulus ac.
+
+    With a zero among the magnitudes the sum reads the nonzero ones only
+    (_sparse_scale_sum).  With none, or where that sum saturates, it is
+    taken over every i, one step per index, so a zero term past an
+    overflowed power is NaN, as 0 * inf makes it, and the scale max(mags).
+    """
+    s = math.inf if all(mags) else _sparse_scale_sum(mags, ac, j)
+    if not s < math.inf:
+        s = 0.0
+        binom = 1.0
+        power = 1.0
+        for i in range(j, len(mags)):
+            if i > j:
+                binom = binom * i / (i - j)
+                power *= ac
+            s += binom * mags[i] * power
+    return s if s > 0.0 else max(mags)
+
+
+def _sparse_scale_sum(mags: list[float], ac: float, j: int) -> float:
+    """sum_i C(i, j) |c_i| ac**(i - j) over the nonzero |c_i|, i >= j:
+    consecutive ones take the recurrence C(i, j) = C(i-1, j) i / (i-j)
+    and one more factor ac, and one after a run of zeros takes C(i, j)
+    and ac**g whole; inf where a power overflows."""
     s = 0.0
     binom = 1.0
     power = 1.0
-    for i in range(j, len(mags)):
-        if i > j:
-            binom = binom * i / (i - j)
-            power *= ac
-        s += binom * mags[i] * power
-    return s if s > 0.0 else max(mags)
+    top = j
+    try:
+        for i in compress(range(j, len(mags)), mags[j:]):
+            if i == top + 1:
+                binom = binom * i / (i - j)
+                power *= ac
+            elif i > top:
+                binom = float(math.comb(i, j))
+                power *= ac ** (i - top)
+            top = i
+            s += binom * mags[i] * power
+    except OverflowError:
+        return math.inf
+    return s
 
 
 def _refine_and_verify(mags: list[float], exact: DyadicPoly,

@@ -1,12 +1,14 @@
 """Dyadic Gaussian-integer kernels against exact-Fraction references."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dxdy import exactmath
 from dxdy.exactmath import (Dyadic, dyadic_poly, dyadic_ratio,
                             dyadic_series_quotient, dyadic_taylor_shift,
                             dyadic_value_and_slope)
@@ -243,3 +245,118 @@ def test_series_quotient_of_a_squared_geometric_series():
     den = dyadic_poly([1.0, -2.0, 1.0] + [0.0] * 27)
     assert ([dyadic_series_quotient(one, den, k, 3) for k in range(30)]
             == [complex((k + 1) / 3) for k in range(30)])
+
+
+# ---------------------------------------------------------------------------
+# the short quotient against the full-width quotient it falls back to
+
+def full_width_ratio(a, b, scale=1):
+    """a / (scale * b) from the full products, each part one int / int:
+    the referee of dyadic_ratio's short quotient."""
+    num_re = a.re * b.re + a.im * b.im
+    num_im = a.im * b.re - a.re * b.im
+    den = scale * (b.re * b.re + b.im * b.im)
+    if b.exp >= a.exp:
+        num_re <<= b.exp - a.exp
+        num_im <<= b.exp - a.exp
+    else:
+        den <<= a.exp - b.exp
+    return complex(num_re / den, num_im / den)
+
+
+def _wide_int(bits, seed, negative):
+    """A seeded integer of exactly ``bits`` bits, of either sign."""
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    return -n if negative else n
+
+
+_wide = st.one_of(st.just(0), st.builds(_wide_int, st.integers(1, 6000),
+                                        st.integers(0, 2 ** 32),
+                                        st.booleans()))
+# the quotient's binary exponent: near 1, subnormal, beyond the doubles
+_target = st.one_of(st.integers(-60, 60), st.integers(-1130, -1000),
+                    st.integers(990, 1040))
+
+
+@st.composite
+def _ratio_operands(draw):
+    ar, ai, br, bi = (draw(_wide) for _ in range(4))
+    if not (br or bi):
+        br = 1
+    la = max(ar.bit_length(), ai.bit_length())
+    lb = max(br.bit_length(), bi.bit_length())
+    # b.exp - a.exp puts the quotient near 2**target
+    diff = draw(_target) - (la - lb)
+    offset = draw(st.integers(0, 64))
+    return (Dyadic(ar, ai, offset + max(-diff, 0)),
+            Dyadic(br, bi, offset + max(diff, 0)), draw(st.integers(1, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratio_operands())
+def test_short_quotient_matches_the_full_width_quotient(operands):
+    a, b, scale = operands
+    assert (outcome(lambda: dyadic_ratio(a, b, scale))
+            == outcome(lambda: full_width_ratio(a, b, scale)))
+
+
+_LONG = random.Random(40)
+_B = (_LONG.getrandbits(700) | 1 << 699, -(_LONG.getrandbits(650) | 1 << 649))
+
+
+def near(h_re, h_im, t, d_re=0, d_im=0, scale=1, b=_B):
+    """Operands whose quotient a / (scale * b) is (h_re + i*h_im) / 2**t
+    plus (d_re + i*d_im) / (scale * b * 2**t), with a 700-bit b: a nudge
+    far below the short quotient's error interval."""
+    br, bi = b
+    ar = scale * (br * h_re - bi * h_im) + d_re
+    ai = scale * (br * h_im + bi * h_re) + d_im
+    return Dyadic(ar, ai, t), Dyadic(br, bi, 0), scale
+
+
+_MAX_TIE = (1 << 1024) - (1 << 970)  # halfway from the top double to 2**1024
+_BUILT = [
+    # a tie between 2**53 and 2**53 + 2, and nudged off it either way
+    near((1 << 53) + 1, 5, 0), near((1 << 53) + 1, 5, 0, 1),
+    near((1 << 53) + 1, 5, 0, -1), near(7, (1 << 53) + 1, 0, 0, 1, 3),
+    near(7, (1 << 53) + 1, 0, 0, -1, 3),
+    # parts that are exactly zero, near 1 and where the ends underflow
+    near(0, 3, 0), near(5, 0, 2), near(0, 0, 0), near(0, 0, 1200),
+    near(0, 1, 1000), near(1, 0, 1000),
+    # nonzero parts below the subnormals beside a part near 2**-1000,
+    # whose interval ends underflow to -0.0 and 0.0: the sign survives
+    near(0, 1, 1000, 1), near(0, 1, 1000, -1),
+    near(1, 0, 1000, 0, 1), near(1, 0, 1000, 0, -1),
+    # subnormal: 3 * 2**-1074, and the tie 1.5 * 2**-1074 nudged
+    near(3, 3, 1074, 1), near(3, 1, 1075), near(3, 1, 1075, 1),
+    near(3, 1, 1075, -1),
+    # the top double, its overflow tie, and beyond the double range
+    near(_MAX_TIE, 1, 0, -1), near(_MAX_TIE, 1, 0), near(_MAX_TIE, 1, 0, 1),
+    near(1, _MAX_TIE, 0, 0, -1), near(1 << 1100, 1, 0),
+]
+
+
+@pytest.mark.parametrize("a, b, scale", _BUILT)
+def test_short_quotient_on_built_boundaries(a, b, scale):
+    assert (outcome(lambda: dyadic_ratio(a, b, scale))
+            == outcome(lambda: full_width_ratio(a, b, scale)))
+
+
+def test_both_the_short_quotient_and_its_fallback_run(monkeypatch):
+    kept = []
+    short_part = exactmath._short_part
+
+    def counted(*args):
+        part = short_part(*args)
+        kept.append(part is not None)
+        return part
+
+    monkeypatch.setattr(exactmath, "_short_part", counted)
+    for a, b, scale in _BUILT:
+        outcome(lambda: dyadic_ratio(a, b, scale))
+    assert True in kept and False in kept
+    # operands of at most 3 * SHORT_BITS bits take the full width alone
+    kept.clear()
+    short = 3 * exactmath.SHORT_BITS
+    dyadic_ratio(Dyadic(1 << short - 1, 3, 0), Dyadic(7, 1 << short - 2, 5))
+    assert kept == []

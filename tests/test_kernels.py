@@ -36,10 +36,10 @@ from dxdy.algebra import (E_ZERO, ENTIRE_KERNELS, EvenElement,
                           even_mul)
 from dxdy.errors import ComputationError
 from dxdy.exactmath import dyadic_poly, dyadic_taylor_shift
-from dxdy.functions import (EntireFactor, MeromorphicFunction, _untrusted,
-                            find_poles, local_expansion,
+from dxdy.functions import (RESIDUAL_TOL, EntireFactor, MeromorphicFunction,
+                            _untrusted, find_poles, local_expansion,
                             meromorphic_from_text)
-from dxdy.polynomials import ZERO_POLY, Polynomial
+from dxdy.polynomials import ONE_POLY, ZERO_POLY, Polynomial, vanishes_at
 from dxdy.series import (ZERO_ULPS, LaurentSeries, entire_series,
                          series_inv, series_mul)
 
@@ -290,7 +290,7 @@ def reference_aberth(coeffs, make_horner=zero_run_horner):
     slack = roots.DK_FLOOR * (n + 1) * sys.float_info.epsilon
 
     def at_floor_start(x):
-        # vanishes_at's dense Horner, as in _aberth
+        # the dense Horner that _aberth's zero runs must agree with
         p, _, bound = dense_horner(coeffs)(x)
         return abs(p) <= slack * bound and math.isfinite(bound)
 
@@ -746,6 +746,93 @@ def test_zero_run_power_overflow_leaves_the_double_range(monkeypatch):
             with pytest.raises(roots.RootFindingError,
                                match="left the double range"):
                 roots.find_roots(monic)
+
+
+def dense_vanishes_at(coeffs, x, tol):
+    """vanishes_at's verdict from dense_horner, one step per coefficient:
+    the referee of its zero runs."""
+    p, _, bound = dense_horner(coeffs)(x)
+    return abs(p) <= tol * bound < math.inf
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_zero_run_powers_saturate_as_single_steps_do(n):
+    # (1e10)**n overflows: the residual check says no and raises nothing
+    den = Polynomial.from_coeffs([1] + [0] * (n - 1) + [1])
+    assert not vanishes_at(den.coeffs, 1e10 + 0j, RESIDUAL_TOL)
+    with pytest.raises(roots.RootFindingError,
+                       match="root residual too large"):
+        MeromorphicFunction(ONE_POLY, den, den_roots=((1e10 + 0j, 1),))
+    # x**n overflows where the lead 1e-300 times it does not: the steps
+    # keep that product, and x is a root of 1e-300 z**n - v
+    x = 10.0 ** (400 / n)
+    v = 1e-300
+    for _ in range(n):
+        v *= x
+    coeffs = [-v] + [0j] * (n - 1) + [1e-300]
+    for point in (x, x * 1.001, -x, 1e10):
+        assert (vanishes_at(coeffs, point, RESIDUAL_TOL)
+                == dense_vanishes_at(coeffs, point, RESIDUAL_TOL)), point
+    assert vanishes_at(coeffs, x, RESIDUAL_TOL)
+
+
+def test_sparse_polynomials_keep_the_dense_verdict():
+    # at the table roots of sparse polynomials up to degree 150 and at
+    # points of every scale about them, runs give the dense verdict
+    rng = random.Random(40)
+    for _ in range(24):
+        n = rng.choice([rng.randint(2, 20), rng.randint(20, 150)])
+        monic = [complex(rng.gauss(0, 1), rng.gauss(0, 1))] + [0j] * (n - 1)
+        for _ in range(rng.randint(0, 3)):
+            monic[rng.randrange(1, n)] = complex(rng.gauss(0, 1), 0.5)
+        monic.append(1 + 0j)
+        table = [x for x, _ in roots.find_roots(monic)]
+        points = table + [x * (1 + 1e-7 * k) for k, x in enumerate(table)]
+        points += [cmath.rect(10.0 ** rng.uniform(-3, 3),
+                              rng.uniform(-math.pi, math.pi))
+                   for _ in range(20)]
+        for x in points:
+            for tol in (RESIDUAL_TOL, roots.DK_FLOOR * (n + 1) * 2.0 ** -52):
+                assert (vanishes_at(monic, x, tol)
+                        == dense_vanishes_at(monic, x, tol)), (n, x)
+        assert all(vanishes_at(monic, x, RESIDUAL_TOL) for x in table)
+
+
+def test_coefficient_scale_steps_over_zeros_and_keeps_saturation():
+    # sum_i C(i, j) |c_i| ac**(i - j) over the nonzero |c_i|; where a
+    # power overflows, the sum over every i, as one step per index takes
+    # it: a zero term there is 0 * inf = NaN, and the scale falls back on
+    # max(mags)
+    def dense(mags, ac, j):
+        s, binom, power = 0.0, 1.0, 1.0
+        for i in range(j, len(mags)):
+            if i > j:
+                binom = binom * i / (i - j)
+                power *= ac
+            s += binom * mags[i] * power
+        return s if s > 0.0 else max(mags)
+
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        mags = [abs(rng.gauss(0, 1)) if rng.random() < 0.4 else 0.0
+                for _ in range(n)] + [1.0]
+        ac = 10.0 ** rng.uniform(-2, 2)
+        for j in range(min(n, 4) + 1):
+            got, want = (roots._coefficient_scale(mags, ac, j),
+                         dense(mags, ac, j))
+            assert got == pytest.approx(want, rel=1e-12), (mags, ac, j)
+    for n in (40, 150):
+        mags = [1.0] + [0.0] * (n - 1) + [1.0]
+        for ac in (1e10, 1e300):
+            for j in (0, 1, 2):
+                got = roots._coefficient_scale(mags, ac, j)
+                assert got.hex() == dense(mags, ac, j).hex()
+    # dense magnitudes: the recurrence alone, bit for bit
+    mags = [abs(rng.gauss(0, 1)) + 0.1 for _ in range(30)] + [1.0]
+    for j in range(5):
+        assert (roots._coefficient_scale(mags, 0.7, j).hex()
+                == dense(mags, 0.7, j).hex())
 
 
 def _outcome_bits(call):

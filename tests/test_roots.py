@@ -6,7 +6,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxdy import roots
@@ -209,7 +209,7 @@ def reference_single_linkage(points):
 @st.composite
 def _clouds(draw):
     """Planted clusters of 1..5 points, scattered 1e-12..0.3 about their
-    centers, in a random order."""
+    centers, some points repeated up to 3 times, in a random order."""
     coord = st.floats(-2.0, 2.0)
     unit = st.floats(-1.0, 1.0)
     points = []
@@ -217,11 +217,31 @@ def _clouds(draw):
         center = complex(draw(coord), draw(coord))
         spread = 10.0 ** draw(st.floats(-12.0, -0.5))
         for _ in range(draw(st.integers(1, 5))):
-            points.append(center + spread * complex(draw(unit), draw(unit)))
+            point = center + spread * complex(draw(unit), draw(unit))
+            points += [point] * draw(st.sampled_from([1, 1, 1, 2, 3]))
     return draw(st.permutations(points))
 
 
+def _raw_binomial_roots(m, nudge=0.0):
+    """_aberth's raw roots of (z - 1)**m with nudge added to c_0: m equal
+    points when nudge is 0, where the start sits on the root."""
+    coeffs = list(Polynomial.from_coeffs([-1, 1]).int_pow(m).coeffs)
+    coeffs[0] += nudge
+    return roots._aberth(coeffs)
+
+
+def _with_repeated_points(test):
+    """test, with the raw roots of (z - 1)**m as examples, m = 1..30, and
+    with a few of their nudged clouds."""
+    for m in range(1, 31):
+        test = example(_raw_binomial_roots(m))(test)
+    for m, nudge in ((3, 1e-12), (6, 1e-9), (8, 1e-14)):
+        test = example(_raw_binomial_roots(m, nudge) * 2)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
+@_with_repeated_points
 @given(_clouds())
 def test_linkage_matches_cubic_reference(points):
     assert (roots._single_linkage(points)
